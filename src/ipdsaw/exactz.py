@@ -35,7 +35,8 @@ import numpy as np
 from . import largedev
 from .polymer import StretchConfig, Variant, as_variant
 from .steps import StepLaw
-from .wetting import logsumexp_c, _default_cutoff
+from .wetting import (_check_delta, _default_cutoff, _step_matrix, _strip_walk,
+                      logsumexp_c)
 
 __all__ = [
     "DPTable",
@@ -257,12 +258,6 @@ class DPTable:
                    meta["truncation_bound"])
 
 
-def _pair_kernel(beta: float, H: int) -> np.ndarray:
-    """K[u, w] = e^{-beta} e^{-(beta/2)|w - u|}: one stretch's reduced weight."""
-    yy = np.arange(H + 1)
-    return np.exp(-beta - 0.5 * beta * np.abs(yy[:, None] - yy[None, :]))
-
-
 def _truncation_tail(L, beta, delta, variant, H, K, rew) -> float:
     """Rigorous bound on the reduced weight lost above height H.
 
@@ -338,7 +333,10 @@ def dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE,
             raise ValueError("height_cutoff must be >= 1")
         H = int(height_cutoff)
     n = H + 1
-    K = _pair_kernel(beta, H)
+    law = StepLaw(beta)
+    M = _step_matrix(law, H)
+    # K[u, w] = e^{-beta} e^{-(beta/2)|w - u|}: one stretch's reduced weight
+    K = math.exp(-beta) * law.c_beta * M
     rew = np.ones(n)
     rew[0] = math.exp(delta)
     vv = np.arange(n)
@@ -370,7 +368,7 @@ def dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE,
     else:
         G = np.zeros((L + 1, n, n))
         if variant is Variant.FREE:
-            G[0] = np.exp(-0.5 * beta * np.abs(Vg - Wg))
+            G[0] = law.c_beta * M
         else:
             G[0][:, 0] = np.exp(-0.5 * beta * vv)
         for R in range(1, L + 1):
@@ -460,11 +458,6 @@ def backward_sample(table: DPTable, count: int, rng) -> list:
 # envelope-pair DPs and walk representations
 # ---------------------------------------------------------------------------
 
-def _pmf_matrix(law: StepLaw, H: int) -> np.ndarray:
-    yy = np.arange(H + 1)
-    return np.exp(-0.5 * law.beta * np.abs(yy[:, None] - yy[None, :])) / law.c_beta
-
-
 def d_circ(N: int, q, beta: float, delta: float,
            height_cutoff: int | None = None) -> float:
     """Joint ordered-envelope probability at a pinned enclosed-area difference.
@@ -490,7 +483,7 @@ def d_circ(N: int, q, beta: float, delta: float,
          else math.ceil(10.0 * math.sqrt(L_eff)) + 8)
     n = H + 1
     law = StepLaw(beta)
-    P = _pmf_matrix(law, H)
+    P = _step_matrix(law, H)
     ss = np.arange(n)
     strict = ss[:, None] > ss[None, :]  # [s', i]: s' > i
     ed = math.exp(delta)
@@ -536,7 +529,7 @@ def z_constrained_from_walks(L: int, beta: float, delta: float) -> float:
     law = StepLaw(beta)
     H = L // 2 + 1
     n = H + 1
-    P = _pmf_matrix(law, H)
+    P = _step_matrix(law, H)
     ed = math.exp(delta)
     absdiff = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
     shifts = [np.nonzero(absdiff == d) for d in range(n)]
@@ -594,23 +587,14 @@ def area_wetting_dp(N: int, gamma: float, beta: float, delta: float,
         raise ValueError("N must be >= 1")
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
+    _check_delta(delta)
     law = StepLaw(beta)
     H = height_cutoff if height_cutoff is not None else _default_cutoff(N, beta)
-    yy = np.arange(H + 1)
-    M = _pmf_matrix(law, H)
-    fac = np.exp(-gamma * yy / N)
-    fac[0] *= math.exp(delta)
-    v = np.zeros(H + 1)
-    v[0] = 1.0
-    table = np.full((N + 1, H + 1), -np.inf)
-    table[0, 0] = 0.0
-    off = 0.0
+    log_w = -gamma * np.arange(H + 1) / N
+    log_w[0] += delta
+    table = np.empty((N + 1, H + 1))
     with np.errstate(divide="ignore"):
-        for k in range(1, N + 1):
-            v = fac * (M @ v)
-            s = v.max()
-            v /= s
-            off += math.log(s)
+        for k, (v, off) in enumerate(_strip_walk(law, log_w, 0, N)):
             table[k] = np.log(v) + off
     return AreaWettingDP(N, beta, delta, gamma, H, table, float(table[N, 0]))
 

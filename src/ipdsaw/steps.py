@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "StepLaw",
     "step_pmf",
-    "log_step_pmf",
     "beta_critical",
     "log_mgf",
     "variance",
@@ -62,23 +61,10 @@ class StepLaw:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"StepLaw(beta={self.beta})"
 
-    def support_cutoff(self) -> int:
-        """Half-width K such that the mass outside [-K, K] is < 1e-16."""
-        return math.ceil(80.0 / self.beta) + 200
-
-    def tail_mass_bound(self, K: int) -> float:
-        """Upper bound on sum_{|k| > K} P(X = k) (a plain geometric tail)."""
-        return 2.0 * math.exp(-self.beta * (K + 1) / 2.0) / (self.c_beta * (1.0 - self.x))
-
 
 def step_pmf(law: StepLaw, k) -> float:
     """P(X = k); accepts ints or integer arrays."""
     return np.exp(-0.5 * law.beta * np.abs(k)) / law.c_beta
-
-
-def log_step_pmf(law: StepLaw, k) -> float:
-    """log P(X = k)."""
-    return -0.5 * law.beta * np.abs(k) - math.log(law.c_beta)
 
 
 @lru_cache(maxsize=1)

@@ -2,13 +2,15 @@
 
 The building block is the first-return kernel of the step walk,
 
-    K(t) = P(tau = t, X_tau = 0),    tau = first hitting time of (-inf, 0],
+    K(t) = P(tau = t, X_tau = 0),    tau = first hitting time of (-inf, 0].
 
-computed exactly by a height-resolved DP.  On top of it sit the pinned
-partition function (renewal recursion and a direct positive-walk DP as a
-cross-check), the closed-form localization free energy h_beta(delta), and
-the three critical curves delta_tilde < delta_c < delta_circ of the phase
-diagram.
+The step law is two-sided geometric, so its generating function is
+algebraic and ``return_kernel`` reads K(t) off it in closed form (the
+height-resolved DP it displaces is kept as a test oracle).  On top of it
+sit the pinned partition function (renewal recursion, cross-checked by a
+direct positive-walk DP), the closed-form localization free energy
+h_beta(delta) and prefactor C_wet, and the three critical curves
+delta_tilde < delta_c < delta_circ of the phase diagram.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .steps import StepLaw, beta_critical
+from .steps import StepLaw, beta_critical, step_pmf
 
 __all__ = [
     "ReturnKernel",
@@ -29,7 +31,6 @@ __all__ = [
     "zwet_direct",
     "wetting_free_energy",
     "delta_tilde",
-    "wetting_free_energy_from_kernel",
     "critical_curves",
     "cwet_constant",
     "positive_bridge_logprob",
@@ -66,57 +67,98 @@ def _default_cutoff(n: float, beta: float) -> int:
     return math.ceil(12.0 * math.sqrt(max(n, 1.0) / beta)) + 64
 
 
+def _check_delta(delta: float) -> None:
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta!r}")
+
+
+def _step_matrix(law: StepLaw, H: int) -> np.ndarray:
+    """M[i, j] = P(X = i - j) for heights i, j in 0..H."""
+    y = np.arange(H + 1)
+    return step_pmf(law, np.subtract.outer(y, y))
+
+
+def _strip_walk(law: StepLaw, log_w: np.ndarray, start: int, steps: int):
+    """The weighted step walk on the strip [0, H], H = len(log_w) - 1.
+
+    Starting from the unit vector at ``start``, yields (v, log_off) for
+    k = 0..steps, where v e^{log_off} is the weight of the k-step paths
+    ending at each height: every step applies v <- w * (M v) with site
+    weights w = e^{log_w}, and v is renormalized to max 1.  The weights are
+    shifted by their maximum before exponentiating, so a large log weight
+    never overflows.
+    """
+    M = _step_matrix(law, len(log_w) - 1)
+    shift = float(np.max(log_w))
+    w = np.exp(log_w - shift)
+    v = np.zeros(len(log_w))
+    v[start] = 1.0
+    log_off = 0.0
+    yield v, log_off
+    for _ in range(steps):
+        v = w * (M @ v)
+        s = v.max()
+        v /= s
+        log_off += math.log(s) + shift
+        yield v, log_off
+
+
+def _strip_walk_log_end(law: StepLaw, log_w: np.ndarray, start: int,
+                        steps: int) -> float:
+    """log of the ``_strip_walk`` weight at height 0 after ``steps`` steps."""
+    for v, log_off in _strip_walk(law, log_w, start, steps):
+        pass
+    return log_off + (math.log(v[0]) if v[0] > 0.0 else -math.inf)
+
+
+def _kernel_constants(law: StepLaw) -> tuple:
+    """(c, s2) = (1 - x^2, (c/a)^2) with a = (1 - x)^2, x = e^{-beta/2}."""
+    c = 1.0 - law.x * law.x
+    return c, (c / (1.0 - law.x) ** 2) ** 2
+
+
 @dataclass(frozen=True)
 class ReturnKernel:
     """First-return kernel table K(t), t = 1..t_max.
 
-    ``k[t]`` is P(tau = t, X_tau = 0) and ``tau[t]`` is P(tau = t); both have
-    index 0 unused.  ``truncation_bound`` bounds the total K-mass lost to the
-    height cutoff over t <= t_max.
+    ``k[t]`` is P(tau = t, X_tau = 0), index 0 unused.  The table comes from
+    a closed form, so ``truncation_bound`` is 0.0 and ``height_cutoff`` is 0,
+    meaning no cutoff.
     """
 
     beta: float
     t_max: int
     height_cutoff: int
     k: np.ndarray
-    tau: np.ndarray
     truncation_bound: float
 
     def total_mass(self) -> float:
         return float(self.k[1:].sum())
 
 
-def return_kernel(beta: float, t_max: int, height_cutoff: int | None = None) -> ReturnKernel:
-    """Exact K(t) for t = 1..t_max by height-resolved survival DP.
+def return_kernel(beta: float, t_max: int) -> ReturnKernel:
+    """K(t) for t = 1..t_max from its algebraic generating function.
 
-    The walk is kept strictly positive on heights 1..H; stepping to exactly 0
-    harvests K(t), stepping to anything <= 0 harvests the first-passage law.
+    With x = e^{-beta/2}, a = (1-x)^2, c = 1-x^2 and s2 = (c/a)^2, the
+    generating function F(s) = sum_t K(t) s^t is the small root of
+    y^2 - (c + a s) y + a s = 0,
+
+        F(s) = [c + a s - c sqrt(1 - s) sqrt(1 - s/s2)] / 2,
+
+    so K(1) = 1/c_beta and, for t >= 2, K(t) is -c/2 times the s^t
+    coefficient of the product of the two binomial series.
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     law = StepLaw(beta)
-    H = height_cutoff if height_cutoff is not None else _default_cutoff(t_max, beta)
-    x = law.x
-    c = law.c_beta
-    y = np.arange(1, H + 1)
-    pmf_y = np.exp(-0.5 * beta * y) / c          # P(X = y) = P(X = -y)
-    tail_leq = pmf_y / (1.0 - x)                 # P(X <= -y) = x^y / ((1-x) c)
-    M = np.exp(-0.5 * beta * np.abs(y[:, None] - y[None, :])) / c
-
-    k = np.zeros(t_max + 1)
-    tau = np.zeros(t_max + 1)
-    k[1] = 1.0 / c
-    tau[1] = 1.0 / c + x / ((1.0 - x) * c)
-    # P(X > H - y): mass jumping above the cutoff (first exceedance), lost
-    up_tail = np.exp(-0.5 * beta * (H - y + 1)) / ((1.0 - x) * c)
-    lost = 0.0
-    f = pmf_y.copy()                              # survival mass after 1 step
-    for t in range(2, t_max + 1):
-        k[t] = float(f @ pmf_y)
-        tau[t] = float(f @ tail_leq)
-        lost += float(f @ up_tail)
-        f = M @ f
-    return ReturnKernel(beta, t_max, H, k, tau, lost)
+    c, s2 = _kernel_constants(law)
+    n = np.arange(1, t_max + 1)
+    sqrt_1ms = np.concatenate(([1.0], np.cumprod((2.0 * n - 3.0) / (2.0 * n))))
+    sqrt_1ms2 = sqrt_1ms * s2 ** -np.arange(t_max + 1.0)
+    k = -0.5 * c * np.convolve(sqrt_1ms, sqrt_1ms2)[:t_max + 1]
+    k[0] = 0.0
+    k[1] = 1.0 / law.c_beta
+    return ReturnKernel(beta, t_max, 0, k, 0.0)
 
 
 def delta_tilde(beta: float) -> float:
@@ -126,42 +168,18 @@ def delta_tilde(beta: float) -> float:
 
 
 def wetting_free_energy(beta: float, delta: float) -> float:
-    """Localized free energy h_beta(delta); identically 0 for delta <= delta_tilde."""
+    """Localized free energy h_beta(delta); identically 0 for delta <= delta_tilde.
+
+    h = delta + log(1 - e^{-delta}) + 2 log(1 - x) - log(1 - e^{-delta} - x^2),
+    written without e^{delta} so that it stays finite at any finite delta.
+    """
+    _check_delta(delta)
     if delta <= delta_tilde(beta):
         return 0.0
     x = math.exp(-0.5 * beta)
-    num = math.expm1(delta) * (1.0 - x) ** 2
-    den = -math.expm1(-delta) - x * x
-    return math.log(num / den)
-
-
-def wetting_free_energy_from_kernel(beta: float, delta: float,
-                                    kernel: ReturnKernel) -> float:
-    """Root zeta of sum_t K(t) e^{-zeta t} = e^{-delta}; cross-check route.
-
-    Returns 0 in the delocalized phase (no positive root).
-    """
-    t = np.arange(1, kernel.t_max + 1)
-    kt = kernel.k[1:]
-    target = math.exp(-delta)
-    if float(kt.sum()) <= target:
-        return 0.0
-
-    def s(z: float) -> float:
-        return float(kt @ np.exp(-z * t))
-
-    lo, hi = 0.0, 1.0
-    while s(hi) > target:
-        hi *= 2.0
-        if hi > 1e6:  # pragma: no cover - defensive
-            raise RuntimeError("failed to bracket the free-energy root")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if s(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    one_m_y = -math.expm1(-delta)
+    return (delta + math.log(one_m_y) + 2.0 * math.log1p(-x)
+            - math.log(one_m_y - x * x))
 
 
 def zwet_series(beta: float, delta: float, N: int,
@@ -172,13 +190,15 @@ def zwet_series(beta: float, delta: float, N: int,
     Z(n) e^{-h n} (bounded in every phase, so plain double dots are safe)
     and logs are recovered exactly at the end.
     """
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    h = wetting_free_energy(beta, delta)
     if kernel is None:
         kernel = return_kernel(beta, max(N, 1))
     if kernel.t_max < N:
         raise ValueError("kernel table shorter than requested N")
     if abs(kernel.beta - beta) > 1e-12:
         raise ValueError("kernel was built for a different beta")
-    h = wetting_free_energy(beta, delta)
     t = np.arange(1, N + 1)
     krb = kernel.k[1:N + 1] * np.exp(delta - h * t)
     z = np.zeros(N + 1)
@@ -191,29 +211,20 @@ def zwet_series(beta: float, delta: float, N: int,
 def zwet(beta: float, delta: float, N: int,
          kernel: ReturnKernel | None = None) -> float:
     """log Z_wet(N): pinned positive walk, reward e^delta per return to 0."""
-    if N == 0:
-        return 0.0
     return float(zwet_series(beta, delta, N, kernel)[N])
 
 
 def zwet_direct(beta: float, delta: float, N: int,
                 height_cutoff: int | None = None) -> float:
     """log Z_wet(N) by direct height DP (independent cross-check of the renewal)."""
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    _check_delta(delta)
     law = StepLaw(beta)
     H = height_cutoff if height_cutoff is not None else _default_cutoff(N, beta)
-    yy = np.arange(H + 1)
-    M = np.exp(-0.5 * beta * np.abs(yy[:, None] - yy[None, :])) / law.c_beta
-    r = np.ones(H + 1)
-    r[0] = math.exp(delta)
-    v = np.zeros(H + 1)
-    v[0] = 1.0
-    log_off = 0.0
-    for _ in range(N):
-        v = r * (M @ v)
-        s = v.max()
-        v /= s
-        log_off += math.log(s)
-    return log_off + math.log(v[0])
+    log_w = np.zeros(H + 1)
+    log_w[0] = delta
+    return _strip_walk_log_end(law, log_w, 0, N)
 
 
 def positive_bridge_logprob(beta: float, n: int, x0: int = 0,
@@ -221,20 +232,12 @@ def positive_bridge_logprob(beta: float, n: int, x0: int = 0,
     """log P(X_k >= 0 for k <= n, X_n = 0 | X_0 = x0) for the step walk."""
     if x0 < 0:
         raise ValueError("start must be above the wall")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     law = StepLaw(beta)
     H = (height_cutoff if height_cutoff is not None
          else _default_cutoff(n, beta) + x0)
-    yy = np.arange(H + 1)
-    M = np.exp(-0.5 * beta * np.abs(yy[:, None] - yy[None, :])) / law.c_beta
-    v = np.zeros(H + 1)
-    v[x0] = 1.0
-    log_off = 0.0
-    for _ in range(n):
-        v = M @ v
-        s = v.max()
-        v /= s
-        log_off += math.log(s)
-    return log_off + math.log(v[0])
+    return _strip_walk_log_end(law, np.zeros(H + 1), x0, n)
 
 
 @dataclass(frozen=True)
@@ -295,32 +298,24 @@ def critical_curves(beta: float) -> CriticalCurves:
     return CriticalCurves(beta, dt, dc, dcirc)
 
 
-def _cwet_series(beta: float, delta: float, t_max: int) -> float:
-    """sum_t t K(t) e^{-h t} truncated at t_max (helper for cwet_constant)."""
-    h = wetting_free_energy(beta, delta)
-    kern = return_kernel(beta, t_max)
-    t = np.arange(1, t_max + 1)
-    return float((t * kern.k[1:]) @ np.exp(-h * t))
-
-
 def cwet_constant(beta: float, delta: float) -> float:
     """Prefactor C such that Z_wet(N) ~ C e^{h N} in the localized phase.
 
-    C = [e^delta * sum_t t K(t) e^{-h t}]^{-1}; the series is truncated
-    adaptively, doubling t_max until the value moves by < 1e-12 relative.
+    C = [e^delta s F'(s)]^{-1} at s = e^{-h}.  Differentiating the quadratic
+    that defines F gives, with y = e^{-delta} and b = c + a s,
+
+        C = (b - 2y) / (a (1 - y) e^{delta - h})
+          = c sqrt(1 - s) sqrt(1 - s/s2) / (1 - y - x^2),
+
+    using b - 2y = c sqrt(1 - s) sqrt(1 - s/s2) and the closed form of h for
+    e^{delta - h}; the second line has no cancellation near delta_tilde and
+    no overflow at large delta.
     """
     if delta <= delta_tilde(beta):
         raise ValueError("cwet_constant is defined only for delta > delta_tilde")
     h = wetting_free_energy(beta, delta)
-    t_max = max(256, math.ceil(60.0 / max(h, 1e-3)))
-    s = _cwet_series(beta, delta, t_max)
-    while True:
-        t_max *= 2
-        s2 = _cwet_series(beta, delta, t_max)
-        if abs(s2 - s) <= 1e-12 * abs(s2):
-            s = s2
-            break
-        s = s2
-        if t_max > 1 << 20:  # pragma: no cover - defensive
-            raise RuntimeError("cwet series failed to converge")
-    return 1.0 / (math.exp(delta) * s)
+    law = StepLaw(beta)
+    c, s2 = _kernel_constants(law)
+    s = math.exp(-h)
+    return (c * math.sqrt(-math.expm1(-h) * (1.0 - s / s2))
+            / (-math.expm1(-delta) - law.x * law.x))

@@ -56,6 +56,29 @@ def beta_critical_bisect() -> float:
     return -2.0 * math.log(0.5 * (lo + hi))
 
 
+# -- wetting-kernel oracle ---------------------------------------------------
+
+def return_kernel_dp(beta: float, t_max: int, H: int) -> np.ndarray:
+    """K(t), t = 1..t_max (index 0 unused), by height-resolved survival DP.
+
+    The walk is kept strictly positive on heights 1..H; stepping to exactly
+    0 harvests K(t).  Mass that jumps above H is lost, so this is a lower
+    bound that tightens as H grows.
+    """
+    c = c_beta(beta)
+    y = np.arange(1, H + 1)
+    pmf_y = np.exp(-0.5 * beta * y) / c          # P(X = y) = P(X = -y)
+    M = np.exp(-0.5 * beta * np.abs(y[:, None] - y[None, :])) / c
+
+    k = np.zeros(t_max + 1)
+    k[1] = 1.0 / c
+    f = pmf_y.copy()                              # survival mass after 1 step
+    for t in range(2, t_max + 1):
+        k[t] = float(f @ pmf_y)
+        f = M @ f
+    return k
+
+
 # -- segment quadrature oracle ----------------------------------------------
 
 def log_mgf_dense(beta: float, h) -> np.ndarray:

@@ -155,6 +155,21 @@ def test_wetting_stdout(capsys):
     assert float(r["cwet"]) > 0.0
 
 
+def test_wetting_large_delta_is_finite(capsys):
+    rc = cli.main(["wetting", "--beta", "2", "--delta", "710",
+                   "--length", "50", "--out", "-"])
+    assert rc == 0
+    _, _, rows = parse_csv(capsys.readouterr().out)
+    for col in ("h_wet", "log_zwet", "cwet"):
+        assert np.isfinite(float(rows[0][col]))
+
+
+def test_wetting_nan_delta_exits_2(capsys):
+    rc = cli.main(["wetting", "--beta", "2", "--delta", "nan", "--out", "-"])
+    assert rc == 2
+    assert "delta" in capsys.readouterr().err
+
+
 def test_wetting_subcritical_leaves_cwet_empty(capsys):
     rc = cli.main(["wetting", "--beta", "2", "--delta", "0.2", "--out", "-"])
     assert rc == 0

@@ -236,6 +236,7 @@ def test_e_n_gamma_small_tilt_recovers_positive_bridge():
         got = exactz.e_n_gamma(N, 1e-13, 2.0)
         assert got == pytest.approx(wetting.positive_bridge_logprob(2.0, N),
                                     abs=1e-10)
+        assert got == pytest.approx(wetting.zwet(2.0, 0.0, N), abs=1e-10)
 
 
 def test_positive_bridge_n_minus_three_halves_shape():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ipdsaw import steps, wetting
+from ipdsaw import exactz, steps, wetting
 
 import oracles
 
@@ -35,6 +35,25 @@ def test_kernel_tail_exponent(kernel2):
 
 def test_kernel_truncation_bound_reported(kernel2):
     assert 0.0 <= kernel2.truncation_bound < 1e-9
+    assert kernel2.height_cutoff == 0  # closed form: no height cutoff
+
+
+@pytest.mark.parametrize("beta, H", [(2.0, 913), (4.0, 664)])
+def test_kernel_closed_form_matches_dp_oracle(beta, H):
+    t_max = 10 ** 4
+    k = wetting.return_kernel(beta, t_max).k
+    k_dp = oracles.return_kernel_dp(beta, t_max, H)
+    assert np.max(np.abs(k[1:] / k_dp[1:] - 1.0)) < 1e-12
+
+
+def test_kernel_closed_form_matches_dp_oracle_small_beta():
+    # at beta = 0.5 the default DP cutoff (H = 994) loses 6e-8 relative by
+    # t = 3000; from H = 1500 on, the DP values no longer move (H = 6000
+    # gives the same worst gap, 5.5e-13, at 25x the cost)
+    t_max = 3000
+    k = wetting.return_kernel(0.5, t_max).k
+    k_dp = oracles.return_kernel_dp(0.5, t_max, 2000)
+    assert np.max(np.abs(k[1:] / k_dp[1:] - 1.0)) < 1e-12
 
 
 def test_zwet_base_case():
@@ -131,9 +150,21 @@ def test_curves_error_below_beta_critical():
 def test_cwet_positive_and_converged():
     c = wetting.cwet_constant(BETA, 1.0)
     assert c > 0.0
-    # doubling the series cutoff is covered by the op's internal adaptive
-    # doubling; re-evaluating must reproduce the value exactly
+    # closed form: re-evaluating must reproduce the value exactly
     assert wetting.cwet_constant(BETA, 1.0) == c
+
+
+@pytest.mark.parametrize("beta, delta", [(2.0, 1.0), (0.5, 2.0), (4.0, 0.5)])
+def test_cwet_matches_dp_kernel_series(beta, delta):
+    """C_wet = [e^delta sum_t t K(t) e^{-h t}]^{-1} with K from the DP oracle."""
+    h = wetting.wetting_free_energy(beta, delta)
+    t_max = math.ceil(45.0 / h)  # e^{-h t} < 1e-19 beyond
+    H = math.ceil(12.0 * math.sqrt(t_max / beta)) + 64
+    k_dp = oracles.return_kernel_dp(beta, t_max, H)
+    t = np.arange(1, t_max + 1)
+    series = float((t * k_dp[1:]) @ np.exp(-h * t))
+    assert wetting.cwet_constant(beta, delta) == pytest.approx(
+        1.0 / (math.exp(delta) * series), rel=1e-12)
 
 
 def test_cwet_error_below_critical():
@@ -168,3 +199,44 @@ def test_positive_bridge_asymptotic_shape():
             lp = wetting.positive_bridge_logprob(BETA, n, x0)
             ratio = math.exp(lp) / (max(x0, 1) / n ** 1.5)
             assert 0.25 < ratio < 4.0
+
+
+def test_large_delta_stays_finite():
+    # at delta = 710, e^delta overflows; the walk then stays on the wall,
+    # so h -> delta - log c_beta, C_wet -> 1 and Z_wet(N) -> (e^delta/c_beta)^N
+    delta, N = 710.0, 50
+    limit = delta - math.log(oracles.c_beta(BETA))
+    h = wetting.wetting_free_energy(BETA, delta)
+    assert h == pytest.approx(limit, rel=1e-15)
+    assert wetting.cwet_constant(BETA, delta) == pytest.approx(1.0, rel=1e-15)
+    assert wetting.zwet(BETA, delta, N) == pytest.approx(N * limit, rel=1e-14)
+    assert wetting.zwet_direct(BETA, delta, N) == pytest.approx(N * limit,
+                                                                rel=1e-14)
+    assert exactz.area_wetting_dp(N, 0.0, BETA, delta).log_value == \
+        pytest.approx(N * limit, rel=1e-14)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: wetting.wetting_free_energy(math.nan, 1.0),
+    lambda: wetting.wetting_free_energy(BETA, math.nan),
+    lambda: wetting.return_kernel(math.nan, 10),
+    lambda: wetting.zwet(BETA, math.nan, 10),
+    lambda: wetting.zwet_direct(BETA, math.nan, 10),
+    lambda: wetting.cwet_constant(BETA, math.nan),
+    lambda: exactz.area_wetting_dp(10, 0.0, BETA, math.nan),
+])
+def test_nan_inputs_rejected(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_negative_length_rejected():
+    with pytest.raises(ValueError):
+        wetting.zwet(BETA, 0.0, -1)
+    with pytest.raises(ValueError):
+        wetting.zwet_direct(BETA, 0.0, -1)
+
+
+def test_positive_bridge_zero_steps():
+    assert wetting.positive_bridge_logprob(BETA, 0) == 0.0
+    assert wetting.positive_bridge_logprob(BETA, 0, x0=3) == -math.inf
