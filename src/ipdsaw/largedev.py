@@ -17,18 +17,24 @@ collapsed-phase profile: the bead-scale variational function
 its maximizer a~, the limit free energy Phi = phi(a~), and the subleading
 correction constant Psi (delta = 0), which involves the first zero of the
 Airy function through the meander rate J(gamma) = -2^{-1/3} |a_1| gamma^{2/3}.
+
+L is a sum of logarithms, so L_Lambda is in closed form: a difference of
+dilogarithms divided by h0.  The gradient and the Newton Hessian follow by
+parts from L, L' and L_Lambda, with a series in h0 near h0 = 0; no
+quadrature is involved (adaptive quadrature is kept as the test oracle).
+The collapse profile is supported for beta <= 7.4 at every delta of the
+collapsed phase (see ``collapse_profile``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .steps import StepLaw, beta_critical
+from .steps import StepLaw
 
 __all__ = [
     "TiltVector",
@@ -75,148 +81,139 @@ class TiltVector:
 # which keeps full relative precision arbitrarily close to the domain
 # boundary |a| = beta/2 (direct subtraction loses all digits there).
 
-def _l(beta: float, h: float) -> float:
-    return _l_from_gaps(beta, h - 0.5 * beta, -h - 0.5 * beta)
+def _tail_ratio(g):
+    """Geometric tail ratio e^g / (1 - e^g) at boundary gap g < 0; vectorized."""
+    return np.exp(g) / -np.expm1(g)
 
 
-def _l_from_gaps(beta: float, s: float, u: float) -> float:
-    """L evaluated from precomputed boundary gaps s = h - b/2, u = -h - b/2."""
+def _l_from_gaps(beta: float, s, u):
+    """L from boundary gaps s = h - b/2, u = -h - b/2; vectorized."""
     return (2.0 * math.log(-math.expm1(-0.5 * beta))
-            - math.log(-math.expm1(s)) - math.log(-math.expm1(u)))
+            - np.log(-np.expm1(s)) - np.log(-np.expm1(u)))
 
 
-def _uv(beta, h):
-    """(u/(1-u), v/(1-v)) with u = x e^h, v = x e^{-h}; vectorized over h."""
-    s = h - 0.5 * beta
-    t = -h - 0.5 * beta
-    return np.exp(s) / (-np.expm1(s)), np.exp(t) / (-np.expm1(t))
+def _l_derivs(s, u) -> tuple:
+    """(L', L'', L''', L'''') at boundary gaps (s, u); vectorized."""
+    uu, vv = _tail_ratio(s), _tail_ratio(u)
+    pu, pv = uu * (1.0 + uu), vv * (1.0 + vv)   # d uu/dh and -d vv/dh
+    return (uu - vv, pu + pv, pu * (1.0 + 2.0 * uu) - pv * (1.0 + 2.0 * vv),
+            pu * (1.0 + 6.0 * uu * (1.0 + uu)) + pv * (1.0 + 6.0 * vv * (1.0 + vv)))
 
 
-def _seg_gaps(beta: float, h0: float, h1: float, t):
-    """Boundary gaps (a(t) - beta/2, -a(t) - beta/2) along a(t) = h0 t + h1.
-
-    Both gaps are linear in t, so they are interpolated between their exact
-    endpoint values; forming a(t) first and subtracting beta/2 afterwards
-    would lose every digit when a sits within ~1e-8 of the boundary.
-    """
-    b2 = 0.5 * beta
-    top = h0 + h1
+def _end_gaps(h: TiltVector) -> tuple:
+    """Boundary gaps (s0, s1, u0, u1) = (a - beta/2, -a - beta/2) at both
+    ends of a(t) = h0 t + h1."""
+    b2 = 0.5 * h.beta
+    top = h.h0 + h.h1
     # rounding residue of h0 + h1 (TwoSum); the gap at t = 1 can be ~1e-8
     # while the residue is ~1e-16, so it cannot be dropped
-    lo = (h0 - top) + h1 if abs(h0) >= abs(h1) else (h1 - top) + h0
-    s0, s1 = h1 - b2, (top - b2) + lo
-    u0, u1 = -h1 - b2, (-top - b2) - lo
-    w = 1.0 - t
-    return s0 * w + s1 * t, u0 * w + u1 * t
+    lo = (h.h0 - top) + h.h1 if abs(h.h0) >= abs(h.h1) else (h.h1 - top) + h.h0
+    return h.h1 - b2, (top - b2) + lo, -h.h1 - b2, (-top - b2) - lo
 
 
-def _l1(beta: float, h: float) -> float:
-    uu, vv = _uv(beta, h)
-    return float(uu - vv)
+def _require_domain(h: TiltVector, n: int | None = None) -> None:
+    if not h.in_domain(n):
+        raise ValueError(f"{h} outside D_beta" + (f",n for n = {n}" if n else ""))
 
 
-def _l2(beta, h):
-    uu, vv = _uv(beta, h)
-    return uu * (1.0 + uu) + vv * (1.0 + vv)
+# power series in a ratio <= 0.6: 72 terms leave < 1e-17
+_K = np.arange(1.0, 73.0)
+_INV_K2 = 1.0 / (_K * _K)
+_SPLIT = math.log(0.6)
 
 
-def _l3(beta: float, h: float) -> float:
-    uu, vv = _uv(beta, h)
-    return float(uu * (1 + uu) * (1 + 2 * uu) - vv * (1 + vv) * (1 + 2 * vv))
+def _mean_log_gap(a: float, b: float) -> float:
+    """Mean of -log(1 - e^g) over g between a and b (both < 0).
 
-
-@lru_cache(maxsize=8)
-def _gauss_nodes(order: int):
-    return leggauss(order)
-
-
-def _require_domain(h: TiltVector) -> None:
-    if not h.in_domain():
-        raise ValueError(
-            f"(h0, h1) = ({h.h0!r}, {h.h1!r}) outside D_beta for beta = {h.beta!r}"
-        )
-
-
-def _quad01(f, tol: float, rel: float = 0.0) -> float:
-    """Adaptive Gauss-Legendre quadrature of f over [0, 1].
-
-    Each panel is integrated with 16- and 32-point rules; panels whose two
-    estimates disagree (against a length-prorated share of the absolute
-    tolerance) are bisected.  Refinement concentrates near integrand spikes,
-    so near-singular tilts at the edge of the domain stay cheap.
+    That is (Li_2(e^b) - Li_2(e^a)) / (b - a), summed termwise without
+    cancellation as the endpoints close up: the power series where
+    e^g <= 0.6, the reflection Li_2(z) = pi^2/6 - log z log(1 - z)
+    - Li_2(1 - z) in w = 1 - e^g above, split at e^g = 0.6.
     """
-    t16, w16 = _gauss_nodes(16)
-    t32, w32 = _gauss_nodes(32)
-    total = 0.0
-    stack = [(0.0, 1.0)]
-    panels = 0
-    while stack:
-        a, b = stack.pop()
-        panels += 1
-        if panels > 4096:
-            raise RuntimeError("quadrature did not reach the requested tolerance")
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        coarse = half * float(w16 @ f(mid + half * t16))
-        fine = half * float(w32 @ f(mid + half * t32))
-        if (abs(fine - coarse) < tol * max(b - a, 1e-3) + rel * abs(fine)
-                or (b - a) < 1e-12):
-            total += fine
-        else:
-            stack.append((a, mid))
-            stack.append((mid, b))
-    return total
+    if a < b:
+        a, b = b, a              # a nearer the boundary, d <= 0
+    d = b - a
+    if d == 0.0:
+        return -math.log(-math.expm1(a))
+    if b < _SPLIT < a:
+        return ((_SPLIT - a) * _mean_log_gap(a, _SPLIT)
+                + (b - _SPLIT) * _mean_log_gap(_SPLIT, b)) / d
+    ea = math.exp(a)
+    if a <= _SPLIT:
+        # sum_k (e^{kb} - e^{ka}) / k^2 = sum_k e^{ka} expm1(k d) / k^2
+        return float(ea ** _K @ (np.expm1(_K * d) * _INV_K2)) / d
+    # -d log w_b + a r + sum_k w_b^k expm1(k r) / k^2 with r = log(w_a / w_b)
+    wb = -math.expm1(b)
+    r = math.log1p(ea * math.expm1(d) / wb)
+    tail = float(wb ** _K @ (np.expm1(_K * r) * _INV_K2))
+    return -math.log(wb) + (a * r + tail) / d
 
 
 def l_lambda(h: TiltVector) -> float:
-    """L_Lambda(h) = int_0^1 L(x h0 + h1) dx to 1e-13 absolute."""
+    """L_Lambda(h) = int_0^1 L(x h0 + h1) dx in closed form.
+
+    L(a) = 2 log(1 - x) - log(1 - e^s) - log(1 - e^u) with the boundary
+    gaps s, u linear along the segment, so each log term integrates to a
+    divided difference of dilogarithms (``_mean_log_gap``).
+    """
     _require_domain(h)
-    const = 2.0 * math.log(-math.expm1(-0.5 * h.beta))
+    s0, s1, u0, u1 = _end_gaps(h)
+    return (2.0 * math.log(-math.expm1(-0.5 * h.beta))
+            + _mean_log_gap(s0, s1) + _mean_log_gap(u0, u1))
 
-    def f(t):
-        s, u = _seg_gaps(h.beta, h.h0, h.h1, t)
-        return const - np.log(-np.expm1(s)) - np.log(-np.expm1(u))
 
-    return _quad01(f, 1e-13)
+def _use_series(h: TiltVector, s0: float, u0: float) -> bool:
+    """Series in h0 (radius gap = distance of h1 to the boundary, capped at 1)
+    while |h0| < 1e-3 gap: by parts loses ~eps gap/|h0|, the series ~(h0/gap)^4."""
+    return abs(h.h0) < 1e-3 * min(1.0, -max(s0, u0))
+
+
+def _log_gap_ratio(g0: float, g1: float, dg: float) -> float:
+    """log((1 - e^{g1}) / (1 - e^{g0})) given the exact step dg = g1 - g0:
+    log1p of -tail(g0) expm1(dg) while the ratio is above 1/2."""
+    y = -_tail_ratio(g0) * math.expm1(dg)
+    if y > -0.5:
+        return math.log1p(y)
+    return math.log(-math.expm1(g1)) - math.log(-math.expm1(g0))
 
 
 def grad_l_lambda(h: TiltVector) -> tuple:
-    """Gradient of L_Lambda; closed form away from h0 = 0, series across it.
+    """Gradient of L_Lambda; integration by parts, series near h0 = 0.
 
     For h0 != 0 integration is explicit:
         d/dh0 = (L(h0+h1) - L_Lambda(h)) / h0,
-        d/dh1 = (L(h0+h1) - L(h1)) / h0.
+        d/dh1 = (L(h0+h1) - L(h1)) / h0,
+    the second written as an exact divided difference of log(1 - e^g).
     """
     _require_domain(h)
-    h0, h1 = h.h0, h.h1
-    if abs(h0) >= 1e-8:
-        top = _l_from_gaps(h.beta, *_seg_gaps(h.beta, h0, h1, 1.0))
-        bot = _l_from_gaps(h.beta, *_seg_gaps(h.beta, h0, h1, 0.0))
-        return ((top - l_lambda(h)) / h0, (top - bot) / h0)
-    # second-order expansion around h0 = 0 (error O(h0^3) < 1e-24)
-    l1, l2, l3 = _l1(h.beta, h1), float(_l2(h.beta, h1)), _l3(h.beta, h1)
-    g0 = l1 / 2.0 + h0 * l2 / 3.0 + h0 * h0 * l3 / 8.0
-    g1 = l1 + h0 * l2 / 2.0 + h0 * h0 * l3 / 6.0
-    return (g0, g1)
+    h0 = h.h0
+    s0, s1, u0, u1 = _end_gaps(h)
+    if _use_series(h, s0, u0):
+        l1, l2, l3, l4 = _l_derivs(s0, u0)
+        g0 = l1 / 2.0 + h0 * (l2 / 3.0 + h0 * (l3 / 8.0 + h0 * l4 / 30.0))
+        g1 = l1 + h0 * (l2 / 2.0 + h0 * (l3 / 6.0 + h0 * l4 / 24.0))
+    else:
+        g0 = (_l_from_gaps(h.beta, s1, u1) - l_lambda(h)) / h0
+        g1 = -(_log_gap_ratio(s0, s1, h0) + _log_gap_ratio(u0, u1, -h0)) / h0
+    return float(g0), float(g1)
 
 
 def _hessian_l_lambda(h: TiltVector) -> np.ndarray:
-    beta = h.beta
-    out = np.empty((2, 2))
-
-    def l2(t):
-        s, u = _seg_gaps(beta, h.h0, h.h1, t)
-        uu = np.exp(s) / (-np.expm1(s))
-        vv = np.exp(u) / (-np.expm1(u))
-        return uu * (1.0 + uu) + vv * (1.0 + vv)
-
-    def entry(power):
-        return _quad01(lambda t: t ** power * l2(t), 1e-11, rel=1e-10)
-
-    out[0, 0] = entry(2)
-    out[0, 1] = out[1, 0] = entry(1)
-    out[1, 1] = entry(0)
-    return out
+    """Hessian int t^{2-i-j} L''(h0 t + h1) dt, by parts from L', grad."""
+    h0 = h.h0
+    s0, s1, u0, u1 = _end_gaps(h)
+    if _use_series(h, s0, u0):
+        _, l2, l3, l4 = _l_derivs(s0, u0)
+        h00 = l2 / 3.0 + h0 * (l3 / 4.0 + h0 * l4 / 10.0)
+        h01 = l2 / 2.0 + h0 * (l3 / 3.0 + h0 * l4 / 8.0)
+        h11 = l2 + h0 * (l3 / 2.0 + h0 * l4 / 6.0)
+    else:
+        g0, g1 = grad_l_lambda(h)
+        top = _l_derivs(s1, u1)[0]
+        h00 = (top - 2.0 * g0) / h0
+        h01 = (top - g1) / h0
+        h11 = (top - _l_derivs(s0, u0)[0]) / h0
+    return np.array([[h00, h01], [h01, h11]])
 
 
 # -- inverse tilts ----------------------------------------------------------
@@ -241,43 +238,59 @@ def _feasible_lambda(cur: TiltVector, step, b2: float, edge: float) -> float:
     return lam
 
 
-def _continuation_solve(grad, hess, q, p, beta, inside, steps: int,
-                        edge: float = 1.0):
-    """March the Newton solve along t (q, p) for t = 1/steps, ..., 1."""
-    h = TiltVector(0.0, 0.0, beta)
-    nr = math.inf
-    for j in range(1, steps + 1):
-        target = np.array([q, p]) * (j / steps)
-        # damped Newton starting from the previous continuation point
-        cur = h
-        res = np.asarray(grad(cur)) - target
-        nr = float(np.hypot(*res))
-        stall = 0
-        for _ in range(80):
-            if nr < 1e-10:
-                break
-            prev = nr
-            step = np.linalg.solve(hess(cur), -res)
-            lam = _feasible_lambda(cur, step, 0.5 * beta, edge)
-            while lam >= 1e-14:
-                trial = TiltVector(cur.h0 + lam * step[0], cur.h1 + lam * step[1], beta)
-                if inside(trial):
-                    tres = np.asarray(grad(trial)) - target
-                    tnr = float(np.hypot(*tres))
-                    if tnr <= nr * (1.0 - 1e-4 * lam) or tnr < 1e-10:
-                        cur, res, nr = trial, tres, tnr
-                        break
-                lam *= 0.5
-            else:
-                break
-            # bail out once decrease has flattened (numerical noise floor)
-            stall = stall + 1 if nr > 0.7 * prev else 0
-            if stall >= 3:
-                break
-        h = cur
-        if j == steps and nr >= 1e-10:
-            return h, nr
-    return h, nr
+def _damped_newton(grad, hess, cur: TiltVector, target, n: int | None):
+    """Damped Newton for grad(h) = target from cur; returns (h, residual)."""
+    edge = 1.0 - 1.0 / n if n else 1.0
+    res = np.asarray(grad(cur)) - target
+    nr = float(np.hypot(*res))
+    stall = 0
+    for _ in range(80):
+        if nr < 1e-10:
+            break
+        prev = nr
+        step = np.linalg.solve(hess(cur), -res)
+        lam = _feasible_lambda(cur, step, 0.5 * cur.beta, edge)
+        while lam >= 1e-14:
+            trial = TiltVector(cur.h0 + lam * step[0], cur.h1 + lam * step[1], cur.beta)
+            if trial.in_domain(n):
+                tres = np.asarray(grad(trial)) - target
+                tnr = float(np.hypot(*tres))
+                if tnr <= nr * (1.0 - 1e-4 * lam) or tnr < 1e-10:
+                    cur, res, nr = trial, tres, tnr
+                    break
+            lam *= 0.5
+        else:
+            break
+        # bail out once decrease has flattened (numerical noise floor)
+        stall = stall + 1 if nr > 0.7 * prev else 0
+        if stall >= 3:
+            break
+    return cur, nr
+
+
+def _continuation_solve(q: float, p: float, beta: float, n: int | None) -> TiltVector:
+    """The tilt with gradient (q, p), residual < 1e-10; n = None for the limit.
+
+    A residual above 1e-6 is divergence, not a representability floor, and
+    restarts the continuation with 64 steps.
+    """
+    if n is None:
+        grad, hess = grad_l_lambda, _hessian_l_lambda
+    else:
+        grad, hess = partial(grad_finite_l_lambda, n), partial(_finite_hessian, n)
+    for steps in (8, 64):
+        h = TiltVector(0.0, 0.0, beta)
+        for j in range(1, steps + 1):
+            h, nr = _damped_newton(grad, hess, h, np.array([q, p]) * (j / steps), n)
+        if nr < 1e-10:
+            return h
+        if nr < 1e-6:
+            break
+    at = f"(q, p) = ({q}, {p}), beta = {beta}" + (f", n = {n}" if n else "")
+    raise RuntimeError(
+        f"tilt inversion failed at {at}; residual {nr:.2e} (tilts hugging "
+        "the domain boundary closer than ~1e-6 cannot meet the residual "
+        "tolerance 1e-10 in double precision)")
 
 
 def tilt_inverse(q: float, p: float, beta: float) -> TiltVector:
@@ -286,25 +299,7 @@ def tilt_inverse(q: float, p: float, beta: float) -> TiltVector:
     Solved by damped Newton with continuation along t (q, p), t = 1/8..1;
     on failure the continuation is restarted with 64 steps.
     """
-    b2 = 0.5 * beta
-
-    def inside(t: TiltVector) -> bool:
-        return abs(t.h1) < b2 and abs(t.h0 + t.h1) < b2
-
-    h, nr = _continuation_solve(grad_l_lambda, _hessian_l_lambda,
-                                q, p, beta, inside, 8)
-    if nr < 1e-10:
-        return h
-    if not nr < 1e-6:
-        # genuine divergence (not a representability floor): denser continuation
-        h, nr = _continuation_solve(grad_l_lambda, _hessian_l_lambda,
-                                    q, p, beta, inside, 64)
-        if nr < 1e-10:
-            return h
-    raise RuntimeError(
-        f"tilt inversion failed at (q, p) = ({q}, {p}); residual {nr:.2e} "
-        "(tilts hugging the domain boundary closer than ~1e-6 cannot meet "
-        "the residual tolerance in double precision)")
+    return _continuation_solve(q, p, beta, None)
 
 
 def rate_g(q: float, p: float, beta: float) -> float:
@@ -316,65 +311,46 @@ def rate_g(q: float, p: float, beta: float) -> float:
 # -- finite-n versions ------------------------------------------------------
 
 def _finite_gaps(n: int, h: TiltVector):
-    """Per-increment boundary gaps for tilts (1 - k/n) h0 + h1, k = 1..n."""
+    """Per-increment boundary gaps for tilts (1 - k/n) h0 + h1, k = 1..n,
+    interpolated between their exact endpoint values."""
     lam = 1.0 - np.arange(1, n + 1) / n
-    return _seg_gaps(h.beta, h.h0, h.h1, lam) + (lam,)
+    s0, s1, u0, u1 = _end_gaps(h)
+    w = 1.0 - lam
+    return s0 * w + s1 * lam, u0 * w + u1 * lam, lam
 
 
 def finite_l_lambda(n: int, h: TiltVector) -> float:
     """(1/n) sum_{k=1}^n L((1 - k/n) h0 + h1): the n-step analogue of L_Lambda."""
-    if not h.in_domain(n):
-        raise ValueError("tilt outside the finite-n domain")
+    _require_domain(h, n)
     s, u, _ = _finite_gaps(n, h)
-    vals = (2.0 * math.log(-math.expm1(-0.5 * h.beta))
-            - np.log(-np.expm1(s)) - np.log(-np.expm1(u)))
-    return float(vals.sum()) / n
+    return float(_l_from_gaps(h.beta, s, u).sum()) / n
 
 
 def grad_finite_l_lambda(n: int, h: TiltVector) -> tuple:
-    if not h.in_domain(n):
-        raise ValueError("tilt outside the finite-n domain")
+    _require_domain(h, n)
     s, u, lam = _finite_gaps(n, h)
-    l1 = np.exp(s) / (-np.expm1(s)) - np.exp(u) / (-np.expm1(u))
+    l1 = _tail_ratio(s) - _tail_ratio(u)
     return (float((lam * l1).sum()) / n, float(l1.sum()) / n)
+
+
+def _finite_hessian(n: int, h: TiltVector) -> np.ndarray:
+    s, u, w = _finite_gaps(n, h)
+    l2 = _l_derivs(s, u)[1]
+    return np.array([[float((w * w * l2).sum()), float((w * l2).sum())],
+                     [float((w * l2).sum()), float(l2.sum())]]) / n
 
 
 def finite_tilt(n: int, q: float, p: float, beta: float) -> TiltVector:
     """Inverse of the n-step gradient: grad (1/n) L_{Lambda,n}(h) = (q, p)."""
-    b2 = 0.5 * beta
-
-    def inside(t: TiltVector) -> bool:
-        return abs(t.h1) < b2 and abs((1.0 - 1.0 / n) * t.h0 + t.h1) < b2
-
-    def hess(h: TiltVector) -> np.ndarray:
-        s, u, w = _finite_gaps(n, h)
-        uu = np.exp(s) / (-np.expm1(s))
-        vv = np.exp(u) / (-np.expm1(u))
-        l2 = uu * (1.0 + uu) + vv * (1.0 + vv)
-        return np.array([[float((w * w * l2).sum()), float((w * l2).sum())],
-                         [float((w * l2).sum()), float(l2.sum())]]) / n
-
-    h, nr = _continuation_solve(lambda t: grad_finite_l_lambda(n, t), hess,
-                                q, p, beta, inside, 8, edge=1.0 - 1.0 / n)
-    if nr < 1e-10:
-        return h
-    if not nr < 1e-6:
-        h, nr = _continuation_solve(lambda t: grad_finite_l_lambda(n, t), hess,
-                                    q, p, beta, inside, 64, edge=1.0 - 1.0 / n)
-        if nr < 1e-10:
-            return h
-    raise RuntimeError(f"finite tilt inversion failed at (q, p) = ({q}, {p}); "
-                       f"residual {nr:.2e}")
+    return _continuation_solve(q, p, beta, n)
 
 
 def tilted_sample(n: int, h: TiltVector, rng) -> np.ndarray:
     """One exact path X_0..X_n of the h-tilted walk (increment k tilted by
     (1 - k/n) h0 + h1), drawn by closed-form inverse CDF."""
-    if not h.in_domain(n):
-        raise ValueError("tilt outside the finite-n domain")
+    _require_domain(h, n)
     logrp, logrm, _ = _finite_gaps(n, h)   # log tail ratios log(x e^{+-a_k})
-    mp = np.exp(logrp) / (-np.expm1(logrp))
-    mm = np.exp(logrm) / (-np.expm1(logrm))
+    mp, mm = _tail_ratio(logrp), _tail_ratio(logrm)
     tot = 1.0 + mp + mm
     u = rng.random(n) * tot
     steps = np.zeros(n, dtype=np.int64)
@@ -427,6 +403,13 @@ def collapse_profile(beta: float, delta: float) -> CollapseProfile:
 
     Root of phi' by safeguarded Newton (finite-difference slope, bisection
     fallback) inside an automatically bracketed interval.
+
+    Supported region: beta_c < beta <= 7.4 at every delta < delta_circ.
+    Beyond it the small-delta end fails (beta = 7.5 at delta = 0, beta = 12
+    up to delta = 0.35 delta_circ): the maximizer's tilt comes within ~3e-7
+    of the domain boundary, where one ulp of (h0, h1) moves the gradient by
+    more than the 1e-10 tilt residual, and a ValueError names beta, delta,
+    q and the residual.
     """
     from .wetting import critical_curves, wetting_free_energy
     curves = critical_curves(beta)   # raises below beta_c
@@ -437,14 +420,19 @@ def collapse_profile(beta: float, delta: float) -> CollapseProfile:
         )
 
     def f(a: float) -> float:
-        return phi_prime(a, beta, delta)
+        try:
+            return phi_prime(a, beta, delta)
+        except RuntimeError as exc:
+            raise ValueError(
+                f"collapse profile at (beta, delta) = ({beta}, {delta}) is "
+                f"outside the supported region (beta <= 7.4): {exc}") from exc
 
     def f_below(a: float) -> float:
         # phi' -> +inf as a -> 0; if the tilt solve hits its double-precision
         # envelope at the implied large q, the sign there is already positive
         try:
             return f(a)
-        except RuntimeError:
+        except ValueError:
             return 1.0
 
     lo = 1.0

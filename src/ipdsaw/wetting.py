@@ -105,10 +105,14 @@ def _strip_walk(law: StepLaw, log_w: np.ndarray, start: int, steps: int):
 
 def _strip_walk_log_end(law: StepLaw, log_w: np.ndarray, start: int,
                         steps: int) -> float:
-    """log of the ``_strip_walk`` weight at height 0 after ``steps`` steps."""
-    for v, log_off in _strip_walk(law, log_w, start, steps):
+    """log of the ``_strip_walk`` weight at height 0 after ``steps`` steps;
+    the last arrival's site weight is added in log space (no underflow)."""
+    if steps == 0:
+        return 0.0 if start == 0 else -math.inf
+    for v, log_off in _strip_walk(law, log_w, start, steps - 1):
         pass
-    return log_off + (math.log(v[0]) if v[0] > 0.0 else -math.inf)
+    last = float(step_pmf(law, -np.arange(len(log_w))) @ v)
+    return float(log_w[0]) + log_off + (math.log(last) if last > 0.0 else -math.inf)
 
 
 def _kernel_constants(law: StepLaw) -> tuple:
@@ -188,7 +192,8 @@ def zwet_series(beta: float, delta: float, N: int,
 
     The recursion is run on the exponentially rebased sequence
     Z(n) e^{-h n} (bounded in every phase, so plain double dots are safe)
-    and logs are recovered exactly at the end.
+    with one factor e^{delta - h} taken out for n >= 1, so that a very
+    negative delta cannot underflow it; logs are recovered at the end.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -201,11 +206,12 @@ def zwet_series(beta: float, delta: float, N: int,
         raise ValueError("kernel was built for a different beta")
     t = np.arange(1, N + 1)
     krb = kernel.k[1:N + 1] * np.exp(delta - h * t)
-    z = np.zeros(N + 1)
-    z[0] = 1.0
-    for n in range(1, N + 1):
-        z[n] = float(krb[:n] @ z[n - 1::-1])
-    return np.log(z) + h * np.arange(N + 1)
+    # y(n) = Z(n) e^{-delta - h (n-1)}: the excursion straight to n, plus
+    # a first return at t < n followed by Z(n - t)
+    y = np.concatenate(([0.0], kernel.k[1:N + 1] * np.exp(-h * (t - 1.0))))
+    for n in range(2, N + 1):
+        y[n] += float(krb[:n - 1] @ y[n - 1:0:-1])
+    return np.concatenate(([0.0], np.log(y[1:]) + delta + h * (t - 1.0)))
 
 
 def zwet(beta: float, delta: float, N: int,

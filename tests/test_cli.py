@@ -62,6 +62,13 @@ def test_phase_below_collapse_threshold_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_phase_beyond_supported_beta_exits_2(tmp_path, capsys):
+    rc = cli.main(["phase", "--beta", "7.5", "--delta", "0",
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "residual" in capsys.readouterr().err
+
+
 def test_phase_requires_some_beta():
     with pytest.raises(SystemExit):
         cli.main(["phase", "--delta", "0.3"])

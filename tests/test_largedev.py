@@ -35,9 +35,48 @@ def test_l_lambda_constant_integrand():
 
 
 def test_l_lambda_matches_dense_trapezoid():
-    got = largedev.l_lambda(tv(0.6, 0.1))
-    assert got == pytest.approx(oracles.trapezoid_l_lambda(BETA, 0.6, 0.1),
-                                abs=1e-9)
+    for beta, h0, h1 in ((BETA, 0.6, 0.1), (BETA, 1e-7, 0.5),
+                         (0.5, -0.3, 0.2), (7.5, 2.0, 1.0)):
+        got = largedev.l_lambda(tv(h0, h1, beta))
+        assert got == pytest.approx(
+            oracles.trapezoid_l_lambda(beta, h0, h1), abs=1e-9)
+
+
+def oracle_grid(beta):
+    """Tilts for the quadrature oracle: small |h0| on both sides of the
+    series switch, and segments ending 1e-3 to 1e-9 from the boundary."""
+    b2 = 0.5 * beta
+    pts = [(h0, h1)
+           for h1 in (0.0, 0.4 * b2, -0.9 * b2, b2 - 1e-3, -(b2 - 1e-6))
+           for h0 in (0.0, 1e-12, -1e-9, 1e-7, -1e-5, 3e-5, -1e-3, 0.3, -2.0)]
+    for gap in (1e-3, 1e-6, 1e-9):
+        pts += [((b2 - gap) - h1, h1) for h1 in (0.0, -0.5 * b2, b2 - 2 * gap)]
+        pts.append((0.4 * b2, gap - b2))
+    return [(h0, h1) for h0, h1 in pts if tv(h0, h1, beta).in_domain()]
+
+
+@pytest.mark.parametrize("beta", [0.5, 2.0, 7.5])
+def test_l_lambda_matches_quadrature_oracle(beta):
+    for h0, h1 in oracle_grid(beta):
+        assert largedev.l_lambda(tv(h0, h1, beta)) == pytest.approx(
+            oracles.l_lambda_quad(beta, h0, h1), rel=0.0, abs=1e-13), (h0, h1)
+
+
+def test_dilog_mean_matches_scipy_spence():
+    # the primitive is (Li_2(e^b) - Li_2(e^a)) / (b - a), Li_2(z) = spence(1 - z);
+    # e^{-800} underflows, so against that end it is Li_2(z) / (log z + 800)
+    ws = (1.0 - 1e-12, 1.0 - 1e-6, 0.9, 0.5, 0.41, 0.39, 0.2, 1e-3, 1e-6, 1e-12)
+    for w in ws:
+        g = math.log1p(-w)
+        got = (g + 800.0) * largedev._mean_log_gap(g, -800.0)
+        assert got == pytest.approx(scipy.special.spence(w), rel=1e-14), w
+    for wa in ws:
+        for wb in ws:
+            a, b = math.log1p(-wa), math.log1p(-wb)
+            if abs(a - b) > 0.1:
+                want = (scipy.special.spence(wb) - scipy.special.spence(wa)) / (b - a)
+                assert largedev._mean_log_gap(a, b) == pytest.approx(
+                    want, rel=1e-13), (wa, wb)
 
 
 def test_l_lambda_rejects_outside_domain():
@@ -77,6 +116,23 @@ def test_grad_matches_finite_differences():
         assert q == pytest.approx(fq, rel=1e-5, abs=1e-8)
         assert p == pytest.approx(fp, rel=1e-5, abs=1e-8)
         checked += 1
+
+
+@pytest.mark.parametrize("beta", [0.5, 2.0, 7.5])
+def test_grad_matches_quadrature_oracle(beta):
+    for h0, h1 in oracle_grid(beta):
+        got = largedev.grad_l_lambda(tv(h0, h1, beta))
+        want = oracles.grad_quad(beta, h0, h1)
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-11, abs=1e-11), (h0, h1)
+
+
+@pytest.mark.parametrize("beta", [0.5, 2.0, 7.5])
+def test_hessian_matches_quadrature_oracle(beta):
+    for h0, h1 in oracle_grid(beta):
+        got = largedev._hessian_l_lambda(tv(h0, h1, beta))
+        want = oracles.hessian_quad(beta, h0, h1)
+        np.testing.assert_allclose(got, want, rtol=1e-6, err_msg=f"{(h0, h1)}")
 
 
 def test_grad_h0_zero_branch():
@@ -305,6 +361,15 @@ def test_profile_adsorption_raises_scale():
     dt = wetting.delta_tilde(2.0)
     for delta in (dt + 0.2, 1.2, 2.4):
         assert largedev.collapse_profile(2.0, delta).phi_max > base
+
+
+def test_profile_supported_beta_edge():
+    # beta = 7.4 is the documented edge; at 7.5 and delta = 0 the tilt hugs
+    # the boundary beyond the 1e-10 residual and a ValueError says so
+    cp = largedev.collapse_profile(7.4, 0.0)
+    assert abs(largedev.phi_prime(cp.a_tilde, 7.4, 0.0)) < 1e-8
+    with pytest.raises(ValueError, match=r"7\.5.*0\.0.*q, p.*residual"):
+        largedev.collapse_profile(7.5, 0.0)
 
 
 def test_profile_outside_collapsed_phase_rejected():

@@ -1,6 +1,7 @@
 """Wetting-layer tests: kernel, partition function, free energy, curves."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,19 @@ def test_large_delta_stays_finite():
                                                                 rel=1e-14)
     assert exactz.area_wetting_dp(N, 0.0, BETA, delta).log_value == \
         pytest.approx(N * limit, rel=1e-14)
+
+
+def test_very_negative_delta_stays_finite():
+    # a single return at the end: Z_wet(N) = e^delta K(N) (1 + O(e^delta))
+    delta, N = -800.0, 10
+    want = delta + math.log(wetting.return_kernel(BETA, N).k[N])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = wetting.zwet(BETA, delta, N)
+        direct = wetting.zwet_direct(BETA, delta, N)
+    assert series == pytest.approx(direct, rel=1e-12)
+    assert series == pytest.approx(want, rel=1e-12)
+    assert direct == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("call", [
