@@ -11,11 +11,12 @@ weight factorizes over *pairs of heights two apart*:
 the transfer DP below exploit.  The module provides
 
 * ``brute_force_Z``    exhaustive enumeration (the oracle, L <= 24);
-* ``dp_Z``             transfer DP over (consumed length, prev height,
-                       cur height), exact at the default cutoff, with a
-                       rigorous truncation bound otherwise;
-* ``backward_sample``  exact polymer-measure samples drawn backward
-                       through a DP table;
+* ``dp_Z``             rescaled transfer DP over (consumed length, prev
+                       height, cur height) on one backward step for all
+                       variants, exact at the default cutoff, otherwise
+                       with a rigorous truncation bound on the same step;
+* ``backward_sample``  exact samples, all draws advanced together, one
+                       stretch per round, on that step;
 * ``d_circ``           joint upper/lower-envelope DP at a prescribed
                        enclosed-area difference;
 * ``e_circ`` / ``e_n_gamma``   area-tilted pinned-bridge partition values;
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -258,199 +258,193 @@ class DPTable:
                    meta["truncation_bound"])
 
 
-def _truncation_tail(L, beta, delta, variant, H, K, rew) -> float:
-    """Rigorous bound on the reduced weight lost above height H.
+def _gather(stack, m, v, fill) -> np.ndarray:
+    """stack[m + 1 + |w - v|, v, w], the completion after v -> w from consumed
+    length m, for every w (``fill`` past the end): the DP's (v, w) slice for
+    scalar m and a column v, sampler rows for m and v of shape (k, 1).  A flat
+    ``take`` is about 1.5 times faster than three index arrays."""
+    n = stack.shape[-1]
+    w = np.arange(n)
+    nxt = m + 1 + np.abs(w - v)
+    out = stack.reshape(-1).take((nxt * n + v) * n + w, mode="clip")
+    out[nxt >= len(stack)] = fill
+    return out
 
-    Forward first-exceedance accounting: every lost configuration is counted
-    once, at the first stretch whose top height w exceeds H, with the exact
-    weight accumulated so far, a geometric bound on the crossing stretch,
-    and a crude combinatorial bound (1 + 2 e^{max(delta,0)-beta})^{R} on the
-    remaining weight (number of sign/length completions times the best
-    per-stretch factor; the pair factors are <= 1).
-    """
-    n = H + 1
-    x = math.exp(-0.5 * beta)
-    E = math.exp(max(delta, 0.0) - beta)
 
-    def U(R):  # completion bound for R remaining length units
-        return 1.0 if R <= 0 else 2.0 * E * (1.0 + 2.0 * E) ** (R - 1)
+def _directions(variant: Variant, n: int) -> tuple:
+    """(mask on (v, w) or None, source stack) per stretch direction; stretch
+    k takes direction k mod len, and its completion is read from the stack
+    of the direction that follows.  Single beads alternate up and down."""
+    if variant is not Variant.SINGLE_BEAD:
+        return ((None, 0),)
+    up = np.arange(n)[None, :] > np.arange(n)[:, None]
+    return ((up, 1), (up.T, 0))
 
-    single = variant is Variant.SINGLE_BEAD
-    vv = np.arange(n)
-    mask = (vv[None, :] > vv[:, None]) if single else np.ones((n, n), bool)
-    mask_dn = (vv[None, :] < vv[:, None])
-    diag_idx = [np.nonzero(np.abs(vv[:, None] - vv[None, :]).T == d) for d in range(n)]
-    # diag_idx[d] gives (v, w) pairs with |w - v| = d  (transposed so rows=v)
 
-    F = np.zeros((L, n, n))
-    Fd = np.zeros((L, n, n)) if single else None
-    F[0, 0, 0] = 1.0
-    tail = 0.0
-    with np.errstate(over="ignore"):
-        for m in range(L):
-            A = F[m]
-            if A.any():
-                # loss: transitions from (u, v) to w > H
-                R1 = L - m - 1
-                t_suffix = np.zeros(R1 + 2)
-                for j in range(R1, 0, -1):
-                    t_suffix[j] = t_suffix[j + 1] + math.exp(-0.5 * beta * j) * U(R1 - j)
-                g = (np.exp(0.5 * beta * vv) @ A) * np.exp(-0.5 * beta * vv)
-                jmin = np.maximum(H + 1 - vv, 1)
-                pick = np.where(jmin <= R1, t_suffix[np.minimum(jmin, R1 + 1)], 0.0)
-                tail += math.exp(-beta) * float(g @ pick)
-                # in-box transitions
-                B = (A.T @ K) * rew[None, :] * mask
-                tgt = Fd if single else F
-                for d in range(min(n, L - m - 1)):
-                    vi, wi = diag_idx[d]
-                    mp = m + 1 + d
-                    tgt[mp][vi, wi] += B[vi, wi]
-            if single and Fd[m].any() and m > 0:
-                B = (Fd[m].T @ K) * rew[None, :] * mask_dn  # downward: never exceeds H
-                for d in range(1, min(n, L - m - 1)):
-                    vi, wi = diag_idx[d]
-                    F[m + 1 + d][vi, wi] += B[vi, wi]
-    return tail
+_HEADROOM = 1e-150  # smallest slice max and start weight taken as exact
 
 
 def dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE,
          height_cutoff: int | None = None) -> tuple:
     """(log Z, DPTable) by backward transfer over height pairs.
 
-    With the default cutoff the DP is exact (see ``_exact_cutoff``); a
-    smaller user cutoff yields a lower bound on Z together with a rigorous
-    bound on the missing reduced weight.
+    The completion weight after m consumed units and prefix heights (u, v)
+    obeys one step for every variant, x = e^{-beta/2}:
+
+        G_k[m][u, v] = sum_w e^{-beta} x^{|w - u|} e^{delta 1{w = 0}}
+                       1_k(v, w) G_{k'}[m + 1 + |w - v|][v, w]
+
+    over the stretch directions k of ``_directions``.  Each slice is kept
+    at max 1 with a log offset off[k, m]; the offsets of the gathered slices
+    and the site weights enter as one exponent per gap |w - v|, and a slice
+    below ``_HEADROOM`` of its sources is redone rescaled.  With the default
+    cutoff the DP is exact (``_exact_cutoff``); a smaller cutoff gives a
+    lower bound on Z and a rigorous bound on the missing reduced weight, from
+    the same step run on a second stack with a first-exceedance source.
+
+    Supported region: beta > 0, finite delta, and a start weight at least
+    ``_HEADROOM`` of the largest completion of length L, else ValueError
+    (at delta = 0.5: beta up to about 138 at L = 18, 77 at L = 60, 57 at
+    L = 120 and 34 at L = 300).
     """
     variant = as_variant(variant)
     if L < 1:
         raise ValueError("L must be >= 1")
+    _check_delta(delta)
+    if height_cutoff is not None and height_cutoff < 1:
+        raise ValueError("height_cutoff must be >= 1")
     exact_H = _exact_cutoff(L, variant)
-    if height_cutoff is None:
-        H = exact_H
-    else:
-        if height_cutoff < 1:
-            raise ValueError("height_cutoff must be >= 1")
-        H = int(height_cutoff)
+    H = exact_H if height_cutoff is None else int(height_cutoff)
     n = H + 1
     law = StepLaw(beta)
-    M = _step_matrix(law, H)
-    # K[u, w] = e^{-beta} e^{-(beta/2)|w - u|}: one stretch's reduced weight
-    K = math.exp(-beta) * law.c_beta * M
-    rew = np.ones(n)
-    rew[0] = math.exp(delta)
-    vv = np.arange(n)
-    Vg, Wg = np.indices((n, n))
-    cons = 1 + np.abs(Wg - Vg)  # length units consumed by the stretch v -> w
+    X = law.c_beta * _step_matrix(law, H)  # X[u, w] = x^{|w - u|}
+    dirs = _directions(variant, n)
+    lift = max(delta, 0.0) - beta          # per-stretch factor kept in off
+    log_site = (min(delta, 0.0), -max(delta, 0.0))  # at w = 0 and at w > 0
+    heights = np.arange(n)[:, None]
+    gaps = np.abs(heights - heights.T)
 
-    def gather(stack, R):
-        Rp = R - cons
-        ok = Rp >= 0
-        out = stack[np.where(ok, Rp, 0), Vg, Wg]
-        out[~ok] = 0.0
-        return out
+    def step(stack, k, m, fac):
+        mask, src = dirs[k]
+        C = _gather(stack[src], m, heights, 0.0)
+        C *= fac if mask is None else fac * mask
+        np.matmul(X, C.T, out=stack[k, m])
 
-    if variant is Variant.SINGLE_BEAD:
-        up_mask = Wg > Vg
-        dn_mask = Wg < Vg
-        Gu = np.zeros((L + 1, n, n))
-        Gd = np.zeros((L + 1, n, n))
-        Gu[0][:, 0] = np.exp(-0.5 * beta * vv)  # closed: last stretch was down
-        for R in range(1, L + 1):
-            Cu = rew[None, :] * gather(Gd, R)
-            Cu[~up_mask] = 0.0
-            Gu[R] = K @ Cu.T
-            Cd = rew[None, :] * gather(Gu, R)
-            Cd[~dn_mask] = 0.0
-            Gd[R] = K @ Cd.T
-        root = Gu[L][0, 0]
-        stacks = (Gu, Gd)
+    S = np.zeros((len(dirs), L + 1, n, n))
+    if variant is Variant.FREE:
+        S[0, L] = X
     else:
-        G = np.zeros((L + 1, n, n))
-        if variant is Variant.FREE:
-            G[0] = law.c_beta * M
-        else:
-            G[0][:, 0] = np.exp(-0.5 * beta * vv)
-        for R in range(1, L + 1):
-            C = rew[None, :] * gather(G, R)
-            G[R] = K @ C.T
-        root = G[L][0, 0]
-        stacks = (G,)
+        S[0, L][:, 0] = X[:, 0]  # closed at height 0
+    off = np.full((len(dirs), L + 1), -np.inf)
+    off[0, L] = 0.0
+    B = np.zeros_like(S) if H < exact_H else None
+    if B is not None:
+        with np.errstate(over="ignore"):
+            site_b = np.exp(np.where(heights.T == 0, delta, 0.0) - beta)
+        # log U(r): U(0) = 1 and U(r) = 2E (1 + 2E)^{r-1}, E = e^{lift},
+        # bounds the completions of r units
+        log_u = np.concatenate(([0.0], math.log(2.0) + lift + np.arange(L)
+                                * np.logaddexp(0.0, math.log(2.0) + lift)))
+        uv = 0.5 * beta * (heights - heights.T) - beta  # log e^{-beta} x^{v - u}
+    for m in range(L - 1, -1, -1):
+        for k, (_, src) in enumerate(dirs):
+            prior = off[src, m + 1:m + 1 + n]  # the slices at gaps 0, 1, ...
+            ref = prior.max()
+            if ref == -np.inf:
+                continue  # every source slice is empty
+            for _ in range(2):
+                lf = np.full(n, -np.inf)
+                lf[:prior.size] = prior - ref
+                fac = np.exp(lf + log_site[1]).take(gaps)
+                fac[:, 0] = np.exp(lf + log_site[0])  # w = 0: gap v
+                step(S, k, m, fac)
+                top = S[k, m].max()
+                if top >= _HEADROOM:
+                    break
+                ref += max(math.log(top), -700.0) if top > 0.0 else -700.0
+            if top > 0.0:
+                S[k, m] /= top
+                off[k, m] = ref + lift + math.log(top)
+        if B is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k in range(len(dirs)):
+                    step(B, k, m, site_b)
+                # first exceedance from (u, v) with R units left: a stretch
+                # of length j >= H + 1 - v, then U(R - 1 - j); log_t sums j
+                R = L - m
+                j = np.arange(1, R)
+                log_t = np.full(R + n, -np.inf)
+                log_t[1:R] = np.logaddexp.accumulate(
+                    (log_u[R - 1 - j] - 0.5 * beta * j)[::-1])[::-1]
+                B[0, m] += np.exp(uv + log_t[H + 1 - heights.T])
 
-    log_z = beta * L + (math.log(root) if root > 0.0 else -math.inf)
-    bound = 0.0
-    if H < exact_H:
-        bound = _truncation_tail(L, beta, delta, variant, H, K, rew)
+    root = float(S[0, 0, 0, 0])
+    # flat vectors fit any cutoff; beads (1, -1) and (2, -2) take 4 and 6
+    empty = variant is Variant.SINGLE_BEAD and not (
+        L >= 4 and L % 2 == 0 and (H >= 2 or L % 4 == 0))
+    if root < _HEADROOM and not (root == 0.0 and empty):
+        raise ValueError(
+            f"dp_Z at beta={beta}, L={L}: the start weight is {root:.1e} of "
+            f"the largest completion weight, below the supported {_HEADROOM:.0e}"
+            " (double-precision underflow near the start state)")
+    log_z = beta * L + (float(off[0, 0]) + math.log(root) if root > 0.0 else -math.inf)
+    # an overflowed bound meets zero weights as inf * 0: report inf
+    bound = 0.0 if B is None else float(np.nan_to_num(B[0, 0, 0, 0], nan=np.inf))
 
     with np.errstate(divide="ignore"):
-        for s in stacks:
-            np.log(s, out=s)  # in place: the linear values are no longer needed
-    logs = tuple(s[::-1] for s in stacks)  # reindex by consumed length m
-    lw = logs if variant is Variant.SINGLE_BEAD else logs[0]
-    table = DPTable(variant, L, beta, delta, H, lw, log_z, bound)
-    return log_z, table
+        np.log(S, out=S)  # in place: the linear values are no longer needed
+    S += off[:, :, None, None]
+    lw = (S[0], S[1]) if variant is Variant.SINGLE_BEAD else S[0]
+    return log_z, DPTable(variant, L, beta, delta, H, lw, log_z, bound)
+
+
+_SAMPLE_BLOCK = 1 << 15  # (draws x heights) entries per block of live draws
 
 
 def backward_sample(table: DPTable, count: int, rng) -> list:
     """Draw ``count`` exact samples from the polymer measure of ``table``.
 
-    Walks forward through the configuration while reading completion
-    weights backward from the table; every transition is sampled from its
-    exact conditional, so the draws are i.i.d. from e^{H} / Z.
+    All draws advance together, one stretch per round, on the step of
+    ``dp_Z``: a draw at (m, u, v) weighs each next height w by x^{|w - u|}
+    e^{delta 1{w = 0}} times the table's completion of (v, w) and picks w by
+    inverse CDF with one uniform, so the draws are i.i.d. from e^{H} / Z.
+    Live draws go in blocks of ``_SAMPLE_BLOCK`` table entries.
     """
     if not table.truncation_bound < 1e-9:
         raise ValueError("table is truncated; refuse to sample from a biased law")
     if not np.isfinite(table.normalization):
         raise ValueError("the configuration set is empty at these parameters")
-    L, H, beta, delta = table.L, table.height_cutoff, table.beta, table.delta
-    n = H + 1
-    vv = np.arange(n)
-    log_rew = np.zeros(n)
-    log_rew[0] = delta
-    single = table.variant is Variant.SINGLE_BEAD
-    cache: dict = {} if L <= 64 else None
-
-    def conditional(m, u, v, up):
-        """(values w, cdf) of the next height given state and consumed m."""
-        if single:
-            # after an up-stretch the walk must come down, and vice versa
-            stack = table.log_weights[1] if up else table.log_weights[0]
-        else:
-            stack = table.log_weights
-        cons = 1 + np.abs(vv - v)
-        mfut = m + cons
-        ok = mfut <= L
-        lp = np.full(n, -np.inf)
-        idx = np.nonzero(ok)[0]
-        lp[idx] = (-beta - 0.5 * beta * np.abs(idx - u) + log_rew[idx]
-                   + stack[mfut[idx], v, idx])
-        if single:
-            lp[vv <= v if up else vv >= v] = -np.inf
-        good = np.isfinite(lp)
-        w = np.nonzero(good)[0]
-        pe = np.exp(lp[good] - lp[good].max())
-        return w, np.cumsum(pe)
-
+    L, beta, n = table.L, table.beta, table.height_cutoff + 1
+    lw = table.log_weights
+    stacks = lw if isinstance(lw, tuple) else (lw,)
+    dirs = _directions(table.variant, n)
+    log_rew = np.where(np.arange(n) == 0, table.delta, 0.0)
+    rows = max(1, _SAMPLE_BLOCK // n)
+    m, u, v, sizes = (np.zeros(count, dtype=np.int64) for _ in range(4))
+    stretches = np.zeros((count, L), dtype=np.min_scalar_type(-L))
+    live = np.arange(count)
+    k = 0
+    while live.size:
+        mask, src = dirs[k % len(dirs)]
+        for a in range(0, live.size, rows):
+            i = live[a:a + rows]
+            vi = v[i]
+            lp = _gather(stacks[src], m[i, None], vi[:, None], -np.inf)
+            lp += log_rew - 0.5 * beta * np.abs(np.arange(n) - u[i, None])
+            if mask is not None:
+                lp[~mask[vi]] = -np.inf
+            cdf = np.cumsum(np.exp(lp - lp.max(axis=1, keepdims=True)), axis=1)
+            w = (cdf <= (rng.random(i.size) * cdf[:, -1])[:, None]).sum(axis=1)
+            stretches[i, k] = w - vi
+            m[i] += 1 + np.abs(w - vi)
+            u[i], v[i] = vi, w
+        sizes[live] += 1
+        live = live[m[live] < L]
+        k += 1
     out = []
-    for _ in range(count):
-        m, u, v, up = 0, 0, 0, True
-        stretches = []
-        while m < L:
-            key = (m, u, v, up)
-            if cache is not None:
-                hit = cache.get(key)
-                if hit is None:
-                    hit = conditional(m, u, v, up)
-                    cache[key] = hit
-            else:
-                hit = conditional(m, u, v, up)
-            w_vals, cdf = hit
-            r = rng.random() * cdf[-1]
-            w = int(w_vals[np.searchsorted(cdf, r, side="right")])
-            stretches.append(w - v)
-            m += 1 + abs(w - v)
-            u, v, up = v, w, not up
-        out.append(StretchConfig(tuple(stretches), L, table.variant))
+    for a in range(0, count, rows):
+        out += [StretchConfig(tuple(row[:size]), L, table.variant) for row, size
+                in zip(stretches[a:a + rows].tolist(), sizes[a:a + rows].tolist())]
     return out
 
 
@@ -592,10 +586,11 @@ def area_wetting_dp(N: int, gamma: float, beta: float, delta: float,
     H = height_cutoff if height_cutoff is not None else _default_cutoff(N, beta)
     log_w = -gamma * np.arange(H + 1) / N
     log_w[0] += delta
-    table = np.empty((N + 1, H + 1))
+    table = np.full((N + 1, H + 1), -np.inf)
+    table[0, 0] = 0.0
     with np.errstate(divide="ignore"):
-        for k, (v, off) in enumerate(_strip_walk(law, log_w, 0, N)):
-            table[k] = np.log(v) + off
+        for k, (p, off) in enumerate(_strip_walk(law, log_w, 0, N), start=1):
+            table[k] = np.log(p) + log_w + off
     return AreaWettingDP(N, beta, delta, gamma, H, table, float(table[N, 0]))
 
 

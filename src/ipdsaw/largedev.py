@@ -198,7 +198,7 @@ def grad_l_lambda(h: TiltVector) -> tuple:
     return float(g0), float(g1)
 
 
-def _hessian_l_lambda(h: TiltVector) -> np.ndarray:
+def _hessian_l_lambda(h: TiltVector, grad=None) -> np.ndarray:
     """Hessian int t^{2-i-j} L''(h0 t + h1) dt, by parts from L', grad."""
     h0 = h.h0
     s0, s1, u0, u1 = _end_gaps(h)
@@ -208,7 +208,7 @@ def _hessian_l_lambda(h: TiltVector) -> np.ndarray:
         h01 = l2 / 2.0 + h0 * (l3 / 3.0 + h0 * l4 / 8.0)
         h11 = l2 + h0 * (l3 / 2.0 + h0 * l4 / 6.0)
     else:
-        g0, g1 = grad_l_lambda(h)
+        g0, g1 = grad_l_lambda(h) if grad is None else grad
         top = _l_derivs(s1, u1)[0]
         h00 = (top - 2.0 * g0) / h0
         h01 = (top - g1) / h0
@@ -239,24 +239,27 @@ def _feasible_lambda(cur: TiltVector, step, b2: float, edge: float) -> float:
 
 
 def _damped_newton(grad, hess, cur: TiltVector, target, n: int | None):
-    """Damped Newton for grad(h) = target from cur; returns (h, residual)."""
+    """Damped Newton for grad(h) = target from cur; returns (h, residual).
+    ``hess(h, g)`` gets the gradient g Newton already holds at h."""
     edge = 1.0 - 1.0 / n if n else 1.0
-    res = np.asarray(grad(cur)) - target
+    g = grad(cur)
+    res = np.asarray(g) - target
     nr = float(np.hypot(*res))
     stall = 0
     for _ in range(80):
         if nr < 1e-10:
             break
         prev = nr
-        step = np.linalg.solve(hess(cur), -res)
+        step = np.linalg.solve(hess(cur, g), -res)
         lam = _feasible_lambda(cur, step, 0.5 * cur.beta, edge)
         while lam >= 1e-14:
             trial = TiltVector(cur.h0 + lam * step[0], cur.h1 + lam * step[1], cur.beta)
             if trial.in_domain(n):
-                tres = np.asarray(grad(trial)) - target
+                tg = grad(trial)
+                tres = np.asarray(tg) - target
                 tnr = float(np.hypot(*tres))
                 if tnr <= nr * (1.0 - 1e-4 * lam) or tnr < 1e-10:
-                    cur, res, nr = trial, tres, tnr
+                    cur, g, res, nr = trial, tg, tres, tnr
                     break
             lam *= 0.5
         else:
@@ -333,7 +336,7 @@ def grad_finite_l_lambda(n: int, h: TiltVector) -> tuple:
     return (float((lam * l1).sum()) / n, float(l1.sum()) / n)
 
 
-def _finite_hessian(n: int, h: TiltVector) -> np.ndarray:
+def _finite_hessian(n: int, h: TiltVector, grad=None) -> np.ndarray:
     s, u, w = _finite_gaps(n, h)
     l2 = _l_derivs(s, u)[1]
     return np.array([[float((w * w * l2).sum()), float((w * l2).sum())],

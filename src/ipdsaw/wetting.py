@@ -81,12 +81,12 @@ def _step_matrix(law: StepLaw, H: int) -> np.ndarray:
 def _strip_walk(law: StepLaw, log_w: np.ndarray, start: int, steps: int):
     """The weighted step walk on the strip [0, H], H = len(log_w) - 1.
 
-    Starting from the unit vector at ``start``, yields (v, log_off) for
-    k = 0..steps, where v e^{log_off} is the weight of the k-step paths
-    ending at each height: every step applies v <- w * (M v) with site
-    weights w = e^{log_w}, and v is renormalized to max 1.  The weights are
-    shifted by their maximum before exponentiating, so a large log weight
-    never overflows.
+    Starting from the unit vector at ``start``, yields (p, log_off) for
+    k = 1..steps, where e^{log_w} p e^{log_off} is the weight of the k-step
+    paths ending at each height: p = M v is the walk's step applied to the
+    (k-1)-step vector v before the site weights, so a consumer adds log_w in
+    log space and a very negative log weight never underflows.  Between
+    steps v <- e^{log_w - max log_w} p is renormalized to max 1.
     """
     M = _step_matrix(law, len(log_w) - 1)
     shift = float(np.max(log_w))
@@ -94,24 +94,24 @@ def _strip_walk(law: StepLaw, log_w: np.ndarray, start: int, steps: int):
     v = np.zeros(len(log_w))
     v[start] = 1.0
     log_off = 0.0
-    yield v, log_off
-    for _ in range(steps):
-        v = w * (M @ v)
-        s = v.max()
-        v /= s
-        log_off += math.log(s) + shift
-        yield v, log_off
+    for k in range(steps):
+        if k:
+            v = w * p
+            s = v.max()
+            v /= s
+            log_off += math.log(s) + shift
+        p = M @ v
+        yield p, log_off
 
 
 def _strip_walk_log_end(law: StepLaw, log_w: np.ndarray, start: int,
                         steps: int) -> float:
-    """log of the ``_strip_walk`` weight at height 0 after ``steps`` steps;
-    the last arrival's site weight is added in log space (no underflow)."""
+    """log of the ``_strip_walk`` weight at height 0 after ``steps`` steps."""
     if steps == 0:
         return 0.0 if start == 0 else -math.inf
-    for v, log_off in _strip_walk(law, log_w, start, steps - 1):
+    for p, log_off in _strip_walk(law, log_w, start, steps):
         pass
-    last = float(step_pmf(law, -np.arange(len(log_w))) @ v)
+    last = float(p[0])
     return float(log_w[0]) + log_off + (math.log(last) if last > 0.0 else -math.inf)
 
 

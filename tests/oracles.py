@@ -4,7 +4,10 @@ Everything here is written from the defining formulas with deliberately
 different algorithms than the package (truncated sums instead of closed
 forms, counting DPs instead of enumeration, dense-grid quadrature and
 adaptive Gauss-Legendre panels instead of the dilogarithm closed form of
-the segment free energy) so that agreement is evidence, not tautology.
+the segment free energy, the forward first-exceedance sum instead of the
+backward truncation bound of ``dp_Z``, a log-space transfer recursion
+instead of its rescaled linear one) so that agreement is evidence, not
+tautology.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from itertools import product
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+
+from ipdsaw.polymer import Variant
 
 
 # -- step-law oracles -------------------------------------------------------
@@ -190,6 +195,108 @@ def hessian_quad(beta: float, h0: float, h1: float) -> np.ndarray:
 
 def central_diff(f, x: float, eps: float) -> float:
     return (f(x + eps) - f(x - eps)) / (2.0 * eps)
+
+
+# -- transfer-DP truncation oracle ------------------------------------------
+
+def _truncation_tail(L, beta, delta, variant, H, K, rew) -> float:
+    """Rigorous bound on the reduced weight lost above height H.
+
+    Forward first-exceedance accounting: every lost configuration is counted
+    once, at the first stretch whose top height w exceeds H, with the exact
+    weight accumulated so far, a geometric bound on the crossing stretch,
+    and a crude combinatorial bound (1 + 2 e^{max(delta,0)-beta})^{R} on the
+    remaining weight (number of sign/length completions times the best
+    per-stretch factor; the pair factors are <= 1).
+    """
+    n = H + 1
+    x = math.exp(-0.5 * beta)
+    E = math.exp(max(delta, 0.0) - beta)
+
+    def U(R):  # completion bound for R remaining length units
+        return 1.0 if R <= 0 else 2.0 * E * (1.0 + 2.0 * E) ** (R - 1)
+
+    single = variant is Variant.SINGLE_BEAD
+    vv = np.arange(n)
+    mask = (vv[None, :] > vv[:, None]) if single else np.ones((n, n), bool)
+    mask_dn = (vv[None, :] < vv[:, None])
+    diag_idx = [np.nonzero(np.abs(vv[:, None] - vv[None, :]).T == d) for d in range(n)]
+    # diag_idx[d] gives (v, w) pairs with |w - v| = d  (transposed so rows=v)
+
+    F = np.zeros((L, n, n))
+    Fd = np.zeros((L, n, n)) if single else None
+    F[0, 0, 0] = 1.0
+    tail = 0.0
+    with np.errstate(over="ignore"):
+        for m in range(L):
+            A = F[m]
+            if A.any():
+                # loss: transitions from (u, v) to w > H
+                R1 = L - m - 1
+                t_suffix = np.zeros(R1 + 2)
+                for j in range(R1, 0, -1):
+                    t_suffix[j] = t_suffix[j + 1] + math.exp(-0.5 * beta * j) * U(R1 - j)
+                g = (np.exp(0.5 * beta * vv) @ A) * np.exp(-0.5 * beta * vv)
+                jmin = np.maximum(H + 1 - vv, 1)
+                pick = np.where(jmin <= R1, t_suffix[np.minimum(jmin, R1 + 1)], 0.0)
+                tail += math.exp(-beta) * float(g @ pick)
+                # in-box transitions
+                B = (A.T @ K) * rew[None, :] * mask
+                tgt = Fd if single else F
+                for d in range(min(n, L - m - 1)):
+                    vi, wi = diag_idx[d]
+                    mp = m + 1 + d
+                    tgt[mp][vi, wi] += B[vi, wi]
+            if single and Fd[m].any() and m > 0:
+                B = (Fd[m].T @ K) * rew[None, :] * mask_dn  # downward: never exceeds H
+                for d in range(1, min(n, L - m - 1)):
+                    vi, wi = diag_idx[d]
+                    F[m + 1 + d][vi, wi] += B[vi, wi]
+    return tail
+
+
+def truncation_tail(L: int, beta: float, delta: float, variant, H: int) -> float:
+    """``_truncation_tail`` with the stretch matrix K[u, w] = e^{-beta}
+    e^{-(beta/2)|w - u|} and the site rewards built from the definitions."""
+    hh = np.arange(H + 1)
+    K = np.exp(-beta - 0.5 * beta * np.abs(hh[:, None] - hh[None, :]))
+    rew = np.ones(H + 1)
+    rew[0] = math.exp(delta)
+    return _truncation_tail(L, beta, delta, Variant(variant), H, K, rew)
+
+
+def dp_log_space(L: int, beta: float, delta: float, variant) -> float:
+    """log Z by the height-pair transfer recursion carried out in log space.
+
+    Every completion weight is a log and every sum over the next height is
+    a logsumexp, so nothing underflows however large beta or |delta| is;
+    the cost is an (n, n, n) array per step, fine for L up to about 60.
+    """
+    variant = Variant(variant)
+    single = variant is Variant.SINGLE_BEAD
+    H = L - 1 if variant is Variant.FREE else max((L - 2) // 2, 0)
+    h = np.arange(H + 1)
+    pair = -0.5 * beta * np.abs(h[:, None] - h[None, :])   # [u, w]
+    site = np.where(h == 0, delta, 0.0)
+    up, down = h[None, :] > h[:, None], h[None, :] < h[:, None]   # [v, w]
+    moves = [(up, 1), (down, 0)] if single else [(np.ones_like(up), 0)]
+    G = np.full((len(moves), L + 1, H + 1, H + 1), -np.inf)  # [k, R, u, v]
+    if variant is Variant.FREE:
+        G[0, 0] = pair
+    else:
+        G[0, 0][:, 0] = pair[:, 0]
+    V, W = np.meshgrid(h, h, indexing="ij")
+    for R in range(1, L + 1):
+        rest = R - 1 - np.abs(W - V)
+        for k, (allowed, src) in enumerate(moves):
+            ok = allowed & (rest >= 0)
+            nxt = np.where(ok, G[src][np.where(ok, rest, 0), V, W], -np.inf)
+            terms = (-beta + pair)[:, None, :] + (site + nxt)[None, :, :]
+            top = terms.max(axis=2)
+            base = np.where(np.isfinite(top), top, 0.0)
+            with np.errstate(divide="ignore"):
+                G[k, R] = base + np.log(np.exp(terms - base[:, :, None]).sum(axis=2))
+    return beta * L + float(G[0, L, 0, 0])
 
 
 # -- configuration-count oracles --------------------------------------------

@@ -177,6 +177,13 @@ def test_wetting_nan_delta_exits_2(capsys):
     assert "delta" in capsys.readouterr().err
 
 
+def test_exact_nan_delta_exits_2(capsys):
+    rc = cli.main(["exact", "--length", "10", "--beta", "2", "--delta", "nan",
+                   "--out", "-"])
+    assert rc == 2
+    assert "delta" in capsys.readouterr().err
+
+
 def test_wetting_subcritical_leaves_cwet_empty(capsys):
     rc = cli.main(["wetting", "--beta", "2", "--delta", "0.2", "--out", "-"])
     assert rc == 0
