@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import largedev
 from .polymer import StretchConfig, Variant, as_variant
 from .steps import StepLaw
-from .wetting import (_check_delta, _default_cutoff, _step_matrix, _strip_walk,
+from .wetting import (_check_delta, _step_matrix, _strip_top, _strip_walk,
                       logsumexp_c)
 
 __all__ = [
@@ -96,9 +97,6 @@ def enumerate_configs(L: int, variant=Variant.FREE):
     yield from rec(L, 0, 0, [])
 
 
-_HIST_CACHE: dict = {}
-
-
 def feature_histogram(L: int, variant=Variant.FREE) -> dict:
     """{(total overlap, contacts): multiplicity} over the configuration set.
 
@@ -106,12 +104,16 @@ def feature_histogram(L: int, variant=Variant.FREE) -> dict:
     features, so one enumeration serves every (beta, delta).  Enumeration is
     done as a vectorized frontier sweep: each row of the frontier is one
     distinct partial configuration (no state merging), so this is still an
-    exhaustive walk of the tree, just batched.
+    exhaustive walk of the tree, just batched.  The result is a copy of the
+    cached enumeration, so a caller may change it freely.
     """
-    variant = as_variant(variant)
-    key = (L, variant.value)
-    if key in _HIST_CACHE:
-        return _HIST_CACHE[key]
+    return dict(_histogram(L, as_variant(variant)))
+
+
+@lru_cache(maxsize=64)
+def _histogram(L: int, variant: Variant) -> dict:
+    """The enumeration behind ``feature_histogram``, cached per (L, variant);
+    never handed out, so no caller can change a cached entry."""
     if L < 1:
         raise ValueError("L must be >= 1")
 
@@ -173,7 +175,6 @@ def feature_histogram(L: int, variant=Variant.FREE) -> dict:
             harvest(nw[leaf], nc[leaf])
         frontier = (nb[go], nh[go], nv[go], nw[go], nc[go])
 
-    _HIST_CACHE[key] = hist
     return hist
 
 
@@ -181,7 +182,7 @@ def brute_force_Z(L: int, beta: float, delta: float, variant=Variant.FREE) -> fl
     """log Z by exhaustive enumeration; the oracle every DP is checked against."""
     if L > _BRUTE_MAX_L:
         raise ValueError(f"L={L} too large for enumeration (max {_BRUTE_MAX_L})")
-    hist = feature_histogram(L, variant)
+    hist = _histogram(L, as_variant(variant))
     if not hist:
         return -math.inf
     terms = [math.log(n) + beta * w + delta * c for (w, c), n in hist.items()]
@@ -399,6 +400,7 @@ def dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE,
 
 
 _SAMPLE_BLOCK = 1 << 15  # (draws x heights) entries per block of live draws
+_SAMPLE_REL_BOUND = 1e-9  # largest truncation bound, relative to Z, sampled from
 
 
 def backward_sample(table: DPTable, count: int, rng) -> list:
@@ -408,10 +410,18 @@ def backward_sample(table: DPTable, count: int, rng) -> list:
     ``dp_Z``: a draw at (m, u, v) weighs each next height w by x^{|w - u|}
     e^{delta 1{w = 0}} times the table's completion of (v, w) and picks w by
     inverse CDF with one uniform, so the draws are i.i.d. from e^{H} / Z.
-    Live draws go in blocks of ``_SAMPLE_BLOCK`` table entries.
+    Live draws go in blocks of ``_SAMPLE_BLOCK`` table entries.  A table
+    whose truncation bound is not below ``_SAMPLE_REL_BOUND`` of its reduced
+    Z (compared in logs) raises ValueError.
     """
-    if not table.truncation_bound < 1e-9:
-        raise ValueError("table is truncated; refuse to sample from a biased law")
+    bound = table.truncation_bound
+    log_reduced_z = table.normalization - table.beta * table.L
+    if bound != 0.0 and not (math.log(bound) < math.log(_SAMPLE_REL_BOUND)
+                             + log_reduced_z):
+        raise ValueError(
+            f"table is truncated: the bound {bound:.1e} on the lost weight is not"
+            f" below {_SAMPLE_REL_BOUND:.0e} of the reduced Z (log "
+            f"{log_reduced_z:.2f}); refuse to sample from a biased law")
     if not np.isfinite(table.normalization):
         raise ValueError("the configuration set is empty at these parameters")
     L, beta, n = table.L, table.beta, table.height_cutoff + 1
@@ -583,7 +593,7 @@ def area_wetting_dp(N: int, gamma: float, beta: float, delta: float,
         raise ValueError("gamma must be >= 0")
     _check_delta(delta)
     law = StepLaw(beta)
-    H = height_cutoff if height_cutoff is not None else _default_cutoff(N, beta)
+    H = _strip_top(height_cutoff, N, beta)
     log_w = -gamma * np.arange(H + 1) / N
     log_w[0] += delta
     table = np.full((N + 1, H + 1), -np.inf)

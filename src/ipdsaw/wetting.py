@@ -11,6 +11,13 @@ sit the pinned partition function (renewal recursion, cross-checked by a
 direct positive-walk DP), the closed-form localization free energy
 h_beta(delta) and prefactor C_wet, and the three critical curves
 delta_tilde < delta_c < delta_circ of the phase diagram.
+
+The direct DPs (``zwet_direct``, ``positive_bridge_logprob`` and the
+area-tilted ``exactz.area_wetting_dp``) walk the strip [0, H] with one
+generator, ``_strip_walk``.  Its step matrix x^{|i-j|} / c_beta is applied
+in O(H) by two geometric sweeps (``_step_apply``); the dense product is
+the test oracle.  A negative ``height_cutoff``, or a start above it,
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -62,20 +69,76 @@ def logsumexp_c(values) -> float:
     return m + math.log(s + comp)
 
 
-def _default_cutoff(n: float, beta: float) -> int:
-    """Height cutoff for DPs over ~n steps: generous multiple of sqrt(n/beta)."""
-    return math.ceil(12.0 * math.sqrt(max(n, 1.0) / beta)) + 64
-
-
 def _check_delta(delta: float) -> None:
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta!r}")
+
+
+def _strip_top(height_cutoff: int | None, n: float, beta: float,
+               x0: int = 0) -> int:
+    """Top height H of the strip for a walk of ~n steps started at x0:
+    ``height_cutoff``, else x0 plus a generous multiple of sqrt(n/beta)."""
+    if height_cutoff is None:
+        return math.ceil(12.0 * math.sqrt(max(n, 1.0) / beta)) + 64 + x0
+    if height_cutoff < 0:
+        raise ValueError(f"height_cutoff must be >= 0, got {height_cutoff!r}")
+    if x0 > height_cutoff:
+        raise ValueError(
+            f"start x0={x0} lies above height_cutoff={height_cutoff}")
+    return int(height_cutoff)
 
 
 def _step_matrix(law: StepLaw, H: int) -> np.ndarray:
     """M[i, j] = P(X = i - j) for heights i, j in 0..H."""
     y = np.arange(H + 1)
     return step_pmf(law, np.subtract.outer(y, y))
+
+
+_SWEEP_EXP = 600.0  # largest exponent a t inside a sweep block (e^600 < 1e261)
+
+
+def _step_apply(law: StepLaw, n: int):
+    """v -> M v for the step matrix M[i, j] = x^{|i - j|} / c_beta on
+    heights 0..n-1, in O(n).
+
+    With the forward sweep F(v)_i = v_i + x F(v)_{i-1} = sum_{j <= i}
+    x^{i - j} v_j, M v = (F(v) + reversed F(reversed v) - v) / c_beta.
+    F runs in blocks of B <= 600/a entries, a = beta/2, so that e^{a t}
+    stays finite: a cumsum of v_t e^{a t} within each block, scaled by
+    e^{-a t}, plus the last value of the block before times e^{-a (t + 1)}.
+    Both sweeps share one buffer.  Every term is positive, so nothing
+    cancels; entries of v up to 1e40 keep v_t e^{a t} finite.
+    """
+    a = 0.5 * law.beta
+    B = min(n, max(1, int(_SWEEP_EXP / a)))
+    blocks = -(-n // B)
+    # e^{a t} = e^{a_hi t} e^{a_lo t}: a_hi has 20 fractional bits, so a_hi t
+    # is exact and no exponent is rounded at the size of a t (up to 600)
+    a_hi = round(a * 2.0 ** 20) / 2.0 ** 20
+    t = np.arange(B)
+    up = np.exp(a_hi * t) * np.exp((a - a_hi) * t)
+    down = np.exp(-a_hi * t) * np.exp((a_hi - a) * t)
+    carry = down * law.x
+    buf = np.zeros((2, blocks, B))   # F(v) and F(reversed v), by block
+    flat = buf.reshape(2, blocks * B)
+
+    def apply(v):
+        flat[0, :n] = v
+        flat[1, :n] = v[::-1]
+        flat[:, n:] = 0.0
+        np.multiply(buf, up, out=buf)
+        np.cumsum(buf, axis=2, out=buf)
+        np.multiply(buf, down, out=buf)
+        if blocks > 1:
+            # the final last value of each block but the last, then its carry
+            ends = buf[:, :-1, -1].tolist()
+            for e in ends:
+                for b in range(1, len(e)):
+                    e[b] += carry[-1] * e[b - 1]
+            np.add(buf[:, 1:], np.multiply.outer(ends, carry), out=buf[:, 1:])
+        return (flat[0, :n] + flat[1, n - 1::-1] - v) / law.c_beta
+
+    return apply
 
 
 def _strip_walk(law: StepLaw, log_w: np.ndarray, start: int, steps: int):
@@ -86,9 +149,12 @@ def _strip_walk(law: StepLaw, log_w: np.ndarray, start: int, steps: int):
     paths ending at each height: p = M v is the walk's step applied to the
     (k-1)-step vector v before the site weights, so a consumer adds log_w in
     log space and a very negative log weight never underflows.  Between
-    steps v <- e^{log_w - max log_w} p is renormalized to max 1.
+    steps v <- e^{log_w - max log_w} p is renormalized to max 1.  The step
+    is applied by the two geometric sweeps of ``_step_apply`` in O(H); the
+    dense H x H product it replaces is the test oracle
+    ``oracles.strip_walk_dense``.
     """
-    M = _step_matrix(law, len(log_w) - 1)
+    apply = _step_apply(law, len(log_w))
     shift = float(np.max(log_w))
     w = np.exp(log_w - shift)
     v = np.zeros(len(log_w))
@@ -100,7 +166,7 @@ def _strip_walk(law: StepLaw, log_w: np.ndarray, start: int, steps: int):
             s = v.max()
             v /= s
             log_off += math.log(s) + shift
-        p = M @ v
+        p = apply(v)
         yield p, log_off
 
 
@@ -227,7 +293,7 @@ def zwet_direct(beta: float, delta: float, N: int,
         raise ValueError("N must be >= 0")
     _check_delta(delta)
     law = StepLaw(beta)
-    H = height_cutoff if height_cutoff is not None else _default_cutoff(N, beta)
+    H = _strip_top(height_cutoff, N, beta)
     log_w = np.zeros(H + 1)
     log_w[0] = delta
     return _strip_walk_log_end(law, log_w, 0, N)
@@ -241,8 +307,7 @@ def positive_bridge_logprob(beta: float, n: int, x0: int = 0,
     if n < 0:
         raise ValueError("n must be >= 0")
     law = StepLaw(beta)
-    H = (height_cutoff if height_cutoff is not None
-         else _default_cutoff(n, beta) + x0)
+    H = _strip_top(height_cutoff, n, beta, x0)
     return _strip_walk_log_end(law, np.zeros(H + 1), x0, n)
 
 

@@ -6,8 +6,9 @@ forms, counting DPs instead of enumeration, dense-grid quadrature and
 adaptive Gauss-Legendre panels instead of the dilogarithm closed form of
 the segment free energy, the forward first-exceedance sum instead of the
 backward truncation bound of ``dp_Z``, a log-space transfer recursion
-instead of its rescaled linear one) so that agreement is evidence, not
-tautology.
+instead of its rescaled linear one, the dense strip step matrix instead of
+the two geometric sweeps of the strip walk) so that agreement is evidence,
+not tautology.
 """
 
 from __future__ import annotations
@@ -85,6 +86,27 @@ def return_kernel_dp(beta: float, t_max: int, H: int) -> np.ndarray:
         k[t] = float(f @ pmf_y)
         f = M @ f
     return k
+
+
+def strip_walk_dense(beta: float, log_w: np.ndarray, start: int, steps: int):
+    """The weighted strip walk of ``wetting._strip_walk`` with the step
+    applied as the dense (H+1) x (H+1) product M v, M[i, j] = P(X = i - j):
+    yields (p, log_off) for k = 1..steps, with the same renormalization."""
+    h = np.arange(len(log_w))
+    M = np.exp(-0.5 * beta * np.abs(h[:, None] - h[None, :])) / c_beta(beta)
+    shift = float(np.max(log_w))
+    w = np.exp(log_w - shift)
+    v = np.zeros(len(log_w))
+    v[start] = 1.0
+    log_off = 0.0
+    for k in range(steps):
+        if k:
+            v = w * p
+            s = v.max()
+            v /= s
+            log_off += math.log(s) + shift
+        p = M @ v
+        yield p, log_off
 
 
 # -- segment quadrature oracle ----------------------------------------------

@@ -137,6 +137,13 @@ def test_sample_jsonl_deterministic(tmp_path):
         assert (heights >= 0).all()
 
 
+def test_sample_truncated_table_exits_2(capsys):
+    rc = cli.main(["sample", "--length", "60", "--beta", "20", "--delta",
+                   "0.5", "--variant", "free", "--cutoff", "5", "--out", "-"])
+    assert rc == 2
+    assert "truncated" in capsys.readouterr().err
+
+
 def test_sample_outdir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("IPDSAW_OUTDIR", str(tmp_path))
     rc = cli.main(["sample", "--length", "20", "--beta", "2", "--delta", "1",

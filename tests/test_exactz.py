@@ -58,6 +58,15 @@ def test_brute_rejects_large_l():
         exactz.brute_force_Z(25, 1.0, 0.0, Variant.FREE)
 
 
+def test_feature_histogram_copy_protects_cache():
+    want = exactz.brute_force_Z(10, 2.0, 0.5, Variant.FREE)
+    hist = exactz.feature_histogram(10, Variant.FREE)
+    hist[(0, 0)] = 10 ** 9
+    hist.pop(next(iter(hist)))
+    assert exactz.feature_histogram(10, Variant.FREE) != hist
+    assert exactz.brute_force_Z(10, 2.0, 0.5, Variant.FREE) == want
+
+
 # ---------------------------------------------------------------------------
 # transfer DP
 # ---------------------------------------------------------------------------
@@ -389,6 +398,17 @@ def test_backward_sample_refuses_truncated_table():
     _, table = exactz.dp_Z(40, 2.0, 0.5, Variant.FREE, height_cutoff=6)
     assert table.truncation_bound > 1e-9
     with pytest.raises(ValueError):
+        exactz.backward_sample(table, 10, np.random.default_rng(0))
+
+
+def test_backward_sample_gate_is_relative_to_z():
+    # the bound (1.2e-43) is tiny but so is the reduced Z (6.3e-130): the
+    # table misses 89 % of the weight
+    lz, table = exactz.dp_Z(60, 20.0, 0.5, Variant.FREE, height_cutoff=5)
+    exact, _ = exactz.dp_Z(60, 20.0, 0.5, Variant.FREE)
+    assert table.truncation_bound < 1e-40
+    assert exact - lz > 2.0
+    with pytest.raises(ValueError, match="reduced Z"):
         exactz.backward_sample(table, 10, np.random.default_rng(0))
 
 

@@ -70,6 +70,65 @@ def test_zwet_renewal_equals_direct_dp():
                 wetting.zwet_direct(BETA, delta, n), abs=1e-10)
 
 
+def test_zwet_renewal_equals_direct_dp_at_scale():
+    # N = 20000: the direct route's strip has 1762 heights
+    assert wetting.zwet(1.0, 1.0, 20000) == pytest.approx(
+        wetting.zwet_direct(1.0, 1.0, 20000), rel=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.5, 2.0, 4.0, 30.0])
+def test_step_apply_matches_dense_product(beta):
+    law = steps.StepLaw(beta)
+    B = int(wetting._SWEEP_EXP / (0.5 * beta))  # sweep block length
+    # 1, 2, one block, one block + 1, several blocks and two fixed sizes, as
+    # far as the dense matrix stays small
+    for n in sorted(n for n in {1, 2, 665, 1999, B, B + 1, 3 * B + 7}
+                    if n <= 2401):
+        M = wetting._step_matrix(law, n - 1)
+        apply = wetting._step_apply(law, n)
+        down = np.logspace(0.0, -300.0, n)
+        # a spike at the end of the first block over a 1e-280 floor: from
+        # the third block on, its carry through the second block dominates
+        spike = np.full(n, 1e-280)
+        spike[min(B, n) - 1] = 1.0
+        for v in (down, down[::-1].copy(), spike, spike[::-1].copy(),
+                  np.random.default_rng(n).random(n)):
+            got, want = apply(v), M @ v
+            big = want > 1e-290
+            assert np.all(np.abs(got[big] / want[big] - 1.0) < 1e-14), (n, v[:2])
+            assert np.all(got[~big] < 1e-280)
+
+
+def _dense_log_table(beta, log_w, start, steps):
+    """log of the strip-walk weights after k = 1..steps steps, dense route,
+    and the mask of entries whose unscaled step value p is above 1e-290."""
+    walk = list(oracles.strip_walk_dense(beta, log_w, start, steps))
+    with np.errstate(divide="ignore"):
+        table = np.array([np.log(p) + log_w + off for p, off in walk])
+    return table, np.array([p > 1e-290 for p, _ in walk])
+
+
+# beta = 2 at N = 200: one sweep block of 185 heights; beta = 30: 96 heights
+# in blocks of 40; beta = 4 at N = 2000: 334 heights in blocks of 300
+@pytest.mark.parametrize("beta, N", [(2.0, 200), (30.0, 200), (4.0, 2000)])
+def test_strip_walk_callers_match_dense_oracle(beta, N):
+    delta, gamma, x0 = 1.0, 0.5, 3
+    H = math.ceil(12.0 * math.sqrt(N / beta)) + 64
+    log_w = np.zeros(H + 1)
+    log_w[0] = delta
+    assert wetting.zwet_direct(beta, delta, N) == pytest.approx(
+        _dense_log_table(beta, log_w, 0, N)[0][-1, 0], abs=1e-12)
+    bridge = _dense_log_table(beta, np.zeros(H + x0 + 1), x0, N)[0][-1, 0]
+    assert wetting.positive_bridge_logprob(beta, N, x0) == pytest.approx(
+        bridge, abs=1e-12)
+    log_w = -gamma * np.arange(H + 1) / N
+    log_w[0] += delta
+    want, ok = _dense_log_table(beta, log_w, 0, N)
+    got = exactz.area_wetting_dp(N, gamma, beta, delta).log_table[1:]
+    assert ok.sum() > 0.2 * ok.size
+    assert np.all(np.abs(got[ok] - want[ok]) < 1e-12)
+
+
 def test_zwet_localized_prefactor(kernel2):
     h = wetting.wetting_free_energy(BETA, 1.0)
     c = wetting.cwet_constant(BETA, 1.0)
@@ -249,6 +308,30 @@ def test_negative_length_rejected():
         wetting.zwet(BETA, 0.0, -1)
     with pytest.raises(ValueError):
         wetting.zwet_direct(BETA, 0.0, -1)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: wetting.zwet_direct(BETA, 1.0, 10, height_cutoff=-1),
+     "height_cutoff"),
+    (lambda: wetting.zwet_direct(BETA, 1.0, 10, height_cutoff=-3),
+     "height_cutoff"),
+    (lambda: exactz.area_wetting_dp(10, 0.1, BETA, 1.0, height_cutoff=-2),
+     "height_cutoff"),
+    (lambda: wetting.positive_bridge_logprob(BETA, 10, height_cutoff=-1),
+     "height_cutoff"),
+    (lambda: wetting.positive_bridge_logprob(BETA, 10, x0=50,
+                                             height_cutoff=10), "x0"),
+])
+def test_strip_cutoff_validated(call, name):
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
+def test_strip_cutoff_zero_keeps_walk_on_wall():
+    # H = 0: every step stays at 0 with probability 1/c_beta
+    want = 10 * (1.0 - math.log(oracles.c_beta(BETA)))
+    assert wetting.zwet_direct(BETA, 1.0, 10, height_cutoff=0) == \
+        pytest.approx(want, rel=1e-14)
 
 
 def test_positive_bridge_zero_steps():
