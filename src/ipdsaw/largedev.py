@@ -22,19 +22,24 @@ L is a sum of logarithms, so L_Lambda is in closed form: a difference of
 dilogarithms divided by h0.  The gradient and the Newton Hessian follow by
 parts from L, L' and L_Lambda, with a series in h0 near h0 = 0; no
 quadrature is involved (adaptive quadrature is kept as the test oracle).
-The collapse profile is supported for beta <= 7.4 at every delta of the
-collapsed phase (see ``collapse_profile``).
+At p = 0 the tilt equation of the profile maximizer is a quadratic, so the
+collapse profile is in closed form with no solve (the root of phi' through
+the tilt solve is kept as the test oracle).  It is supported for
+beta <= 354.198 at every delta of the collapsed phase (see
+``collapse_profile``).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 
 from .steps import StepLaw
+from .wetting import _delta_at_h, delta_tilde, wetting_free_energy
 
 __all__ = [
     "TiltVector",
@@ -47,8 +52,6 @@ __all__ = [
     "grad_finite_l_lambda",
     "finite_tilt",
     "tilted_sample",
-    "phi",
-    "phi_prime",
     "collapse_profile",
     "phi_max_ddelta",
     "airy_first_zero",
@@ -138,13 +141,12 @@ def _mean_log_gap(a: float, b: float) -> float:
     if b < _SPLIT < a:
         return ((_SPLIT - a) * _mean_log_gap(a, _SPLIT)
                 + (b - _SPLIT) * _mean_log_gap(_SPLIT, b)) / d
-    ea = math.exp(a)
     if a <= _SPLIT:
         # sum_k (e^{kb} - e^{ka}) / k^2 = sum_k e^{ka} expm1(k d) / k^2
-        return float(ea ** _K @ (np.expm1(_K * d) * _INV_K2)) / d
+        return float(math.exp(a) ** _K @ (np.expm1(_K * d) * _INV_K2)) / d
     # -d log w_b + a r + sum_k w_b^k expm1(k r) / k^2 with r = log(w_a / w_b)
     wb = -math.expm1(b)
-    r = math.log1p(ea * math.expm1(d) / wb)
+    r = _log_gap_ratio(b, a, -d)
     tail = float(wb ** _K @ (np.expm1(_K * r) * _INV_K2))
     return -math.log(wb) + (a * r + tail) / d
 
@@ -371,24 +373,6 @@ def tilted_sample(n: int, h: TiltVector, rng) -> np.ndarray:
 
 # -- collapse profile -------------------------------------------------------
 
-def phi(a: float, beta: float, delta: float) -> float:
-    """Bead-scale variational function a (2 log Gamma + h - g(1/(2a^2), 0))."""
-    from .wetting import wetting_free_energy
-    law = StepLaw(beta)
-    c = 2.0 * math.log(law.gamma_beta) + wetting_free_energy(beta, delta)
-    return a * (c - rate_g(0.5 / (a * a), 0.0, beta))
-
-
-def phi_prime(a: float, beta: float, delta: float) -> float:
-    """d phi / d a = 2 log Gamma + h + q h~0 + L_Lambda(h~) at q = 1/(2a^2)."""
-    from .wetting import wetting_free_energy
-    law = StepLaw(beta)
-    c = 2.0 * math.log(law.gamma_beta) + wetting_free_energy(beta, delta)
-    q = 0.5 / (a * a)
-    tv = tilt_inverse(q, 0.0, beta)
-    return c + q * tv.h0 + l_lambda(tv)
-
-
 @dataclass(frozen=True)
 class CollapseProfile:
     """phi maximizer and limit constants at one (beta, delta)."""
@@ -402,90 +386,69 @@ class CollapseProfile:
 
 
 def collapse_profile(beta: float, delta: float) -> CollapseProfile:
-    """Maximize phi over a > 0; defined strictly inside the collapsed phase.
+    """Maximize phi over a > 0, in closed form, inside the collapsed phase.
 
-    Root of phi' by safeguarded Newton (finite-difference slope, bisection
-    fallback) inside an automatically bracketed interval.
+    At p = 0 the tilt is h = (h0, -h0/2), and by parts q h0 + L_Lambda(h)
+    = L(h0/2), so phi'(a) = c + L(h0/2) with c = 2 log Gamma_beta +
+    h_beta(delta), and the maximizer's tilt solves L(theta) = -c,
+    theta = h0/2.  That is a quadratic in e^theta: its near boundary gap
+    s = theta - beta/2 is s = log1p(-w), where w = 1 - e^s is the small
+    root of w^2 - (1 - x^2 + r) w + r = 0, r = (1 - x)^2 e^c.  That is the
+    quadratic of h_beta = -c, so w = e^{-delta*} with delta* the closed
+    form ``wetting._delta_at_h(beta, -c)``.  Everything follows from s,
+    held exactly: h0 = beta + 2 s, L_Lambda = 2 log(1 - x)
+    + 2 mean_log_gap(s, -beta - s), q = (-c - L_Lambda) / h0,
+    a~ = (2 q)^{-1/2} and Phi = phi(a~) = 2 a~ (c + L_Lambda).  The
+    numerical route (a root of phi' through the tilt solve) is the test
+    oracle.
 
-    Supported region: beta_c < beta <= 7.4 at every delta < delta_circ.
-    Beyond it the small-delta end fails (beta = 7.5 at delta = 0, beta = 12
-    up to delta = 0.35 delta_circ): the maximizer's tilt comes within ~3e-7
-    of the domain boundary, where one ulp of (h0, h1) moves the gradient by
-    more than the 1e-10 tilt residual, and a ValueError names beta, delta,
-    q and the residual.
+    The collapsed phase is c < 0, that is delta < delta_circ; no delta
+    qualifies when beta <= beta_c.  Supported region: every such point
+    whose gap -s is a normal double.  The gap is smallest, about
+    e^{-2 beta}, at delta <= delta_tilde, so the region holds
+    beta <= 354.198 at every delta of the collapsed phase, and larger beta
+    as delta grows towards delta_circ.  Past it a ValueError names beta,
+    delta and the gap.
     """
-    from .wetting import critical_curves, wetting_free_energy
-    curves = critical_curves(beta)   # raises below beta_c
-    if delta >= curves.delta_circ:
+    law = StepLaw(beta)
+    h_wet = wetting_free_energy(beta, delta)
+    c = 2.0 * (math.log(law.c_beta) - beta) + h_wet
+    if not c < 0.0:
         raise ValueError(
             f"(beta, delta) = ({beta}, {delta}) outside the collapsed phase "
-            f"(delta_circ = {curves.delta_circ:.6f})"
-        )
-
-    def f(a: float) -> float:
-        try:
-            return phi_prime(a, beta, delta)
-        except RuntimeError as exc:
-            raise ValueError(
-                f"collapse profile at (beta, delta) = ({beta}, {delta}) is "
-                f"outside the supported region (beta <= 7.4): {exc}") from exc
-
-    def f_below(a: float) -> float:
-        # phi' -> +inf as a -> 0; if the tilt solve hits its double-precision
-        # envelope at the implied large q, the sign there is already positive
-        try:
-            return f(a)
-        except ValueError:
-            return 1.0
-
-    lo = 1.0
-    for _ in range(20):
-        if f_below(lo) > 0.0:
-            break
-        lo *= 0.5
-        if lo < 1e-3:
-            raise RuntimeError("failed to bracket the phi maximizer from below")
-    hi = max(2.0 * lo, 2.0)
-    while f(hi) >= 0.0:
-        hi *= 2.0
-        if hi > 200.0:
-            raise RuntimeError("failed to bracket the phi maximizer from above")
-
-    x = 0.5 * (lo + hi)
-    fx = f(x)
-    for _ in range(100):
-        if abs(fx) < 1e-11 and hi - lo < 1e-9:
-            break
-        eps = 1e-6 * max(abs(x), 1.0)
-        slope = (f(x + eps) - f(x - eps)) / (2.0 * eps)
-        xn = x - fx / slope if slope != 0.0 else 0.5 * (lo + hi)
-        if not lo < xn < hi:
-            xn = 0.5 * (lo + hi)
-        fn = f(xn)
-        if fn > 0.0:
-            lo = xn
-        else:
-            hi = xn
-        x, fx = xn, fn
-        if hi - lo < 1e-14 * max(1.0, abs(x)):
-            break
-
-    a_tilde = x
-    phi_max = phi(a_tilde, beta, delta)
+            f"(2 log Gamma + h_beta(delta) = {c:.6g} >= 0)")
+    s = math.log1p(-math.exp(-_delta_at_h(beta, -c)))
+    if not -s >= sys.float_info.min:
+        raise ValueError(
+            f"collapse profile at (beta, delta) = ({beta}, {delta}) is outside "
+            f"the supported region: its boundary gap {-s:.3g} is below the "
+            f"smallest normal double")
+    h0 = beta + 2.0 * s
+    l_lam = 2.0 * math.log1p(-law.x) + 2.0 * _mean_log_gap(s, -beta - s)
+    a_tilde = (2.0 * (-c - l_lam) / h0) ** -0.5
     psi = None
     if delta == 0.0:
-        law = StepLaw(beta)
-        h0 = tilt_inverse(0.5 / (a_tilde * a_tilde), 0.0, beta).h0
-        psi = -abs(airy_first_zero()) * (a_tilde * law.sigma2 * h0 * h0 / 2.0) ** (1.0 / 3.0)
-    return CollapseProfile(beta, delta, a_tilde, phi_max, psi,
-                           wetting_free_energy(beta, delta))
+        psi = -abs(airy_first_zero()) * (
+            a_tilde * law.sigma2 * h0 * h0 / 2.0) ** (1.0 / 3.0)
+    return CollapseProfile(beta, delta, a_tilde, 2.0 * a_tilde * (c + l_lam),
+                           psi, h_wet)
 
 
-def phi_max_ddelta(beta: float, delta: float, step: float = 1e-4) -> float:
-    """Centered finite difference of Phi in delta (contact-density limit)."""
-    up = collapse_profile(beta, delta + step).phi_max
-    dn = collapse_profile(beta, delta - step).phi_max
-    return (up - dn) / (2.0 * step)
+def phi_max_ddelta(beta: float, delta: float) -> float:
+    """d Phi / d delta = a~ h'_beta(delta), the contact-density limit.
+
+    By the envelope theorem only the explicit delta dependence of phi
+    survives at its maximizer.  With y = e^{-delta},
+    h' = 1/(1 - y) - y/(1 - y - x^2) = (1 - y - x)(1 - y + x)
+    / ((1 - y)(1 - y - x^2)) above delta_tilde, and h' = 0 below.
+    """
+    a_tilde = collapse_profile(beta, delta).a_tilde
+    if delta <= delta_tilde(beta):
+        return 0.0
+    x = math.exp(-0.5 * beta)
+    one_m_y = -math.expm1(-delta)
+    return (a_tilde * (one_m_y - x) * (one_m_y + x)
+            / (one_m_y * (one_m_y - x * x)))
 
 
 # -- Airy constants ---------------------------------------------------------

@@ -321,52 +321,45 @@ class CriticalCurves:
     delta_circ: float
 
 
-def _delta_at_h_target(beta: float, target: float) -> float:
-    """Solve h_beta(delta) = target (target >= 0) for delta, by bisection."""
-    dt = delta_tilde(beta)
-    lo = dt + 1e-9
-    hi = dt + 50.0
-    if wetting_free_energy(beta, lo) >= target:
-        return lo
-    while wetting_free_energy(beta, hi) < target:
-        hi += 50.0
-        if hi > dt + 1000.0:  # pragma: no cover - defensive
-            raise RuntimeError("failed to bracket the critical curve")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if wetting_free_energy(beta, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _delta_at_h(beta: float, target: float) -> float:
+    """The delta >= delta_tilde with h_beta(delta) = target >= 0, in closed form.
+
+    With y = e^{-delta}, e^h = (1 - y)(1 - x)^2 / (y (1 - y - x^2)), so
+    h = T is the quadratic y^2 - b y + r = 0 with r = (1 - x)^2 e^{-T} and
+    b = 1 - x^2 + r, divided through by e^T so that nothing overflows;
+    delta is -log of its small root 2r / (b + sqrt(b^2 - 4r)).  The
+    discriminant is the product (1 - x - sqrt r)(1 + x - sqrt r)
+    ((1 + sqrt r)^2 - x^2) with 1 - x - sqrt r = (1 - x)(1 - e^{-T/2}), so
+    it keeps its digits as T -> 0 (the double root y = 1 - x at
+    delta_tilde), and delta is formed from log r, so it stays finite when
+    r underflows.
+    """
+    x = math.exp(-0.5 * beta)
+    log_r = 2.0 * math.log1p(-x) - target
+    rt = math.exp(0.5 * log_r)
+    disc = ((1.0 - x) * -math.expm1(-0.5 * target) * (1.0 + x - rt)
+            * ((1.0 + rt) ** 2 - x * x))
+    return (math.log(1.0 - x * x + rt * rt + math.sqrt(disc))
+            - math.log(2.0) - log_r)
 
 
 def critical_curves(beta: float) -> CriticalCurves:
     """delta_tilde, delta_c, delta_circ at inverse temperature beta.
 
-    delta_c comes in closed form,
-
-        delta_c = log[(sinh beta + sqrt(sinh^2 beta + 1 - e^beta)) / (1 - e^{-beta})],
-
-    and is cross-checked against the root of log Gamma_beta + h_beta(delta) = 0;
-    delta_circ is the root of 2 log Gamma_beta + h_beta(delta) = 0.  Both
-    collapse curves only exist for beta >= beta_c (Gamma_beta <= 1).
+    delta_c solves log Gamma_beta + h_beta(delta) = 0 and delta_circ solves
+    2 log Gamma_beta + h_beta(delta) = 0, so both are the closed form
+    ``_delta_at_h`` at T = -log Gamma_beta and T = -2 log Gamma_beta, finite
+    at every beta >= beta_c.  Both collapse curves only exist for
+    beta >= beta_c (Gamma_beta <= 1).
     """
     if beta < beta_critical():
         raise ValueError(
             f"collapse curves require beta >= beta_c = {beta_critical():.6f}"
         )
-    law = StepLaw(beta)
-    dt = delta_tilde(beta)
-    sh = math.sinh(beta)
-    disc = max(sh * sh + 1.0 - math.exp(beta), 0.0)
-    dc = math.log(sh + math.sqrt(disc)) - math.log1p(-math.exp(-beta))
-    log_gamma = math.log(law.gamma_beta)
-    dc_root = _delta_at_h_target(beta, -log_gamma)
-    if abs(dc - dc_root) > 1e-7:  # pragma: no cover - internal consistency
-        raise RuntimeError("closed-form and root-solved delta_c disagree")
-    dcirc = _delta_at_h_target(beta, -2.0 * log_gamma)
-    return CriticalCurves(beta, dt, dc, dcirc)
+    # log Gamma_beta <= 0 here; rounding can leave it just above 0 at beta_c
+    log_gamma = min(math.log(StepLaw(beta).c_beta) - beta, 0.0)
+    return CriticalCurves(beta, delta_tilde(beta), _delta_at_h(beta, -log_gamma),
+                          _delta_at_h(beta, -2.0 * log_gamma))
 
 
 def cwet_constant(beta: float, delta: float) -> float:

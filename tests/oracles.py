@@ -7,8 +7,10 @@ adaptive Gauss-Legendre panels instead of the dilogarithm closed form of
 the segment free energy, the forward first-exceedance sum instead of the
 backward truncation bound of ``dp_Z``, a log-space transfer recursion
 instead of its rescaled linear one, the dense strip step matrix instead of
-the two geometric sweeps of the strip walk) so that agreement is evidence,
-not tautology.
+the two geometric sweeps of the strip walk, root-finding through the
+numerical tilt solve and bisection instead of the quadratics behind the
+collapse profile and the critical curves, 40-digit mpmath instead of double
+precision) so that agreement is evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -17,9 +19,12 @@ import math
 from functools import lru_cache
 from itertools import product
 
+import mpmath
 import numpy as np
+import scipy.optimize
 from numpy.polynomial.legendre import leggauss
 
+from ipdsaw import largedev, steps, wetting
 from ipdsaw.polymer import Variant
 
 
@@ -217,6 +222,129 @@ def hessian_quad(beta: float, h0: float, h1: float) -> np.ndarray:
 
 def central_diff(f, x: float, eps: float) -> float:
     return (f(x + eps) - f(x - eps)) / (2.0 * eps)
+
+
+# -- critical-curve and collapse-profile oracles ----------------------------
+
+def delta_at_h_target(beta: float, target: float) -> float:
+    """Solve h_beta(delta) = target (target >= 0) for delta, by bisection."""
+    dt = wetting.delta_tilde(beta)
+    lo = dt + 1e-9
+    hi = dt + 50.0
+    if wetting.wetting_free_energy(beta, lo) >= target:
+        return lo
+    while wetting.wetting_free_energy(beta, hi) < target:
+        hi += 50.0
+        if hi > dt + 1000.0:
+            raise RuntimeError("failed to bracket the critical curve")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if wetting.wetting_free_energy(beta, mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def delta_c_sinh(beta: float) -> float:
+    """delta_c = log[(sinh beta + sqrt(sinh^2 beta + 1 - e^beta))
+    / (1 - e^{-beta})]; sinh^2 overflows from beta = 356."""
+    sh = math.sinh(beta)
+    disc = max(sh * sh + 1.0 - math.exp(beta), 0.0)
+    return math.log(sh + math.sqrt(disc)) - math.log1p(-math.exp(-beta))
+
+
+def _profile_c(beta: float, delta: float) -> float:
+    law = steps.StepLaw(beta)
+    return 2.0 * math.log(law.gamma_beta) + wetting.wetting_free_energy(beta, delta)
+
+
+def phi(a: float, beta: float, delta: float) -> float:
+    """Bead-scale variational function a (2 log Gamma + h - g(1/(2a^2), 0)),
+    with g from the numerical tilt solve."""
+    return a * (_profile_c(beta, delta) - largedev.rate_g(0.5 / (a * a), 0.0, beta))
+
+
+def phi_prime(a: float, beta: float, delta: float) -> float:
+    """d phi / d a = 2 log Gamma + h + q h~0 + L_Lambda(h~) at q = 1/(2a^2)."""
+    q = 0.5 / (a * a)
+    tv = largedev.tilt_inverse(q, 0.0, beta)
+    return _profile_c(beta, delta) + q * tv.h0 + largedev.l_lambda(tv)
+
+
+def profile_root(beta: float, delta: float) -> tuple:
+    """(a~, Phi, Psi or None) with a~ the root of ``phi_prime``.
+
+    phi' > 0 as a -> 0 and phi' -> c < 0 as a -> inf: the root is bracketed
+    by halving and doubling from a = 1, then found by Brent's method, and
+    Psi = -|a_1| (a~ sigma^2 h0^2 / 2)^{1/3} takes h0 from the tilt solve.
+    """
+    f = lambda a: phi_prime(a, beta, delta)
+    lo = 1.0
+    while f(lo) <= 0.0:
+        lo *= 0.5
+    hi = 2.0 * lo
+    while f(hi) >= 0.0:
+        hi *= 2.0
+    a = scipy.optimize.brentq(f, lo, hi, xtol=1e-15, rtol=1e-15)
+    psi = None
+    if delta == 0.0:
+        h0 = largedev.tilt_inverse(0.5 / (a * a), 0.0, beta).h0
+        psi = -abs(largedev.airy_first_zero()) * (
+            a * steps.StepLaw(beta).sigma2 * h0 * h0 / 2.0) ** (1.0 / 3.0)
+    return a, phi(a, beta, delta), psi
+
+
+def mean_log_gap_mp(a: float, b: float, dps: int = 40):
+    """(Li_2(e^b) - Li_2(e^a)) / (b - a), the mean of -log(1 - e^g) over
+    g between a and b, in mpmath at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        return (mpmath.polylog(2, mpmath.exp(b))
+                - mpmath.polylog(2, mpmath.exp(a))) / (b - a)
+
+
+def profile_mp(beta: float, delta: float, dps: int = 40) -> tuple:
+    """(a~, Phi, Psi or None) in mpmath at ``dps`` digits.
+
+    The near boundary gap s of the maximizer's tilt theta = beta/2 + s
+    solves L(theta) = -c: here by bisection in u = log(-s), so that a gap
+    of 1e-87 is found as easily as one of 0.1.
+    L_Lambda = 2 log(1 - x) + (Li_2(x e^theta) - Li_2(x e^{-theta})) / theta,
+    q = (-c - L_Lambda) / (2 theta), a~ = (2q)^{-1/2}, Phi = 2 a~ (c + L_Lambda).
+    """
+    mp = mpmath
+    with mp.workdps(dps):
+        b = mp.mpf(beta)
+        x = mp.exp(-b / 2)
+        c = 2 * (mp.log((1 + x) / (1 - x)) - b)      # 2 log Gamma_beta
+        d = mp.mpf(delta)
+        if d > -mp.log(1 - x):
+            y = mp.exp(-d)
+            c += d + mp.log(1 - y) + 2 * mp.log(1 - x) - mp.log(1 - y - x * x)
+
+        def f(u):      # L(theta) + c with theta = beta/2 + s, s = -e^u
+            s = -mp.exp(u)
+            return (2 * mp.log(1 - x) - mp.log(-mp.expm1(s))
+                    - mp.log(1 - x * x * mp.exp(-s)) + c)
+
+        lo, hi = -3 * b - 10, mp.log(b / 2)     # f(lo) > 0 > f(hi) = c
+        for _ in range(250):
+            mid = (lo + hi) / 2
+            if f(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        s = -mp.exp((lo + hi) / 2)
+        theta = b / 2 + s
+        l_lam = 2 * mp.log(1 - x) + (mp.polylog(2, mp.exp(s))
+                                     - mp.polylog(2, x * x * mp.exp(-s))) / theta
+        a = (2 * (-c - l_lam) / (2 * theta)) ** mp.mpf(-0.5)
+        psi = None
+        if delta == 0.0:
+            sigma2 = 2 * x / (1 - x) ** 2
+            psi = -abs(mp.airyaizero(1)) * mp.cbrt(a * sigma2 * (2 * theta) ** 2 / 2)
+        return a, 2 * a * (c + l_lam), psi
 
 
 # -- transfer-DP truncation oracle ------------------------------------------

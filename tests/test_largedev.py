@@ -79,6 +79,24 @@ def test_dilog_mean_matches_scipy_spence():
                     want, rel=1e-13), (wa, wb)
 
 
+def test_l_lambda_gap_below_double_resolution():
+    # the gap at t = 0 is 5.6e-17, so e^{gap} rounds to 1: the reflection
+    # branch must not take log1p(-1)
+    h = tv(-0.3, math.nextafter(0.25, 0.0), 0.5)
+    s0, s1, u0, u1 = largedev._end_gaps(h)
+    want = (2.0 * math.log(-math.expm1(-0.25)) + oracles.mean_log_gap_mp(s0, s1)
+            + oracles.mean_log_gap_mp(u0, u1))
+    assert largedev.l_lambda(h) == pytest.approx(float(want), rel=1e-13)
+
+
+@pytest.mark.parametrize("gap", [1e-17, 1e-30, 1e-300])
+def test_mean_log_gap_near_gaps_match_mpmath(gap):
+    for b in (-1e-3, -0.3, -2.0, -40.0):
+        got = largedev._mean_log_gap(-gap, b)
+        want = oracles.mean_log_gap_mp(-gap, b)
+        assert got == pytest.approx(float(want), rel=1e-13), b
+
+
 def test_l_lambda_rejects_outside_domain():
     bad = tv(0.3, 0.85)  # |h0 + h1| = 1.15 >= beta/2
     assert not bad.in_domain()
@@ -311,12 +329,39 @@ def profile_grid():
 
 def test_profile_stationarity(profile_grid):
     for cp in profile_grid:
-        assert abs(largedev.phi_prime(cp.a_tilde, cp.beta, cp.delta)) < 1e-8
-        f = lambda a: largedev.phi(a, cp.beta, cp.delta)
+        assert abs(oracles.phi_prime(cp.a_tilde, cp.beta, cp.delta)) < 1e-8
+        f = lambda a: oracles.phi(a, cp.beta, cp.delta)
         h = 1e-3 * cp.a_tilde
         second = (f(cp.a_tilde + h) - 2 * f(cp.a_tilde)
                   + f(cp.a_tilde - h)) / h ** 2
         assert second < 0.0
+
+
+def test_profile_matches_oracle_root():
+    # closed form against the root of phi' through the numerical tilt solve
+    for beta in (1.3, 1.5, 2.0, 3.0, 4.5, 6.0, 7.4):
+        top = wetting.critical_curves(beta).delta_circ
+        for frac in (0.0, 0.2, 0.4, 0.6, 0.8, 0.95):
+            cp = largedev.collapse_profile(beta, frac * top)
+            want = oracles.profile_root(beta, frac * top)
+            for got, ref in zip((cp.a_tilde, cp.phi_max, cp.psi), want):
+                if ref is None:
+                    assert got is None
+                else:
+                    assert got == pytest.approx(ref, rel=1e-9), (beta, frac)
+
+
+@pytest.mark.parametrize("beta", [7.5, 12.0, 20.0, 100.0])
+def test_profile_matches_mpmath(beta):
+    top = wetting.critical_curves(beta).delta_circ
+    for delta in (0.0, 0.5 * top, 0.95 * top):
+        cp = largedev.collapse_profile(beta, delta)
+        want = oracles.profile_mp(beta, delta)
+        for got, ref in zip((cp.a_tilde, cp.phi_max, cp.psi), want):
+            if ref is None:
+                assert got is None
+            else:
+                assert got == pytest.approx(float(ref), rel=1e-13), delta
 
 
 def test_profile_negative_and_positive_scale(profile_grid):
@@ -364,12 +409,20 @@ def test_profile_adsorption_raises_scale():
 
 
 def test_profile_supported_beta_edge():
-    # beta = 7.4 is the documented edge; at 7.5 and delta = 0 the tilt hugs
-    # the boundary beyond the 1e-10 residual and a ValueError says so
-    cp = largedev.collapse_profile(7.4, 0.0)
-    assert abs(largedev.phi_prime(cp.a_tilde, 7.4, 0.0)) < 1e-8
-    with pytest.raises(ValueError, match=r"7\.5.*0\.0.*q, p.*residual"):
-        largedev.collapse_profile(7.5, 0.0)
+    # at delta <= delta_tilde the boundary gap is about e^{-2 beta}; it is
+    # a normal double up to beta = 354.198, and past that a ValueError
+    # names beta, delta and the gap
+    cp = largedev.collapse_profile(354.198, 0.0)
+    want = oracles.profile_mp(354.198, 0.0)
+    for got, ref in zip((cp.a_tilde, cp.phi_max, cp.psi), want):
+        assert got == pytest.approx(float(ref), rel=1e-13)
+    for beta, delta in ((354.199, 0.0), (360.0, -5.0), (1e6, 0.0),
+                        (math.inf, 0.0)):
+        with pytest.raises(ValueError, match=rf"\({beta}, {delta}\).*gap"):
+            largedev.collapse_profile(beta, delta)
+    # a larger delta lifts the gap, so the edge in beta moves out
+    cp = largedev.collapse_profile(360.0, 100.0)
+    assert math.isfinite(cp.a_tilde) and math.isfinite(cp.phi_max)
 
 
 def test_profile_outside_collapsed_phase_rejected():
@@ -389,19 +442,25 @@ def test_phi_matches_expanded_display():
             c = (2.0 * math.log(LAW.gamma_beta)
                  + wetting.wetting_free_energy(BETA, delta))
             display = a * (c - q * h.h0 + largedev.l_lambda(h))
-            assert largedev.phi(a, BETA, delta) == \
+            assert oracles.phi(a, BETA, delta) == \
                 pytest.approx(display, rel=1e-10)
 
 
 def test_profile_delta_slope_envelope():
     # d Phi / d delta = a_tilde * h'(delta): only the explicit delta
-    # dependence survives at the maximizer
+    # dependence survives at the maximizer; the centred difference of Phi
+    # is the second route
     cp = largedev.collapse_profile(2.0, 1.2)
     hp = oracles.central_diff(
         lambda d: wetting.wetting_free_energy(2.0, d), 1.2, 1e-5)
     got = largedev.phi_max_ddelta(2.0, 1.2)
     assert got == pytest.approx(cp.a_tilde * hp, rel=1e-4)
-    assert got == pytest.approx(0.696706, rel=1e-4)
+    fd = oracles.central_diff(
+        lambda d: largedev.collapse_profile(2.0, d).phi_max, 1.2, 1e-4)
+    assert got == pytest.approx(fd, rel=1e-8)
+    assert got == pytest.approx(0.6967064814, rel=1e-10)
+    # no contacts below the wetting transition
+    assert largedev.phi_max_ddelta(2.0, 0.5 * wetting.delta_tilde(2.0)) == 0.0
 
 
 # ---------------------------------------------------------------------------

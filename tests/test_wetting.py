@@ -202,6 +202,29 @@ def test_curve_ordering_on_grid():
         assert c.delta_tilde < c.delta_c < c.delta_circ
 
 
+def test_critical_curves_match_bisection_and_sinh():
+    betas = [1.3, 1.5, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0, 300.0, 355.0]
+    for beta in betas:
+        c = wetting.critical_curves(beta)
+        log_gamma = math.log(steps.StepLaw(beta).gamma_beta)
+        assert c.delta_c == pytest.approx(
+            oracles.delta_at_h_target(beta, -log_gamma), rel=1e-14), beta
+        assert c.delta_circ == pytest.approx(
+            oracles.delta_at_h_target(beta, -2.0 * log_gamma), rel=1e-14), beta
+        assert c.delta_c == pytest.approx(oracles.delta_c_sinh(beta),
+                                          rel=1e-14), beta
+
+
+def test_critical_curves_finite_at_large_beta():
+    # sinh^2 beta overflows from beta = 356; the closed form does not
+    for beta in (356.0, 1000.0):
+        c = wetting.critical_curves(beta)
+        assert all(math.isfinite(v) for v in (c.delta_c, c.delta_circ))
+        assert c.delta_tilde < c.delta_c < c.delta_circ
+    assert wetting.critical_curves(1000.0).delta_circ == pytest.approx(
+        2000.0, rel=1e-15)
+
+
 def test_curves_error_below_beta_critical():
     with pytest.raises(ValueError):
         wetting.critical_curves(1.0)
