@@ -183,15 +183,18 @@ def _run_exact(config: ExperimentConfig) -> int:
                 else list(_VARIANT_FLAGS.values()))
     header = ["variant", "length", "beta", "delta", "cutoff", "log_z",
               "truncation_bound", "log_z_brute"]
-    rows = []
-    for var in variants:
-        log_z, table = exactz.dp_Z(L, beta, delta, var, height_cutoff=cutoff)
-        brute = exactz.brute_force_Z(L, beta, delta, var) if want_brute else None
-        rows.append([var.value, str(L), _fmt(beta), _fmt(delta),
-                     str(table.height_cutoff), _fmt(log_z),
-                     _fmt(table.truncation_bound), _fmt(brute)])
+    rows = [_exact_row(L, beta, delta, var, cutoff, want_brute)
+            for var in variants]
     _emit_csv(config, header, rows)
     return 0
+
+
+def _exact_row(L, beta, delta, var, cutoff, want_brute) -> list:
+    """One CSV row; the table dies on return, before the next variant's."""
+    log_z, table = exactz.dp_Z(L, beta, delta, var, height_cutoff=cutoff)
+    brute = exactz.brute_force_Z(L, beta, delta, var) if want_brute else None
+    return [var.value, str(L), _fmt(beta), _fmt(delta), str(table.height_cutoff),
+            _fmt(log_z), _fmt(table.truncation_bound), _fmt(brute)]
 
 
 # -- asymptotics ------------------------------------------------------------

@@ -205,17 +205,35 @@ def _exact_cutoff(L: int, variant: Variant) -> int:
     return max((L - 2) // 2, 0)
 
 
+def _blocks(L: int, H: int) -> tuple:
+    """(start, size) of the reachable block of every consumed length m.
+
+    After m >= 1 units the last two prefix heights satisfy u + |v - u| <=
+    m - 1, so u, v < b(m) = min(m, H + 1); before the first stretch the
+    state is (0, 0), b(0) = 1.  Slice m of a stack is the b(m) x b(m) block
+    at offset start[m] = sum_{j<m} b(j)^2 of one flat array.  Entry L + 1
+    is a sentinel: start[L + 1] is the length of the array.
+    """
+    size = np.minimum(np.maximum(np.arange(L + 2), 1), H + 1)
+    start = np.zeros(L + 2, dtype=np.int64)
+    np.cumsum(size[:-1] ** 2, out=start[1:])
+    return start, size
+
+
 @dataclass
 class DPTable:
     """Backward completion table of the transfer DP.
 
-    ``log_weights[m][u, v]`` is the log of the total reduced weight (the
+    ``completion(m)[u, v]`` is the log of the total reduced weight (the
     e^{beta L} prefactor stripped) of all ways to finish a configuration
     given that m length units are consumed and the last two prefix heights
-    are (u, v).  For SingleBead it is a pair of such stacks, indexed by the
-    direction of the next stretch (up, down).  ``normalization`` is log Z.
-    ``truncation_bound`` bounds the reduced weight lost to the height
-    cutoff; 0.0 means the table is exact.
+    are (u, v), for the reachable heights u, v < b(m) = min(max(m, 1),
+    H + 1) only.  ``log_weights`` holds these blocks back to back, slice m
+    at offset sum_{j<m} b(j)^2, in one flat array per stack; for SingleBead
+    it is a pair of such stacks, indexed by the direction of the next
+    stretch (up, down).  ``normalization`` is log Z.  ``truncation_bound``
+    bounds the reduced weight lost to the height cutoff; 0.0 means the
+    table is exact.
     """
 
     variant: Variant
@@ -228,9 +246,13 @@ class DPTable:
     truncation_bound: float
 
     def completion(self, consumed: int, next_up: bool = True) -> np.ndarray:
+        """The (b, b) block of consumed length ``consumed``, a view."""
+        lw = self.log_weights
         if self.variant is Variant.SINGLE_BEAD:
-            return self.log_weights[0 if next_up else 1][consumed]
-        return self.log_weights[consumed]
+            lw = lw[0 if next_up else 1]
+        start, size = _blocks(self.L, self.height_cutoff)
+        b = size[consumed]
+        return lw[start[consumed]:start[consumed] + b * b].reshape(b, b)
 
     def save(self, path) -> None:
         import json
@@ -248,27 +270,43 @@ class DPTable:
 
     @classmethod
     def load(cls, path) -> "DPTable":
+        """Read a table written by ``save``; a stack whose shape is not the
+        flat block layout of (variant, L, cutoff) raises ValueError."""
         import json
         with np.load(path, allow_pickle=False) as z:
             meta = json.loads(str(z["meta"]))
             variant = Variant(meta["variant"])
             lw = ((z["up"], z["down"]) if variant is Variant.SINGLE_BEAD
                   else z["table"])
+        want = (int(_blocks(meta["L"], meta["cutoff"])[0][-1]),)
+        for stack in (lw if isinstance(lw, tuple) else (lw,)):
+            if stack.shape != want:
+                raise ValueError(
+                    f"{path}: stored table has shape {stack.shape} "
+                    f"({stack.size} entries), but {variant.value} at "
+                    f"L={meta['L']}, cutoff={meta['cutoff']} needs {want[0]}")
         return cls(variant, meta["L"], meta["beta"], meta["delta"],
                    meta["cutoff"], lw, meta["normalization"],
                    meta["truncation_bound"])
 
 
-def _gather(stack, m, v, fill) -> np.ndarray:
-    """stack[m + 1 + |w - v|, v, w], the completion after v -> w from consumed
-    length m, for every w (``fill`` past the end): the DP's (v, w) slice for
-    scalar m and a column v, sampler rows for m and v of shape (k, 1).  A flat
-    ``take`` is about 1.5 times faster than three index arrays."""
-    n = stack.shape[-1]
+def _gather(stack, blocks, m, v, n, fill) -> np.ndarray:
+    """G[m + 1 + |w - v|][v, w] from a flat block ``stack``, the completion
+    after v -> w from consumed length m, for every w < n (``fill`` past the
+    end): the DP's (v, w) slice for scalar m and a column v, sampler rows
+    for m and v of shape (k, 1).  One flat ``take`` reads it at offset
+    start[m'] + v b(m') + w, m' = m + 1 + |w - v|."""
+    start, size = blocks
     w = np.arange(n)
-    nxt = m + 1 + np.abs(w - v)
-    out = stack.reshape(-1).take((nxt * n + v) * n + w, mode="clip")
-    out[nxt >= len(stack)] = fill
+    nxt = np.abs(w - v)
+    nxt += m + 1
+    np.minimum(nxt, len(start) - 1, out=nxt)
+    idx = size.take(nxt)
+    idx *= v
+    idx += start.take(nxt)
+    idx += w
+    out = stack.take(idx, mode="clip")
+    out[nxt == len(start) - 1] = fill
     return out
 
 
@@ -282,7 +320,10 @@ def _directions(variant: Variant, n: int) -> tuple:
     return ((up, 1), (up.T, 0))
 
 
-_HEADROOM = 1e-150  # smallest slice max and start weight taken as exact
+_TINY = np.finfo(float).tiny  # the smallest normal double
+_RESCALE = 1e-100  # a step whose largest term is below this is redone in logs
+_MAX_UNDERFLOW = 1e-14  # largest move of log Z from raising lost factors,
+# relative to max(1, |log reduced Z|): a few ulps of rounding are not a move
 
 
 def dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE,
@@ -295,18 +336,21 @@ def dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE,
         G_k[m][u, v] = sum_w e^{-beta} x^{|w - u|} e^{delta 1{w = 0}}
                        1_k(v, w) G_{k'}[m + 1 + |w - v|][v, w]
 
-    over the stretch directions k of ``_directions``.  Each slice is kept
-    at max 1 with a log offset off[k, m]; the offsets of the gathered slices
-    and the site weights enter as one exponent per gap |w - v|, and a slice
-    below ``_HEADROOM`` of its sources is redone rescaled.  With the default
+    over the stretch directions k of ``_directions``, on the reachable
+    block u, v < b(m) of ``_blocks`` only (``_transfer``).  With the default
     cutoff the DP is exact (``_exact_cutoff``); a smaller cutoff gives a
     lower bound on Z and a rigorous bound on the missing reduced weight, from
     the same step run on a second stack with a first-exceedance source.
 
-    Supported region: beta > 0, finite delta, and a start weight at least
-    ``_HEADROOM`` of the largest completion of length L, else ValueError
-    (at delta = 0.5: beta up to about 138 at L = 18, 77 at L = 60, 57 at
-    L = 120 and 34 at L = 300).
+    Guard: the step multiplies by x^{|w - u|} in double precision, so a
+    factor below the smallest normal double (x^H < 2.2e-308, beta > 1417/H)
+    is lost.  Then the DP first runs with such factors raised to that
+    double, which can only increase Z; if log Z moves by more than
+    ``_MAX_UNDERFLOW`` relative, or the start weight underflows to zero,
+    dp_Z raises ValueError.  At delta = 0.5 it raises from beta = 284 at
+    L = 18 (343 for the returning variants), 153 at L = 60 (158), 115 at
+    L = 120 and 69 at L = 300; every smaller beta checked against the
+    log-space recursion agrees with it.
     """
     variant = as_variant(variant)
     if L < 1:
@@ -316,60 +360,124 @@ def dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE,
         raise ValueError("height_cutoff must be >= 1")
     exact_H = _exact_cutoff(L, variant)
     H = exact_H if height_cutoff is None else int(height_cutoff)
-    n = H + 1
     law = StepLaw(beta)
     X = law.c_beta * _step_matrix(law, H)  # X[u, w] = x^{|w - u|}
+    raised = -np.inf
+    if X[0, H] < _TINY:  # the raised run first: one table alive at a time
+        raised = _transfer(L, beta, delta, variant, np.maximum(X, _TINY),
+                           False)[1][0, 0]
+    S, off, bound = _transfer(L, beta, delta, variant, X, H < exact_H)
+    # flat vectors fit any cutoff; beads (1, -1) and (2, -2) take 4 and 6
+    empty = variant is Variant.SINGLE_BEAD and not (
+        L >= 4 and L % 2 == 0 and (H >= 2 or L % 4 == 0))
+    if off[0, 0] == -np.inf:
+        if not empty:
+            raise ValueError(f"dp_Z at beta={beta}, L={L}: the start weight "
+                             "underflowed to zero (double-precision underflow)")
+    elif raised - off[0, 0] > _MAX_UNDERFLOW * max(1.0, abs(off[0, 0])):
+        raise ValueError(
+            f"dp_Z at beta={beta}, L={L}: raising the transition factors below"
+            f" {_TINY:.1e} to it moves log Z by {raised - off[0, 0]:.1e}, above"
+            f" the supported {_MAX_UNDERFLOW:.0e} (double-precision underflow)")
+    log_z = beta * L + float(off[0, 0])
+    start = _blocks(L, H)[0]
+    with np.errstate(divide="ignore"):
+        np.log(S, out=S)  # in place: the linear values are no longer needed
+    for k in range(len(S)):
+        for m in range(L + 1):  # block by block: no table-sized offsets array
+            S[k, start[m]:start[m + 1]] += off[k, m]
+    lw = (S[0], S[1]) if variant is Variant.SINGLE_BEAD else S[0]
+    return log_z, DPTable(variant, L, beta, delta, H, lw, log_z, bound)
+
+
+def _transfer(L, beta, delta, variant, X, cut) -> tuple:
+    """(S, off, truncation bound) of the backward transfer of ``dp_Z`` with
+    the step matrix X; block (k, m) of S times e^{off[k, m]} is G_k[m] on the
+    reachable heights, and the bound stack runs only if ``cut``.
+
+    For u < b, x^{|w - u|} = x^{max(0, w + 1 - b)} x^{|min(w, b - 1) - u|}:
+    the first factor joins the gathered term, and the second makes every
+    column w >= b the same, so a step is a b x b product plus a rank-one
+    term.  A gathered term's exponent is its slice offset, site weight and
+    that decay; the largest one is the step's reference, so no factor
+    exceeds 1, and a step whose largest term is still below ``_RESCALE`` of
+    it is redone from the logs of the terms.  Each block is kept at max 1.
+    """
+    n = len(X)
+    H = n - 1
     dirs = _directions(variant, n)
     lift = max(delta, 0.0) - beta          # per-stretch factor kept in off
-    log_site = (min(delta, 0.0), -max(delta, 0.0))  # at w = 0 and at w > 0
+    site = np.where(np.arange(n) == 0, min(delta, 0.0), -max(delta, 0.0))
     heights = np.arange(n)[:, None]
     gaps = np.abs(heights - heights.T)
+    blocks = start, size = _blocks(L, H)
 
-    def step(stack, k, m, fac):
-        mask, src = dirs[k]
-        C = _gather(stack[src], m, heights, 0.0)
-        C *= fac if mask is None else fac * mask
-        np.matmul(X, C.T, out=stack[k, m])
+    def block(stack, m):
+        b = size[m]
+        return stack[start[m]:start[m] + b * b].reshape(b, b)
 
-    S = np.zeros((len(dirs), L + 1, n, n))
+    def step(stack, k, m, C):
+        """Block m of stack k from the gathered terms C[v, w], decay included."""
+        b = size[m]
+        out = block(stack[k], m)
+        np.matmul(X[:b, :b], C[:, :b].T, out=out)
+        if b < n:
+            out += X[:b, b - 1, None] * C[:, b:].sum(axis=1)
+        return out
+
+    S = np.zeros((len(dirs), start[-1]))
     if variant is Variant.FREE:
-        S[0, L] = X
+        block(S[0], L)[:] = X[:size[L], :size[L]]
     else:
-        S[0, L][:, 0] = X[:, 0]  # closed at height 0
+        block(S[0], L)[:, 0] = X[:size[L], 0]  # closed at height 0
     off = np.full((len(dirs), L + 1), -np.inf)
     off[0, L] = 0.0
-    B = np.zeros_like(S) if H < exact_H else None
+    B = np.zeros_like(S) if cut else None
     if B is not None:
-        with np.errstate(over="ignore"):
-            site_b = np.exp(np.where(heights.T == 0, delta, 0.0) - beta)
+        log_site_b = np.where(heights.T == 0, delta, 0.0) - beta
         # log U(r): U(0) = 1 and U(r) = 2E (1 + 2E)^{r-1}, E = e^{lift},
         # bounds the completions of r units
         log_u = np.concatenate(([0.0], math.log(2.0) + lift + np.arange(L)
                                 * np.logaddexp(0.0, math.log(2.0) + lift)))
         uv = 0.5 * beta * (heights - heights.T) - beta  # log e^{-beta} x^{v - u}
     for m in range(L - 1, -1, -1):
-        for k, (_, src) in enumerate(dirs):
-            prior = off[src, m + 1:m + 1 + n]  # the slices at gaps 0, 1, ...
-            ref = prior.max()
+        b = size[m]
+        beyond = 0.5 * beta * np.maximum(np.arange(n) + 1 - b, 0)
+        for k, (mask, src) in enumerate(dirs):
+            prior = np.full(n, -np.inf)  # the slices at gaps 0, 1, ...
+            got = off[src, m + 1:m + 1 + n]
+            prior[:got.size] = got
+            E = prior.take(gaps[:b]) + (site - beyond)
+            if mask is not None:
+                E[~mask[:b]] = -np.inf
+            ref = E.max()
             if ref == -np.inf:
                 continue  # every source slice is empty
-            for _ in range(2):
-                lf = np.full(n, -np.inf)
-                lf[:prior.size] = prior - ref
-                fac = np.exp(lf + log_site[1]).take(gaps)
-                fac[:, 0] = np.exp(lf + log_site[0])  # w = 0: gap v
-                step(S, k, m, fac)
-                top = S[k, m].max()
-                if top >= _HEADROOM:
-                    break
-                ref += max(math.log(top), -700.0) if top > 0.0 else -700.0
-            if top > 0.0:
-                S[k, m] /= top
-                off[k, m] = ref + lift + math.log(top)
+            raw = _gather(S[src], blocks, m, heights[:b], n, 0.0)
+            C = raw * np.exp(E - ref)
+            top = C.max()
+            if top < _RESCALE:
+                with np.errstate(divide="ignore"):
+                    E += np.log(raw)
+                ref = E.max()
+                if ref == -np.inf:
+                    continue
+                C = np.exp(E - ref)
+            else:  # the largest term at 1 keeps products out of subnormals
+                C /= top
+                ref += math.log(top)
+            out = step(S, k, m, C)
+            top = out.max()
+            out /= top
+            off[k, m] = ref + lift + math.log(top)
         if B is not None:
             with np.errstate(over="ignore", invalid="ignore"):
-                for k in range(len(dirs)):
-                    step(B, k, m, site_b)
+                for k, (mask, src) in enumerate(dirs):
+                    C = _gather(B[src], blocks, m, heights[:b], n, 0.0)
+                    C *= np.exp(log_site_b - beyond)
+                    if mask is not None:
+                        C *= mask[:b]
+                    step(B, k, m, C)
                 # first exceedance from (u, v) with R units left: a stretch
                 # of length j >= H + 1 - v, then U(R - 1 - j); log_t sums j
                 R = L - m
@@ -377,26 +485,11 @@ def dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE,
                 log_t = np.full(R + n, -np.inf)
                 log_t[1:R] = np.logaddexp.accumulate(
                     (log_u[R - 1 - j] - 0.5 * beta * j)[::-1])[::-1]
-                B[0, m] += np.exp(uv + log_t[H + 1 - heights.T])
+                block(B[0], m)[:] += np.exp(uv[:b, :b] + log_t[H + 1 - heights[:b].T])
 
-    root = float(S[0, 0, 0, 0])
-    # flat vectors fit any cutoff; beads (1, -1) and (2, -2) take 4 and 6
-    empty = variant is Variant.SINGLE_BEAD and not (
-        L >= 4 and L % 2 == 0 and (H >= 2 or L % 4 == 0))
-    if root < _HEADROOM and not (root == 0.0 and empty):
-        raise ValueError(
-            f"dp_Z at beta={beta}, L={L}: the start weight is {root:.1e} of "
-            f"the largest completion weight, below the supported {_HEADROOM:.0e}"
-            " (double-precision underflow near the start state)")
-    log_z = beta * L + (float(off[0, 0]) + math.log(root) if root > 0.0 else -math.inf)
     # an overflowed bound meets zero weights as inf * 0: report inf
-    bound = 0.0 if B is None else float(np.nan_to_num(B[0, 0, 0, 0], nan=np.inf))
-
-    with np.errstate(divide="ignore"):
-        np.log(S, out=S)  # in place: the linear values are no longer needed
-    S += off[:, :, None, None]
-    lw = (S[0], S[1]) if variant is Variant.SINGLE_BEAD else S[0]
-    return log_z, DPTable(variant, L, beta, delta, H, lw, log_z, bound)
+    bound = 0.0 if B is None else float(np.nan_to_num(B[0, 0], nan=np.inf))
+    return S, off, bound
 
 
 _SAMPLE_BLOCK = 1 << 15  # (draws x heights) entries per block of live draws
@@ -410,10 +503,13 @@ def backward_sample(table: DPTable, count: int, rng) -> list:
     ``dp_Z``: a draw at (m, u, v) weighs each next height w by x^{|w - u|}
     e^{delta 1{w = 0}} times the table's completion of (v, w) and picks w by
     inverse CDF with one uniform, so the draws are i.i.d. from e^{H} / Z.
-    Live draws go in blocks of ``_SAMPLE_BLOCK`` table entries.  A table
-    whose truncation bound is not below ``_SAMPLE_REL_BOUND`` of its reduced
-    Z (compared in logs) raises ValueError.
+    Live draws go in blocks of ``_SAMPLE_BLOCK`` table entries.  A negative
+    or non-integer ``count`` raises ValueError, and so does a table whose
+    truncation bound is not below ``_SAMPLE_REL_BOUND`` of its reduced Z
+    (compared in logs).
     """
+    if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 0:
+        raise ValueError(f"count must be a non-negative integer, got {count!r}")
     bound = table.truncation_bound
     log_reduced_z = table.normalization - table.beta * table.L
     if bound != 0.0 and not (math.log(bound) < math.log(_SAMPLE_REL_BOUND)
@@ -427,6 +523,7 @@ def backward_sample(table: DPTable, count: int, rng) -> list:
     L, beta, n = table.L, table.beta, table.height_cutoff + 1
     lw = table.log_weights
     stacks = lw if isinstance(lw, tuple) else (lw,)
+    blocks = _blocks(L, table.height_cutoff)
     dirs = _directions(table.variant, n)
     log_rew = np.where(np.arange(n) == 0, table.delta, 0.0)
     rows = max(1, _SAMPLE_BLOCK // n)
@@ -439,7 +536,7 @@ def backward_sample(table: DPTable, count: int, rng) -> list:
         for a in range(0, live.size, rows):
             i = live[a:a + rows]
             vi = v[i]
-            lp = _gather(stacks[src], m[i, None], vi[:, None], -np.inf)
+            lp = _gather(stacks[src], blocks, m[i, None], vi[:, None], n, -np.inf)
             lp += log_rew - 0.5 * beta * np.abs(np.arange(n) - u[i, None])
             if mask is not None:
                 lp[~mask[vi]] = -np.inf

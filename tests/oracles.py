@@ -6,7 +6,8 @@ forms, counting DPs instead of enumeration, dense-grid quadrature and
 adaptive Gauss-Legendre panels instead of the dilogarithm closed form of
 the segment free energy, the forward first-exceedance sum instead of the
 backward truncation bound of ``dp_Z``, a log-space transfer recursion
-instead of its rescaled linear one, the dense strip step matrix instead of
+instead of its rescaled linear one, the dense table of every height pair
+instead of its reachable blocks, the dense strip step matrix instead of
 the two geometric sweeps of the strip walk, root-finding through the
 numerical tilt solve and bisection instead of the quadratics behind the
 collapse profile and the critical curves, 40-digit mpmath instead of double
@@ -447,6 +448,104 @@ def dp_log_space(L: int, beta: float, delta: float, variant) -> float:
             with np.errstate(divide="ignore"):
                 G[k, R] = base + np.log(np.exp(terms - base[:, :, None]).sum(axis=2))
     return beta * L + float(G[0, L, 0, 0])
+
+
+def dp_dense_table(L: int, beta: float, delta: float, variant,
+                   height_cutoff: int | None = None) -> tuple:
+    """(log Z, log_weights, truncation bound) of the transfer DP on the
+    dense (L + 1) x n x n slab of every stack, n = H + 1.
+
+    The same rescaled backward step as ``exactz.dp_Z``, but computed on
+    every height pair, reachable or not, with the slice max of all n x n
+    entries as the scale, a reference that is the largest source offset,
+    and a start weight below 1e-150 of the largest completion at m = 0
+    refused.  ``log_weights[m][u, v]`` (a pair of stacks for SingleBead) is
+    the entry the block layout of ``dp_Z`` must reproduce where u, v < b(m).
+    """
+    variant = Variant(variant)
+    headroom = 1e-150
+    exact_H = L - 1 if variant is Variant.FREE else max((L - 2) // 2, 0)
+    H = exact_H if height_cutoff is None else int(height_cutoff)
+    n = H + 1
+    law = steps.StepLaw(beta)
+    X = law.c_beta * wetting._step_matrix(law, H)  # X[u, w] = x^{|w - u|}
+    heights = np.arange(n)[:, None]
+    gaps = np.abs(heights - heights.T)
+    up = heights.T > heights
+    dirs = (((up, 1), (up.T, 0)) if variant is Variant.SINGLE_BEAD
+            else ((None, 0),))
+    lift = max(delta, 0.0) - beta
+    log_site = (min(delta, 0.0), -max(delta, 0.0))
+
+    def gather(stack, m):  # stack[m + 1 + |w - v|, v, w], 0 past the end
+        w = heights.T
+        nxt = m + 1 + np.abs(w - heights)
+        out = stack.reshape(-1).take((nxt * n + heights) * n + w, mode="clip")
+        out[nxt >= len(stack)] = 0.0
+        return out
+
+    def step(stack, k, m, fac):
+        mask, src = dirs[k]
+        C = gather(stack[src], m)
+        C *= fac if mask is None else fac * mask
+        np.matmul(X, C.T, out=stack[k, m])
+
+    S = np.zeros((len(dirs), L + 1, n, n))
+    if variant is Variant.FREE:
+        S[0, L] = X
+    else:
+        S[0, L][:, 0] = X[:, 0]
+    off = np.full((len(dirs), L + 1), -np.inf)
+    off[0, L] = 0.0
+    B = np.zeros_like(S) if H < exact_H else None
+    if B is not None:
+        with np.errstate(over="ignore"):
+            site_b = np.exp(np.where(heights.T == 0, delta, 0.0) - beta)
+        log_u = np.concatenate(([0.0], math.log(2.0) + lift + np.arange(L)
+                                * np.logaddexp(0.0, math.log(2.0) + lift)))
+        uv = 0.5 * beta * (heights - heights.T) - beta
+    for m in range(L - 1, -1, -1):
+        for k, (_, src) in enumerate(dirs):
+            prior = off[src, m + 1:m + 1 + n]
+            ref = prior.max()
+            if ref == -np.inf:
+                continue
+            for _ in range(2):
+                lf = np.full(n, -np.inf)
+                lf[:prior.size] = prior - ref
+                fac = np.exp(lf + log_site[1]).take(gaps)
+                fac[:, 0] = np.exp(lf + log_site[0])
+                step(S, k, m, fac)
+                top = S[k, m].max()
+                if top >= headroom:
+                    break
+                ref += max(math.log(top), -700.0) if top > 0.0 else -700.0
+            if top > 0.0:
+                S[k, m] /= top
+                off[k, m] = ref + lift + math.log(top)
+        if B is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k in range(len(dirs)):
+                    step(B, k, m, site_b)
+                R = L - m
+                j = np.arange(1, R)
+                log_t = np.full(R + n, -np.inf)
+                log_t[1:R] = np.logaddexp.accumulate(
+                    (log_u[R - 1 - j] - 0.5 * beta * j)[::-1])[::-1]
+                B[0, m] += np.exp(uv + log_t[H + 1 - heights.T])
+
+    root = float(S[0, 0, 0, 0])
+    empty = variant is Variant.SINGLE_BEAD and not (
+        L >= 4 and L % 2 == 0 and (H >= 2 or L % 4 == 0))
+    if root < headroom and not (root == 0.0 and empty):
+        raise ValueError(f"dense DP at beta={beta}, L={L}: start weight {root:.1e}")
+    log_z = beta * L + (float(off[0, 0]) + math.log(root) if root > 0.0 else -math.inf)
+    bound = 0.0 if B is None else float(np.nan_to_num(B[0, 0, 0, 0], nan=np.inf))
+    with np.errstate(divide="ignore"):
+        np.log(S, out=S)
+    S += off[:, :, None, None]
+    lw = (S[0], S[1]) if variant is Variant.SINGLE_BEAD else S[0]
+    return log_z, lw, bound
 
 
 # -- configuration-count oracles --------------------------------------------

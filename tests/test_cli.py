@@ -146,6 +146,13 @@ def test_sample_truncated_table_exits_2(capsys):
     assert "truncated" in capsys.readouterr().err
 
 
+def test_sample_negative_count_exits_2(capsys):
+    rc = cli.main(["sample", "--length", "12", "--beta", "2", "--delta", "1.2",
+                   "--count", "-1", "--out", "-"])
+    assert rc == 2
+    assert "count" in capsys.readouterr().err
+
+
 def test_sample_outdir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("IPDSAW_OUTDIR", str(tmp_path))
     rc = cli.main(["sample", "--length", "20", "--beta", "2", "--delta", "1",

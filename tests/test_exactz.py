@@ -1,5 +1,6 @@
 """Exact partition functions, envelope building blocks, backward sampling."""
 
+import json
 import math
 import warnings
 
@@ -142,9 +143,9 @@ def test_dp_large_beta_matches_log_space_or_raises(variant):
     # on a grid through the supported edge, dp_Z either agrees with the
     # log-space recursion or raises ValueError; it never returns a wrong or
     # infinite value silently
-    grid = [(L, beta) for L, betas in ((18, (60, 120, 135, 150, 180, 245, 300)),
-                                       (30, (40, 100, 145, 160, 175)),
-                                       (60, (20, 60, 76, 80, 100)))
+    grid = [(L, beta) for L, betas in ((18, (60, 120, 135, 150, 180, 245, 300, 400)),
+                                       (30, (40, 100, 145, 160, 175, 300)),
+                                       (60, (20, 60, 76, 80, 100, 200)))
             for beta in betas]
     raised = 0
     for L, beta in grid:
@@ -157,6 +158,16 @@ def test_dp_large_beta_matches_log_space_or_raises(variant):
             continue
         assert got == pytest.approx(want, rel=1e-12)
     assert 0 < raised < len(grid)  # the grid straddles the limit
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
+def test_dp_large_beta_supported_floor(variant):
+    # points inside the supported region at delta = 0.5: dp_Z must answer,
+    # and answer exactly, not raise
+    for L, beta in ((18, 135.0), (60, 76.0)):
+        got, _ = exactz.dp_Z(L, beta, 0.5, variant)
+        assert got == pytest.approx(oracles.dp_log_space(L, beta, 0.5, variant),
+                                    rel=1e-12)
 
 
 def test_dp_empty_single_bead_set_is_minus_inf():
@@ -180,6 +191,55 @@ def test_truncation_bound_matches_forward_oracle(variant):
                 continue
             want = oracles.truncation_tail(L, beta, delta, variant, H)
             assert table.truncation_bound == pytest.approx(want, rel=1e-12)
+
+
+def _block_size(m, H):
+    return min(max(m, 1), H + 1)
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
+def test_dp_blocks_match_dense_table(variant):
+    # every reachable block equals the dense slab of the parent layout, and
+    # the table stores those blocks and nothing else
+    for L, cutoff in ((18, None), (31, None), (40, 20)):
+        for beta, delta in ((2.0, 1.2), (1.0, -0.5)):
+            lz, table = exactz.dp_Z(L, beta, delta, variant, height_cutoff=cutoff)
+            want_z, dense, bound = oracles.dp_dense_table(L, beta, delta, variant,
+                                                          height_cutoff=cutoff)
+            assert lz == pytest.approx(want_z, rel=1e-12)
+            assert table.truncation_bound == pytest.approx(bound, rel=1e-12, abs=0)
+            H = table.height_cutoff
+            stacks = dense if isinstance(dense, tuple) else (dense,)
+            lw = table.log_weights
+            got_stacks = lw if isinstance(lw, tuple) else (lw,)
+            for stack in got_stacks:
+                assert stack.nbytes == 8 * sum(_block_size(m, H) ** 2
+                                               for m in range(L + 1))
+            for k, stack in enumerate(stacks):
+                for m in range(L + 1):
+                    b = _block_size(m, H)
+                    got = table.completion(m, k == 0)
+                    want = stack[m, :b, :b]
+                    assert got.shape == (b, b)
+                    np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+                    fin = np.isfinite(want)
+                    assert np.all(np.abs(got[fin] - want[fin])
+                                  <= 1e-12 * np.maximum(1.0, np.abs(want[fin])))
+
+
+def test_dp_table_load_rejects_dense_layout(tmp_path):
+    # a file in the dense (L + 1) x n x n layout must not load mis-indexed
+    L, beta, delta = 14, 1.5, 0.8
+    lz, dense, _ = oracles.dp_dense_table(L, beta, delta, Variant.FREE)
+    meta = json.dumps({"variant": "Free", "L": L, "beta": beta, "delta": delta,
+                       "cutoff": L - 1, "normalization": lz,
+                       "truncation_bound": 0.0})
+    path = tmp_path / "dense.npz"
+    np.savez_compressed(path, meta=meta, table=dense)
+    blocks = sum(_block_size(m, L - 1) ** 2 for m in range(L + 1))
+    with pytest.raises(ValueError) as err:
+        exactz.DPTable.load(path)
+    assert str(dense.size) in str(err.value) and str(blocks) in str(err.value)
 
 
 def test_dp_table_save_load_roundtrip(tmp_path):
@@ -410,6 +470,14 @@ def test_backward_sample_gate_is_relative_to_z():
     assert exact - lz > 2.0
     with pytest.raises(ValueError, match="reduced Z"):
         exactz.backward_sample(table, 10, np.random.default_rng(0))
+
+
+def test_backward_sample_validates_count():
+    _, table = exactz.dp_Z(12, 2.0, 1.2, Variant.FREE)
+    for bad in (-1, 2.5, "3", True):
+        with pytest.raises(ValueError, match="count"):
+            exactz.backward_sample(table, bad, np.random.default_rng(0))
+    assert exactz.backward_sample(table, 0, np.random.default_rng(0)) == []
 
 
 def test_backward_sample_refuses_empty_set():
