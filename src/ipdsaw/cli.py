@@ -97,7 +97,8 @@ def _emit_csv(config: ExperimentConfig, header: list, rows) -> None:
     _write_text(config, "\n".join(lines) + "\n")
 
 
-def _emit_jsonl(config: ExperimentConfig, records) -> None:
+def _emit_jsonl(config: ExperimentConfig, lines) -> None:
+    """Provenance record, then the already serialized record ``lines``."""
     prov = {
         "record": "provenance",
         "tool": "ipdsaw",
@@ -106,9 +107,7 @@ def _emit_jsonl(config: ExperimentConfig, records) -> None:
         "seed": config.seed,
         "parameters": config.parameters,
     }
-    lines = [json.dumps(prov, sort_keys=True)]
-    lines.extend(json.dumps(r, sort_keys=True) for r in records)
-    _write_text(config, "\n".join(lines) + "\n")
+    _write_text(config, "\n".join([json.dumps(prov, sort_keys=True), *lines]) + "\n")
 
 
 def _write_text(config: ExperimentConfig, text: str) -> None:
@@ -217,6 +216,12 @@ def _run_asymptotics(config: ExperimentConfig) -> int:
 
 # -- sample -----------------------------------------------------------------
 
+# json.dumps(record, sort_keys=True) of one draw's record; str() of a list of
+# ints is its JSON text
+_SAMPLE_RECORD = ('{{"area": {}, "contacts": {}, "horizontal_extension": {}, '
+                  '"max_height": {}, "stretches": {}}}')
+
+
 def _run_sample(config: ExperimentConfig) -> int:
     p = config.parameters
     L, beta, delta = p["length"], p["beta"], p["delta"]
@@ -224,18 +229,12 @@ def _run_sample(config: ExperimentConfig) -> int:
     count = int(p.get("count", 100))
     _, table = exactz.dp_Z(L, beta, delta, var, height_cutoff=p.get("cutoff"))
     rng = np.random.default_rng(config.seed)
-    configs = exactz.backward_sample(table, count=count, rng=rng)
-    records = []
-    for cfg in configs:
-        heights = cfg.prefix_heights()[1:]
-        records.append({
-            "stretches": list(cfg.stretches),
-            "horizontal_extension": cfg.horizontal_extension,
-            "contacts": sum(1 for t in heights if t == 0),
-            "max_height": max(heights),
-            "area": sum(heights),
-        })
-    _emit_jsonl(config, records)
+    draws = exactz.backward_sample(table, count=count, rng=rng)
+    obs = polymer.batch_observables(draws.stretches, draws.sizes)
+    cols = (obs[k].tolist() for k in ("signed_area", "contacts",
+                                      "horizontal_extension", "max_height"))
+    _emit_jsonl(config, [_SAMPLE_RECORD.format(a, c, n, h, row[:n]) for a, c, n, h, row
+                         in zip(*cols, draws.stretches.tolist())])
     return 0
 
 
@@ -318,12 +317,10 @@ def _check_airy_zero() -> tuple:
 
 def _check_sampler_determinism() -> tuple:
     _, table = exactz.dp_Z(10, 2.0, 1.2, Variant.SINGLE_BEAD)
-    draws = []
-    for _ in range(2):
-        rng = np.random.default_rng(11)
-        draws.append([c.stretches for c in
-                      exactz.backward_sample(table, count=50, rng=rng)])
-    return draws[0] == draws[1], "same seed reproduces 50 draws exactly"
+    a, b = (exactz.backward_sample(table, count=50, rng=np.random.default_rng(11))
+            for _ in range(2))
+    same = np.array_equal(a.stretches, b.stretches) and np.array_equal(a.sizes, b.sizes)
+    return same, "same seed reproduces 50 draws exactly"
 
 
 def _check_truncation_bound() -> tuple:

@@ -16,7 +16,8 @@ the transfer DP below exploit.  The module provides
                        variants, exact at the default cutoff, otherwise
                        with a rigorous truncation bound on the same step;
 * ``backward_sample``  exact samples, all draws advanced together, one
-                       stretch per round, on that step;
+                       stretch per round, on that step, returned as one
+                       checked ``StretchBatch`` of arrays;
 * ``d_circ``           joint upper/lower-envelope DP at a prescribed
                        enclosed-area difference;
 * ``e_circ`` / ``e_n_gamma``   area-tilted pinned-bridge partition values;
@@ -34,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import largedev
-from .polymer import StretchConfig, Variant, as_variant
+from .polymer import StretchBatch, Variant, as_variant
 from .steps import StepLaw
 from .wetting import (_check_delta, _step_matrix, _strip_top, _strip_walk,
                       logsumexp_c)
@@ -496,7 +497,7 @@ _SAMPLE_BLOCK = 1 << 15  # (draws x heights) entries per block of live draws
 _SAMPLE_REL_BOUND = 1e-9  # largest truncation bound, relative to Z, sampled from
 
 
-def backward_sample(table: DPTable, count: int, rng) -> list:
+def backward_sample(table: DPTable, count: int, rng) -> StretchBatch:
     """Draw ``count`` exact samples from the polymer measure of ``table``.
 
     All draws advance together, one stretch per round, on the step of
@@ -507,6 +508,11 @@ def backward_sample(table: DPTable, count: int, rng) -> list:
     or non-integer ``count`` raises ValueError, and so does a table whose
     truncation bound is not below ``_SAMPLE_REL_BOUND`` of its reduced Z
     (compared in logs).
+
+    The draws come back as one ``StretchBatch``: the (count, L) stretch
+    matrix, draw i in the first ``sizes[i]`` entries of row i, and the
+    sizes.  Its construction checks every row at once with array
+    operations, so no draw becomes a ``StretchConfig`` unless indexed.
     """
     if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 0:
         raise ValueError(f"count must be a non-negative integer, got {count!r}")
@@ -548,11 +554,7 @@ def backward_sample(table: DPTable, count: int, rng) -> list:
         sizes[live] += 1
         live = live[m[live] < L]
         k += 1
-    out = []
-    for a in range(0, count, rows):
-        out += [StretchConfig(tuple(row[:size]), L, table.variant) for row, size
-                in zip(stretches[a:a + rows].tolist(), sizes[a:a + rows].tolist())]
-    return out
+    return StretchBatch(stretches, sizes, L, table.variant)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,10 @@ Three boundary flavours are used throughout:
 * ``SingleBead``      nonzero stretches of alternating sign starting
                       upward, T_N = 0 — one tightly wound bead, in
                       bijection with a pair of ordered envelope walks.
+
+Many configurations of one length are held as a ``StretchBatch``: one
+integer matrix, row i carrying configuration i's stretches then zeros.
+``batch_observables`` computes their observables over the whole matrix.
 """
 
 from __future__ import annotations
@@ -27,9 +31,12 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 
+import numpy as np
+
 __all__ = [
     "Variant",
     "StretchConfig",
+    "StretchBatch",
     "Envelopes",
     "wedge",
     "hamiltonian",
@@ -38,6 +45,7 @@ __all__ = [
     "from_walks",
     "geometric_area",
     "observables",
+    "batch_observables",
     "to_json",
     "from_json",
 ]
@@ -110,6 +118,69 @@ class StretchConfig:
     def prefix_heights(self) -> tuple:
         """T_0 = 0, T_1, ..., T_N."""
         return (0,) + tuple(accumulate(self.stretches))
+
+
+@dataclass(frozen=True, eq=False)
+class StretchBatch:
+    """Many configurations of one total length and flavour, as arrays.
+
+    Row i of the (count, L) integer matrix ``stretches`` holds the
+    ``sizes[i]`` stretches of configuration i, then zeros.  Construction
+    checks every row at once against the rules of ``StretchConfig`` and
+    raises ValueError naming the first row that breaks one.  ``len`` is the
+    count; indexing by an integer or iterating builds a validated
+    ``StretchConfig`` on demand.
+    """
+
+    stretches: np.ndarray
+    sizes: np.ndarray
+    L: int
+    variant: Variant = Variant.FREE
+
+    def __post_init__(self):
+        object.__setattr__(self, "stretches", np.asarray(self.stretches))
+        object.__setattr__(self, "sizes", np.asarray(self.sizes, dtype=np.int64))
+        object.__setattr__(self, "variant", as_variant(self.variant))
+        self._validate()
+
+    def _validate(self) -> None:
+        l, n, L = self.stretches, self.sizes, self.L
+        if not (l.dtype.kind in "iu" and l.ndim == 2 and n.ndim == 1
+                and l.shape == (n.size, L) and L >= 1):
+            raise ValueError(f"stretches must be an integer ({n.size}, {L}) "
+                             f"matrix for L >= 1, got {l.dtype} {l.shape}")
+        inside = np.arange(L) < n[:, None]
+        bad = [
+            (n < 1, "a configuration needs at least one stretch"),
+            (((l != 0) & ~inside).any(axis=1), "entries past its size must be 0"),
+            (n + np.absolute(l, dtype=np.int64).sum(axis=1) != L,
+             f"N + sum|l_i| != total_length {L}"),
+        ]
+        # after the |l_i| sums: one int64 (count, L) array alive at a time;
+        # past its size a row keeps T_N
+        T = np.cumsum(l, axis=1, dtype=np.int64)
+        bad.append((T.min(axis=1) < 0, "prefix heights dip below the wall"))
+        if self.variant is not Variant.FREE:
+            bad.append((T[:, -1] != 0, f"{self.variant.value} requires end height 0"))
+        if self.variant is Variant.SINGLE_BEAD:
+            up = 1 - 2 * (np.arange(L) % 2)  # +1, -1, +1, ...
+            bad += [((n % 2 == 1) | ((l == 0) & inside).any(axis=1),
+                     "single-bead needs an even number of nonzero stretches"),
+                    (((np.sign(l) != up) & inside).any(axis=1),
+                     "single-bead stretches must alternate sign, starting upward")]
+        for rows, why in bad:
+            if rows.any():
+                raise ValueError(f"row {int(np.argmax(rows))}: {why}")
+
+    def __len__(self) -> int:
+        return self.sizes.size
+
+    def __getitem__(self, i) -> StretchConfig:
+        n = int(self.sizes[i])
+        return StretchConfig(tuple(self.stretches[i, :n].tolist()), self.L, self.variant)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -207,14 +278,35 @@ def geometric_area(env: Envelopes) -> int:
 
 
 def observables(cfg: StretchConfig) -> dict:
-    """Scalar summary used by the samplers and the CLI."""
-    t = cfg.prefix_heights()
+    """Scalar summary of one configuration: the one-row ``batch_observables``."""
+    obs = batch_observables([cfg.stretches], [len(cfg.stretches)])
+    return {k: int(v[0]) for k, v in obs.items()}
+
+
+def batch_observables(stretches, sizes) -> dict:
+    """Extension, contacts, bead count, max height and area of every row.
+
+    Row i of ``stretches`` holds the ``sizes[i]`` stretches of one
+    configuration, then zeros (the layout of ``StretchBatch``).  Each value
+    is an int64 array over the rows; heights are summed in int64 whatever
+    the stretch dtype.
+    """
+    stretches = np.asarray(stretches)
+    sizes = np.array(sizes, dtype=np.int64)
+    inside = np.arange(stretches.shape[1]) < sizes[:, None]
+    T = np.cumsum(stretches, axis=1, dtype=np.int64)
+    T *= inside  # T_1..T_N, then zeros that stand in for T_0
+    # a bead closes after stretch i when i and i + 1 do not overlap (the
+    # wedge vanishes): their signs do not oppose, with l_{N+1} = 0
+    sign = np.sign(stretches)
+    nxt = np.zeros_like(sign)
+    nxt[:, :-1] = sign[:, 1:]
     return {
-        "horizontal_extension": len(cfg.stretches),
-        "contacts": sum(1 for v in t[1:] if v == 0),
-        "bead_count": len(beads(cfg)),
-        "max_height": max(t),
-        "signed_area": sum(t),
+        "horizontal_extension": sizes,
+        "contacts": np.count_nonzero((T == 0) & inside, axis=1),
+        "bead_count": np.count_nonzero((sign * nxt >= 0) & inside, axis=1),
+        "max_height": T.max(axis=1),
+        "signed_area": T.sum(axis=1),
     }
 
 

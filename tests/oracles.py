@@ -11,11 +11,14 @@ instead of its reachable blocks, the dense strip step matrix instead of
 the two geometric sweeps of the strip walk, root-finding through the
 numerical tilt solve and bisection instead of the quadratics behind the
 collapse profile and the critical curves, 40-digit mpmath instead of double
-precision) so that agreement is evidence, not tautology.
+precision, per-configuration loops and ``json.dumps`` instead of array
+observables and a record template) so that agreement is evidence, not
+tautology.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from functools import lru_cache
 from itertools import product
@@ -26,7 +29,7 @@ import scipy.optimize
 from numpy.polynomial.legendre import leggauss
 
 from ipdsaw import largedev, steps, wetting
-from ipdsaw.polymer import Variant
+from ipdsaw.polymer import StretchConfig, Variant, beads
 
 
 # -- step-law oracles -------------------------------------------------------
@@ -546,6 +549,52 @@ def dp_dense_table(L: int, beta: float, delta: float, variant,
     S += off[:, :, None, None]
     lw = (S[0], S[1]) if variant is Variant.SINGLE_BEAD else S[0]
     return log_z, lw, bound
+
+
+# -- per-configuration observables and sample records ------------------------
+
+def observables(cfg: StretchConfig) -> dict:
+    """``polymer.observables`` of one configuration from its prefix heights
+    and bead list, one Python loop each, instead of array reductions."""
+    t = cfg.prefix_heights()
+    return {
+        "horizontal_extension": len(cfg.stretches),
+        "contacts": sum(1 for v in t[1:] if v == 0),
+        "bead_count": len(beads(cfg)),
+        "max_height": max(t),
+        "signed_area": sum(t),
+    }
+
+
+def sample_record_lines(batch) -> list:
+    """The ``sample`` record of every draw of ``batch``: one StretchConfig
+    per draw, a dict from its heights, and ``json.dumps(sort_keys=True)``
+    instead of the text template over observable arrays."""
+    lines = []
+    for cfg in batch:
+        heights = cfg.prefix_heights()[1:]
+        lines.append(json.dumps({
+            "stretches": list(cfg.stretches),
+            "horizontal_extension": cfg.horizontal_extension,
+            "contacts": sum(1 for t in heights if t == 0),
+            "max_height": max(heights),
+            "area": sum(heights),
+        }, sort_keys=True))
+    return lines
+
+
+def draw_counts(batch, cfgs) -> np.ndarray:
+    """How often each configuration of ``cfgs`` occurs in ``batch``: one
+    np.unique over the rows, each row viewed as one opaque record (sorting
+    1e6 such rows takes 0.3 s where np.unique(axis=0) takes 6 s)."""
+    L = batch.L
+    rows = np.ascontiguousarray(batch.stretches)
+    keys, freq = np.unique(rows.view(np.dtype((np.void, rows.itemsize * L))).ravel(),
+                           return_counts=True)
+    index = {c.stretches + (0,) * (L - len(c.stretches)): i for i, c in enumerate(cfgs)}
+    counts = np.zeros(len(cfgs))
+    counts[[index[tuple(r)] for r in keys.view(rows.dtype).reshape(-1, L).tolist()]] = freq
+    return counts
 
 
 # -- configuration-count oracles --------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 import scipy.special
 
 from ipdsaw import exactz, largedev, steps, wetting
-from ipdsaw.polymer import Variant, hamiltonian, observables, StretchConfig
+from ipdsaw.polymer import Variant, batch_observables, hamiltonian, StretchConfig
 
 import oracles
 
@@ -197,11 +197,8 @@ def test_c08_sampling_law_and_extension_window(free_table_400):
     w = np.array([hamiltonian(c, beta, delta) for c in cfgs])
     p = np.exp(w - w.max())
     p /= p.sum()
-    index = {c.stretches: i for i, c in enumerate(cfgs)}
-    counts = np.zeros(len(cfgs))
-    for draw in exactz.backward_sample(table, 10 ** 6,
-                                       np.random.default_rng(808)):
-        counts[index[draw.stretches]] += 1
+    counts = oracles.draw_counts(
+        exactz.backward_sample(table, 10 ** 6, np.random.default_rng(808)), cfgs)
     tval = 0.5 * np.abs(counts / counts.sum() - p).sum()
 
     # horizontal-extension window deep in the collapsed phase
@@ -212,8 +209,7 @@ def test_c08_sampling_law_and_extension_window(free_table_400):
             _, table = exactz.dp_Z(L, 2.0, 1.2, Variant.FREE)
         draws = exactz.backward_sample(table, 4000,
                                        np.random.default_rng(1000 + L))
-        scaled = np.array([c.horizontal_extension for c in draws]) \
-            / math.sqrt(L)
+        scaled = draws.sizes / math.sqrt(L)
         freqs[L] = float(((scaled >= lo) & (scaled <= hi)).mean())
 
     ok = tval < 0.01 and all(f >= 0.99 for f in freqs.values())
@@ -229,7 +225,7 @@ def test_c08_sampling_law_and_extension_window(free_table_400):
 def test_c09_contact_fraction_trend(free_table_400):
     draws = exactz.backward_sample(free_table_400, 3000,
                                    np.random.default_rng(909))
-    mean_contacts = np.mean([observables(c)["contacts"] for c in draws])
+    mean_contacts = batch_observables(draws.stretches, draws.sizes)["contacts"].mean()
     slope = largedev.phi_max_ddelta(2.0, 1.2)
     ratio = mean_contacts / math.sqrt(400) / slope
 
@@ -238,7 +234,7 @@ def test_c09_contact_fraction_trend(free_table_400):
         _, table = exactz.dp_Z(L, 2.0, 0.2, Variant.FREE)
         draws = exactz.backward_sample(table, 3000,
                                        np.random.default_rng(2000 + L))
-        m = np.mean([observables(c)["contacts"] for c in draws])
+        m = batch_observables(draws.stretches, draws.sizes)["contacts"].mean()
         scaled.append(m / math.sqrt(L))
         del table
     sublinear = scaled[0] > scaled[1] > scaled[2] \

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from ipdsaw import cli, largedev, wetting
+from ipdsaw import cli, exactz, largedev, wetting
+
+import oracles
 
 
 def parse_csv(text):
@@ -137,6 +139,24 @@ def test_sample_jsonl_deterministic(tmp_path):
         assert rec["max_height"] == int(heights.max())
         assert rec["area"] == int(heights.sum())
         assert (heights >= 0).all()
+
+
+@pytest.mark.parametrize("variant", ["free", "constrained", "single-bead"])
+def test_sample_jsonl_matches_record_oracle(variant, capsys):
+    L, beta, delta = 24, 2.0, 1.2
+    _, table = exactz.dp_Z(L, beta, delta, cli._VARIANT_FLAGS[variant])
+    for seed in (1, 2):
+        for count in (0, 60):
+            assert cli.main(["sample", "--length", str(L), "--beta", str(beta),
+                             "--delta", str(delta), "--variant", variant,
+                             "--count", str(count), "--seed", str(seed),
+                             "--out", "-"]) == 0
+            text = capsys.readouterr().out
+            prov = text.split("\n", 1)[0]
+            assert json.loads(prov)["record"] == "provenance"
+            draws = exactz.backward_sample(table, count, np.random.default_rng(seed))
+            want = "\n".join([prov, *oracles.sample_record_lines(draws)]) + "\n"
+            assert text == want
 
 
 def test_sample_truncated_table_exits_2(capsys):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -185,7 +186,6 @@ def test_from_walks_roundtrip_exhaustive():
 
 
 def test_from_walks_roundtrip_random():
-    import numpy as np
     _, table = exactz.dp_Z(30, 1.5, 0.7, Variant.SINGLE_BEAD)
     rng = np.random.default_rng(99)
     draws = exactz.backward_sample(table, count=1000, rng=rng)
@@ -218,6 +218,61 @@ def test_contacts_bounded_by_extension(l):
         return
     obs = polymer.observables(cfg(l))
     assert 0 <= obs["contacts"] <= obs["horizontal_extension"]
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_batch_observables_match_oracle_exhaustive(variant):
+    for L in range(1, 13):
+        cfgs = [cfg(l, variant) for l in exactz.enumerate_configs(L, variant)]
+        stretches = np.zeros((len(cfgs), L), dtype=np.int8)
+        for i, c in enumerate(cfgs):
+            stretches[i, :len(c.stretches)] = c.stretches
+        got = polymer.batch_observables(stretches, [len(c.stretches) for c in cfgs])
+        want = [oracles.observables(c) for c in cfgs]
+        for key, col in got.items():
+            assert col.tolist() == [w[key] for w in want], (L, key)
+        assert [polymer.observables(c) for c in cfgs] == want
+
+
+def test_batch_observables_sum_heights_in_int64():
+    # int8 holds every stretch of L = 102, but not its heights or area
+    stretches = np.zeros((2, 102), dtype=np.int8)
+    stretches[0, :3] = (100, -50, -50)
+    stretches[1, :2] = (1, 99)
+    obs = polymer.batch_observables(stretches, [3, 2])
+    assert obs["max_height"].tolist() == [100, 100]
+    assert obs["signed_area"].tolist() == [150, 101]
+    assert obs["contacts"].tolist() == [1, 0]
+
+
+# What replaces row 5 of a valid batch at L = 12: (variant, stretches, size,
+# words from the message of the rule it breaks).
+_CORRUPTED = [
+    (Variant.FREE, (-1, 9), 2, "dip below the wall"),
+    (Variant.FREE, (1, 1), 2, "total_length"),
+    (Variant.FREE, (), 0, "at least one stretch"),
+    (Variant.FREE, (3, 0, 0, 0, 0, 0, 0, 0, 0, 1), 9, "past its size"),
+    (Variant.CONSTRAINED_END, (5, -4, 0), 3, "end height 0"),
+    (Variant.SINGLE_BEAD, (2, 2, -3, -1), 4, "alternate sign"),
+    (Variant.SINGLE_BEAD, (4, -3, 0, -1), 4, "nonzero stretches"),
+]
+
+
+@pytest.mark.parametrize("variant, row, size, why", _CORRUPTED)
+def test_stretch_batch_rejects_a_corrupted_row(variant, row, size, why):
+    L = 12
+    _, table = exactz.dp_Z(L, 2.0, 1.2, variant)
+    draws = exactz.backward_sample(table, 20, np.random.default_rng(5))
+    stretches, sizes = draws.stretches.copy(), draws.sizes.copy()
+    polymer.StretchBatch(stretches, sizes, L, variant)  # the copy is valid
+    stretches[5] = 0
+    stretches[5, :len(row)] = row
+    sizes[5] = size
+    with pytest.raises(ValueError, match=f"row 5: .*{why}"):
+        polymer.StretchBatch(stretches, sizes, L, variant)
+    if size == len(row):  # the same rule, one configuration at a time
+        with pytest.raises(ValueError, match=why):
+            StretchConfig(row, L, variant)
 
 
 def test_json_roundtrip():
