@@ -8,7 +8,8 @@ Seven subcommands wire the library into machine-readable artifacts:
 * ``asymptotics``  (log Z - beta L) / sqrt(L) against the collapse
                    constant across a list of lengths (CSV);
 * ``sample``       exact polymer-measure draws with observables
-                   (JSON lines);
+                   (JSON lines), by default from the smallest certified
+                   height cutoff;
 * ``verify``       the identity/oracle check suite, one pass/fail line
                    per check, non-zero exit on any failure;
 * ``wetting``      pinned-walk free energy and related constants (CSV);
@@ -97,8 +98,9 @@ def _emit_csv(config: ExperimentConfig, header: list, rows) -> None:
     _write_text(config, "\n".join(lines) + "\n")
 
 
-def _emit_jsonl(config: ExperimentConfig, lines) -> None:
-    """Provenance record, then the already serialized record ``lines``."""
+def _emit_jsonl(config: ExperimentConfig, lines, **facts) -> None:
+    """Provenance record, with ``facts`` about the run, then the already
+    serialized record ``lines``."""
     prov = {
         "record": "provenance",
         "tool": "ipdsaw",
@@ -106,6 +108,7 @@ def _emit_jsonl(config: ExperimentConfig, lines) -> None:
         "command": config.command,
         "seed": config.seed,
         "parameters": config.parameters,
+        **facts,
     }
     _write_text(config, "\n".join([json.dumps(prov, sort_keys=True), *lines]) + "\n")
 
@@ -227,14 +230,17 @@ def _run_sample(config: ExperimentConfig) -> int:
     L, beta, delta = p["length"], p["beta"], p["delta"]
     var = _VARIANT_FLAGS[p.get("variant", "single-bead")]
     count = int(p.get("count", 100))
-    _, table = exactz.dp_Z(L, beta, delta, var, height_cutoff=p.get("cutoff"))
+    cutoff = p.get("cutoff")
+    _, table = (exactz.certified_dp_Z(L, beta, delta, var) if cutoff is None
+                else exactz.dp_Z(L, beta, delta, var, height_cutoff=cutoff))
     rng = np.random.default_rng(config.seed)
     draws = exactz.backward_sample(table, count=count, rng=rng)
     obs = polymer.batch_observables(draws.stretches, draws.sizes)
     cols = (obs[k].tolist() for k in ("signed_area", "contacts",
                                       "horizontal_extension", "max_height"))
     _emit_jsonl(config, [_SAMPLE_RECORD.format(a, c, n, h, row[:n]) for a, c, n, h, row
-                         in zip(*cols, draws.stretches.tolist())])
+                         in zip(*cols, draws.stretches.tolist())],
+                cutoff=table.height_cutoff, truncation_bound=table.truncation_bound)
     return 0
 
 
@@ -453,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--variant", default="single-bead",
                     choices=list(_VARIANT_FLAGS))
     sp.add_argument("--count", type=int, default=100)
-    sp.add_argument("--cutoff", type=int)
+    sp.add_argument("--cutoff", type=int,
+                    help="height cutoff; omit for the smallest certified one")
     common(sp)
 
     sp = sub.add_parser("verify", help="identity and oracle checks")

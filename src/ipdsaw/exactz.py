@@ -14,7 +14,10 @@ the transfer DP below exploit.  The module provides
 * ``dp_Z``             rescaled transfer DP over (consumed length, prev
                        height, cur height) on one backward step for all
                        variants, exact at the default cutoff, otherwise
-                       with a rigorous truncation bound on the same step;
+                       with a rigorous truncation bound on the same step,
+                       from a wall-free completion majorant;
+* ``certified_dp_Z``   ``dp_Z`` at the smallest searched cutoff whose bound
+                       is below 1e-13 of Z, the exact table failing that;
 * ``backward_sample``  exact samples, all draws advanced together, one
                        stretch per round, on that step, returned as one
                        checked ``StretchBatch`` of arrays;
@@ -47,6 +50,7 @@ __all__ = [
     "enumerate_configs",
     "feature_histogram",
     "dp_Z",
+    "certified_dp_Z",
     "backward_sample",
     "d_circ",
     "area_wetting_dp",
@@ -294,8 +298,9 @@ class DPTable:
 def _gather(stack, blocks, m, v, n, fill) -> np.ndarray:
     """G[m + 1 + |w - v|][v, w] from a flat block ``stack``, the completion
     after v -> w from consumed length m, for every w < n (``fill`` past the
-    end): the DP's (v, w) slice for scalar m and a column v, sampler rows
-    for m and v of shape (k, 1).  One flat ``take`` reads it at offset
+    end, or with None whatever the clipped read gives): the DP's (v, w)
+    slice for scalar m and a column v, sampler rows for m and v of shape
+    (k, 1).  One flat ``take`` reads it at offset
     start[m'] + v b(m') + w, m' = m + 1 + |w - v|."""
     start, size = blocks
     w = np.arange(n)
@@ -307,7 +312,8 @@ def _gather(stack, blocks, m, v, n, fill) -> np.ndarray:
     idx += start.take(nxt)
     idx += w
     out = stack.take(idx, mode="clip")
-    out[nxt == len(start) - 1] = fill
+    if fill is not None:
+        out[nxt == len(start) - 1] = fill
     return out
 
 
@@ -322,9 +328,51 @@ def _directions(variant: Variant, n: int) -> tuple:
 
 
 _TINY = np.finfo(float).tiny  # the smallest normal double
+_EPS = np.finfo(float).eps
 _RESCALE = 1e-100  # a step whose largest term is below this is redone in logs
 _MAX_UNDERFLOW = 1e-14  # largest move of log Z from raising lost factors,
 # relative to max(1, |log reduced Z|): a few ulps of rounding are not a move
+_CERTIFIED_REL = 1e-13  # truncation bound, relative to Z, that certifies a cutoff
+
+
+def _log_majorant(L: int, beta: float, delta: float) -> np.ndarray:
+    """log Ĝ_r(d) for r + d <= L - 1, d >= 0, in a (L, L) array [r, d].
+
+    Ĝ is the completion of r remaining units after a last height step d in
+    the wall-free model, every stretch weighted e^{max(delta, 0) - beta}
+    and the end constraint and bead alternation dropped, x = e^{-beta/2}:
+
+        Ĝ_0(d) = x^{|d|},
+        Ĝ_r(d) = sum_{|i| <= r-1} e^{max(delta,0) - beta} x^{|i + d|} Ĝ_{r-1-|i|}(i).
+
+    The wall only removes configurations and each contact factor is at most
+    e^{max(delta, 0)}, so Ĝ_{L-m}(v - u) bounds the completion of every
+    variant from (m, u, v); Ĝ_r is even in d.  With g_k = Ĝ_{r-1-|k|}(k),
+    level r is e^{max(delta,0) - beta} sum_k x^{|d - k|} g_k: two log-space
+    geometric sweeps, of g_k + (beta/2) k over k <= d and of
+    g_k - (beta/2) k over k > d, O(L) per level.  Each level is raised by
+    eps times the largest magnitude its sweeps handle, so that rounding the
+    shifted sums cannot push Ĝ below its true value: at L <= 300, without
+    the raise, the logs fell up to 4.5e-14 below a long-double recursion,
+    several times less than the raise of one level.
+    """
+    half = 0.5 * beta
+    log_e = max(delta, 0.0) - beta
+    out = np.full((L, L), -np.inf)
+    out[0] = -half * np.arange(L)
+    for r in range(1, L):
+        k = np.arange(1 - r, r)
+        g = out[r - 1 - np.abs(k), np.abs(k)]
+        d = np.arange(L - r)
+        rise, fall = g + half * k, g - half * k
+        left = np.logaddexp.accumulate(rise)[np.minimum(d, r - 1) + r - 1] - half * d
+        right = np.full(L - r, -np.inf)
+        inner = d < r - 1  # k > d exists
+        right[inner] = (np.logaddexp.accumulate(fall[::-1])[::-1][d[inner] + r]
+                        + half * d[inner])
+        scale = max(np.abs(rise).max(), np.abs(fall).max()) + half * L + abs(log_e)
+        out[r, :L - r] = np.logaddexp(left, right) + log_e + _EPS * (1.0 + scale)
+    return out
 
 
 def dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE,
@@ -341,7 +389,10 @@ def dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE,
     block u, v < b(m) of ``_blocks`` only (``_transfer``).  With the default
     cutoff the DP is exact (``_exact_cutoff``); a smaller cutoff gives a
     lower bound on Z and a rigorous bound on the missing reduced weight, from
-    the same step run on a second stack with a first-exceedance source.
+    the same step run on a second stack with a first-exceedance source: a
+    stretch that first leaves [0, H], then the wall-free completion
+    majorant Ĝ of ``_log_majorant`` for what follows.  ``certified_dp_Z``
+    picks the smallest cutoff whose bound is negligible against Z.
 
     Guard: the step multiplies by x^{|w - u|} in double precision, so a
     factor below the smallest normal double (x^H < 2.2e-308, beta > 1417/H)
@@ -354,20 +405,73 @@ def dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE,
     log-space recursion agrees with it.
     """
     variant = as_variant(variant)
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    _check_delta(delta)
+    _check_dp_args(L, delta)
     if height_cutoff is not None and height_cutoff < 1:
         raise ValueError("height_cutoff must be >= 1")
     exact_H = _exact_cutoff(L, variant)
     H = exact_H if height_cutoff is None else int(height_cutoff)
+    log_g = _log_majorant(L, beta, delta) if H < exact_H else None
+    return _dp(L, beta, delta, variant, H, log_g)
+
+
+def certified_dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE) -> tuple:
+    """(log Z, DPTable) of ``dp_Z`` at the smallest searched height cutoff
+    whose truncation bound is below ``_CERTIFIED_REL`` of the table's
+    reduced Z, compared in logs.
+
+    In the collapsed phase the polymer stays about sqrt(L) high, so such a
+    cutoff is O(sqrt L) where the exact one is O(L).  The search starts at
+    ceil(2 sqrt L), takes one x1.25 step, then secant steps on log(bound /
+    reduced Z) against H, each plus one height of margin.  Once a predicted
+    H reaches half the exact cutoff, or the bound stops falling or reads
+    inf or nan, it returns the exact table of ``dp_Z``.  The majorant Ĝ is
+    built once for all trials.
+    """
+    variant = as_variant(variant)
+    _check_dp_args(L, delta)
+    exact_H = _exact_cutoff(L, variant)
+    target = math.log(_CERTIFIED_REL)
+    H = math.ceil(2.0 * math.sqrt(L))
+    log_g = _log_majorant(L, beta, delta)
+    tried = []  # (H, log(bound / reduced Z)) of each refused trial
+    while 2 * H < exact_H:
+        log_z, table = _dp(L, beta, delta, variant, H, log_g)
+        bound = table.truncation_bound
+        if not (0.0 < bound < math.inf and math.isfinite(log_z)):
+            break
+        gap = math.log(bound) - (log_z - beta * L)
+        if gap < target:
+            return log_z, table
+        del table  # one table alive at a time
+        tried.append((H, gap))
+        if len(tried) == 1:
+            predicted = math.ceil(1.25 * H)
+        else:
+            (h0, g0), (h1, g1) = tried[-2:]
+            slope = (g1 - g0) / (h1 - h0)
+            if not slope < 0.0:
+                break
+            predicted = math.ceil(h1 + (target - g1) / slope) + 1
+        H = max(predicted, H + 1)
+    return dp_Z(L, beta, delta, variant)
+
+
+def _check_dp_args(L: int, delta: float) -> None:
+    if L < 1:
+        raise ValueError("L must be >= 1")
+    _check_delta(delta)
+
+
+def _dp(L, beta, delta, variant, H, log_g) -> tuple:
+    """``dp_Z`` at cutoff H; the bound stack runs with the majorant
+    ``log_g`` of ``_log_majorant``, or not at all if it is None."""
     law = StepLaw(beta)
     X = law.c_beta * _step_matrix(law, H)  # X[u, w] = x^{|w - u|}
     raised = -np.inf
     if X[0, H] < _TINY:  # the raised run first: one table alive at a time
         raised = _transfer(L, beta, delta, variant, np.maximum(X, _TINY),
-                           False)[1][0, 0]
-    S, off, bound = _transfer(L, beta, delta, variant, X, H < exact_H)
+                           None)[1][0, 0]
+    S, off, bound = _transfer(L, beta, delta, variant, X, log_g)
     # flat vectors fit any cutoff; beads (1, -1) and (2, -2) take 4 and 6
     empty = variant is Variant.SINGLE_BEAD and not (
         L >= 4 and L % 2 == 0 and (H >= 2 or L % 4 == 0))
@@ -391,10 +495,12 @@ def dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE,
     return log_z, DPTable(variant, L, beta, delta, H, lw, log_z, bound)
 
 
-def _transfer(L, beta, delta, variant, X, cut) -> tuple:
+def _transfer(L, beta, delta, variant, X, log_g) -> tuple:
     """(S, off, truncation bound) of the backward transfer of ``dp_Z`` with
     the step matrix X; block (k, m) of S times e^{off[k, m]} is G_k[m] on the
-    reachable heights, and the bound stack runs only if ``cut``.
+    reachable heights.  With a majorant ``log_g`` (log Ĝ[r, d] of
+    ``_log_majorant``) the bound stack B runs on the same step with its own
+    scales, plus a first-exceedance source; else the bound is 0.0.
 
     For u < b, x^{|w - u|} = x^{max(0, w + 1 - b)} x^{|min(w, b - 1) - u|}:
     the first factor joins the gathered term, and the second makes every
@@ -402,7 +508,10 @@ def _transfer(L, beta, delta, variant, X, cut) -> tuple:
     term.  A gathered term's exponent is its slice offset, site weight and
     that decay; the largest one is the step's reference, so no factor
     exceeds 1, and a step whose largest term is still below ``_RESCALE`` of
-    it is redone from the logs of the terms.  Each block is kept at max 1.
+    it is redone from the logs of the terms.  Each block is kept at max 1,
+    so B neither underflows nor overflows however small or large the lost
+    weight is; a bound below the smallest normal double is reported as
+    that double, which still bounds it.
     """
     n = len(X)
     H = n - 1
@@ -426,6 +535,47 @@ def _transfer(L, beta, delta, variant, X, cut) -> tuple:
             out += X[:b, b - 1, None] * C[:, b:].sum(axis=1)
         return out
 
+    def advance(Y, off_y, k, m, beyond, log_src=None):
+        """Block m of stack k of Y at max 1 and its log scale off_y[k, m]:
+        the step from the later blocks, plus e^{log_src} if given."""
+        mask, src = dirs[k]
+        b = size[m]
+        prior = np.full(n, -np.inf)  # the slices at gaps 0, 1, ...
+        got = off_y[src, m + 1:m + 1 + n]
+        prior[:got.size] = got
+        E = prior.take(gaps[:b]) + (site - beyond)
+        if mask is not None:
+            E[~mask[:b]] = -np.inf
+        ref = E.max()  # -inf: every source slice is empty
+        if ref > -np.inf:
+            # past the end E is -inf: the clipped read is multiplied by 0
+            raw = _gather(Y[src], blocks, m, heights[:b], n, None)
+            C = raw * np.exp(E - ref)
+            top = C.max()
+            if top < _RESCALE:
+                with np.errstate(divide="ignore"):
+                    E += np.log(raw)
+                ref = E.max()
+                if ref > -np.inf:
+                    C = np.exp(E - ref)
+            else:  # the largest term at 1 keeps products out of subnormals
+                C /= top
+                ref += math.log(top)
+        out = block(Y[k], m)
+        if ref > -np.inf:
+            step(Y, k, m, C)
+            ref += lift
+        if log_src is not None and log_src.max() > -np.inf:
+            scale = max(ref, log_src.max())
+            out *= math.exp(ref - scale)
+            out += np.exp(log_src - scale)
+            ref = scale
+        if ref == -np.inf:
+            return
+        top = out.max()
+        out /= top
+        off_y[k, m] = ref + math.log(top)
+
     S = np.zeros((len(dirs), start[-1]))
     if variant is Variant.FREE:
         block(S[0], L)[:] = X[:size[L], :size[L]]
@@ -433,63 +583,32 @@ def _transfer(L, beta, delta, variant, X, cut) -> tuple:
         block(S[0], L)[:, 0] = X[:size[L], 0]  # closed at height 0
     off = np.full((len(dirs), L + 1), -np.inf)
     off[0, L] = 0.0
-    B = np.zeros_like(S) if cut else None
-    if B is not None:
-        log_site_b = np.where(heights.T == 0, delta, 0.0) - beta
-        # log U(r): U(0) = 1 and U(r) = 2E (1 + 2E)^{r-1}, E = e^{lift},
-        # bounds the completions of r units
-        log_u = np.concatenate(([0.0], math.log(2.0) + lift + np.arange(L)
-                                * np.logaddexp(0.0, math.log(2.0) + lift)))
-        uv = 0.5 * beta * (heights - heights.T) - beta  # log e^{-beta} x^{v - u}
+    B = None if log_g is None else np.zeros_like(S)
+    off_b = np.full_like(off, -np.inf)  # B[L] = 0: no units left to lose
+    uv = 0.5 * beta * (heights - heights.T) - beta  # log e^{-beta} x^{v - u}
     for m in range(L - 1, -1, -1):
         b = size[m]
         beyond = 0.5 * beta * np.maximum(np.arange(n) + 1 - b, 0)
-        for k, (mask, src) in enumerate(dirs):
-            prior = np.full(n, -np.inf)  # the slices at gaps 0, 1, ...
-            got = off[src, m + 1:m + 1 + n]
-            prior[:got.size] = got
-            E = prior.take(gaps[:b]) + (site - beyond)
-            if mask is not None:
-                E[~mask[:b]] = -np.inf
-            ref = E.max()
-            if ref == -np.inf:
-                continue  # every source slice is empty
-            raw = _gather(S[src], blocks, m, heights[:b], n, 0.0)
-            C = raw * np.exp(E - ref)
-            top = C.max()
-            if top < _RESCALE:
-                with np.errstate(divide="ignore"):
-                    E += np.log(raw)
-                ref = E.max()
-                if ref == -np.inf:
-                    continue
-                C = np.exp(E - ref)
-            else:  # the largest term at 1 keeps products out of subnormals
-                C /= top
-                ref += math.log(top)
-            out = step(S, k, m, C)
-            top = out.max()
-            out /= top
-            off[k, m] = ref + lift + math.log(top)
+        for k in range(len(dirs)):
+            advance(S, off, k, m, beyond)
         if B is not None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                for k, (mask, src) in enumerate(dirs):
-                    C = _gather(B[src], blocks, m, heights[:b], n, 0.0)
-                    C *= np.exp(log_site_b - beyond)
-                    if mask is not None:
-                        C *= mask[:b]
-                    step(B, k, m, C)
-                # first exceedance from (u, v) with R units left: a stretch
-                # of length j >= H + 1 - v, then U(R - 1 - j); log_t sums j
-                R = L - m
-                j = np.arange(1, R)
-                log_t = np.full(R + n, -np.inf)
-                log_t[1:R] = np.logaddexp.accumulate(
-                    (log_u[R - 1 - j] - 0.5 * beta * j)[::-1])[::-1]
-                block(B[0], m)[:] += np.exp(uv[:b, :b] + log_t[H + 1 - heights[:b].T])
+            # first exceedance from (u, v) with R units left: an up stretch
+            # of length j >= H + 1 - v, to w = v + j > H, whose factor
+            # x^{w - u} = x^{v - u} x^j, then at most Ĝ_{R-1-j}(j); log_t
+            # sums j
+            R = L - m
+            j = np.arange(1, R)
+            log_t = np.full(R + n, -np.inf)
+            log_t[1:R] = np.logaddexp.accumulate(
+                (log_g[R - 1 - j, j] - 0.5 * beta * j)[::-1])[::-1]
+            for k in range(len(dirs)):
+                advance(B, off_b, k, m, beyond, None if k else
+                        uv[:b, :b] + log_t[H + 1 - heights[:b].T])
 
-    # an overflowed bound meets zero weights as inf * 0: report inf
-    bound = 0.0 if B is None else float(np.nan_to_num(B[0, 0], nan=np.inf))
+    bound = 0.0
+    if B is not None:  # block 0 is 1 x 1, so its one entry is 1 or 0
+        with np.errstate(over="ignore"):
+            bound = max(float(np.exp(off_b[0, 0])), _TINY)
     return S, off, bound
 
 
@@ -507,7 +626,10 @@ def backward_sample(table: DPTable, count: int, rng) -> StretchBatch:
     Live draws go in blocks of ``_SAMPLE_BLOCK`` table entries.  A negative
     or non-integer ``count`` raises ValueError, and so does a table whose
     truncation bound is not below ``_SAMPLE_REL_BOUND`` of its reduced Z
-    (compared in logs).
+    (compared in logs).  That bound counts every configuration that leaves
+    the table's heights with the wall-free majorant Ĝ of its completion,
+    so a certified cut table (``certified_dp_Z``) draws from a law within
+    its bound of the exact one.
 
     The draws come back as one ``StretchBatch``: the (count, L) stretch
     matrix, draw i in the first ``sizes[i]`` entries of row i, and the

@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 
+_CHECK_BLOCK = 1 << 15  # (rows x L) entries a batch check holds at a time
+
+
 class Variant(str, Enum):
     FREE = "Free"
     CONSTRAINED_END = "ConstrainedEnd"
@@ -126,8 +129,9 @@ class StretchBatch:
 
     Row i of the (count, L) integer matrix ``stretches`` holds the
     ``sizes[i]`` stretches of configuration i, then zeros.  Construction
-    checks every row at once against the rules of ``StretchConfig`` and
-    raises ValueError naming the first row that breaks one.  ``len`` is the
+    checks every row against the rules of ``StretchConfig``, with array
+    operations over blocks of rows, and raises ValueError naming the first
+    row that breaks the first broken rule.  ``len`` is the
     count; indexing by an integer or iterating builds a validated
     ``StretchConfig`` on demand.
     """
@@ -149,6 +153,20 @@ class StretchBatch:
                 and l.shape == (n.size, L) and L >= 1):
             raise ValueError(f"stretches must be an integer ({n.size}, {L}) "
                              f"matrix for L >= 1, got {l.dtype} {l.shape}")
+        # rows in blocks of about _CHECK_BLOCK entries bound the int64
+        # temporaries; the first broken rule, then its first row, is named
+        first = {}
+        rows = max(1, _CHECK_BLOCK // L)
+        for a in range(0, n.size, rows):
+            for rule, (bad, why) in enumerate(self._broken(l[a:a + rows], n[a:a + rows])):
+                if rule not in first and bad.any():
+                    first[rule] = f"row {a + int(np.argmax(bad))}: {why}"
+        if first:
+            raise ValueError(first[min(first)])
+
+    def _broken(self, l, n) -> list:
+        """(rows breaking it, why) for every rule, in order, over rows l."""
+        L = self.L
         inside = np.arange(L) < n[:, None]
         bad = [
             (n < 1, "a configuration needs at least one stretch"),
@@ -156,7 +174,7 @@ class StretchBatch:
             (n + np.absolute(l, dtype=np.int64).sum(axis=1) != L,
              f"N + sum|l_i| != total_length {L}"),
         ]
-        # after the |l_i| sums: one int64 (count, L) array alive at a time;
+        # after the |l_i| sums: one int64 block of heights alive at a time;
         # past its size a row keeps T_N
         T = np.cumsum(l, axis=1, dtype=np.int64)
         bad.append((T.min(axis=1) < 0, "prefix heights dip below the wall"))
@@ -168,9 +186,7 @@ class StretchBatch:
                      "single-bead needs an even number of nonzero stretches"),
                     (((np.sign(l) != up) & inside).any(axis=1),
                      "single-bead stretches must alternate sign, starting upward")]
-        for rows, why in bad:
-            if rows.any():
-                raise ValueError(f"row {int(np.argmax(rows))}: {why}")
+        return bad
 
     def __len__(self) -> int:
         return self.sizes.size

@@ -5,9 +5,11 @@ different algorithms than the package (truncated sums instead of closed
 forms, counting DPs instead of enumeration, dense-grid quadrature and
 adaptive Gauss-Legendre panels instead of the dilogarithm closed form of
 the segment free energy, the forward first-exceedance sum instead of the
-backward truncation bound of ``dp_Z``, a log-space transfer recursion
-instead of its rescaled linear one, the dense table of every height pair
-instead of its reachable blocks, the dense strip step matrix instead of
+backward truncation bound of ``dp_Z``, each level of the completion
+majorant summed term by term in long double instead of by two geometric
+sweeps, a log-space transfer recursion instead of its rescaled linear
+one, the dense table of every height pair instead of its reachable
+blocks, the dense strip step matrix instead of
 the two geometric sweeps of the strip walk, root-finding through the
 numerical tilt solve and bisection instead of the quadratics behind the
 collapse profile and the critical curves, 40-digit mpmath instead of double
@@ -353,23 +355,38 @@ def profile_mp(beta: float, delta: float, dps: int = 40) -> tuple:
 
 # -- transfer-DP truncation oracle ------------------------------------------
 
+def log_majorant(L: int, beta: float, delta: float) -> np.ndarray:
+    """log Ĝ_r(d), r + d <= L - 1, d >= 0, in a long-double (L, L) array.
+
+    The definition, one logsumexp over all |i| <= r - 1 per entry, O(L^3):
+    Ĝ_0(d) = x^{|d|} and Ĝ_r(d) = sum_i e^{max(delta,0) - beta} x^{|i + d|}
+    Ĝ_{r-1-|i|}(|i|), x = e^{-beta/2}.  No margin: long double (64-bit
+    mantissa on x86-64) keeps its rounding far below the package's.
+    """
+    half = np.longdouble(0.5) * np.longdouble(beta)
+    log_e = np.longdouble(max(delta, 0.0)) - np.longdouble(beta)
+    out = np.full((L, L), -np.inf, dtype=np.longdouble)
+    out[0] = -half * np.arange(L)
+    for r in range(1, L):
+        i = np.arange(1 - r, r)
+        d = np.arange(L - r)
+        terms = (log_e - half * np.abs(i[None, :] + d[:, None])
+                 + out[r - 1 - np.abs(i), np.abs(i)][None, :])
+        top = terms.max(axis=1)
+        out[r, :L - r] = top + np.log(np.exp(terms - top[:, None]).sum(axis=1))
+    return out
+
+
 def _truncation_tail(L, beta, delta, variant, H, K, rew) -> float:
     """Rigorous bound on the reduced weight lost above height H.
 
     Forward first-exceedance accounting: every lost configuration is counted
     once, at the first stretch whose top height w exceeds H, with the exact
-    weight accumulated so far, a geometric bound on the crossing stretch,
-    and a crude combinatorial bound (1 + 2 e^{max(delta,0)-beta})^{R} on the
-    remaining weight (number of sign/length completions times the best
-    per-stretch factor; the pair factors are <= 1).
+    weight accumulated so far, the factor of the crossing stretch, and the
+    wall-free completion majorant Ĝ of ``log_majorant`` for the rest.
     """
     n = H + 1
-    x = math.exp(-0.5 * beta)
-    E = math.exp(max(delta, 0.0) - beta)
-
-    def U(R):  # completion bound for R remaining length units
-        return 1.0 if R <= 0 else 2.0 * E * (1.0 + 2.0 * E) ** (R - 1)
-
+    G = np.exp(log_majorant(L, beta, delta).astype(float))
     single = variant is Variant.SINGLE_BEAD
     vv = np.arange(n)
     mask = (vv[None, :] > vv[:, None]) if single else np.ones((n, n), bool)
@@ -389,7 +406,7 @@ def _truncation_tail(L, beta, delta, variant, H, K, rew) -> float:
                 R1 = L - m - 1
                 t_suffix = np.zeros(R1 + 2)
                 for j in range(R1, 0, -1):
-                    t_suffix[j] = t_suffix[j + 1] + math.exp(-0.5 * beta * j) * U(R1 - j)
+                    t_suffix[j] = t_suffix[j + 1] + math.exp(-0.5 * beta * j) * G[R1 - j, j]
                 g = (np.exp(0.5 * beta * vv) @ A) * np.exp(-0.5 * beta * vv)
                 jmin = np.maximum(H + 1 - vv, 1)
                 pick = np.where(jmin <= R1, t_suffix[np.minimum(jmin, R1 + 1)], 0.0)
@@ -504,8 +521,7 @@ def dp_dense_table(L: int, beta: float, delta: float, variant,
     if B is not None:
         with np.errstate(over="ignore"):
             site_b = np.exp(np.where(heights.T == 0, delta, 0.0) - beta)
-        log_u = np.concatenate(([0.0], math.log(2.0) + lift + np.arange(L)
-                                * np.logaddexp(0.0, math.log(2.0) + lift)))
+        log_g = log_majorant(L, beta, delta).astype(float)
         uv = 0.5 * beta * (heights - heights.T) - beta
     for m in range(L - 1, -1, -1):
         for k, (_, src) in enumerate(dirs):
@@ -534,7 +550,7 @@ def dp_dense_table(L: int, beta: float, delta: float, variant,
                 j = np.arange(1, R)
                 log_t = np.full(R + n, -np.inf)
                 log_t[1:R] = np.logaddexp.accumulate(
-                    (log_u[R - 1 - j] - 0.5 * beta * j)[::-1])[::-1]
+                    (log_g[R - 1 - j, j] - 0.5 * beta * j)[::-1])[::-1]
                 B[0, m] += np.exp(uv + log_t[H + 1 - heights.T])
 
     root = float(S[0, 0, 0, 0])

@@ -143,8 +143,9 @@ def test_sample_jsonl_deterministic(tmp_path):
 
 @pytest.mark.parametrize("variant", ["free", "constrained", "single-bead"])
 def test_sample_jsonl_matches_record_oracle(variant, capsys):
+    # the table the CLI draws from when --cutoff is omitted
     L, beta, delta = 24, 2.0, 1.2
-    _, table = exactz.dp_Z(L, beta, delta, cli._VARIANT_FLAGS[variant])
+    _, table = exactz.certified_dp_Z(L, beta, delta, cli._VARIANT_FLAGS[variant])
     for seed in (1, 2):
         for count in (0, 60):
             assert cli.main(["sample", "--length", str(L), "--beta", str(beta),
@@ -153,10 +154,25 @@ def test_sample_jsonl_matches_record_oracle(variant, capsys):
                              "--out", "-"]) == 0
             text = capsys.readouterr().out
             prov = text.split("\n", 1)[0]
-            assert json.loads(prov)["record"] == "provenance"
+            record = json.loads(prov)
+            assert record["record"] == "provenance"
+            assert record["cutoff"] == table.height_cutoff
+            assert record["truncation_bound"] == table.truncation_bound
             draws = exactz.backward_sample(table, count, np.random.default_rng(seed))
             want = "\n".join([prov, *oracles.sample_record_lines(draws)]) + "\n"
             assert text == want
+
+
+def test_sample_certified_cut_table_exits_0(capsys):
+    # a cut table whose bound is 9.3e-20 of Z is sampled from
+    rc = cli.main(["sample", "--length", "40", "--beta", "2", "--delta", "1.2",
+                   "--variant", "free", "--cutoff", "30", "--count", "20",
+                   "--out", "-"])
+    assert rc == 0
+    prov, *records = capsys.readouterr().out.splitlines()
+    assert json.loads(prov)["cutoff"] == 30
+    assert 0.0 < json.loads(prov)["truncation_bound"] < 1e-20
+    assert len(records) == 20
 
 
 def test_sample_truncated_table_exits_2(capsys):

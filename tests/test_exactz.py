@@ -93,18 +93,73 @@ def test_dp_l2_closed_form():
                                    rel=1e-13)
 
 
+def _lost_weight(lz, exact, beta, L):
+    """Reduced weight a cut table misses: e^{exact - beta L} (1 - e^{lz - exact})."""
+    return math.exp(exact - beta * L) * -math.expm1(lz - exact)
+
+
 def test_dp_truncation_bound_controls_error_and_decreases():
     exact, _ = exactz.dp_Z(60, 2.0, 0.5, Variant.FREE)
     bounds = []
     for cutoff in (6, 10, 16, 30):
         lz, tab = exactz.dp_Z(60, 2.0, 0.5, Variant.FREE, height_cutoff=cutoff)
-        assert abs(lz - exact) <= tab.truncation_bound
+        assert _lost_weight(lz, exact, 2.0, 60) <= tab.truncation_bound
         assert lz <= exact + 1e-12  # truncation only removes mass
         bounds.append(tab.truncation_bound)
     assert all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
     # halving the cutoff from L to L/2 stays within the reported bound
     lz, tab = exactz.dp_Z(60, 2.0, 0.5, Variant.FREE, height_cutoff=30)
-    assert abs(lz - exact) <= tab.truncation_bound < 1e-9
+    assert _lost_weight(lz, exact, 2.0, 60) <= tab.truncation_bound < 1e-9
+
+
+@pytest.mark.parametrize("beta, delta", [(2.0, 0.5), (1.0, 1.2), (3.0, -0.5),
+                                         (20.0, 0.0), (2.0, 700.0), (2.0, -800.0)])
+def test_majorant_sweeps_match_termwise_sum(beta, delta):
+    L = 50
+    got = exactz._log_majorant(L, beta, delta)
+    want = oracles.log_majorant(L, beta, delta)
+    tri = np.add.outer(np.arange(L), np.arange(L)) <= L - 1
+    assert np.all(np.isneginf(got[~tri]))
+    diff = got[tri] - want[tri].astype(float)
+    scale = np.maximum(1.0, np.abs(want[tri].astype(float)))
+    assert np.all(diff >= 0.0)  # the margin keeps the sweeps above the sum
+    assert np.all(diff <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
+def test_truncation_bound_covers_lost_weight(variant):
+    # wherever the loss is resolvable in double precision
+    checked = 0
+    for L in (30, 60):
+        for beta, delta in ((1.0, 0.0), (2.0, 1.2), (3.0, -1.0), (1.5, 0.5)):
+            exact, _ = exactz.dp_Z(L, beta, delta, variant)
+            for H in (2, 4, 7, 11):
+                if H >= exactz._exact_cutoff(L, variant):
+                    continue
+                lz, table = exactz.dp_Z(L, beta, delta, variant, height_cutoff=H)
+                if not exact - lz > 1e-8:
+                    continue
+                assert _lost_weight(lz, exact, beta, L) <= table.truncation_bound
+                checked += 1
+    assert checked >= 15
+
+
+@pytest.mark.parametrize("L, beta, delta, variant", [
+    (300, 2.0, 1.2, Variant.FREE),
+    (300, 1.0, 0.0, Variant.FREE),
+    (120, 2.0, 0.2, Variant.SINGLE_BEAD),
+])
+def test_certified_dp_z_is_within_its_bound(L, beta, delta, variant):
+    lz, table = exactz.certified_dp_Z(L, beta, delta, variant)
+    exact, _ = exactz.dp_Z(L, beta, delta, variant)
+    assert table.normalization == lz
+    rel = table.truncation_bound / math.exp(lz - beta * L)
+    assert rel < exactz._CERTIFIED_REL
+    # log Z is below the exact value by at most rel, up to its own rounding
+    ulps = 4 * np.finfo(float).eps * abs(exact)
+    assert -ulps <= exact - lz <= rel + ulps
+    if variant is Variant.FREE:  # both cut far below the exact height
+        assert 2 * table.height_cutoff < exactz._exact_cutoff(L, variant)
 
 
 def test_dp_input_validation():
@@ -462,7 +517,7 @@ def test_backward_sample_refuses_truncated_table():
 
 
 def test_backward_sample_gate_is_relative_to_z():
-    # the bound (1.2e-43) is tiny but so is the reduced Z (6.3e-130): the
+    # the bound (4.2e-128) is tiny but so is the reduced Z (6.3e-130): the
     # table misses 89 % of the weight
     lz, table = exactz.dp_Z(60, 20.0, 0.5, Variant.FREE, height_cutoff=5)
     exact, _ = exactz.dp_Z(60, 20.0, 0.5, Variant.FREE)
@@ -470,6 +525,19 @@ def test_backward_sample_gate_is_relative_to_z():
     assert exact - lz > 2.0
     with pytest.raises(ValueError, match="reduced Z"):
         exactz.backward_sample(table, 10, np.random.default_rng(0))
+
+
+def test_cut_bound_below_double_range_is_not_read_as_exact():
+    # reduced Z is e^{-1314}: the lost weight (e^{57} times the cut table's
+    # Z) is far below the smallest double, and a bound of 0.0 would mean exact
+    lz, table = exactz.dp_Z(120, 60.0, 0.5, Variant.FREE, height_cutoff=8)
+    exact, _ = exactz.dp_Z(120, 60.0, 0.5, Variant.FREE)
+    assert exact - lz > 50.0
+    assert table.truncation_bound == np.finfo(float).tiny
+    with pytest.raises(ValueError, match="reduced Z"):
+        exactz.backward_sample(table, 10, np.random.default_rng(0))
+    _, certified = exactz.certified_dp_Z(120, 60.0, 0.5, Variant.FREE)
+    assert certified.height_cutoff == exactz._exact_cutoff(120, Variant.FREE)
 
 
 def test_backward_sample_validates_count():

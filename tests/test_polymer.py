@@ -275,6 +275,23 @@ def test_stretch_batch_rejects_a_corrupted_row(variant, row, size, why):
             StretchConfig(row, L, variant)
 
 
+def test_stretch_batch_names_the_same_row_when_checked_in_blocks(monkeypatch):
+    # two rows per block: the dip in row 3 (block 1) breaks a later rule than
+    # the length in rows 15 and 17 (blocks 7 and 8), so row 15 is named
+    L = 12
+    _, table = exactz.dp_Z(L, 2.0, 1.2, Variant.FREE)
+    draws = exactz.backward_sample(table, 20, np.random.default_rng(5))
+    stretches, sizes = draws.stretches.copy(), draws.sizes.copy()
+    for i, row in ((3, (-1, 9)), (15, (1, 1)), (17, (2, 2))):
+        stretches[i] = 0
+        stretches[i, :2] = row
+        sizes[i] = 2
+    for block in (1 << 15, 2 * L):
+        monkeypatch.setattr(polymer, "_CHECK_BLOCK", block)
+        with pytest.raises(ValueError, match="^row 15: .*total_length"):
+            polymer.StretchBatch(stretches, sizes, L, Variant.FREE)
+
+
 def test_json_roundtrip():
     for variant in Variant:
         c = cfg((2, -2), variant) if variant is not Variant.SINGLE_BEAD \
