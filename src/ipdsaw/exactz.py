@@ -13,14 +13,18 @@ the transfer DP below exploit.  The module provides
 * ``brute_force_Z``    exhaustive enumeration (the oracle, L <= 24);
 * ``dp_Z``             rescaled transfer DP over (consumed length, prev
                        height, cur height) on one backward step for all
-                       variants, exact at the default cutoff, otherwise
-                       with a rigorous truncation bound on the same step,
+                       variants, storing and stepping only the height
+                       pairs that are reachable and can still finish, every
+                       read through one precomputed gather plan; exact at
+                       the default cutoff, otherwise with a rigorous
+                       truncation bound (kept as a log) on the same step,
                        from a wall-free completion majorant;
 * ``certified_dp_Z``   ``dp_Z`` at the smallest searched cutoff whose bound
                        is below 1e-13 of Z, the exact table failing that;
 * ``backward_sample``  exact samples, all draws advanced together, one
-                       stretch per round, on that step, returned as one
-                       checked ``StretchBatch`` of arrays;
+                       stretch per round, on that step and through that
+                       plan, returned as one checked ``StretchBatch`` of
+                       arrays;
 * ``d_circ``           joint upper/lower-envelope DP at a prescribed
                        enclosed-area difference;
 * ``e_circ`` / ``e_n_gamma``   area-tilted pinned-bridge partition values;
@@ -210,19 +214,73 @@ def _exact_cutoff(L: int, variant: Variant) -> int:
     return max((L - 2) // 2, 0)
 
 
-def _blocks(L: int, H: int) -> tuple:
-    """(start, size) of the reachable block of every consumed length m.
+def _blocks(L: int, H: int, variant: Variant) -> tuple:
+    """(start, rows, cols) of the stored block of every consumed length m.
 
     After m >= 1 units the last two prefix heights satisfy u + |v - u| <=
     m - 1, so u, v < b(m) = min(m, H + 1); before the first stretch the
-    state is (0, 0), b(0) = 1.  Slice m of a stack is the b(m) x b(m) block
-    at offset start[m] = sum_{j<m} b(j)^2 of one flat array.  Entry L + 1
-    is a sentinel: start[L + 1] is the length of the array.
+    state is (0, 0), b(0) = 1.  The returning variants must also get back
+    to 0 from v in the L - m units left, which takes at least v + 1 of them
+    while any are left, so only v < c(m) = min(b(m), max(L - m, 1)) can
+    finish; Free keeps c = b.  Slice m of a stack is the b(m) x c(m) block
+    at offset start[m] = sum_{j<m} b(j) c(j) of one flat array.  Entry
+    L + 1 is a sentinel: start[L + 1] is the length of the array.
     """
-    size = np.minimum(np.maximum(np.arange(L + 2), 1), H + 1)
+    rows = np.minimum(np.maximum(np.arange(L + 2), 1), H + 1)
+    cols = rows
+    if variant is not Variant.FREE:
+        cols = np.minimum(rows, np.maximum(L - np.arange(L + 2), 1))
     start = np.zeros(L + 2, dtype=np.int64)
-    np.cumsum(size[:-1] ** 2, out=start[1:])
-    return start, size
+    np.cumsum(rows[:-1] * cols[:-1], out=start[1:])
+    return start, rows, cols
+
+
+class _Plan:
+    """Where every read of the transfer step lands in a flat block stack.
+
+    The step from (m, u, v) to w reads G[m'][v, w], m' = m + 1 + |w - v|,
+    at entry rowbase[m', v] + w, rowbase[m', v] = start[m'] + v c(m') of
+    ``_blocks``.  ``pair[v, w] = |w - v| n + v`` indexes the flattened
+    rowbase from row m + 1, so a read is one ``take`` on rowbase, plus w,
+    then one ``take`` on the stack.  Row L + 1 of rowbase, where every
+    clipped index lands, holds the stack length: a read past the last
+    slice is at or after the end of the stack.
+
+    ``dirs[k]`` is (need, source stack) of stretch direction k: stretch k
+    takes direction k mod len(dirs) and reads its completion from the
+    stack of the direction that follows; single beads alternate up and
+    down.  For the returning variants need[v, w] is the fewest units the
+    stretch v -> w and the way back to 0 take, w + |w - v| + 2 (|w - v| + 1
+    to w = 0), and L + 1 for a stretch against the direction, so a read
+    from consumed length m with need > L - m cannot finish; Free keeps
+    None, as its only reads that cannot finish are those past the end.
+    """
+
+    def __init__(self, L: int, H: int, variant: Variant):
+        self.start, self.rows, self.cols = _blocks(L, H, variant)
+        n = H + 1
+        heights = np.arange(n)
+        gaps = np.abs(heights - heights[:, None])
+        rowbase = self.start[:, None] + heights * self.cols[:, None]
+        rowbase[L + 1] = self.start[L + 1]
+        self.rowbase = rowbase.ravel()
+        self.pair = gaps * n + heights[:, None]
+        if variant is Variant.FREE:
+            self.dirs = ((None, 0),)
+            return
+        need = gaps + 1
+        need[:, 1:] += heights[1:] + 1
+        if variant is Variant.CONSTRAINED_END:
+            self.dirs = ((need, 0),)
+            return
+        up = heights > heights[:, None]
+        self.dirs = ((np.where(up, need, L + 1), 1),
+                     (np.where(up.T, need, L + 1), 0))
+
+    def block(self, stack, m: int) -> np.ndarray:
+        """Slice m of a flat stack as its (b, c) block, a view."""
+        return stack[self.start[m]:self.start[m + 1]].reshape(
+            self.rows[m], self.cols[m])
 
 
 @dataclass
@@ -232,13 +290,16 @@ class DPTable:
     ``completion(m)[u, v]`` is the log of the total reduced weight (the
     e^{beta L} prefactor stripped) of all ways to finish a configuration
     given that m length units are consumed and the last two prefix heights
-    are (u, v), for the reachable heights u, v < b(m) = min(max(m, 1),
-    H + 1) only.  ``log_weights`` holds these blocks back to back, slice m
-    at offset sum_{j<m} b(j)^2, in one flat array per stack; for SingleBead
-    it is a pair of such stacks, indexed by the direction of the next
-    stretch (up, down).  ``normalization`` is log Z.  ``truncation_bound``
-    bounds the reduced weight lost to the height cutoff; 0.0 means the
-    table is exact.
+    are (u, v), for the reachable heights u < b(m) = min(max(m, 1), H + 1)
+    and, of those, the heights v < c(m) of ``_blocks`` that can still
+    finish only.  ``log_weights`` holds these blocks back to back, slice m
+    at offset sum_{j<m} b(j) c(j), in one flat array per stack; for
+    SingleBead it is a pair of such stacks, indexed by the direction of the
+    next stretch (up, down).  ``normalization`` is log Z.
+    ``log_truncation_bound`` is the log of a bound on the reduced weight
+    lost to the height cutoff, -inf when the table is exact;
+    ``truncation_bound`` is its value as a double, raised to the smallest
+    normal double when it is below that and not exact.
     """
 
     variant: Variant
@@ -249,15 +310,16 @@ class DPTable:
     log_weights: object
     normalization: float
     truncation_bound: float
+    log_truncation_bound: float
 
     def completion(self, consumed: int, next_up: bool = True) -> np.ndarray:
-        """The (b, b) block of consumed length ``consumed``, a view."""
+        """The (b, c) block of consumed length ``consumed``, a view."""
         lw = self.log_weights
         if self.variant is Variant.SINGLE_BEAD:
             lw = lw[0 if next_up else 1]
-        start, size = _blocks(self.L, self.height_cutoff)
-        b = size[consumed]
-        return lw[start[consumed]:start[consumed] + b * b].reshape(b, b)
+        start, rows, cols = _blocks(self.L, self.height_cutoff, self.variant)
+        return lw[start[consumed]:start[consumed + 1]].reshape(
+            rows[consumed], cols[consumed])
 
     def save(self, path) -> None:
         import json
@@ -266,6 +328,7 @@ class DPTable:
             "delta": self.delta, "cutoff": self.height_cutoff,
             "normalization": self.normalization,
             "truncation_bound": self.truncation_bound,
+            "log_truncation_bound": self.log_truncation_bound,
         })
         if self.variant is Variant.SINGLE_BEAD:
             np.savez_compressed(path, meta=meta, up=self.log_weights[0],
@@ -283,7 +346,7 @@ class DPTable:
             variant = Variant(meta["variant"])
             lw = ((z["up"], z["down"]) if variant is Variant.SINGLE_BEAD
                   else z["table"])
-        want = (int(_blocks(meta["L"], meta["cutoff"])[0][-1]),)
+        want = (int(_blocks(meta["L"], meta["cutoff"], variant)[0][-1]),)
         for stack in (lw if isinstance(lw, tuple) else (lw,)):
             if stack.shape != want:
                 raise ValueError(
@@ -292,39 +355,7 @@ class DPTable:
                     f"L={meta['L']}, cutoff={meta['cutoff']} needs {want[0]}")
         return cls(variant, meta["L"], meta["beta"], meta["delta"],
                    meta["cutoff"], lw, meta["normalization"],
-                   meta["truncation_bound"])
-
-
-def _gather(stack, blocks, m, v, n, fill) -> np.ndarray:
-    """G[m + 1 + |w - v|][v, w] from a flat block ``stack``, the completion
-    after v -> w from consumed length m, for every w < n (``fill`` past the
-    end, or with None whatever the clipped read gives): the DP's (v, w)
-    slice for scalar m and a column v, sampler rows for m and v of shape
-    (k, 1).  One flat ``take`` reads it at offset
-    start[m'] + v b(m') + w, m' = m + 1 + |w - v|."""
-    start, size = blocks
-    w = np.arange(n)
-    nxt = np.abs(w - v)
-    nxt += m + 1
-    np.minimum(nxt, len(start) - 1, out=nxt)
-    idx = size.take(nxt)
-    idx *= v
-    idx += start.take(nxt)
-    idx += w
-    out = stack.take(idx, mode="clip")
-    if fill is not None:
-        out[nxt == len(start) - 1] = fill
-    return out
-
-
-def _directions(variant: Variant, n: int) -> tuple:
-    """(mask on (v, w) or None, source stack) per stretch direction; stretch
-    k takes direction k mod len, and its completion is read from the stack
-    of the direction that follows.  Single beads alternate up and down."""
-    if variant is not Variant.SINGLE_BEAD:
-        return ((None, 0),)
-    up = np.arange(n)[None, :] > np.arange(n)[:, None]
-    return ((up, 1), (up.T, 0))
+                   meta["truncation_bound"], meta["log_truncation_bound"])
 
 
 _TINY = np.finfo(float).tiny  # the smallest normal double
@@ -385,14 +416,16 @@ def dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE,
         G_k[m][u, v] = sum_w e^{-beta} x^{|w - u|} e^{delta 1{w = 0}}
                        1_k(v, w) G_{k'}[m + 1 + |w - v|][v, w]
 
-    over the stretch directions k of ``_directions``, on the reachable
-    block u, v < b(m) of ``_blocks`` only (``_transfer``).  With the default
-    cutoff the DP is exact (``_exact_cutoff``); a smaller cutoff gives a
-    lower bound on Z and a rigorous bound on the missing reduced weight, from
-    the same step run on a second stack with a first-exceedance source: a
-    stretch that first leaves [0, H], then the wall-free completion
-    majorant Ĝ of ``_log_majorant`` for what follows.  ``certified_dp_Z``
-    picks the smallest cutoff whose bound is negligible against Z.
+    over the stretch directions k of ``_Plan``, on the stored block of
+    ``_blocks`` only (``_transfer``): the heights u < b(m) reachable after
+    m units, and of the v < b(m) those from which the returning variants
+    can still get back to 0.  With the default cutoff the DP is exact
+    (``_exact_cutoff``); a smaller cutoff gives a lower bound on Z and a
+    rigorous bound on the missing reduced weight, from the same step run
+    on a second stack with a first-exceedance source: a stretch that first
+    leaves [0, H], then the wall-free completion majorant Ĝ of
+    ``_log_majorant`` for what follows.  ``certified_dp_Z`` picks the
+    smallest cutoff whose bound is negligible against Z.
 
     Guard: the step multiplies by x^{|w - u|} in double precision, so a
     factor below the smallest normal double (x^H < 2.2e-308, beta > 1417/H)
@@ -416,16 +449,19 @@ def dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE,
 
 def certified_dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE) -> tuple:
     """(log Z, DPTable) of ``dp_Z`` at the smallest searched height cutoff
-    whose truncation bound is below ``_CERTIFIED_REL`` of the table's
-    reduced Z, compared in logs.
+    whose log truncation bound is below log ``_CERTIFIED_REL`` plus the
+    table's log reduced Z, so that a bound or a Z below the double range
+    still certifies.
 
     In the collapsed phase the polymer stays about sqrt(L) high, so such a
     cutoff is O(sqrt L) where the exact one is O(L).  The search starts at
     ceil(2 sqrt L), takes one x1.25 step, then secant steps on log(bound /
-    reduced Z) against H, each plus one height of margin.  Once a predicted
-    H reaches half the exact cutoff, or the bound stops falling or reads
-    inf or nan, it returns the exact table of ``dp_Z``.  The majorant Ĝ is
-    built once for all trials.
+    reduced Z) against H^2, each plus one height of margin: that log falls
+    about linearly in H^2 (at L = 300, beta = 1, delta = 0 it is -3.8,
+    -12.1, -29.9 at H = 35, 60, 95), where a secant in H overshoots.  Once
+    a predicted H reaches half the exact cutoff, or the bound stops falling
+    or reads inf or nan, it returns the exact table of ``dp_Z``.  The
+    majorant Ĝ is built once for all trials.
     """
     variant = as_variant(variant)
     _check_dp_args(L, delta)
@@ -436,10 +472,9 @@ def certified_dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE) -> t
     tried = []  # (H, log(bound / reduced Z)) of each refused trial
     while 2 * H < exact_H:
         log_z, table = _dp(L, beta, delta, variant, H, log_g)
-        bound = table.truncation_bound
-        if not (0.0 < bound < math.inf and math.isfinite(log_z)):
+        gap = table.log_truncation_bound - (log_z - beta * L)
+        if not (math.isfinite(log_z) and gap < math.inf):
             break
-        gap = math.log(bound) - (log_z - beta * L)
         if gap < target:
             return log_z, table
         del table  # one table alive at a time
@@ -448,10 +483,10 @@ def certified_dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE) -> t
             predicted = math.ceil(1.25 * H)
         else:
             (h0, g0), (h1, g1) = tried[-2:]
-            slope = (g1 - g0) / (h1 - h0)
+            slope = (g1 - g0) / (h1 * h1 - h0 * h0)
             if not slope < 0.0:
                 break
-            predicted = math.ceil(h1 + (target - g1) / slope) + 1
+            predicted = math.ceil(math.sqrt(h1 * h1 + (target - g1) / slope)) + 1
         H = max(predicted, H + 1)
     return dp_Z(L, beta, delta, variant)
 
@@ -471,7 +506,7 @@ def _dp(L, beta, delta, variant, H, log_g) -> tuple:
     if X[0, H] < _TINY:  # the raised run first: one table alive at a time
         raised = _transfer(L, beta, delta, variant, np.maximum(X, _TINY),
                            None)[1][0, 0]
-    S, off, bound = _transfer(L, beta, delta, variant, X, log_g)
+    S, off, log_bound = _transfer(L, beta, delta, variant, X, log_g)
     # flat vectors fit any cutoff; beads (1, -1) and (2, -2) take 4 and 6
     empty = variant is Variant.SINGLE_BEAD and not (
         L >= 4 and L % 2 == 0 and (H >= 2 or L % 4 == 0))
@@ -485,76 +520,100 @@ def _dp(L, beta, delta, variant, H, log_g) -> tuple:
             f" {_TINY:.1e} to it moves log Z by {raised - off[0, 0]:.1e}, above"
             f" the supported {_MAX_UNDERFLOW:.0e} (double-precision underflow)")
     log_z = beta * L + float(off[0, 0])
-    start = _blocks(L, H)[0]
+    start = _blocks(L, H, variant)[0]
     with np.errstate(divide="ignore"):
         np.log(S, out=S)  # in place: the linear values are no longer needed
     for k in range(len(S)):
         for m in range(L + 1):  # block by block: no table-sized offsets array
             S[k, start[m]:start[m + 1]] += off[k, m]
     lw = (S[0], S[1]) if variant is Variant.SINGLE_BEAD else S[0]
-    return log_z, DPTable(variant, L, beta, delta, H, lw, log_z, bound)
+    bound = 0.0
+    if log_g is not None:  # a bound below the smallest normal double still
+        with np.errstate(over="ignore"):  # bounds the loss as that double
+            bound = max(float(np.exp(log_bound)), _TINY)
+    return log_z, DPTable(variant, L, beta, delta, H, lw, log_z, bound,
+                          log_bound)
+
+
+def _toeplitz(vec: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The (rows, cols) view T[v, w] = vec[|w - v|] of an n-vector, rows
+    and cols at most n, on a copy of vec."""
+    both = np.concatenate((vec[:0:-1], vec))  # both[n - 1 + j] = vec[|j|]
+    size = both.itemsize
+    return np.ndarray((rows, cols), both.dtype, buffer=both,
+                      offset=(len(vec) - 1) * size, strides=(-size, size))
 
 
 def _transfer(L, beta, delta, variant, X, log_g) -> tuple:
-    """(S, off, truncation bound) of the backward transfer of ``dp_Z`` with
-    the step matrix X; block (k, m) of S times e^{off[k, m]} is G_k[m] on the
-    reachable heights.  With a majorant ``log_g`` (log Ĝ[r, d] of
+    """(S, off, log truncation bound) of the backward transfer of ``dp_Z``
+    with the step matrix X; block (k, m) of S times e^{off[k, m]} is G_k[m]
+    on the stored heights.  With a majorant ``log_g`` (log Ĝ[r, d] of
     ``_log_majorant``) the bound stack B runs on the same step with its own
-    scales, plus a first-exceedance source; else the bound is 0.0.
+    scales, plus a first-exceedance source at the stored heights; else the
+    log bound is -inf.  The returning variants store no height that cannot
+    finish, so B has no source there: the true loss from such a state is 0.
 
-    For u < b, x^{|w - u|} = x^{max(0, w + 1 - b)} x^{|min(w, b - 1) - u|}:
-    the first factor joins the gathered term, and the second makes every
-    column w >= b the same, so a step is a b x b product plus a rank-one
-    term.  A gathered term's exponent is its slice offset, site weight and
-    that decay; the largest one is the step's reference, so no factor
-    exceeds 1, and a step whose largest term is still below ``_RESCALE`` of
-    it is redone from the logs of the terms.  Each block is kept at max 1,
-    so B neither underflows nor overflows however small or large the lost
-    weight is; a bound below the smallest normal double is reported as
-    that double, which still bounds it.
+    Every read goes through the table's ``_Plan``.  The terms of block m
+    are G[m + 1 + |w - v|][v, w] for its rows v < c(m) and every w < n,
+    and for the returning variants only w < max(L - m - 1, 1), the columns
+    from which some v can finish; one mask zeroes the reads whose ``need``
+    exceeds the L - m units left.  For u < b, x^{|w - u|} = x^{max(0,
+    w + 1 - b)} x^{|min(w, b - 1) - u|}: the first factor joins the term,
+    and the second makes every column w >= b the same, so a step is a
+    b x min(b, columns) product plus a rank-one term.  A term's log scale
+    is its slice offset, by gap, plus the site weight and that decay, by
+    column, so it is the product of an n-vector over gaps (seen through a
+    Toeplitz view) and an n-vector over w, each at max 1.  The terms are
+    then normalized to a largest of 1; a step whose largest term is below
+    ``_RESCALE`` is redone from the logs of the terms.  Each block is kept
+    at max 1, so B neither underflows nor overflows however small or large
+    the lost weight is.
     """
     n = len(X)
     H = n - 1
-    dirs = _directions(variant, n)
+    plan = _Plan(L, H, variant)
+    rows, cols, dirs, block = plan.rows, plan.cols, plan.dirs, plan.block
     lift = max(delta, 0.0) - beta          # per-stretch factor kept in off
-    site = np.where(np.arange(n) == 0, min(delta, 0.0), -max(delta, 0.0))
-    heights = np.arange(n)[:, None]
-    gaps = np.abs(heights - heights.T)
-    blocks = start, size = _blocks(L, H)
+    heights = np.arange(n)
+    site = np.where(heights == 0, min(delta, 0.0), -max(delta, 0.0))
 
-    def block(stack, m):
-        b = size[m]
-        return stack[start[m]:start[m] + b * b].reshape(b, b)
-
-    def step(stack, k, m, C):
-        """Block m of stack k from the gathered terms C[v, w], decay included."""
-        b = size[m]
-        out = block(stack[k], m)
-        np.matmul(X[:b, :b], C[:, :b].T, out=out)
-        if b < n:
+    def step(out, m, C):
+        """Block ``out`` of length m from the terms C[v, w], decay included."""
+        b, ne = rows[m], C.shape[1]
+        head = min(b, ne)
+        np.matmul(X[:b, :head], C[:, :head].T, out=out)
+        if head < ne:
             out += X[:b, b - 1, None] * C[:, b:].sum(axis=1)
-        return out
 
-    def advance(Y, off_y, k, m, beyond, log_src=None):
+    def advance(Y, off_y, k, m, columns, log_src=None):
         """Block m of stack k of Y at max 1 and its log scale off_y[k, m]:
-        the step from the later blocks, plus e^{log_src} if given."""
-        mask, src = dirs[k]
-        b = size[m]
-        prior = np.full(n, -np.inf)  # the slices at gaps 0, 1, ...
-        got = off_y[src, m + 1:m + 1 + n]
-        prior[:got.size] = got
-        E = prior.take(gaps[:b]) + (site - beyond)
-        if mask is not None:
-            E[~mask[:b]] = -np.inf
-        ref = E.max()  # -inf: every source slice is empty
+        the step from the later blocks, plus e^{log_src} if given.
+        ``columns`` is (log weight, its max, e^{weight - max}) of the site
+        weight and decay of every column w the step reads."""
+        need, src = dirs[k]
+        log_col, top_col, col_scale = columns
+        c, ne = cols[m], len(log_col)
+        prior = off_y[src, m + 1:m + 1 + n]  # the slices at gaps 0, 1, ...
+        top_gap = prior.max()
+        ref = top_gap + top_col  # -inf: every source slice is empty
         if ref > -np.inf:
-            # past the end E is -inf: the clipped read is multiplied by 0
-            raw = _gather(Y[src], blocks, m, heights[:b], n, None)
-            C = raw * np.exp(E - ref)
+            # past the end the gap factor is 0, times a clipped read
+            idx = plan.rowbase[(m + 1) * n:].take(plan.pair[:c, :ne], mode="clip")
+            idx += heights[:ne]
+            raw = Y[src].take(idx, mode="clip")
+            C = raw * _toeplitz(np.exp(prior - top_gap), c, ne)
+            C *= col_scale
+            cut = None if need is None else need[:c, :ne] > L - m
+            if cut is not None:
+                C[cut] = 0.0
             top = C.max()
             if top < _RESCALE:
                 with np.errstate(divide="ignore"):
-                    E += np.log(raw)
+                    E = np.log(raw)
+                E += _toeplitz(prior, c, ne)
+                E += log_col
+                if cut is not None:
+                    E[cut] = -np.inf
                 ref = E.max()
                 if ref > -np.inf:
                     C = np.exp(E - ref)
@@ -563,7 +622,7 @@ def _transfer(L, beta, delta, variant, X, log_g) -> tuple:
                 ref += math.log(top)
         out = block(Y[k], m)
         if ref > -np.inf:
-            step(Y, k, m, C)
+            step(out, m, C)
             ref += lift
         if log_src is not None and log_src.max() > -np.inf:
             scale = max(ref, log_src.max())
@@ -576,21 +635,25 @@ def _transfer(L, beta, delta, variant, X, log_g) -> tuple:
         out /= top
         off_y[k, m] = ref + math.log(top)
 
-    S = np.zeros((len(dirs), start[-1]))
+    S = np.zeros((len(dirs), plan.start[-1]))
     if variant is Variant.FREE:
-        block(S[0], L)[:] = X[:size[L], :size[L]]
+        block(S[0], L)[:] = X[:rows[L], :rows[L]]
     else:
-        block(S[0], L)[:, 0] = X[:size[L], 0]  # closed at height 0
-    off = np.full((len(dirs), L + 1), -np.inf)
+        block(S[0], L)[:, 0] = X[:rows[L], 0]  # closed at height 0
+    off = np.full((len(dirs), L + 1 + n), -np.inf)  # -inf past the end
     off[0, L] = 0.0
     B = None if log_g is None else np.zeros_like(S)
     off_b = np.full_like(off, -np.inf)  # B[L] = 0: no units left to lose
-    uv = 0.5 * beta * (heights - heights.T) - beta  # log e^{-beta} x^{v - u}
+    if B is not None:  # log e^{-beta} x^{v - u}
+        uv = 0.5 * beta * (heights[:, None] - heights) - beta
     for m in range(L - 1, -1, -1):
-        b = size[m]
-        beyond = 0.5 * beta * np.maximum(np.arange(n) + 1 - b, 0)
+        b, c = rows[m], cols[m]
+        # the returning variants read only the columns some v can finish from
+        ne = n if variant is Variant.FREE else min(n, max(L - m - 1, 1))
+        log_col = (site - 0.5 * beta * np.maximum(heights + 1 - b, 0))[:ne]
+        columns = (log_col, log_col.max(), np.exp(log_col - log_col.max()))
         for k in range(len(dirs)):
-            advance(S, off, k, m, beyond)
+            advance(S, off, k, m, columns)
         if B is not None:
             # first exceedance from (u, v) with R units left: an up stretch
             # of length j >= H + 1 - v, to w = v + j > H, whose factor
@@ -602,14 +665,10 @@ def _transfer(L, beta, delta, variant, X, log_g) -> tuple:
             log_t[1:R] = np.logaddexp.accumulate(
                 (log_g[R - 1 - j, j] - 0.5 * beta * j)[::-1])[::-1]
             for k in range(len(dirs)):
-                advance(B, off_b, k, m, beyond, None if k else
-                        uv[:b, :b] + log_t[H + 1 - heights[:b].T])
-
-    bound = 0.0
-    if B is not None:  # block 0 is 1 x 1, so its one entry is 1 or 0
-        with np.errstate(over="ignore"):
-            bound = max(float(np.exp(off_b[0, 0])), _TINY)
-    return S, off, bound
+                advance(B, off_b, k, m, columns, None if k else
+                        uv[:b, :c] + log_t[H + 1 - heights[:c]])
+    # block 0 of B is 1 x 1 at max 1, so its log scale is the log bound
+    return S, off, float(off_b[0, 0])
 
 
 _SAMPLE_BLOCK = 1 << 15  # (draws x heights) entries per block of live draws
@@ -621,15 +680,16 @@ def backward_sample(table: DPTable, count: int, rng) -> StretchBatch:
 
     All draws advance together, one stretch per round, on the step of
     ``dp_Z``: a draw at (m, u, v) weighs each next height w by x^{|w - u|}
-    e^{delta 1{w = 0}} times the table's completion of (v, w) and picks w by
-    inverse CDF with one uniform, so the draws are i.i.d. from e^{H} / Z.
-    Live draws go in blocks of ``_SAMPLE_BLOCK`` table entries.  A negative
-    or non-integer ``count`` raises ValueError, and so does a table whose
-    truncation bound is not below ``_SAMPLE_REL_BOUND`` of its reduced Z
-    (compared in logs).  That bound counts every configuration that leaves
-    the table's heights with the wall-free majorant Ĝ of its completion,
-    so a certified cut table (``certified_dp_Z``) draws from a law within
-    its bound of the exact one.
+    e^{delta 1{w = 0}} times the table's completion of (v, w), read through
+    the table's ``_Plan`` as the DP reads it, and picks w by inverse CDF
+    with one uniform, so the draws are i.i.d. from e^{H} / Z.  Live draws
+    go in blocks of ``_SAMPLE_BLOCK`` table entries.  A negative or
+    non-integer ``count`` raises ValueError, and so does a table whose log
+    truncation bound is not below log ``_SAMPLE_REL_BOUND`` plus its log
+    reduced Z.  That bound counts every configuration that leaves the
+    table's heights with the wall-free majorant Ĝ of its completion, so a
+    certified cut table (``certified_dp_Z``) draws from a law within its
+    bound of the exact one.
 
     The draws come back as one ``StretchBatch``: the (count, L) stretch
     matrix, draw i in the first ``sizes[i]`` entries of row i, and the
@@ -638,36 +698,41 @@ def backward_sample(table: DPTable, count: int, rng) -> StretchBatch:
     """
     if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 0:
         raise ValueError(f"count must be a non-negative integer, got {count!r}")
-    bound = table.truncation_bound
+    log_bound = table.log_truncation_bound
     log_reduced_z = table.normalization - table.beta * table.L
-    if bound != 0.0 and not (math.log(bound) < math.log(_SAMPLE_REL_BOUND)
-                             + log_reduced_z):
+    if not (log_bound == -math.inf  # exact, or nan: refused
+            or log_bound < math.log(_SAMPLE_REL_BOUND) + log_reduced_z):
         raise ValueError(
-            f"table is truncated: the bound {bound:.1e} on the lost weight is not"
-            f" below {_SAMPLE_REL_BOUND:.0e} of the reduced Z (log "
-            f"{log_reduced_z:.2f}); refuse to sample from a biased law")
+            f"table is truncated: the bound {table.truncation_bound:.1e} on the"
+            f" lost weight is not below {_SAMPLE_REL_BOUND:.0e} of the reduced Z"
+            f" (log {log_reduced_z:.2f}); refuse to sample from a biased law")
     if not np.isfinite(table.normalization):
         raise ValueError("the configuration set is empty at these parameters")
     L, beta, n = table.L, table.beta, table.height_cutoff + 1
     lw = table.log_weights
     stacks = lw if isinstance(lw, tuple) else (lw,)
-    blocks = _blocks(L, table.height_cutoff)
-    dirs = _directions(table.variant, n)
-    log_rew = np.where(np.arange(n) == 0, table.delta, 0.0)
+    plan = _Plan(L, table.height_cutoff, table.variant)
+    end = plan.start[-1]
+    heights = np.arange(n)
+    log_rew = np.where(heights == 0, table.delta, 0.0)
     rows = max(1, _SAMPLE_BLOCK // n)
     m, u, v, sizes = (np.zeros(count, dtype=np.int64) for _ in range(4))
     stretches = np.zeros((count, L), dtype=np.min_scalar_type(-L))
     live = np.arange(count)
     k = 0
     while live.size:
-        mask, src = dirs[k % len(dirs)]
+        need, src = plan.dirs[k % len(plan.dirs)]
         for a in range(0, live.size, rows):
             i = live[a:a + rows]
-            vi = v[i]
-            lp = _gather(stacks[src], blocks, m[i, None], vi[:, None], n, -np.inf)
-            lp += log_rew - 0.5 * beta * np.abs(np.arange(n) - u[i, None])
-            if mask is not None:
-                lp[~mask[vi]] = -np.inf
+            vi, mi = v[i], m[i]
+            at = plan.pair[vi]
+            at += n * (mi[:, None] + 1)
+            idx = plan.rowbase.take(at, mode="clip")
+            idx += heights
+            lp = stacks[src].take(idx, mode="clip")
+            lp[idx >= end if need is None
+               else need[vi] > L - mi[:, None]] = -np.inf
+            lp += log_rew - 0.5 * beta * np.abs(heights - u[i, None])
             cdf = np.cumsum(np.exp(lp - lp.max(axis=1, keepdims=True)), axis=1)
             w = (cdf <= (rng.random(i.size) * cdf[:, -1])[:, None]).sum(axis=1)
             stretches[i, k] = w - vi

@@ -383,7 +383,9 @@ def _truncation_tail(L, beta, delta, variant, H, K, rew) -> float:
     Forward first-exceedance accounting: every lost configuration is counted
     once, at the first stretch whose top height w exceeds H, with the exact
     weight accumulated so far, the factor of the crossing stretch, and the
-    wall-free completion majorant Ĝ of ``log_majorant`` for the rest.
+    wall-free completion majorant Ĝ of ``log_majorant`` for the rest.  The
+    returning variants count no crossing from a height v > L - m - 1 after
+    m units: from there no configuration gets back to 0, so none is lost.
     """
     n = H + 1
     G = np.exp(log_majorant(L, beta, delta).astype(float))
@@ -410,6 +412,8 @@ def _truncation_tail(L, beta, delta, variant, H, K, rew) -> float:
                 g = (np.exp(0.5 * beta * vv) @ A) * np.exp(-0.5 * beta * vv)
                 jmin = np.maximum(H + 1 - vv, 1)
                 pick = np.where(jmin <= R1, t_suffix[np.minimum(jmin, R1 + 1)], 0.0)
+                if variant is not Variant.FREE:
+                    pick[vv > R1] = 0.0
                 tail += math.exp(-beta) * float(g @ pick)
                 # in-box transitions
                 B = (A.T @ K) * rew[None, :] * mask
@@ -480,7 +484,9 @@ def dp_dense_table(L: int, beta: float, delta: float, variant,
     entries as the scale, a reference that is the largest source offset,
     and a start weight below 1e-150 of the largest completion at m = 0
     refused.  ``log_weights[m][u, v]`` (a pair of stacks for SingleBead) is
-    the entry the block layout of ``dp_Z`` must reproduce where u, v < b(m).
+    the entry the block layout of ``dp_Z`` must reproduce where u < b(m),
+    v < c(m).  As in ``_truncation_tail``, the returning variants have no
+    first-exceedance source at a height v > L - m - 1.
     """
     variant = Variant(variant)
     headroom = 1e-150
@@ -551,7 +557,10 @@ def dp_dense_table(L: int, beta: float, delta: float, variant,
                 log_t = np.full(R + n, -np.inf)
                 log_t[1:R] = np.logaddexp.accumulate(
                     (log_g[R - 1 - j, j] - 0.5 * beta * j)[::-1])[::-1]
-                B[0, m] += np.exp(uv + log_t[H + 1 - heights.T])
+                src = np.exp(uv + log_t[H + 1 - heights.T])
+                if variant is not Variant.FREE:  # no way back to 0 from v
+                    src[:, heights[:, 0] > R - 1] = 0.0
+                B[0, m] += src
 
     root = float(S[0, 0, 0, 0])
     empty = variant is Variant.SINGLE_BEAD and not (

@@ -160,6 +160,8 @@ def test_certified_dp_z_is_within_its_bound(L, beta, delta, variant):
     assert -ulps <= exact - lz <= rel + ulps
     if variant is Variant.FREE:  # both cut far below the exact height
         assert 2 * table.height_cutoff < exactz._exact_cutoff(L, variant)
+    if beta == 1.0:  # the secant in H^2 lands near H = 95, where the bound
+        assert table.height_cutoff <= 100  # first certifies
 
 
 def test_dp_input_validation():
@@ -248,14 +250,16 @@ def test_truncation_bound_matches_forward_oracle(variant):
             assert table.truncation_bound == pytest.approx(want, rel=1e-12)
 
 
-def _block_size(m, H):
-    return min(max(m, 1), H + 1)
+def _block_shape(m, L, H, variant):
+    """(b, c): reachable rows, and the columns that can still finish."""
+    b = min(max(m, 1), H + 1)
+    return b, b if variant is Variant.FREE else min(b, max(L - m, 1))
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
 def test_dp_blocks_match_dense_table(variant):
-    # every reachable block equals the dense slab of the parent layout, and
-    # the table stores those blocks and nothing else
+    # every stored block equals the dense slab, every dropped column of the
+    # dense slab is exactly -inf, and the table stores those blocks only
     for L, cutoff in ((18, None), (31, None), (40, 20)):
         for beta, delta in ((2.0, 1.2), (1.0, -0.5)):
             lz, table = exactz.dp_Z(L, beta, delta, variant, height_cutoff=cutoff)
@@ -267,15 +271,15 @@ def test_dp_blocks_match_dense_table(variant):
             stacks = dense if isinstance(dense, tuple) else (dense,)
             lw = table.log_weights
             got_stacks = lw if isinstance(lw, tuple) else (lw,)
+            shapes = [_block_shape(m, L, H, variant) for m in range(L + 1)]
             for stack in got_stacks:
-                assert stack.nbytes == 8 * sum(_block_size(m, H) ** 2
-                                               for m in range(L + 1))
+                assert stack.nbytes == 8 * sum(b * c for b, c in shapes)
             for k, stack in enumerate(stacks):
-                for m in range(L + 1):
-                    b = _block_size(m, H)
+                for m, (b, c) in enumerate(shapes):
                     got = table.completion(m, k == 0)
-                    want = stack[m, :b, :b]
-                    assert got.shape == (b, b)
+                    want = stack[m, :b, :c]
+                    assert got.shape == (b, c)
+                    assert np.all(stack[m, :b, c:b] == -np.inf)
                     np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
                     fin = np.isfinite(want)
                     assert np.all(np.abs(got[fin] - want[fin])
@@ -283,24 +287,37 @@ def test_dp_blocks_match_dense_table(variant):
 
 
 def test_dp_table_load_rejects_dense_layout(tmp_path):
-    # a file in the dense (L + 1) x n x n layout must not load mis-indexed
+    # a file in the dense (L + 1) x n x n layout, or a returning variant's
+    # in the square b x b blocks of the earlier layout, must not load
+    # mis-indexed
     L, beta, delta = 14, 1.5, 0.8
-    lz, dense, _ = oracles.dp_dense_table(L, beta, delta, Variant.FREE)
-    meta = json.dumps({"variant": "Free", "L": L, "beta": beta, "delta": delta,
-                       "cutoff": L - 1, "normalization": lz,
-                       "truncation_bound": 0.0})
-    path = tmp_path / "dense.npz"
-    np.savez_compressed(path, meta=meta, table=dense)
-    blocks = sum(_block_size(m, L - 1) ** 2 for m in range(L + 1))
-    with pytest.raises(ValueError) as err:
-        exactz.DPTable.load(path)
-    assert str(dense.size) in str(err.value) and str(blocks) in str(err.value)
+    for variant in (Variant.FREE, Variant.CONSTRAINED_END):
+        lz, dense, _ = oracles.dp_dense_table(L, beta, delta, variant)
+        H = exactz._exact_cutoff(L, variant)
+        shapes = [_block_shape(m, L, H, variant) for m in range(L + 1)]
+        square = np.concatenate([dense[m, :b, :b].ravel()
+                                 for m, (b, _) in enumerate(shapes)])
+        stored = ((dense,) if variant is Variant.FREE else (dense, square))
+        blocks = sum(b * c for b, c in shapes)
+        meta = json.dumps({"variant": variant.value, "L": L, "beta": beta,
+                           "delta": delta, "cutoff": H, "normalization": lz,
+                           "truncation_bound": 0.0,
+                           "log_truncation_bound": -math.inf})
+        for table in stored:
+            assert table.size != blocks
+            path = tmp_path / f"{variant.value}-{table.ndim}.npz"
+            np.savez_compressed(path, meta=meta, table=table)
+            with pytest.raises(ValueError) as err:
+                exactz.DPTable.load(path)
+            assert str(table.size) in str(err.value)
+            assert str(blocks) in str(err.value)
 
 
 def test_dp_table_save_load_roundtrip(tmp_path):
-    for variant in (Variant.FREE, Variant.SINGLE_BEAD):
-        lz, table = exactz.dp_Z(14, 1.5, 0.8, variant)
-        path = tmp_path / f"{variant.value}.npz"
+    for variant, cutoff in ((Variant.FREE, None), (Variant.CONSTRAINED_END, None),
+                            (Variant.CONSTRAINED_END, 3), (Variant.SINGLE_BEAD, None)):
+        lz, table = exactz.dp_Z(14, 1.5, 0.8, variant, height_cutoff=cutoff)
+        path = tmp_path / f"{variant.value}-{cutoff}.npz"
         table.save(path)
         back = exactz.DPTable.load(path)
         assert back.variant is variant
@@ -308,6 +325,8 @@ def test_dp_table_save_load_roundtrip(tmp_path):
         assert back.height_cutoff == table.height_cutoff
         assert back.normalization == lz
         assert back.truncation_bound == table.truncation_bound
+        assert back.log_truncation_bound == table.log_truncation_bound
+        assert (table.log_truncation_bound == -math.inf) == (cutoff is None)
         for consumed in (0, 3, 7):
             for up in (True, False):
                 np.testing.assert_array_equal(
@@ -514,6 +533,9 @@ def test_backward_sample_refuses_truncated_table():
     assert table.truncation_bound > 1e-9
     with pytest.raises(ValueError):
         exactz.backward_sample(table, 10, np.random.default_rng(0))
+    table.log_truncation_bound = math.nan  # a nan bound is not read as exact
+    with pytest.raises(ValueError, match="truncated"):
+        exactz.backward_sample(table, 10, np.random.default_rng(0))
 
 
 def test_backward_sample_gate_is_relative_to_z():
@@ -536,8 +558,13 @@ def test_cut_bound_below_double_range_is_not_read_as_exact():
     assert table.truncation_bound == np.finfo(float).tiny
     with pytest.raises(ValueError, match="reduced Z"):
         exactz.backward_sample(table, 10, np.random.default_rng(0))
-    _, certified = exactz.certified_dp_Z(120, 60.0, 0.5, Variant.FREE)
-    assert certified.height_cutoff == exactz._exact_cutoff(120, Variant.FREE)
+    # the log bound certifies a cut far below the exact cutoff all the same
+    log_z, certified = exactz.certified_dp_Z(120, 60.0, 0.5, Variant.FREE)
+    log_bound = certified.log_truncation_bound
+    assert 2 * certified.height_cutoff < exactz._exact_cutoff(120, Variant.FREE)
+    assert log_bound < math.log(1e-13) + log_z - 60.0 * 120
+    assert 0.0 <= exact - log_z <= math.exp(log_bound - (log_z - 60.0 * 120))
+    assert len(exactz.backward_sample(certified, 10, np.random.default_rng(0))) == 10
 
 
 def test_backward_sample_validates_count():
