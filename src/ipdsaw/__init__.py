@@ -2,11 +2,12 @@
 
 Submodules
 ----------
-steps     two-sided geometric step law and its cumulant generating function
+steps     two-sided geometric step law, its constants, collapse threshold
 wetting   first-return kernel, pinned-walk partition function, critical curves
-polymer   stretch configurations, Hamiltonian, beads and envelope walks
-exactz    exact partition functions: brute force, transfer DP, walk identities
-largedev  Legendre layer, tilted walks, collapse profile, meander rate
+polymer   stretch configurations and batches, Hamiltonian, beads, observables
+exactz    exact partition functions: brute force, transfer DP, exact sampling,
+          walk identities, area-tilted bridges
+largedev  Legendre layer of tilted walks, collapse profile, meander rate
 cli       command-line front end
 """
 

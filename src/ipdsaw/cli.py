@@ -372,7 +372,8 @@ def _run_wetting(config: ExperimentConfig) -> int:
     beta, delta = p["beta"], p["delta"]
     dt = wetting.delta_tilde(beta)
     h = wetting.wetting_free_energy(beta, delta)
-    log_zwet = wetting.zwet(beta, delta, p["length"]) if p.get("length") else None
+    N = p.get("length")
+    log_zwet = wetting.zwet(beta, delta, N) if N is not None else None
     cwet = wetting.cwet_constant(beta, delta) if delta > dt else None
     header = ["beta", "delta", "delta_tilde", "h_wet", "log_zwet", "cwet"]
     rows = [[_fmt(beta), _fmt(delta), _fmt(dt), _fmt(h),
@@ -387,7 +388,7 @@ def _run_tilt(config: ExperimentConfig) -> int:
     p = config.parameters
     beta, q, pp = p["beta"], p["q"], p["p"]
     n = p.get("n")
-    if n:
+    if n is not None:
         h = largedev.finite_tilt(int(n), q, pp, beta)
         value = largedev.finite_l_lambda(int(n), h)
     else:
@@ -395,7 +396,8 @@ def _run_tilt(config: ExperimentConfig) -> int:
         value = largedev.l_lambda(h)
     rate = q * h.h0 + pp * h.h1 - value
     header = ["beta", "q", "p", "n", "h0", "h1", "l_lambda", "rate"]
-    rows = [[_fmt(beta), _fmt(q), _fmt(pp), _fmt(int(n)) if n else "",
+    rows = [[_fmt(beta), _fmt(q), _fmt(pp),
+             "" if n is None else _fmt(int(n)),
              _fmt(h.h0), _fmt(h.h1), _fmt(value), _fmt(rate)]]
     _emit_csv(config, header, rows)
     return 0

@@ -11,6 +11,8 @@ weight factorizes over *pairs of heights two apart*:
 the transfer DP below exploit.  The module provides
 
 * ``brute_force_Z``    exhaustive enumeration (the oracle, L <= 24);
+* ``enumerate_configs`` the same configurations one at a time (slow
+                       path; ``feature_histogram`` aggregates them fast);
 * ``dp_Z``             rescaled transfer DP over (consumed length, prev
                        height, cur height) on one backward step for all
                        variants, storing and stepping only the height
@@ -26,7 +28,8 @@ the transfer DP below exploit.  The module provides
                        plan, returned as one checked ``StretchBatch`` of
                        arrays;
 * ``d_circ``           joint upper/lower-envelope DP at a prescribed
-                       enclosed-area difference;
+                       enclosed-area difference, the terms of
+                       ``z_circ_from_walks``;
 * ``e_circ`` / ``e_n_gamma``   area-tilted pinned-bridge partition values;
 * ``z_circ_from_walks`` / ``z_constrained_from_walks``   the random-walk
   representations of the single-bead and end-constrained models, used to
@@ -320,42 +323,6 @@ class DPTable:
         start, rows, cols = _blocks(self.L, self.height_cutoff, self.variant)
         return lw[start[consumed]:start[consumed + 1]].reshape(
             rows[consumed], cols[consumed])
-
-    def save(self, path) -> None:
-        import json
-        meta = json.dumps({
-            "variant": self.variant.value, "L": self.L, "beta": self.beta,
-            "delta": self.delta, "cutoff": self.height_cutoff,
-            "normalization": self.normalization,
-            "truncation_bound": self.truncation_bound,
-            "log_truncation_bound": self.log_truncation_bound,
-        })
-        if self.variant is Variant.SINGLE_BEAD:
-            np.savez_compressed(path, meta=meta, up=self.log_weights[0],
-                                down=self.log_weights[1])
-        else:
-            np.savez_compressed(path, meta=meta, table=self.log_weights)
-
-    @classmethod
-    def load(cls, path) -> "DPTable":
-        """Read a table written by ``save``; a stack whose shape is not the
-        flat block layout of (variant, L, cutoff) raises ValueError."""
-        import json
-        with np.load(path, allow_pickle=False) as z:
-            meta = json.loads(str(z["meta"]))
-            variant = Variant(meta["variant"])
-            lw = ((z["up"], z["down"]) if variant is Variant.SINGLE_BEAD
-                  else z["table"])
-        want = (int(_blocks(meta["L"], meta["cutoff"], variant)[0][-1]),)
-        for stack in (lw if isinstance(lw, tuple) else (lw,)):
-            if stack.shape != want:
-                raise ValueError(
-                    f"{path}: stored table has shape {stack.shape} "
-                    f"({stack.size} entries), but {variant.value} at "
-                    f"L={meta['L']}, cutoff={meta['cutoff']} needs {want[0]}")
-        return cls(variant, meta["L"], meta["beta"], meta["delta"],
-                   meta["cutoff"], lw, meta["normalization"],
-                   meta["truncation_bound"], meta["log_truncation_bound"])
 
 
 _TINY = np.finfo(float).tiny  # the smallest normal double
@@ -862,13 +829,6 @@ class AreaWettingDP:
     log_table: np.ndarray
     log_value: float
 
-    def log_column_sums(self) -> np.ndarray:
-        """log of the column totals (partial partition values per step)."""
-        m = self.log_table.max(axis=1)
-        with np.errstate(invalid="ignore"):
-            s = m + np.log(np.exp(self.log_table - m[:, None]).sum(axis=1))
-        return s
-
 
 def area_wetting_dp(N: int, gamma: float, beta: float, delta: float,
                     height_cutoff: int | None = None) -> AreaWettingDP:
@@ -885,7 +845,7 @@ def area_wetting_dp(N: int, gamma: float, beta: float, delta: float,
     table = np.full((N + 1, H + 1), -np.inf)
     table[0, 0] = 0.0
     with np.errstate(divide="ignore"):
-        for k, (p, off) in enumerate(_strip_walk(law, log_w, 0, N), start=1):
+        for k, (p, off) in enumerate(_strip_walk(law, log_w, N), start=1):
             table[k] = np.log(p) + log_w + off
     return AreaWettingDP(N, beta, delta, gamma, H, table, float(table[N, 0]))
 

@@ -9,8 +9,9 @@ scaled generating function converges to the integrated version
 finite on D_beta = {|h1| < beta/2, |h0 + h1| < beta/2}.  This module
 provides L_Lambda, its gradient, the inverse tilt h~(q, p) solving
 grad L_Lambda(h~) = (q, p), the rate function g = Legendre transform, the
-finite-n analogues, exact sampling of tilted walks, and on top of these the
-collapsed-phase profile: the bead-scale variational function
+finite-n analogues (n >= 1 steps, n >= 2 for the finite-n tilt), and on
+top of these the collapsed-phase profile: the bead-scale variational
+function
 
     phi(a) = a * (2 log Gamma + h_beta(delta) - g(1/(2 a^2), 0)),
 
@@ -51,7 +52,6 @@ __all__ = [
     "finite_l_lambda",
     "grad_finite_l_lambda",
     "finite_tilt",
-    "tilted_sample",
     "collapse_profile",
     "phi_max_ddelta",
     "airy_first_zero",
@@ -324,14 +324,21 @@ def _finite_gaps(n: int, h: TiltVector):
     return s0 * w + s1 * lam, u0 * w + u1 * lam, lam
 
 
+def _require_steps(n: int, least: int, why: str) -> None:
+    if not n >= least:
+        raise ValueError(f"n = {n!r} must be >= {least}: {why}")
+
+
 def finite_l_lambda(n: int, h: TiltVector) -> float:
     """(1/n) sum_{k=1}^n L((1 - k/n) h0 + h1): the n-step analogue of L_Lambda."""
+    _require_steps(n, 1, "the walk needs a step")
     _require_domain(h, n)
     s, u, _ = _finite_gaps(n, h)
     return float(_l_from_gaps(h.beta, s, u).sum()) / n
 
 
 def grad_finite_l_lambda(n: int, h: TiltVector) -> tuple:
+    _require_steps(n, 1, "the walk needs a step")
     _require_domain(h, n)
     s, u, lam = _finite_gaps(n, h)
     l1 = _tail_ratio(s) - _tail_ratio(u)
@@ -347,28 +354,8 @@ def _finite_hessian(n: int, h: TiltVector, grad=None) -> np.ndarray:
 
 def finite_tilt(n: int, q: float, p: float, beta: float) -> TiltVector:
     """Inverse of the n-step gradient: grad (1/n) L_{Lambda,n}(h) = (q, p)."""
+    _require_steps(n, 2, "at n = 1 the gradient's q component is 0 for every h")
     return _continuation_solve(q, p, beta, n)
-
-
-def tilted_sample(n: int, h: TiltVector, rng) -> np.ndarray:
-    """One exact path X_0..X_n of the h-tilted walk (increment k tilted by
-    (1 - k/n) h0 + h1), drawn by closed-form inverse CDF."""
-    _require_domain(h, n)
-    logrp, logrm, _ = _finite_gaps(n, h)   # log tail ratios log(x e^{+-a_k})
-    mp, mm = _tail_ratio(logrp), _tail_ratio(logrm)
-    tot = 1.0 + mp + mm
-    u = rng.random(n) * tot
-    steps = np.zeros(n, dtype=np.int64)
-    pos = (u > 1.0) & (u <= 1.0 + mp)
-    neg = u > 1.0 + mp
-    fp = (u[pos] - 1.0) / mp[pos]
-    steps[pos] = np.floor(np.log1p(-fp) / logrp[pos]).astype(np.int64) + 1
-    fm = (u[neg] - 1.0 - mp[neg]) / mm[neg]
-    steps[neg] = -(np.floor(np.log1p(-fm) / logrm[neg]).astype(np.int64) + 1)
-    out = np.empty(n + 1, dtype=np.int64)
-    out[0] = 0
-    np.cumsum(steps, out=out[1:])
-    return out
 
 
 # -- collapse profile -------------------------------------------------------

@@ -17,7 +17,8 @@ Three boundary flavours are used throughout:
 * ``ConstrainedEnd``  T_N = 0;
 * ``SingleBead``      nonzero stretches of alternating sign starting
                       upward, T_N = 0 — one tightly wound bead, in
-                      bijection with a pair of ordered envelope walks.
+                      bijection with a pair of ordered envelope walks
+                      (the walks ``exactz.z_circ_from_walks`` sums over).
 
 Many configurations of one length are held as a ``StretchBatch``: one
 integer matrix, row i carrying configuration i's stretches then zeros.
@@ -26,7 +27,6 @@ integer matrix, row i carrying configuration i's stretches then zeros.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
@@ -37,17 +37,11 @@ __all__ = [
     "Variant",
     "StretchConfig",
     "StretchBatch",
-    "Envelopes",
     "wedge",
     "hamiltonian",
     "beads",
-    "envelopes",
-    "from_walks",
-    "geometric_area",
     "observables",
     "batch_observables",
-    "to_json",
-    "from_json",
 ]
 
 
@@ -199,19 +193,6 @@ class StretchBatch:
         return (self[i] for i in range(len(self)))
 
 
-@dataclass(frozen=True)
-class Envelopes:
-    """Upper/lower envelope walks of a single-bead configuration.
-
-    ``upper`` is (S_1, ..., S_{n+1}) and ``lower`` is (I_1, ..., I_n) where n
-    is the number of up/down stretch pairs; S_0 = I_0 = 0 are implicit and
-    S_{n+1} = I_n by construction.
-    """
-
-    upper: tuple
-    lower: tuple
-
-
 def hamiltonian(cfg: StretchConfig, beta: float, delta: float) -> float:
     """beta * (total stretch overlap) + delta * (number of wall contacts)."""
     padded = (0,) + cfg.stretches + (0,)
@@ -234,63 +215,6 @@ def beads(cfg: StretchConfig) -> tuple:
             out.append((start, i))
             start = i + 1
     return tuple(out)
-
-
-def envelopes(cfg: StretchConfig) -> Envelopes:
-    """Envelope walks (S, I) of a single-bead configuration.
-
-    S_k is the height after the k-th up stretch, I_k after the k-th down
-    stretch; the padded terminal S_{n+1} repeats I_n = 0.
-    """
-    if cfg.variant is not Variant.SINGLE_BEAD:
-        raise ValueError("envelopes are defined for the SingleBead variant only")
-    t = cfg.prefix_heights()
-    n = len(cfg.stretches) // 2
-    upper = tuple(t[2 * k - 1] for k in range(1, n + 1)) + (t[2 * n],)
-    lower = tuple(t[2 * k] for k in range(1, n + 1))
-    return Envelopes(upper=upper, lower=lower)
-
-
-def from_walks(S, I) -> StretchConfig:
-    """Rebuild the single-bead configuration from its envelope walks.
-
-    Expects S = (S_1..S_{n+1}), I = (I_1..I_n) with implicit S_0 = I_0 = 0,
-    S_{n+1} = I_n = 0, everything >= 0 and the strict ordering S_k > I_k,
-    S_k > I_{k-1} for k = 1..n.
-    """
-    S = tuple(int(v) for v in S)
-    I = tuple(int(v) for v in I)
-    n = len(I)
-    if len(S) != n + 1 or n < 1:
-        raise ValueError("need len(S) = len(I) + 1 >= 2")
-    if any(v < 0 for v in S + I):
-        raise ValueError("envelope walks must stay above the wall")
-    if S[n] != I[n - 1]:
-        raise ValueError("terminal mismatch: S_{n+1} must equal I_n")
-    if I[n - 1] != 0:
-        raise ValueError("a closed bead needs I_n = 0")
-    I0 = (0,) + I
-    for k in range(1, n + 1):
-        if not (S[k - 1] > I0[k] and S[k - 1] > I0[k - 1]):
-            raise ValueError(f"envelopes cross at k={k}: need S_k > I_k and S_k > I_(k-1)")
-    stretches = []
-    for k in range(1, n + 1):
-        stretches.append(S[k - 1] - I0[k - 1])   # up stretch l_{2k-1}
-        stretches.append(I0[k] - S[k - 1])       # down stretch l_{2k}
-    L = 2 * n + sum(abs(v) for v in stretches)
-    return StretchConfig(tuple(stretches), L, Variant.SINGLE_BEAD)
-
-
-def geometric_area(env: Envelopes) -> int:
-    """Total vertical bond count L - 2N expressed through the envelopes:
-
-    sum_k |I_k - S_k| + sum_k |S_k - I_{k-1}| (padded terms vanish).
-    """
-    S, I = env.upper, env.lower
-    I0 = (0,) + I
-    down = sum(abs(I0[k] - S[k - 1]) for k in range(1, len(I) + 1))
-    up = sum(abs(S[k - 1] - I0[k - 1]) for k in range(1, len(S) + 1))
-    return up + down
 
 
 def observables(cfg: StretchConfig) -> dict:
@@ -324,19 +248,3 @@ def batch_observables(stretches, sizes) -> dict:
         "max_height": T.max(axis=1),
         "signed_area": T.sum(axis=1),
     }
-
-
-def to_json(cfg: StretchConfig) -> str:
-    return json.dumps({
-        "L": cfg.total_length,
-        "stretches": list(cfg.stretches),
-        "variant": cfg.variant.value,
-    })
-
-
-def from_json(text: str) -> StretchConfig:
-    obj = json.loads(text)
-    try:
-        return StretchConfig(tuple(obj["stretches"]), int(obj["L"]), obj["variant"])
-    except KeyError as e:
-        raise ValueError(f"missing field {e.args[0]!r} in configuration JSON") from None

@@ -23,9 +23,6 @@ __all__ = [
     "StepLaw",
     "step_pmf",
     "beta_critical",
-    "log_mgf",
-    "variance",
-    "sample_step",
 ]
 
 
@@ -89,49 +86,3 @@ def beta_critical() -> float:
     for _ in range(8):  # Newton polish; f' = 3t^2 + 2t + 1 > 0
         t -= f(t) / ((3.0 * t + 2.0) * t + 1.0)
     return -2.0 * math.log(t)
-
-
-def log_mgf(law: StepLaw, h: float) -> float:
-    """log E[e^{hX}], finite exactly on |h| < beta/2.
-
-    Closed form: 2 log(1-x) - log(1 - x e^h) - log(1 - x e^{-h}).
-    """
-    if abs(h) >= 0.5 * law.beta:
-        raise ValueError(
-            f"h={h!r} outside the open domain |h| < beta/2 = {0.5 * law.beta!r}"
-        )
-    x = law.x
-    return (
-        2.0 * math.log1p(-x)
-        - math.log1p(-x * math.exp(h))
-        - math.log1p(-x * math.exp(-h))
-    )
-
-
-def variance(law: StepLaw) -> float:
-    """Step variance; equals the curvature of ``log_mgf`` at h = 0."""
-    return law.sigma2
-
-
-def sample_step(law: StepLaw, rng: np.random.Generator, size=None):
-    """Draw steps by closed-form inverse CDF (no rejection).
-
-    Returns a Python int when ``size`` is None, else an int64 array.
-    """
-    scalar = size is None
-    n = 1 if scalar else size
-    u = rng.random(n)
-    x = law.x
-    p0 = 1.0 / law.c_beta  # mass at zero
-    half = 0.5 * (1.0 - p0)  # mass of each nonzero tail
-    out = np.zeros(n, dtype=np.int64)
-    nz = u >= p0
-    v = u[nz] - p0
-    sign = np.where(v < half, 1, -1)
-    frac = np.where(v < half, v, v - half) / half  # uniform in [0, 1)
-    # geometric magnitude on {1, 2, ...}: P(m <= M) = 1 - x^M
-    mag = np.floor(np.log1p(-frac) / math.log(x)).astype(np.int64) + 1
-    out[nz] = sign * mag
-    if scalar:
-        return int(out[0])
-    return out

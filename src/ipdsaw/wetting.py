@@ -12,12 +12,11 @@ direct positive-walk DP), the closed-form localization free energy
 h_beta(delta) and prefactor C_wet, and the three critical curves
 delta_tilde < delta_c < delta_circ of the phase diagram.
 
-The direct DPs (``zwet_direct``, ``positive_bridge_logprob`` and the
-area-tilted ``exactz.area_wetting_dp``) walk the strip [0, H] with one
+The direct DPs (``zwet_direct`` and the area-tilted
+``exactz.area_wetting_dp``) walk the strip [0, H] from height 0 with one
 generator, ``_strip_walk``.  Its step matrix x^{|i-j|} / c_beta is applied
 in O(H) by two geometric sweeps (``_step_apply``); the dense product is
-the test oracle.  A negative ``height_cutoff``, or a start above it,
-raises ValueError.
+the test oracle.  A negative ``height_cutoff`` raises ValueError.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ __all__ = [
     "delta_tilde",
     "critical_curves",
     "cwet_constant",
-    "positive_bridge_logprob",
     "logsumexp_c",
 ]
 
@@ -74,17 +72,13 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must be finite, got {delta!r}")
 
 
-def _strip_top(height_cutoff: int | None, n: float, beta: float,
-               x0: int = 0) -> int:
-    """Top height H of the strip for a walk of ~n steps started at x0:
-    ``height_cutoff``, else x0 plus a generous multiple of sqrt(n/beta)."""
+def _strip_top(height_cutoff: int | None, n: float, beta: float) -> int:
+    """Top height H of the strip for a walk of ~n steps started at 0:
+    ``height_cutoff``, else a generous multiple of sqrt(n/beta)."""
     if height_cutoff is None:
-        return math.ceil(12.0 * math.sqrt(max(n, 1.0) / beta)) + 64 + x0
+        return math.ceil(12.0 * math.sqrt(max(n, 1.0) / beta)) + 64
     if height_cutoff < 0:
         raise ValueError(f"height_cutoff must be >= 0, got {height_cutoff!r}")
-    if x0 > height_cutoff:
-        raise ValueError(
-            f"start x0={x0} lies above height_cutoff={height_cutoff}")
     return int(height_cutoff)
 
 
@@ -141,10 +135,10 @@ def _step_apply(law: StepLaw, n: int):
     return apply
 
 
-def _strip_walk(law: StepLaw, log_w: np.ndarray, start: int, steps: int):
+def _strip_walk(law: StepLaw, log_w: np.ndarray, steps: int):
     """The weighted step walk on the strip [0, H], H = len(log_w) - 1.
 
-    Starting from the unit vector at ``start``, yields (p, log_off) for
+    Starting from the unit vector at height 0, yields (p, log_off) for
     k = 1..steps, where e^{log_w} p e^{log_off} is the weight of the k-step
     paths ending at each height: p = M v is the walk's step applied to the
     (k-1)-step vector v before the site weights, so a consumer adds log_w in
@@ -158,7 +152,7 @@ def _strip_walk(law: StepLaw, log_w: np.ndarray, start: int, steps: int):
     shift = float(np.max(log_w))
     w = np.exp(log_w - shift)
     v = np.zeros(len(log_w))
-    v[start] = 1.0
+    v[0] = 1.0
     log_off = 0.0
     for k in range(steps):
         if k:
@@ -168,17 +162,6 @@ def _strip_walk(law: StepLaw, log_w: np.ndarray, start: int, steps: int):
             log_off += math.log(s) + shift
         p = apply(v)
         yield p, log_off
-
-
-def _strip_walk_log_end(law: StepLaw, log_w: np.ndarray, start: int,
-                        steps: int) -> float:
-    """log of the ``_strip_walk`` weight at height 0 after ``steps`` steps."""
-    if steps == 0:
-        return 0.0 if start == 0 else -math.inf
-    for p, log_off in _strip_walk(law, log_w, start, steps):
-        pass
-    last = float(p[0])
-    return float(log_w[0]) + log_off + (math.log(last) if last > 0.0 else -math.inf)
 
 
 def _kernel_constants(law: StepLaw) -> tuple:
@@ -192,15 +175,13 @@ class ReturnKernel:
     """First-return kernel table K(t), t = 1..t_max.
 
     ``k[t]`` is P(tau = t, X_tau = 0), index 0 unused.  The table comes from
-    a closed form, so ``truncation_bound`` is 0.0 and ``height_cutoff`` is 0,
-    meaning no cutoff.
+    a closed form, so ``height_cutoff`` is 0, meaning no cutoff.
     """
 
     beta: float
     t_max: int
     height_cutoff: int
     k: np.ndarray
-    truncation_bound: float
 
     def total_mass(self) -> float:
         return float(self.k[1:].sum())
@@ -228,7 +209,7 @@ def return_kernel(beta: float, t_max: int) -> ReturnKernel:
     k = -0.5 * c * np.convolve(sqrt_1ms, sqrt_1ms2)[:t_max + 1]
     k[0] = 0.0
     k[1] = 1.0 / law.c_beta
-    return ReturnKernel(beta, t_max, 0, k, 0.0)
+    return ReturnKernel(beta, t_max, 0, k)
 
 
 def delta_tilde(beta: float) -> float:
@@ -294,21 +275,14 @@ def zwet_direct(beta: float, delta: float, N: int,
     _check_delta(delta)
     law = StepLaw(beta)
     H = _strip_top(height_cutoff, N, beta)
+    if N == 0:
+        return 0.0
     log_w = np.zeros(H + 1)
     log_w[0] = delta
-    return _strip_walk_log_end(law, log_w, 0, N)
-
-
-def positive_bridge_logprob(beta: float, n: int, x0: int = 0,
-                            height_cutoff: int | None = None) -> float:
-    """log P(X_k >= 0 for k <= n, X_n = 0 | X_0 = x0) for the step walk."""
-    if x0 < 0:
-        raise ValueError("start must be above the wall")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    law = StepLaw(beta)
-    H = _strip_top(height_cutoff, n, beta, x0)
-    return _strip_walk_log_end(law, np.zeros(H + 1), x0, n)
+    for p, log_off in _strip_walk(law, log_w, N):
+        pass
+    last = float(p[0])
+    return float(log_w[0]) + log_off + (math.log(last) if last > 0.0 else -math.inf)
 
 
 @dataclass(frozen=True)

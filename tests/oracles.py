@@ -16,6 +16,10 @@ collapse profile and the critical curves, 40-digit mpmath instead of double
 precision, per-configuration loops and ``json.dumps`` instead of array
 observables and a record template) so that agreement is evidence, not
 tautology.
+
+``log_mgf``, the step law's cumulant generating function L(h) as a sum of
+three log1p terms, has no caller in the package: ``largedev`` computes the
+same L(h) from boundary gaps, and the tests compare the two.
 """
 
 from __future__ import annotations
@@ -55,6 +59,23 @@ def mgf_truncated(beta: float, h: float) -> float:
     ks = np.arange(-K, K + 1)
     return float(np.log(np.sum(np.exp(h * ks - 0.5 * beta * np.abs(ks)))
                         / c_beta(beta)))
+
+
+def log_mgf(law: steps.StepLaw, h: float) -> float:
+    """log E[e^{hX}], finite exactly on |h| < beta/2.
+
+    Closed form: 2 log(1-x) - log(1 - x e^h) - log(1 - x e^{-h}).
+    """
+    if abs(h) >= 0.5 * law.beta:
+        raise ValueError(
+            f"h={h!r} outside the open domain |h| < beta/2 = {0.5 * law.beta!r}"
+        )
+    x = law.x
+    return (
+        2.0 * math.log1p(-x)
+        - math.log1p(-x * math.exp(h))
+        - math.log1p(-x * math.exp(-h))
+    )
 
 
 def variance_truncated(beta: float) -> float:
@@ -99,7 +120,7 @@ def return_kernel_dp(beta: float, t_max: int, H: int) -> np.ndarray:
     return k
 
 
-def strip_walk_dense(beta: float, log_w: np.ndarray, start: int, steps: int):
+def strip_walk_dense(beta: float, log_w: np.ndarray, steps: int):
     """The weighted strip walk of ``wetting._strip_walk`` with the step
     applied as the dense (H+1) x (H+1) product M v, M[i, j] = P(X = i - j):
     yields (p, log_off) for k = 1..steps, with the same renormalization."""
@@ -108,7 +129,7 @@ def strip_walk_dense(beta: float, log_w: np.ndarray, start: int, steps: int):
     shift = float(np.max(log_w))
     w = np.exp(log_w - shift)
     v = np.zeros(len(log_w))
-    v[start] = 1.0
+    v[0] = 1.0
     log_off = 0.0
     for k in range(steps):
         if k:

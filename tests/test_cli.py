@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from ipdsaw import cli, exactz, largedev, wetting
+import ipdsaw
+from ipdsaw import cli, exactz, largedev, polymer, steps, wetting
 
 import oracles
 
@@ -229,6 +230,16 @@ def test_wetting_nan_delta_exits_2(capsys):
     assert "delta" in capsys.readouterr().err
 
 
+def test_wetting_zero_length_reports_zwet(capsys):
+    # an explicit --length 0 is a length, not an omitted option
+    rc = cli.main(["wetting", "--beta", "2", "--delta", "1",
+                   "--length", "0", "--out", "-"])
+    assert rc == 0
+    _, _, rows = parse_csv(capsys.readouterr().out)
+    assert rows[0]["log_zwet"] != ""
+    assert float(rows[0]["log_zwet"]) == wetting.zwet(2.0, 1.0, 0) == 0.0
+
+
 def test_exact_nan_delta_exits_2(capsys):
     rc = cli.main(["exact", "--length", "10", "--beta", "2", "--delta", "nan",
                    "--out", "-"])
@@ -270,6 +281,15 @@ def test_tilt_finite_n(capsys):
         largedev.finite_l_lambda(100, ref), rel=1e-10)
 
 
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_tilt_n_below_2_exits_2(capsys, n):
+    # an explicit --n 0 is a finite size, not the limit tilt
+    rc = cli.main(["tilt", "--beta", "2", "--q", "0.5", "--n", n,
+                   "--out", "-"])
+    assert rc == 2
+    assert f"n = {n} " in capsys.readouterr().err
+
+
 def test_asymptotics_columns(tmp_path):
     out = tmp_path / "asym.csv"
     rc = cli.main(["asymptotics", "--beta", "2", "--delta", "1.2",
@@ -299,3 +319,21 @@ def test_verify_all_checks_pass(tmp_path):
              if not ln.startswith("#")]
     assert len(lines) == 10
     assert all(ln.startswith("PASS ") for ln in lines)
+
+
+def test_public_names_resolve():
+    # perfbench/tracer.py wraps every name of each module's __all__ through
+    # getattr, and perfbench/ reads the names below; a missing one would
+    # break only traced benchmark runs
+    for name in ipdsaw.__all__:
+        assert hasattr(ipdsaw, name), name
+    for mod in (steps, wetting, polymer, exactz, largedev):
+        for name in mod.__all__:
+            assert hasattr(mod, name), f"{mod.__name__}.{name}"
+    for fn in (exactz.enumerate_configs, polymer.StretchConfig.prefix_heights,
+               polymer.hamiltonian, steps.StepLaw,
+               largedev.grad_finite_l_lambda):
+        assert callable(fn)
+    kernel = wetting.return_kernel(2.0, 10)
+    assert kernel.t_max == 10
+    assert kernel.height_cutoff == 0  # closed form: no height cutoff

@@ -1,6 +1,5 @@
 """Exact partition functions, envelope building blocks, backward sampling."""
 
-import json
 import math
 import warnings
 
@@ -286,63 +285,6 @@ def test_dp_blocks_match_dense_table(variant):
                                   <= 1e-12 * np.maximum(1.0, np.abs(want[fin])))
 
 
-def test_dp_table_load_rejects_dense_layout(tmp_path):
-    # a file in the dense (L + 1) x n x n layout, or a returning variant's
-    # in the square b x b blocks of the earlier layout, must not load
-    # mis-indexed
-    L, beta, delta = 14, 1.5, 0.8
-    for variant in (Variant.FREE, Variant.CONSTRAINED_END):
-        lz, dense, _ = oracles.dp_dense_table(L, beta, delta, variant)
-        H = exactz._exact_cutoff(L, variant)
-        shapes = [_block_shape(m, L, H, variant) for m in range(L + 1)]
-        square = np.concatenate([dense[m, :b, :b].ravel()
-                                 for m, (b, _) in enumerate(shapes)])
-        stored = ((dense,) if variant is Variant.FREE else (dense, square))
-        blocks = sum(b * c for b, c in shapes)
-        meta = json.dumps({"variant": variant.value, "L": L, "beta": beta,
-                           "delta": delta, "cutoff": H, "normalization": lz,
-                           "truncation_bound": 0.0,
-                           "log_truncation_bound": -math.inf})
-        for table in stored:
-            assert table.size != blocks
-            path = tmp_path / f"{variant.value}-{table.ndim}.npz"
-            np.savez_compressed(path, meta=meta, table=table)
-            with pytest.raises(ValueError) as err:
-                exactz.DPTable.load(path)
-            assert str(table.size) in str(err.value)
-            assert str(blocks) in str(err.value)
-
-
-def test_dp_table_save_load_roundtrip(tmp_path):
-    for variant, cutoff in ((Variant.FREE, None), (Variant.CONSTRAINED_END, None),
-                            (Variant.CONSTRAINED_END, 3), (Variant.SINGLE_BEAD, None)):
-        lz, table = exactz.dp_Z(14, 1.5, 0.8, variant, height_cutoff=cutoff)
-        path = tmp_path / f"{variant.value}-{cutoff}.npz"
-        table.save(path)
-        back = exactz.DPTable.load(path)
-        assert back.variant is variant
-        assert (back.L, back.beta, back.delta) == (14, 1.5, 0.8)
-        assert back.height_cutoff == table.height_cutoff
-        assert back.normalization == lz
-        assert back.truncation_bound == table.truncation_bound
-        assert back.log_truncation_bound == table.log_truncation_bound
-        assert (table.log_truncation_bound == -math.inf) == (cutoff is None)
-        for consumed in (0, 3, 7):
-            for up in (True, False):
-                np.testing.assert_array_equal(
-                    back.completion(consumed, up),
-                    table.completion(consumed, up))
-
-
-def test_loaded_table_samples_identically(tmp_path):
-    _, table = exactz.dp_Z(16, 2.0, 1.0, Variant.FREE)
-    table.save(tmp_path / "t.npz")
-    back = exactz.DPTable.load(tmp_path / "t.npz")
-    a = exactz.backward_sample(table, 50, np.random.default_rng(3))
-    b = exactz.backward_sample(back, 50, np.random.default_rng(3))
-    assert [c.stretches for c in a] == [c.stretches for c in b]
-
-
 # ---------------------------------------------------------------------------
 # d_circ
 # ---------------------------------------------------------------------------
@@ -455,8 +397,6 @@ def test_e_n_gamma_monotone_in_gamma():
 def test_e_n_gamma_small_tilt_recovers_positive_bridge():
     for N in (50, 400):
         got = exactz.e_n_gamma(N, 1e-13, 2.0)
-        assert got == pytest.approx(wetting.positive_bridge_logprob(2.0, N),
-                                    abs=1e-10)
         assert got == pytest.approx(wetting.zwet(2.0, 0.0, N), abs=1e-10)
 
 
@@ -510,7 +450,8 @@ def test_area_dp_column_sums_match_plain_recursion():
         cur = nxt
         partials.append(sum(cur.values()))
     assert probs[0] == pytest.approx(1.0 / law.c_beta, rel=1e-15)
-    got = np.exp(dp.log_column_sums())
+    top = dp.log_table.max(axis=1)  # log-sum-exp of each step's row
+    got = np.exp(top + np.log(np.exp(dp.log_table - top[:, None]).sum(axis=1)))
     np.testing.assert_allclose(got, partials, rtol=5e-13)
     assert dp.log_value == pytest.approx(math.log(cur[0]), rel=1e-13)
 

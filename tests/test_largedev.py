@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 import scipy.special
-import scipy.stats
 
 from ipdsaw import largedev, steps, wetting
 from ipdsaw.largedev import TiltVector
@@ -31,7 +30,7 @@ def test_l_lambda_zero():
 def test_l_lambda_constant_integrand():
     for h1 in (-0.7, 0.2, 0.9):
         assert largedev.l_lambda(tv(0.0, h1)) == \
-            pytest.approx(steps.log_mgf(LAW, h1), rel=1e-13)
+            pytest.approx(oracles.log_mgf(LAW, h1), rel=1e-13)
 
 
 def test_l_lambda_matches_dense_trapezoid():
@@ -155,7 +154,7 @@ def test_hessian_matches_quadrature_oracle(beta):
 
 def test_grad_h0_zero_branch():
     for h1 in (-0.6, 0.15, 0.8):
-        lp = oracles.central_diff(lambda a: steps.log_mgf(LAW, a), h1, 1e-6)
+        lp = oracles.central_diff(lambda a: oracles.log_mgf(LAW, a), h1, 1e-6)
         q, p = largedev.grad_l_lambda(tv(0.0, h1))
         assert q == pytest.approx(0.5 * lp, rel=1e-8, abs=1e-9)
         assert p == pytest.approx(lp, rel=1e-8, abs=1e-9)
@@ -176,7 +175,7 @@ def test_tilt_inverse_diagonal_forces_h0_zero():
         got = largedev.tilt_inverse(q, 2 * q, BETA)
         assert abs(got.h0) < 1e-8
         lp = oracles.central_diff(
-            lambda a: steps.log_mgf(LAW, a), got.h1, 1e-6)
+            lambda a: oracles.log_mgf(LAW, a), got.h1, 1e-6)
         assert lp == pytest.approx(2 * q, rel=1e-6)
 
 
@@ -256,60 +255,30 @@ def test_finite_tilt_solves_stationarity():
         assert gp == pytest.approx(p, abs=1e-10)
 
 
-# ---------------------------------------------------------------------------
-# tilted sampling
-# ---------------------------------------------------------------------------
-
-def test_tilted_sample_identity_tilt_matches_plain_walk():
-    n, m = 25, 10 ** 5
-    rng = np.random.default_rng(31)
-    tilted = np.array([largedev.tilted_sample(n, tv(0.0, 0.0), rng)[-1]
-                       for _ in range(m)])
-    plain = steps.sample_step(LAW, np.random.default_rng(32), size=n * m)
-    plain = plain.reshape(m, n).sum(axis=1)
-    stat = scipy.stats.ks_2samp(tilted, plain)
-    assert stat.pvalue > 1e-4
+def test_finite_l_lambda_rejects_n_below_1():
+    h = tv(0.3, 0.1)
+    assert largedev.finite_l_lambda(1, h) == pytest.approx(
+        oracles.log_mgf(LAW, 0.1), rel=1e-13)  # one step, tilted by h1 only
+    for n in (0, -5):
+        with pytest.raises(ValueError, match=f"n = {n} "):
+            largedev.finite_l_lambda(n, h)
 
 
-def test_tilted_sample_hits_prescribed_averages():
-    n, m = 40, 20000
-    q, p = 0.6, 0.2
-    h = largedev.finite_tilt(n, q, p, BETA)
-    rng = np.random.default_rng(41)
-    area = np.empty(m)
-    end = np.empty(m)
-    for i in range(m):
-        path = largedev.tilted_sample(n, h, rng)
-        area[i] = path[1:-1].sum()  # the n-th increment carries tilt weight 0
-        end[i] = path[-1]
-    qs = area / n ** 2
-    ps = end / n
-    for emp, sd, target in ((qs.mean(), qs.std() / math.sqrt(m), q),
-                            (ps.mean(), ps.std() / math.sqrt(m), p)):
-        assert abs(emp - target) < 3.5 * sd
+def test_grad_finite_l_lambda_rejects_n_below_1():
+    h = tv(0.3, 0.1)
+    assert largedev.grad_finite_l_lambda(1, h)[0] == 0.0
+    for n in (0, -5):
+        with pytest.raises(ValueError, match=f"n = {n} "):
+            largedev.grad_finite_l_lambda(n, h)
 
 
-def test_tilted_sample_increment_means_decrease():
-    n, m = 30, 6000
-    h = largedev.finite_tilt(n, 0.8, 0.1, BETA)
-    assert h.h0 > 0
-    rng = np.random.default_rng(51)
-    paths = np.array([largedev.tilted_sample(n, h, rng) for _ in range(m)])
-    incs = np.diff(paths, axis=1).mean(axis=0)
-    third = n // 3
-    assert incs[:third].mean() > incs[-third:].mean() + 0.5
-
-
-def test_tilted_sample_rejects_bad_tilt():
-    with pytest.raises(ValueError):
-        largedev.tilted_sample(10, tv(0.3, 0.95), np.random.default_rng(0))
-
-
-def test_tilted_sample_deterministic():
-    h = tv(0.4, -0.2)
-    a = largedev.tilted_sample(20, h, np.random.default_rng(3))
-    b = largedev.tilted_sample(20, h, np.random.default_rng(3))
-    np.testing.assert_array_equal(a, b)
+def test_finite_tilt_rejects_n_below_2():
+    hn = largedev.finite_tilt(2, 0.5, 0.0, BETA)
+    assert largedev.grad_finite_l_lambda(2, hn) == pytest.approx((0.5, 0.0),
+                                                                abs=1e-10)
+    for n in (1, 0, -5):
+        with pytest.raises(ValueError, match=f"n = {n} "):
+            largedev.finite_tilt(n, 0.5, 0.0, BETA)
 
 
 # ---------------------------------------------------------------------------

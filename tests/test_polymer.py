@@ -1,4 +1,4 @@
-"""Configuration-space tests: validation, Hamiltonian, beads, envelopes."""
+"""Configuration-space tests: validation, Hamiltonian, beads, observables."""
 
 import math
 
@@ -136,65 +136,7 @@ def test_beads_partition(l):
     assert flat == list(range(1, len(l) + 1))
 
 
-# -- envelopes --------------------------------------------------------------
-
-def test_envelopes_examples():
-    e = polymer.envelopes(cfg((2, -2, 2, -2), Variant.SINGLE_BEAD))
-    assert e.upper == (2, 2, 0) and e.lower == (0, 0)
-    # lower envelope reads the even prefix sums, so the closed bead always
-    # ends with I_n = 0
-    e = polymer.envelopes(cfg((3, -1, 1, -3), Variant.SINGLE_BEAD))
-    assert e.upper == (3, 3, 0) and e.lower == (2, 0)
-
-
-def test_envelopes_require_single_bead():
-    with pytest.raises(ValueError):
-        polymer.envelopes(cfg((1, -1)))
-
-
-def test_geometric_area_identity():
-    for stretches in exactz.enumerate_configs(14, Variant.SINGLE_BEAD):
-        c = cfg(stretches, Variant.SINGLE_BEAD)
-        env = polymer.envelopes(c)
-        n_pairs = len(stretches) // 2
-        assert polymer.geometric_area(env) == c.total_length - 2 * n_pairs
-
-
-def test_signed_area_identity():
-    # vertical bond count G equals twice the area between the envelopes
-    for stretches in exactz.enumerate_configs(14, Variant.SINGLE_BEAD):
-        c = cfg(stretches, Variant.SINGLE_BEAD)
-        env = polymer.envelopes(c)
-        a_upper = sum((0,) + env.upper)
-        a_lower = sum((0,) + env.lower)
-        assert polymer.geometric_area(env) == 2 * (a_upper - a_lower)
-
-
-def test_from_walks_examples():
-    c = polymer.from_walks((2, 2, 0), (0, 0))
-    assert c.stretches == (2, -2, 2, -2)
-    with pytest.raises(ValueError):
-        polymer.from_walks((1, 0), (1,))
-
-
-def test_from_walks_roundtrip_exhaustive():
-    for L in range(4, 17, 2):
-        for stretches in exactz.enumerate_configs(L, Variant.SINGLE_BEAD):
-            c = cfg(stretches, Variant.SINGLE_BEAD)
-            env = polymer.envelopes(c)
-            assert polymer.from_walks(env.upper, env.lower) == c
-
-
-def test_from_walks_roundtrip_random():
-    _, table = exactz.dp_Z(30, 1.5, 0.7, Variant.SINGLE_BEAD)
-    rng = np.random.default_rng(99)
-    draws = exactz.backward_sample(table, count=1000, rng=rng)
-    for c in draws:
-        env = polymer.envelopes(c)
-        assert polymer.from_walks(env.upper, env.lower) == c
-
-
-# -- observables and serialization ------------------------------------------
+# -- observables -----------------------------------------------------------
 
 def test_observables_hand_values():
     obs = polymer.observables(cfg((1, -1)))
@@ -290,13 +232,3 @@ def test_stretch_batch_names_the_same_row_when_checked_in_blocks(monkeypatch):
         monkeypatch.setattr(polymer, "_CHECK_BLOCK", block)
         with pytest.raises(ValueError, match="^row 15: .*total_length"):
             polymer.StretchBatch(stretches, sizes, L, Variant.FREE)
-
-
-def test_json_roundtrip():
-    for variant in Variant:
-        c = cfg((2, -2), variant) if variant is not Variant.SINGLE_BEAD \
-            else cfg((2, -2, 1, -1), variant)
-        text = polymer.to_json(c)
-        assert polymer.from_json(text) == c
-    with pytest.raises(ValueError):
-        polymer.from_json('{"stretches": [1, -1]}')

@@ -1,4 +1,8 @@
-"""Step-law unit tests: closed forms against truncated-sum oracles."""
+"""Step-law unit tests: closed forms against truncated-sum oracles.
+
+The ``log_mgf`` tests check the closed-form L(h) of ``oracles``, the
+reference that the segment free energy of ``largedev`` is compared with.
+"""
 
 import math
 
@@ -67,27 +71,27 @@ def test_gamma_strictly_decreasing():
 
 
 def test_log_mgf_at_zero():
-    assert steps.log_mgf(steps.StepLaw(2.0), 0.0) == 0.0
+    assert oracles.log_mgf(steps.StepLaw(2.0), 0.0) == 0.0
 
 
 def test_log_mgf_symmetry():
     law = steps.StepLaw(2.0)
-    assert steps.log_mgf(law, 0.3) == pytest.approx(steps.log_mgf(law, -0.3),
-                                                    rel=1e-14)
+    assert oracles.log_mgf(law, 0.3) == pytest.approx(
+        oracles.log_mgf(law, -0.3), rel=1e-14)
 
 
 def test_log_mgf_truncated_sum_oracle():
     law = steps.StepLaw(2.0)
-    assert steps.log_mgf(law, 0.5) == pytest.approx(
+    assert oracles.log_mgf(law, 0.5) == pytest.approx(
         oracles.mgf_truncated(2.0, 0.5), abs=1e-10)
 
 
 def test_log_mgf_domain_error():
     law = steps.StepLaw(2.0)
     with pytest.raises(ValueError):
-        steps.log_mgf(law, 1.0)
+        oracles.log_mgf(law, 1.0)
     with pytest.raises(ValueError):
-        steps.log_mgf(law, -1.0)
+        oracles.log_mgf(law, -1.0)
 
 
 def test_log_mgf_strictly_convex():
@@ -95,49 +99,24 @@ def test_log_mgf_strictly_convex():
     rng = np.random.default_rng(5)
     for h in rng.uniform(-0.9, 0.9, size=20):
         eps = 1e-4
-        second = (steps.log_mgf(law, h + eps) - 2.0 * steps.log_mgf(law, h)
-                  + steps.log_mgf(law, h - eps))
+        second = (oracles.log_mgf(law, h + eps) - 2.0 * oracles.log_mgf(law, h)
+                  + oracles.log_mgf(law, h - eps))
         assert second > 0.0
 
 
 def test_variance_truncated_sum():
     law = steps.StepLaw(2.0)
-    assert steps.variance(law) == pytest.approx(oracles.variance_truncated(2.0),
-                                                abs=1e-10)
+    assert law.sigma2 == pytest.approx(oracles.variance_truncated(2.0),
+                                       abs=1e-10)
 
 
 def test_variance_is_mgf_curvature():
     law = steps.StepLaw(2.0)
-    second = (steps.log_mgf(law, 1e-4) - 2.0 * steps.log_mgf(law, 0.0)
-              + steps.log_mgf(law, -1e-4)) / 1e-8
-    assert second == pytest.approx(steps.variance(law), rel=1e-6)
+    second = (oracles.log_mgf(law, 1e-4) - 2.0 * oracles.log_mgf(law, 0.0)
+              + oracles.log_mgf(law, -1e-4)) / 1e-8
+    assert second == pytest.approx(law.sigma2, rel=1e-6)
 
 
 def test_variance_decreasing_in_beta():
-    vals = [steps.variance(steps.StepLaw(b)) for b in (1.0, 2.0, 3.0, 4.0)]
+    vals = [steps.StepLaw(b).sigma2 for b in (1.0, 2.0, 3.0, 4.0)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
-
-
-def test_sample_step_moments():
-    law = steps.StepLaw(2.0)
-    rng = np.random.default_rng(42)
-    draws = steps.sample_step(law, rng, size=10 ** 6)
-    sigma = math.sqrt(steps.variance(law))
-    assert abs(draws.mean()) < 4.0 * sigma / 1e3
-    assert draws.var() == pytest.approx(steps.variance(law), rel=0.02)
-
-
-def test_sample_step_deterministic():
-    law = steps.StepLaw(2.0)
-    a = steps.sample_step(law, np.random.default_rng(7), size=100)
-    b = steps.sample_step(law, np.random.default_rng(7), size=100)
-    assert np.array_equal(a, b)
-
-
-def test_sample_step_matches_pmf():
-    law = steps.StepLaw(2.0)
-    rng = np.random.default_rng(3)
-    draws = steps.sample_step(law, rng, size=200_000)
-    for k in (-2, -1, 0, 1, 2):
-        emp = np.mean(draws == k)
-        assert emp == pytest.approx(steps.step_pmf(law, k), abs=0.005)

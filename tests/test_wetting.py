@@ -34,11 +34,6 @@ def test_kernel_tail_exponent(kernel2):
     assert r == pytest.approx(1.0, abs=0.03)
 
 
-def test_kernel_truncation_bound_reported(kernel2):
-    assert 0.0 <= kernel2.truncation_bound < 1e-9
-    assert kernel2.height_cutoff == 0  # closed form: no height cutoff
-
-
 @pytest.mark.parametrize("beta, H", [(2.0, 913), (4.0, 664)])
 def test_kernel_closed_form_matches_dp_oracle(beta, H):
     t_max = 10 ** 4
@@ -99,10 +94,10 @@ def test_step_apply_matches_dense_product(beta):
             assert np.all(got[~big] < 1e-280)
 
 
-def _dense_log_table(beta, log_w, start, steps):
+def _dense_log_table(beta, log_w, steps):
     """log of the strip-walk weights after k = 1..steps steps, dense route,
     and the mask of entries whose unscaled step value p is above 1e-290."""
-    walk = list(oracles.strip_walk_dense(beta, log_w, start, steps))
+    walk = list(oracles.strip_walk_dense(beta, log_w, steps))
     with np.errstate(divide="ignore"):
         table = np.array([np.log(p) + log_w + off for p, off in walk])
     return table, np.array([p > 1e-290 for p, _ in walk])
@@ -112,18 +107,15 @@ def _dense_log_table(beta, log_w, start, steps):
 # in blocks of 40; beta = 4 at N = 2000: 334 heights in blocks of 300
 @pytest.mark.parametrize("beta, N", [(2.0, 200), (30.0, 200), (4.0, 2000)])
 def test_strip_walk_callers_match_dense_oracle(beta, N):
-    delta, gamma, x0 = 1.0, 0.5, 3
+    delta, gamma = 1.0, 0.5
     H = math.ceil(12.0 * math.sqrt(N / beta)) + 64
     log_w = np.zeros(H + 1)
     log_w[0] = delta
     assert wetting.zwet_direct(beta, delta, N) == pytest.approx(
-        _dense_log_table(beta, log_w, 0, N)[0][-1, 0], abs=1e-12)
-    bridge = _dense_log_table(beta, np.zeros(H + x0 + 1), x0, N)[0][-1, 0]
-    assert wetting.positive_bridge_logprob(beta, N, x0) == pytest.approx(
-        bridge, abs=1e-12)
+        _dense_log_table(beta, log_w, N)[0][-1, 0], abs=1e-12)
     log_w = -gamma * np.arange(H + 1) / N
     log_w[0] += delta
-    want, ok = _dense_log_table(beta, log_w, 0, N)
+    want, ok = _dense_log_table(beta, log_w, N)
     got = exactz.area_wetting_dp(N, gamma, beta, delta).log_table[1:]
     assert ok.sum() > 0.2 * ok.size
     assert np.all(np.abs(got[ok] - want[ok]) < 1e-12)
@@ -276,14 +268,6 @@ def test_subcritical_and_critical_decay(kernel2):
     assert r_crit == pytest.approx(1.0, abs=0.10)
 
 
-def test_positive_bridge_asymptotic_shape():
-    for n in (200, 500, 1000, 2000):
-        for x0 in (0, 1, 5, int(math.isqrt(n))):
-            lp = wetting.positive_bridge_logprob(BETA, n, x0)
-            ratio = math.exp(lp) / (max(x0, 1) / n ** 1.5)
-            assert 0.25 < ratio < 4.0
-
-
 def test_large_delta_stays_finite():
     # at delta = 710, e^delta overflows; the walk then stays on the wall,
     # so h -> delta - log c_beta, C_wet -> 1 and Z_wet(N) -> (e^delta/c_beta)^N
@@ -340,10 +324,6 @@ def test_negative_length_rejected():
      "height_cutoff"),
     (lambda: exactz.area_wetting_dp(10, 0.1, BETA, 1.0, height_cutoff=-2),
      "height_cutoff"),
-    (lambda: wetting.positive_bridge_logprob(BETA, 10, height_cutoff=-1),
-     "height_cutoff"),
-    (lambda: wetting.positive_bridge_logprob(BETA, 10, x0=50,
-                                             height_cutoff=10), "x0"),
 ])
 def test_strip_cutoff_validated(call, name):
     with pytest.raises(ValueError, match=name):
@@ -358,5 +338,5 @@ def test_strip_cutoff_zero_keeps_walk_on_wall():
 
 
 def test_positive_bridge_zero_steps():
-    assert wetting.positive_bridge_logprob(BETA, 0) == 0.0
-    assert wetting.positive_bridge_logprob(BETA, 0, x0=3) == -math.inf
+    # zwet_direct at delta = 0 is the positive bridge from 0 back to 0
+    assert wetting.zwet_direct(BETA, 0.0, 0) == 0.0
