@@ -32,7 +32,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,6 +163,8 @@ def _run_phase(config: ExperimentConfig) -> int:
     points = [(b, d) for b in betas for d in deltas]
     workers = int(p.get("workers", 1))
     if workers > 1:
+        # imported here: the process pool costs every other run its import
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_phase_row, points, chunksize=4))
     else:

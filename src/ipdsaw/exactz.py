@@ -530,7 +530,9 @@ def _transfer(L, beta, delta, variant, X, log_g) -> tuple:
     b x min(b, columns) product plus a rank-one term.  A term's log scale
     is its slice offset, by gap, plus the site weight and that decay, by
     column, so it is the product of an n-vector over gaps (seen through a
-    Toeplitz view) and an n-vector over w, each at max 1.  The terms are
+    Toeplitz view) and an n-vector over w, each at max 1; the w-vector's
+    max is over the columns the direction reads, so for SingleBead's up
+    stretches, which never end at 0, over w >= 1.  The terms are
     then normalized to a largest of 1; a step whose largest term is below
     ``_RESCALE`` is redone from the logs of the terms.  Each block is kept
     at max 1, so B neither underflows nor overflows however small or large
@@ -543,6 +545,12 @@ def _transfer(L, beta, delta, variant, X, log_g) -> tuple:
     lift = max(delta, 0.0) - beta          # per-stretch factor kept in off
     heights = np.arange(n)
     site = np.where(heights == 0, min(delta, 0.0), -max(delta, 0.0))
+
+    def scales(log_col):
+        """(log weight, its max, e^{weight - max}) of the columns a step
+        reads, -inf at a column it never reads."""
+        top = log_col.max()
+        return log_col, top, np.exp(log_col - top) if top > -np.inf else None
 
     def step(out, m, C):
         """Block ``out`` of length m from the terms C[v, w], decay included."""
@@ -618,9 +626,11 @@ def _transfer(L, beta, delta, variant, X, log_g) -> tuple:
         # the returning variants read only the columns some v can finish from
         ne = n if variant is Variant.FREE else min(n, max(L - m - 1, 1))
         log_col = (site - 0.5 * beta * np.maximum(heights + 1 - b, 0))[:ne]
-        columns = (log_col, log_col.max(), np.exp(log_col - log_col.max()))
+        columns = [scales(log_col)] * len(dirs)
+        if variant is Variant.SINGLE_BEAD:  # an up stretch never ends at 0
+            columns[0] = scales(np.concatenate(([-np.inf], log_col[1:])))
         for k in range(len(dirs)):
-            advance(S, off, k, m, columns)
+            advance(S, off, k, m, columns[k])
         if B is not None:
             # first exceedance from (u, v) with R units left: an up stretch
             # of length j >= H + 1 - v, to w = v + j > H, whose factor
@@ -632,7 +642,7 @@ def _transfer(L, beta, delta, variant, X, log_g) -> tuple:
             log_t[1:R] = np.logaddexp.accumulate(
                 (log_g[R - 1 - j, j] - 0.5 * beta * j)[::-1])[::-1]
             for k in range(len(dirs)):
-                advance(B, off_b, k, m, columns, None if k else
+                advance(B, off_b, k, m, columns[k], None if k else
                         uv[:b, :c] + log_t[H + 1 - heights[:c]])
     # block 0 of B is 1 x 1 at max 1, so its log scale is the log bound
     return S, off, float(off_b[0, 0])

@@ -7,13 +7,19 @@ The building block is the first-return kernel of the step walk,
 The step law is two-sided geometric, so its generating function is
 algebraic and ``return_kernel`` reads K(t) off it in closed form (the
 height-resolved DP it displaces is kept as a test oracle).  On top of it
-sit the pinned partition function (renewal recursion, cross-checked by a
-direct positive-walk DP), the closed-form localization free energy
-h_beta(delta) and prefactor C_wet, and the three critical curves
+sit the pinned partition function Z_wet, the closed-form localization free
+energy h_beta(delta) and prefactor C_wet, and the three critical curves
 delta_tilde < delta_c < delta_circ of the phase diagram.
 
+log Z_wet has two independent routes, each with no Python step per unit
+of length.  ``zwet_series`` solves the renewal equation in blocks: a
+Toeplitz inverse on one block, then one convolution per block into every
+later length (the one-dot-per-length recursion is the test oracle).
+``zwet_direct`` walks the strip [0, H] for half the length and joins the
+two halves by time reversal, since the step matrix is symmetric.
+
 The direct DPs (``zwet_direct`` and the area-tilted
-``exactz.area_wetting_dp``) walk the strip [0, H] from height 0 with one
+``exactz.area_wetting_dp``) walk the strip from height 0 with one
 generator, ``_strip_walk``.  Its step matrix x^{|i-j|} / c_beta is applied
 in O(H) by two geometric sweeps (``_step_apply``); the dense product is
 the test oracle.  A negative ``height_cutoff`` raises ValueError.
@@ -143,25 +149,27 @@ def _strip_walk(law: StepLaw, log_w: np.ndarray, steps: int):
     paths ending at each height: p = M v is the walk's step applied to the
     (k-1)-step vector v before the site weights, so a consumer adds log_w in
     log space and a very negative log weight never underflows.  Between
-    steps v <- e^{log_w - max log_w} p is renormalized to max 1.  The step
-    is applied by the two geometric sweeps of ``_step_apply`` in O(H); the
-    dense H x H product it replaces is the test oracle
-    ``oracles.strip_walk_dense``.
+    steps v <- e^{log_w - max log_w} p is renormalized by the power of two
+    that brings its max into [1/2, 1), so the rescale is exact and log_off
+    is (sum of the exponents) log 2 + (k - 1) max log_w, rounded a fixed
+    number of times however many steps are taken.  The step is applied by
+    the two geometric sweeps of ``_step_apply`` in O(H); the dense H x H
+    product it replaces is the test oracle ``oracles.strip_walk_dense``.
     """
     apply = _step_apply(law, len(log_w))
     shift = float(np.max(log_w))
     w = np.exp(log_w - shift)
     v = np.zeros(len(log_w))
     v[0] = 1.0
-    log_off = 0.0
+    exps = 0  # the rescales so far divided by 2^exps in all
     for k in range(steps):
         if k:
             v = w * p
-            s = v.max()
-            v /= s
-            log_off += math.log(s) + shift
+            e = math.frexp(v.max())[1]
+            v = np.ldexp(v, -e)
+            exps += e
         p = apply(v)
-        yield p, log_off
+        yield p, exps * math.log(2.0) + k * shift
 
 
 def _kernel_constants(law: StepLaw) -> tuple:
@@ -197,7 +205,10 @@ def return_kernel(beta: float, t_max: int) -> ReturnKernel:
         F(s) = [c + a s - c sqrt(1 - s) sqrt(1 - s/s2)] / 2,
 
     so K(1) = 1/c_beta and, for t >= 2, K(t) is -c/2 times the s^t
-    coefficient of the product of the two binomial series.
+    coefficient of the product of the two binomial series.  Both series
+    fall in magnitude, and s2 > 1, so the second one's terms are nonzero up
+    to where they underflow and exactly 0 after; only that prefix enters
+    the convolution (at beta = 2, its first 476 terms).
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
@@ -206,6 +217,7 @@ def return_kernel(beta: float, t_max: int) -> ReturnKernel:
     n = np.arange(1, t_max + 1)
     sqrt_1ms = np.concatenate(([1.0], np.cumprod((2.0 * n - 3.0) / (2.0 * n))))
     sqrt_1ms2 = sqrt_1ms * s2 ** -np.arange(t_max + 1.0)
+    sqrt_1ms2 = sqrt_1ms2[:np.count_nonzero(sqrt_1ms2)]
     k = -0.5 * c * np.convolve(sqrt_1ms, sqrt_1ms2)[:t_max + 1]
     k[0] = 0.0
     k[1] = 1.0 / law.c_beta
@@ -233,14 +245,27 @@ def wetting_free_energy(beta: float, delta: float) -> float:
             - math.log(one_m_y - x * x))
 
 
+_RENEWAL_BLOCK = 128  # lengths per block of the renewal solve
+
+
 def zwet_series(beta: float, delta: float, N: int,
                 kernel: ReturnKernel | None = None) -> np.ndarray:
     """log Z_wet(n) for n = 0..N via the renewal recursion.
 
     The recursion is run on the exponentially rebased sequence
-    Z(n) e^{-h n} (bounded in every phase, so plain double dots are safe)
+    Z(n) e^{-h n} (bounded in every phase, so plain double sums are safe)
     with one factor e^{delta - h} taken out for n >= 1, so that a very
     negative delta cannot underflow it; logs are recovered at the end.
+
+    The rebased sequence solves (I - T) y = a with T the lower-triangular
+    Toeplitz matrix of the rebased kernel krb(t) = K(t) e^{delta - h t}.
+    It is solved in blocks of ``_RENEWAL_BLOCK`` lengths: the inverse of
+    (I - T) on one block is the lower-triangular Toeplitz matrix of the
+    renewal sequence of krb, built once with a dot per length, and each
+    solved block adds its share to every later length with one
+    convolution.  Every term is positive, so nothing cancels.  The
+    sequential recursion it replaces, one dot per length, is the test
+    oracle ``oracles.zwet_series_loop``.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -252,12 +277,21 @@ def zwet_series(beta: float, delta: float, N: int,
     if abs(kernel.beta - beta) > 1e-12:
         raise ValueError("kernel was built for a different beta")
     t = np.arange(1, N + 1)
-    krb = kernel.k[1:N + 1] * np.exp(delta - h * t)
+    krb = np.concatenate(([0.0], kernel.k[1:N + 1] * np.exp(delta - h * t)))
     # y(n) = Z(n) e^{-delta - h (n-1)}: the excursion straight to n, plus
-    # a first return at t < n followed by Z(n - t)
+    # a first return at t < n followed by Z(n - t); y(0) = 0
     y = np.concatenate(([0.0], kernel.k[1:N + 1] * np.exp(-h * (t - 1.0))))
-    for n in range(2, N + 1):
-        y[n] += float(krb[:n - 1] @ y[n - 1:0:-1])
+    B = min(_RENEWAL_BLOCK, N + 1)
+    r = np.zeros(B)  # renewal sequence of krb: (I - T)^{-1} on one block
+    r[0] = 1.0
+    for n in range(1, B):
+        r[n] = float(krb[n:0:-1] @ r[:n])
+    inv = np.tril(r[np.abs(np.subtract.outer(np.arange(B), np.arange(B)))])
+    for s in range(0, N + 1, B):
+        e = min(s + B, N + 1)
+        y[s:e] = inv[:e - s, :e - s] @ y[s:e]
+        if e <= N:
+            y[e:] += np.convolve(y[s:e], krb[:N + 1 - s])[e - s:N + 1 - s]
     return np.concatenate(([0.0], np.log(y[1:]) + delta + h * (t - 1.0)))
 
 
@@ -269,7 +303,20 @@ def zwet(beta: float, delta: float, N: int,
 
 def zwet_direct(beta: float, delta: float, N: int,
                 height_cutoff: int | None = None) -> float:
-    """log Z_wet(N) by direct height DP (independent cross-check of the renewal)."""
+    """log Z_wet(N) by direct height DP (independent cross-check of the renewal).
+
+    The step matrix is symmetric, so a path of N steps from 0 back to 0,
+    read backwards from its end, is a walk from 0 that carries the wall
+    weight e^delta at its start instead of its end.  Splitting each path
+    at step j = ceil(N/2), with k = N - j,
+
+        Z(N) = e^delta sum_h e^{log_w(h)} p_j(h) p_k(h) e^{off_j + off_k}
+
+    for the (p, off) of ``_strip_walk``, so the walk runs j steps and ends
+    with one sum, taken in log space so that neither a huge nor a very
+    negative delta overflows or underflows it.  At N = 1 (k = 0) it is
+    e^delta p_1(0).
+    """
     if N < 0:
         raise ValueError("N must be >= 0")
     _check_delta(delta)
@@ -279,10 +326,17 @@ def zwet_direct(beta: float, delta: float, N: int,
         return 0.0
     log_w = np.zeros(H + 1)
     log_w[0] = delta
-    for p, log_off in _strip_walk(law, log_w, N):
-        pass
-    last = float(p[0])
-    return float(log_w[0]) + log_off + (math.log(last) if last > 0.0 else -math.inf)
+    j, k = -(-N // 2), N // 2
+    for step, (p, log_off) in enumerate(_strip_walk(law, log_w, j), 1):
+        if step == k:
+            p_k, off_k = p, log_off
+    if k == 0:
+        return delta + log_off + math.log(p[0])
+    with np.errstate(divide="ignore"):
+        terms = log_w + np.log(p) + np.log(p_k)
+    top = float(terms.max())
+    return (delta + log_off + off_k + top
+            + math.log(float(np.exp(terms - top).sum())))
 
 
 @dataclass(frozen=True)

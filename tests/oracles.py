@@ -10,7 +10,8 @@ majorant summed term by term in long double instead of by two geometric
 sweeps, a log-space transfer recursion instead of its rescaled linear
 one, the dense table of every height pair instead of its reachable
 blocks, the dense strip step matrix instead of
-the two geometric sweeps of the strip walk, root-finding through the
+the two geometric sweeps of the strip walk, the wetting renewal one dot
+per length instead of its blocked Toeplitz solve, root-finding through the
 numerical tilt solve and bisection instead of the quadratics behind the
 collapse profile and the critical curves, 40-digit mpmath instead of double
 precision, per-configuration loops and ``json.dumps`` instead of array
@@ -130,15 +131,30 @@ def strip_walk_dense(beta: float, log_w: np.ndarray, steps: int):
     w = np.exp(log_w - shift)
     v = np.zeros(len(log_w))
     v[0] = 1.0
-    log_off = 0.0
+    exps = 0
     for k in range(steps):
         if k:
             v = w * p
-            s = v.max()
-            v /= s
-            log_off += math.log(s) + shift
+            e = math.frexp(v.max())[1]
+            v = np.ldexp(v, -e)
+            exps += e
         p = M @ v
-        yield p, log_off
+        yield p, exps * math.log(2.0) + k * shift
+
+
+def zwet_series_loop(beta: float, delta: float, N: int) -> np.ndarray:
+    """log Z_wet(n), n = 0..N, by the renewal recursion run one length at a
+    time: y(n) = a(n) + sum_{t < n} krb(t) y(n - t), one dot per n, on the
+    rebasing of ``wetting.zwet_series`` (y(n) = Z(n) e^{-delta - h (n-1)},
+    krb(t) = K(t) e^{delta - h t}), in place of its blocked solve."""
+    h = wetting.wetting_free_energy(beta, delta)
+    k = wetting.return_kernel(beta, max(N, 1)).k
+    t = np.arange(1, N + 1)
+    krb = k[1:N + 1] * np.exp(delta - h * t)
+    y = np.concatenate(([0.0], k[1:N + 1] * np.exp(-h * (t - 1.0))))
+    for n in range(2, N + 1):
+        y[n] += float(krb[:n - 1] @ y[n - 1:0:-1])
+    return np.concatenate(([0.0], np.log(y[1:]) + delta + h * (t - 1.0)))
 
 
 # -- segment quadrature oracle ----------------------------------------------

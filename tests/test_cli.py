@@ -1,6 +1,10 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +61,16 @@ def test_phase_reruns_and_workers_byte_identical(tmp_path):
     assert strip(paths[0]) == strip(paths[2])
     _, _, rows = parse_csv(paths[0].read_text())
     assert rows[0]["Psi_or_empty"] != ""  # delta == 0 exposes the third scale
+
+
+def test_cli_import_leaves_out_process_pool():
+    # the pool is imported only by `phase --workers N` with N > 1, so a
+    # fresh interpreter that imports the CLI does not pay for it
+    code = ("import sys, ipdsaw.cli; "
+            "sys.exit('concurrent.futures.process' in sys.modules)")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ipdsaw.__file__).resolve().parents[1]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_phase_below_collapse_threshold_exits_2(tmp_path):

@@ -71,6 +71,25 @@ def test_zwet_renewal_equals_direct_dp_at_scale():
         wetting.zwet_direct(1.0, 1.0, 20000), rel=1e-12)
 
 
+# lengths 0..N: N = B - 1 fills one block of the solve, N = B and B + 1
+# start a second
+@pytest.mark.parametrize("N", [wetting._RENEWAL_BLOCK - 1,
+                               wetting._RENEWAL_BLOCK,
+                               wetting._RENEWAL_BLOCK + 1])
+@pytest.mark.parametrize("beta", [0.1, 2.0, 30.0])
+def test_zwet_series_blocked_solve_matches_sequential_loop(beta, N):
+    dt = wetting.delta_tilde(beta)
+    for delta in (dt - 0.5, dt, dt + 0.5, 710.0, -800.0):
+        got = wetting.zwet_series(beta, delta, N)
+        want = oracles.zwet_series_loop(beta, delta, N)
+        assert got[0] == want[0] == 0.0
+        # pytest's absolute floor of 1e-12 serves where log Z is near 0: at
+        # beta = 30, delta = delta_tilde, log Z(n) is -3e-7 to -4e-5 and the
+        # loop's own error reaches 1.6e-13 (5e-15 for the blocked solve,
+        # both against the loop run in long double)
+        assert got[1:] == pytest.approx(want[1:], rel=1e-13), delta
+
+
 @pytest.mark.parametrize("beta", [0.1, 0.5, 2.0, 4.0, 30.0])
 def test_step_apply_matches_dense_product(beta):
     law = steps.StepLaw(beta)
@@ -104,8 +123,11 @@ def _dense_log_table(beta, log_w, steps):
 
 
 # beta = 2 at N = 200: one sweep block of 185 heights; beta = 30: 96 heights
-# in blocks of 40; beta = 4 at N = 2000: 334 heights in blocks of 300
-@pytest.mark.parametrize("beta, N", [(2.0, 200), (30.0, 200), (4.0, 2000)])
+# in blocks of 40; beta = 4 at N = 2000: 334 heights in blocks of 300.
+# zwet_direct walks ceil(N/2) steps and joins the two halves, so odd and
+# even N (1, 2, 3, 201) check the join; N = 1 reads the one step's p(0)
+@pytest.mark.parametrize("beta, N", [(2.0, 1), (2.0, 2), (2.0, 3), (2.0, 200),
+                                     (2.0, 201), (30.0, 200), (4.0, 2000)])
 def test_strip_walk_callers_match_dense_oracle(beta, N):
     delta, gamma = 1.0, 0.5
     H = math.ceil(12.0 * math.sqrt(N / beta)) + 64
