@@ -30,7 +30,10 @@ the transfer DP below exploit.  The module provides
 * ``d_circ``           joint upper/lower-envelope DP at a prescribed
                        enclosed-area difference, the terms of
                        ``z_circ_from_walks``;
-* ``e_circ`` / ``e_n_gamma``   area-tilted pinned-bridge partition values;
+* ``area_wetting_dp``  log of the area-tilted pinned bridge, the strip
+                       bridge ``wetting._log_bridge`` with an extra
+                       e^{-gamma h / N} per height h;
+* ``e_circ`` / ``e_n_gamma``   its values at the tilts of the paper;
 * ``z_circ_from_walks`` / ``z_constrained_from_walks``   the random-walk
   representations of the single-bead and end-constrained models, used to
   cross-validate the direct enumerations.
@@ -47,12 +50,11 @@ import numpy as np
 from . import largedev
 from .polymer import StretchBatch, Variant, as_variant
 from .steps import StepLaw
-from .wetting import (_check_delta, _step_matrix, _strip_top, _strip_walk,
+from .wetting import (_check_delta, _log_bridge, _step_matrix, _strip_top,
                       logsumexp_c)
 
 __all__ = [
     "DPTable",
-    "AreaWettingDP",
     "brute_force_Z",
     "enumerate_configs",
     "feature_histogram",
@@ -823,26 +825,11 @@ def z_constrained_from_walks(L: int, beta: float, delta: float) -> float:
 # area-tilted pinned bridges
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AreaWettingDP:
-    """Forward DP for E[e^{-gamma A_N(I)/N} e^{delta #zeros} 1{I in B^{0,+}_N}].
-
-    ``log_table[k, y]`` is the log partition value of the k-step prefix
-    ending at height y; ``log_value`` is the (N, 0) entry.
-    """
-
-    N: int
-    beta: float
-    delta: float
-    gamma: float
-    height_cutoff: int
-    log_table: np.ndarray
-    log_value: float
-
-
 def area_wetting_dp(N: int, gamma: float, beta: float, delta: float,
-                    height_cutoff: int | None = None) -> AreaWettingDP:
-    """Build the area-tilted pinned-bridge DP (gamma >= 0)."""
+                    height_cutoff: int | None = None) -> float:
+    """log E[e^{-gamma A_N(I)/N} e^{delta #zeros} 1{I in B^{0,+}_N}] (gamma >= 0):
+    the pinned bridge ``wetting._log_bridge`` with the site weight
+    e^{delta 1{h = 0} - gamma h / N}."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if gamma < 0:
@@ -852,12 +839,7 @@ def area_wetting_dp(N: int, gamma: float, beta: float, delta: float,
     H = _strip_top(height_cutoff, N, beta)
     log_w = -gamma * np.arange(H + 1) / N
     log_w[0] += delta
-    table = np.full((N + 1, H + 1), -np.inf)
-    table[0, 0] = 0.0
-    with np.errstate(divide="ignore"):
-        for k, (p, off) in enumerate(_strip_walk(law, log_w, N), start=1):
-            table[k] = np.log(p) + log_w + off
-    return AreaWettingDP(N, beta, delta, gamma, H, table, float(table[N, 0]))
+    return _log_bridge(law, log_w, N)
 
 
 def e_circ(N: int, q: float, beta: float, delta: float) -> float:
@@ -865,11 +847,11 @@ def e_circ(N: int, q: float, beta: float, delta: float) -> float:
     if q <= 0:
         raise ValueError("q must be positive")
     gamma = largedev.tilt_inverse(q, 0.0, beta).h0
-    return area_wetting_dp(N, gamma, beta, delta).log_value
+    return area_wetting_dp(N, gamma, beta, delta)
 
 
 def e_n_gamma(N: int, gamma: float, beta: float) -> float:
     """log E_N(gamma): area-tilted positive bridge without pinning."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    return area_wetting_dp(N, gamma, beta, 0.0).log_value
+    return area_wetting_dp(N, gamma, beta, 0.0)

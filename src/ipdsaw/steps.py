@@ -15,7 +15,6 @@ strictly decreasing in beta and crosses 1 at ``beta_critical()``.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -64,25 +63,14 @@ def step_pmf(law: StepLaw, k) -> float:
     return np.exp(-0.5 * law.beta * np.abs(k)) / law.c_beta
 
 
-@lru_cache(maxsize=1)
 def beta_critical() -> float:
     """Coupling at which Gamma_beta = 1.
 
     Equivalent to the root in (0, 1) of x^3 + x^2 + x = 1 (x = e^{-beta/2}),
-    located by bisection and polished by Newton to full double precision.
+    by Cardano's formula, x = (cbrt(17 + 3 sqrt 33) - cbrt(3 sqrt 33 - 17)
+    - 1) / 3, polished by one Newton step to full double precision.
     """
-
-    def f(t: float) -> float:
-        return ((t + 1.0) * t + 1.0) * t - 1.0
-
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    for _ in range(8):  # Newton polish; f' = 3t^2 + 2t + 1 > 0
-        t -= f(t) / ((3.0 * t + 2.0) * t + 1.0)
+    r = 3.0 * math.sqrt(33.0)
+    t = ((17.0 + r) ** (1.0 / 3.0) - (r - 17.0) ** (1.0 / 3.0) - 1.0) / 3.0
+    t -= (((t + 1.0) * t + 1.0) * t - 1.0) / ((3.0 * t + 2.0) * t + 1.0)
     return -2.0 * math.log(t)

@@ -15,14 +15,18 @@ log Z_wet has two independent routes, each with no Python step per unit
 of length.  ``zwet_series`` solves the renewal equation in blocks: a
 Toeplitz inverse on one block, then one convolution per block into every
 later length (the one-dot-per-length recursion is the test oracle).
-``zwet_direct`` walks the strip [0, H] for half the length and joins the
-two halves by time reversal, since the step matrix is symmetric.
+``zwet_direct`` sums the strip walks directly, through the pinned strip
+bridge below.
 
-The direct DPs (``zwet_direct`` and the area-tilted
-``exactz.area_wetting_dp``) walk the strip from height 0 with one
-generator, ``_strip_walk``.  Its step matrix x^{|i-j|} / c_beta is applied
-in O(H) by two geometric sweeps (``_step_apply``); the dense product is
-the test oracle.  A negative ``height_cutoff`` raises ValueError.
+The pinned strip bridge, the weight of the N-step walks on the strip
+[0, H] from 0 back to 0 with a site weight per height, has one private
+primitive, ``_log_bridge``; ``zwet_direct`` (e^delta at height 0) and the
+area-tilted ``exactz.area_wetting_dp`` (e^{-gamma h / N} on top) only
+choose the weights.  It walks half the length and joins the two halves by
+time reversal, since the step matrix is symmetric.  Its step matrix
+x^{|i-j|} / c_beta is applied in O(H) by two geometric sweeps
+(``_step_apply``); the dense product is the test oracle.  A negative
+``height_cutoff`` raises ValueError.
 """
 
 from __future__ import annotations
@@ -50,7 +54,8 @@ __all__ = [
 
 
 def logsumexp_c(values) -> float:
-    """log(sum exp(values)) with Neumaier-compensated accumulation.
+    """log(sum exp(values)), the sum of the scaled terms correctly rounded
+    (``math.fsum``).
 
     Accepts any iterable; -inf entries are skipped.  Used wherever sums of
     wildly different log-magnitudes are combined.
@@ -61,16 +66,7 @@ def logsumexp_c(values) -> float:
     if arr.size == 0:
         return -math.inf
     m = float(arr.max())
-    s = 0.0
-    comp = 0.0
-    for e in np.exp(arr - m):
-        t = s + e
-        if abs(s) >= abs(e):
-            comp += (s - t) + e
-        else:
-            comp += (e - t) + s
-        s = t
-    return m + math.log(s + comp)
+    return m + math.log(math.fsum(np.exp(arr - m)))
 
 
 def _check_delta(delta: float) -> None:
@@ -141,20 +137,29 @@ def _step_apply(law: StepLaw, n: int):
     return apply
 
 
-def _strip_walk(law: StepLaw, log_w: np.ndarray, steps: int):
-    """The weighted step walk on the strip [0, H], H = len(log_w) - 1.
+def _log_bridge(law: StepLaw, log_w: np.ndarray, N: int) -> float:
+    """log of the total weight of the N-step walks on the strip [0, H],
+    H = len(log_w) - 1, from 0 back to 0 (N >= 1), with the site weight
+    e^{log_w(h)} at each of T_1..T_N.
 
-    Starting from the unit vector at height 0, yields (p, log_off) for
-    k = 1..steps, where e^{log_w} p e^{log_off} is the weight of the k-step
-    paths ending at each height: p = M v is the walk's step applied to the
-    (k-1)-step vector v before the site weights, so a consumer adds log_w in
-    log space and a very negative log weight never underflows.  Between
-    steps v <- e^{log_w - max log_w} p is renormalized by the power of two
-    that brings its max into [1/2, 1), so the rescale is exact and log_off
-    is (sum of the exponents) log 2 + (k - 1) max log_w, rounded a fixed
-    number of times however many steps are taken.  The step is applied by
-    the two geometric sweeps of ``_step_apply`` in O(H); the dense H x H
-    product it replaces is the test oracle ``oracles.strip_walk_dense``.
+    The step matrix is symmetric, so a path read backwards from its end is
+    a walk from 0 as well.  Splitting each path at step j = ceil(N/2), with
+    k = N - j, the weight is
+
+        e^{log_w(0)} sum_h e^{log_w(h)} p_j(h) p_k(h) e^{off_j + off_k},
+
+    where e^{log_w} p_i e^{off_i} is the weight of the i-step walks from 0
+    ending at each height: p = M v is the step applied to the (i-1)-step
+    vector v before the site weights, so log_w is added in log space and a
+    very negative log weight never underflows.  Only j steps are walked,
+    and the join is one sum in log space; at N = 1 (k = 0) it is
+    e^{log_w(0)} p_1(0).  Between steps v <- e^{log_w - max log_w} p is
+    renormalized by the power of two that brings its max into [1/2, 1),
+    so the rescale is exact and off_i is (sum of the exponents) log 2 +
+    (i - 1) max log_w, rounded a fixed number of times however many steps
+    are taken.  The step is applied by the two geometric sweeps of
+    ``_step_apply`` in O(H); the dense product it replaces is the test
+    oracle ``oracles.strip_walk_dense``.
     """
     apply = _step_apply(law, len(log_w))
     shift = float(np.max(log_w))
@@ -162,14 +167,24 @@ def _strip_walk(law: StepLaw, log_w: np.ndarray, steps: int):
     v = np.zeros(len(log_w))
     v[0] = 1.0
     exps = 0  # the rescales so far divided by 2^exps in all
-    for k in range(steps):
-        if k:
+    j, k = -(-N // 2), N // 2
+    for step in range(j):
+        if step:
             v = w * p
             e = math.frexp(v.max())[1]
             v = np.ldexp(v, -e)
             exps += e
         p = apply(v)
-        yield p, exps * math.log(2.0) + k * shift
+        log_off = exps * math.log(2.0) + step * shift
+        if step + 1 == k:
+            p_k, off_k = p, log_off
+    if k == 0:
+        return float(log_w[0]) + log_off + math.log(p[0])
+    with np.errstate(divide="ignore"):
+        terms = log_w + np.log(p) + np.log(p_k)
+    top = float(terms.max())
+    return (float(log_w[0]) + log_off + off_k + top
+            + math.log(float(np.exp(terms - top).sum())))
 
 
 def _kernel_constants(law: StepLaw) -> tuple:
@@ -248,8 +263,7 @@ def wetting_free_energy(beta: float, delta: float) -> float:
 _RENEWAL_BLOCK = 128  # lengths per block of the renewal solve
 
 
-def zwet_series(beta: float, delta: float, N: int,
-                kernel: ReturnKernel | None = None) -> np.ndarray:
+def zwet_series(beta: float, delta: float, N: int) -> np.ndarray:
     """log Z_wet(n) for n = 0..N via the renewal recursion.
 
     The recursion is run on the exponentially rebased sequence
@@ -270,12 +284,7 @@ def zwet_series(beta: float, delta: float, N: int,
     if N < 0:
         raise ValueError("N must be >= 0")
     h = wetting_free_energy(beta, delta)
-    if kernel is None:
-        kernel = return_kernel(beta, max(N, 1))
-    if kernel.t_max < N:
-        raise ValueError("kernel table shorter than requested N")
-    if abs(kernel.beta - beta) > 1e-12:
-        raise ValueError("kernel was built for a different beta")
+    kernel = return_kernel(beta, max(N, 1))
     t = np.arange(1, N + 1)
     krb = np.concatenate(([0.0], kernel.k[1:N + 1] * np.exp(delta - h * t)))
     # y(n) = Z(n) e^{-delta - h (n-1)}: the excursion straight to n, plus
@@ -295,27 +304,17 @@ def zwet_series(beta: float, delta: float, N: int,
     return np.concatenate(([0.0], np.log(y[1:]) + delta + h * (t - 1.0)))
 
 
-def zwet(beta: float, delta: float, N: int,
-         kernel: ReturnKernel | None = None) -> float:
+def zwet(beta: float, delta: float, N: int) -> float:
     """log Z_wet(N): pinned positive walk, reward e^delta per return to 0."""
-    return float(zwet_series(beta, delta, N, kernel)[N])
+    return float(zwet_series(beta, delta, N)[N])
 
 
 def zwet_direct(beta: float, delta: float, N: int,
                 height_cutoff: int | None = None) -> float:
     """log Z_wet(N) by direct height DP (independent cross-check of the renewal).
 
-    The step matrix is symmetric, so a path of N steps from 0 back to 0,
-    read backwards from its end, is a walk from 0 that carries the wall
-    weight e^delta at its start instead of its end.  Splitting each path
-    at step j = ceil(N/2), with k = N - j,
-
-        Z(N) = e^delta sum_h e^{log_w(h)} p_j(h) p_k(h) e^{off_j + off_k}
-
-    for the (p, off) of ``_strip_walk``, so the walk runs j steps and ends
-    with one sum, taken in log space so that neither a huge nor a very
-    negative delta overflows or underflows it.  At N = 1 (k = 0) it is
-    e^delta p_1(0).
+    The pinned bridge ``_log_bridge`` with the site weight e^delta at
+    height 0 and 1 above it.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -326,17 +325,7 @@ def zwet_direct(beta: float, delta: float, N: int,
         return 0.0
     log_w = np.zeros(H + 1)
     log_w[0] = delta
-    j, k = -(-N // 2), N // 2
-    for step, (p, log_off) in enumerate(_strip_walk(law, log_w, j), 1):
-        if step == k:
-            p_k, off_k = p, log_off
-    if k == 0:
-        return delta + log_off + math.log(p[0])
-    with np.errstate(divide="ignore"):
-        terms = log_w + np.log(p) + np.log(p_k)
-    top = float(terms.max())
-    return (delta + log_off + off_k + top
-            + math.log(float(np.exp(terms - top).sum())))
+    return _log_bridge(law, log_w, N)
 
 
 @dataclass(frozen=True)

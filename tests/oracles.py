@@ -122,9 +122,10 @@ def return_kernel_dp(beta: float, t_max: int, H: int) -> np.ndarray:
 
 
 def strip_walk_dense(beta: float, log_w: np.ndarray, steps: int):
-    """The weighted strip walk of ``wetting._strip_walk`` with the step
-    applied as the dense (H+1) x (H+1) product M v, M[i, j] = P(X = i - j):
-    yields (p, log_off) for k = 1..steps, with the same renormalization."""
+    """The weighted strip walk of ``wetting._log_bridge``, run the whole
+    length with the step applied as the dense (H+1) x (H+1) product M v,
+    M[i, j] = P(X = i - j): yields (p, log_off) for k = 1..steps, with the
+    same renormalization."""
     h = np.arange(len(log_w))
     M = np.exp(-0.5 * beta * np.abs(h[:, None] - h[None, :])) / c_beta(beta)
     shift = float(np.max(log_w))

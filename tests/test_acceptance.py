@@ -91,14 +91,14 @@ def test_c03_critical_curve_consistency():
 
 # -- 4: pinned-walk asymptotics ---------------------------------------------
 
-def test_c04_wetting_asymptotics(kernel2):
-    series10 = wetting.zwet_series(2.0, 1.0, 2000, kernel=kernel2)
+def test_c04_wetting_asymptotics():
+    series10 = wetting.zwet_series(2.0, 1.0, 2000)
     h = wetting.wetting_free_energy(2.0, 1.0)
     c = wetting.cwet_constant(2.0, 1.0)
     localized = math.exp(series10[2000] - h * 2000) / c
 
     def scaled_ratio(delta, power):
-        s = wetting.zwet_series(2.0, delta, 4000, kernel=kernel2)
+        s = wetting.zwet_series(2.0, delta, 4000)
         return math.exp(s[2000] - s[4000]) * (2000.0 / 4000.0) ** power
 
     sub = scaled_ratio(0.2, 1.5)

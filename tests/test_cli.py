@@ -335,6 +335,18 @@ def test_verify_all_checks_pass(tmp_path):
     assert all(ln.startswith("PASS ") for ln in lines)
 
 
+def test_verify_leaves_public_zwet_direct_uncalled(tmp_path, monkeypatch):
+    # perfbench/selftest.py requires wetting.zwet_direct to read 0 calls on
+    # a workload that reaches wetting only through verify, so verify and
+    # area_wetting_dp take the private bridge, never the public name
+    def public_call(*args, **kwargs):
+        raise AssertionError("verify called wetting.zwet_direct")
+
+    monkeypatch.setattr(wetting, "zwet_direct", public_call)
+    out = tmp_path / "verify.txt"
+    assert cli.main(["verify", "--out", str(out)]) == 0, out.read_text()
+
+
 def test_public_names_resolve():
     # perfbench/tracer.py wraps every name of each module's __all__ through
     # getattr, and perfbench/ reads the names below; a missing one would

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -113,40 +114,52 @@ def test_step_apply_matches_dense_product(beta):
             assert np.all(got[~big] < 1e-280)
 
 
-def _dense_log_table(beta, log_w, steps):
-    """log of the strip-walk weights after k = 1..steps steps, dense route,
-    and the mask of entries whose unscaled step value p is above 1e-290."""
-    walk = list(oracles.strip_walk_dense(beta, log_w, steps))
-    with np.errstate(divide="ignore"):
-        table = np.array([np.log(p) + log_w + off for p, off in walk])
-    return table, np.array([p > 1e-290 for p, _ in walk])
+def _dense_log_bridge(beta, log_w, N):
+    """log of the weight of the N-step strip walks from 0 back to 0, by the
+    dense walk run the whole length."""
+    *_, (p, off) = oracles.strip_walk_dense(beta, log_w, N)
+    return math.log(p[0]) + log_w[0] + off
 
 
-# beta = 2 at N = 200: one sweep block of 185 heights; beta = 30: 96 heights
-# in blocks of 40; beta = 4 at N = 2000: 334 heights in blocks of 300.
-# zwet_direct walks ceil(N/2) steps and joins the two halves, so odd and
-# even N (1, 2, 3, 201) check the join; N = 1 reads the one step's p(0)
-@pytest.mark.parametrize("beta, N", [(2.0, 1), (2.0, 2), (2.0, 3), (2.0, 200),
-                                     (2.0, 201), (30.0, 200), (4.0, 2000)])
-def test_strip_walk_callers_match_dense_oracle(beta, N):
-    delta, gamma = 1.0, 0.5
+def _check_strip_callers(beta, N, delta, **tol):
+    """zwet_direct and area_wetting_dp at gamma = 0.5 against the dense walk."""
+    gamma = 0.5
     H = math.ceil(12.0 * math.sqrt(N / beta)) + 64
     log_w = np.zeros(H + 1)
     log_w[0] = delta
     assert wetting.zwet_direct(beta, delta, N) == pytest.approx(
-        _dense_log_table(beta, log_w, N)[0][-1, 0], abs=1e-12)
+        _dense_log_bridge(beta, log_w, N), **tol)
     log_w = -gamma * np.arange(H + 1) / N
     log_w[0] += delta
-    want, ok = _dense_log_table(beta, log_w, N)
-    got = exactz.area_wetting_dp(N, gamma, beta, delta).log_table[1:]
-    assert ok.sum() > 0.2 * ok.size
-    assert np.all(np.abs(got[ok] - want[ok]) < 1e-12)
+    assert exactz.area_wetting_dp(N, gamma, beta, delta) == pytest.approx(
+        _dense_log_bridge(beta, log_w, N), **tol)
 
 
-def test_zwet_localized_prefactor(kernel2):
+# beta = 2 at N = 200: one sweep block of 185 heights; beta = 30: 96 heights
+# in blocks of 40; beta = 4 at N = 2000: 334 heights in blocks of 300.
+# The bridge walks ceil(N/2) steps and joins the two halves, so odd and
+# even N (1, 2, 3, 201) check the join; N = 1 reads the one step's p(0)
+_STRIP_CASES = [(2.0, 1), (2.0, 2), (2.0, 3), (2.0, 200), (2.0, 201),
+                (30.0, 200), (4.0, 2000)]
+
+
+@pytest.mark.parametrize("beta, N", _STRIP_CASES)
+def test_strip_walk_callers_match_dense_oracle(beta, N):
+    _check_strip_callers(beta, N, 1.0, abs=1e-12)
+
+
+# at delta = 710 the log values reach 1.4e6 (beta = 4, N = 2000), where one
+# ulp is 2.3e-10, so rel = 1e-15 stands beside abs = 1e-12 (the larger holds)
+@pytest.mark.parametrize("delta", [710.0, -800.0])
+@pytest.mark.parametrize("beta, N", _STRIP_CASES)
+def test_bridge_extreme_delta_matches_dense_oracle(beta, N, delta):
+    _check_strip_callers(beta, N, delta, rel=1e-15, abs=1e-12)
+
+
+def test_zwet_localized_prefactor():
     h = wetting.wetting_free_energy(BETA, 1.0)
     c = wetting.cwet_constant(BETA, 1.0)
-    z = wetting.zwet(BETA, 1.0, 2000, kernel2)
+    z = wetting.zwet(BETA, 1.0, 2000)
     assert math.exp(z - h * 2000) / c == pytest.approx(1.0, abs=0.05)
 
 
@@ -279,12 +292,12 @@ def test_free_energy_monotone_and_bounded():
             prev = h
 
 
-def test_subcritical_and_critical_decay(kernel2):
-    series_sub = wetting.zwet_series(BETA, 0.2, 4000, kernel2)
+def test_subcritical_and_critical_decay():
+    series_sub = wetting.zwet_series(BETA, 0.2, 4000)
     r_sub = (math.exp(series_sub[2000]) * 2000 ** 1.5) / (
         math.exp(series_sub[4000]) * 4000 ** 1.5)
     assert r_sub == pytest.approx(1.0, abs=0.10)
-    series_crit = wetting.zwet_series(BETA, DT2, 4000, kernel2)
+    series_crit = wetting.zwet_series(BETA, DT2, 4000)
     r_crit = (math.exp(series_crit[2000]) * 2000 ** 0.5) / (
         math.exp(series_crit[4000]) * 4000 ** 0.5)
     assert r_crit == pytest.approx(1.0, abs=0.10)
@@ -301,7 +314,7 @@ def test_large_delta_stays_finite():
     assert wetting.zwet(BETA, delta, N) == pytest.approx(N * limit, rel=1e-14)
     assert wetting.zwet_direct(BETA, delta, N) == pytest.approx(N * limit,
                                                                 rel=1e-14)
-    assert exactz.area_wetting_dp(N, 0.0, BETA, delta).log_value == \
+    assert exactz.area_wetting_dp(N, 0.0, BETA, delta) == \
         pytest.approx(N * limit, rel=1e-14)
 
 
@@ -362,3 +375,25 @@ def test_strip_cutoff_zero_keeps_walk_on_wall():
 def test_positive_bridge_zero_steps():
     # zwet_direct at delta = 0 is the positive bridge from 0 back to 0
     assert wetting.zwet_direct(BETA, 0.0, 0) == 0.0
+
+
+def test_logsumexp_c_matches_mpmath():
+    # terms spread over up to +-2000 in log scale, against 50-digit sums;
+    # the scaled terms are summed correctly rounded, so the result is off by
+    # about one rounding of the log and of m + log(sum)
+    rng = np.random.default_rng(7)
+    with mpmath.workdps(50):
+        for n in (1, 2, 10, 1000):
+            for scale in (1.0, 50.0, 700.0):
+                terms = rng.normal(0.0, scale, n)
+                want = float(mpmath.log(mpmath.fsum(
+                    mpmath.exp(mpmath.mpf(float(t))) for t in terms)))
+                assert wetting.logsumexp_c(terms) == pytest.approx(
+                    want, rel=1e-15, abs=1e-15)
+                mixed = np.concatenate((terms, [-math.inf] * 3))
+                assert wetting.logsumexp_c(iter(mixed.tolist())) == \
+                    pytest.approx(want, rel=1e-15, abs=1e-15)
+    assert wetting.logsumexp_c([-math.inf, -math.inf]) == -math.inf
+    assert wetting.logsumexp_c(np.full(4, -np.inf)) == -math.inf
+    assert wetting.logsumexp_c([]) == -math.inf
+    assert wetting.logsumexp_c(np.array([])) == -math.inf
