@@ -306,7 +306,7 @@ def _check_legendre_duality() -> tuple:
         h = largedev.tilt_inverse(q, p, 2.0)
         gq, gp = largedev.grad_l_lambda(h)
         worst = max(worst, abs(gq - q), abs(gp - p))
-    return worst < 1e-9, f"max inversion residual {worst:.2e}"
+    return worst < 1e-10, f"max inversion residual {worst:.2e}"
 
 
 def _check_area_dp_reduction() -> tuple:

@@ -571,6 +571,8 @@ def _transfer(L, beta, delta, variant, X, log_g) -> tuple:
         log_col, top_col, col_scale = columns
         c, ne = cols[m], len(log_col)
         prior = off_y[src, m + 1:m + 1 + n]  # the slices at gaps 0, 1, ...
+        if variant is Variant.SINGLE_BEAD:  # every stretch changes the height
+            prior = np.concatenate(([-np.inf], prior[1:]))
         top_gap = prior.max()
         ref = top_gap + top_col  # -inf: every source slice is empty
         if ref > -np.inf:
@@ -585,14 +587,20 @@ def _transfer(L, beta, delta, variant, X, log_g) -> tuple:
                 C[cut] = 0.0
             top = C.max()
             if top < _RESCALE:
-                with np.errstate(divide="ignore"):
-                    E = np.log(raw)
-                E += _toeplitz(prior, c, ne)
-                E += log_col
+                # redo from logs unless every term is 0 by structure: cut,
+                # past the end, off its columns or an exact 0 of the stack
+                live = (raw > 0.0) & _toeplitz(prior > -np.inf, c, ne)
+                live &= log_col > -np.inf
                 if cut is not None:
-                    E[cut] = -np.inf
-                ref = E.max()
-                if ref > -np.inf:
+                    live &= ~cut
+                ref = -np.inf
+                if live.any():
+                    with np.errstate(divide="ignore"):
+                        E = np.log(raw)
+                    E += _toeplitz(prior, c, ne)
+                    E += log_col
+                    E[~live] = -np.inf
+                    ref = E.max()
                     C = np.exp(E - ref)
             else:  # the largest term at 1 keeps products out of subnormals
                 C /= top
@@ -727,8 +735,7 @@ def backward_sample(table: DPTable, count: int, rng) -> StretchBatch:
 # envelope-pair DPs and walk representations
 # ---------------------------------------------------------------------------
 
-def d_circ(N: int, q, beta: float, delta: float,
-           height_cutoff: int | None = None) -> float:
+def d_circ(N: int, q, beta: float, delta: float) -> float:
     """Joint ordered-envelope probability at a pinned enclosed-area difference.
 
     Expectation over two independent step walks S (N+1 steps, S_{N+1} = 0)
@@ -748,8 +755,7 @@ def d_circ(N: int, q, beta: float, delta: float,
     if a < N:
         return 0.0  # the ordering forces an area gain of at least 1 per step
     L_eff = 2 * N + 2 * a
-    H = (height_cutoff if height_cutoff is not None
-         else math.ceil(10.0 * math.sqrt(L_eff)) + 8)
+    H = math.ceil(10.0 * math.sqrt(L_eff)) + 8
     n = H + 1
     law = StepLaw(beta)
     P = _step_matrix(law, H)
@@ -825,8 +831,7 @@ def z_constrained_from_walks(L: int, beta: float, delta: float) -> float:
 # area-tilted pinned bridges
 # ---------------------------------------------------------------------------
 
-def area_wetting_dp(N: int, gamma: float, beta: float, delta: float,
-                    height_cutoff: int | None = None) -> float:
+def area_wetting_dp(N: int, gamma: float, beta: float, delta: float) -> float:
     """log E[e^{-gamma A_N(I)/N} e^{delta #zeros} 1{I in B^{0,+}_N}] (gamma >= 0):
     the pinned bridge ``wetting._log_bridge`` with the site weight
     e^{delta 1{h = 0} - gamma h / N}."""
@@ -836,7 +841,7 @@ def area_wetting_dp(N: int, gamma: float, beta: float, delta: float,
         raise ValueError("gamma must be >= 0")
     _check_delta(delta)
     law = StepLaw(beta)
-    H = _strip_top(height_cutoff, N, beta)
+    H = _strip_top(N, beta)
     log_w = -gamma * np.arange(H + 1) / N
     log_w[0] += delta
     return _log_bridge(law, log_w, N)

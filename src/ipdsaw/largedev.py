@@ -23,6 +23,13 @@ L is a sum of logarithms, so L_Lambda is in closed form: a difference of
 dilogarithms divided by h0.  The gradient and the Newton Hessian follow by
 parts from L, L' and L_Lambda, with a series in h0 near h0 = 0; no
 quadrature is involved (adaptive quadrature is kept as the test oracle).
+
+The inverse tilt minimizes the strictly convex L_Lambda(h) - q h0 - p h1
+(or its n-step analogue) by damped Newton from h = 0.  Double precision
+bounds its reach: at p = 0 the limit solve fails once the tilt's gap to
+the domain boundary falls to about 3e-7 (q near 25, 7, 1.45 and 0.3 at
+beta = 0.5, 2, 10 and 50), with a ValueError.
+
 At p = 0 the tilt equation of the profile maximizer is a quadratic, so the
 collapse profile is in closed form with no solve (the root of phi' through
 the tilt solve is kept as the test oracle).  It is supported for
@@ -220,91 +227,69 @@ def _hessian_l_lambda(h: TiltVector, grad=None) -> np.ndarray:
 
 # -- inverse tilts ----------------------------------------------------------
 
-def _feasible_lambda(cur: TiltVector, step, b2: float, edge: float) -> float:
-    """Largest step fraction (capped at 1) keeping the trial strictly inside.
-
-    Boundaries are |h1| < b2 and |edge_coeff . h| < b2; the step is clamped
-    to 95% of the nearest crossing so Newton can slide along a boundary-
-    hugging path instead of overshooting and halving blindly.
-    """
-    lam = 1.0
-    for c0, dc in ((cur.h1, step[1]),
-                   (edge * cur.h0 + cur.h1, edge * step[0] + step[1])):
-        if dc > 0.0:
-            cross = (b2 - c0) / dc
-        elif dc < 0.0:
-            cross = (-b2 - c0) / dc
-        else:
-            continue
-        lam = min(lam, 0.95 * cross)
-    return lam
+_ARMIJO = 1e-4  # share of the predicted decrease of F a damped step must reach
 
 
-def _damped_newton(grad, hess, cur: TiltVector, target, n: int | None):
-    """Damped Newton for grad(h) = target from cur; returns (h, residual).
-    ``hess(h, g)`` gets the gradient g Newton already holds at h."""
-    edge = 1.0 - 1.0 / n if n else 1.0
-    g = grad(cur)
-    res = np.asarray(g) - target
-    nr = float(np.hypot(*res))
-    stall = 0
-    for _ in range(80):
-        if nr < 1e-10:
-            break
-        prev = nr
-        step = np.linalg.solve(hess(cur, g), -res)
-        lam = _feasible_lambda(cur, step, 0.5 * cur.beta, edge)
-        while lam >= 1e-14:
-            trial = TiltVector(cur.h0 + lam * step[0], cur.h1 + lam * step[1], cur.beta)
-            if trial.in_domain(n):
-                tg = grad(trial)
-                tres = np.asarray(tg) - target
-                tnr = float(np.hypot(*tres))
-                if tnr <= nr * (1.0 - 1e-4 * lam) or tnr < 1e-10:
-                    cur, g, res, nr = trial, tg, tres, tnr
-                    break
-            lam *= 0.5
-        else:
-            break
-        # bail out once decrease has flattened (numerical noise floor)
-        stall = stall + 1 if nr > 0.7 * prev else 0
-        if stall >= 3:
-            break
-    return cur, nr
-
-
-def _continuation_solve(q: float, p: float, beta: float, n: int | None) -> TiltVector:
+def _solve_tilt(q: float, p: float, beta: float, n: int | None) -> TiltVector:
     """The tilt with gradient (q, p), residual < 1e-10; n = None for the limit.
 
-    A residual above 1e-6 is divergence, not a representability floor, and
-    restarts the continuation with 64 steps.
+    Damped Newton from h = 0 on the strictly convex F(h) = L_Lambda(h)
+    - q h0 - p h1: each step is halved until the trial is inside the domain
+    and F falls by the Armijo share of the predicted decrease, unless that
+    share is below the rounding of F, where the full step is taken.  Once
+    a step no longer moves h, the tilt is the double of least residual
+    within two ulps of h per coordinate; if even that misses the
+    tolerance, a ValueError names the point and the residual.
     """
     if n is None:
-        grad, hess = grad_l_lambda, _hessian_l_lambda
+        value, grad, hess = l_lambda, grad_l_lambda, _hessian_l_lambda
     else:
-        grad, hess = partial(grad_finite_l_lambda, n), partial(_finite_hessian, n)
-    for steps in (8, 64):
-        h = TiltVector(0.0, 0.0, beta)
-        for j in range(1, steps + 1):
-            h, nr = _damped_newton(grad, hess, h, np.array([q, p]) * (j / steps), n)
-        if nr < 1e-10:
+        value, grad, hess = (partial(fn, n) for fn in (
+            finite_l_lambda, grad_finite_l_lambda, _finite_hessian))
+    # the log terms of L_Lambda, of size |log(1 - x)|, cancel near h = 0
+    cancel = -4.0 * math.log(-math.expm1(-0.5 * beta))
+    h = TiltVector(0.0, 0.0, beta)
+    f, g = value(h), grad(h)
+    for _ in range(100):
+        res = np.array([g[0] - q, g[1] - p])
+        if math.hypot(*res) < 1e-10:
             return h
-        if nr < 1e-6:
+        try:
+            step = np.linalg.solve(hess(h, g), -res)
+        except np.linalg.LinAlgError:  # singular in doubles
             break
-    at = f"(q, p) = ({q}, {p}), beta = {beta}" + (f", n = {n}" if n else "")
-    raise RuntimeError(
-        f"tilt inversion failed at {at}; residual {nr:.2e} (tilts hugging "
-        "the domain boundary closer than ~1e-6 cannot meet the residual "
-        "tolerance 1e-10 in double precision)")
+        if not np.isfinite(step).all():
+            break
+        drop = _ARMIJO * float(res @ step)  # < 0
+        size = cancel + abs(f) + abs(q * h.h0) + abs(p * h.h1)
+        plain = -drop < sys.float_info.epsilon * size
+        lam = 1.0
+        while True:
+            trial = TiltVector(h.h0 + lam * step[0], h.h1 + lam * step[1], beta)
+            if trial == h or trial.in_domain(n) and (
+                    plain or value(trial) - q * trial.h0 - p * trial.h1
+                    <= f - q * h.h0 - p * h.h1 + lam * drop):
+                break
+            lam *= 0.5
+        if trial == h:
+            break
+        h, f, g = trial, value(trial), grad(trial)
+    near = (TiltVector(h.h0 + i * math.ulp(h.h0), h.h1 + j * math.ulp(h.h1), beta)
+            for i in range(-2, 3) for j in range(-2, 3))
+    nr, h = min(((math.hypot(*np.subtract(grad(t), (q, p))), t)
+                 for t in near if t.in_domain(n)), key=lambda c: c[0])
+    if nr < 1e-10:
+        return h
+    raise ValueError(
+        f"tilt inversion failed at (q, p) = ({q}, {p}), beta = {beta}, "
+        f"n = {n or 'inf'}: residual {nr:.2e} above the tolerance 1e-10 "
+        "(within about 3e-7 of the domain boundary no double tilt may meet it)")
 
 
 def tilt_inverse(q: float, p: float, beta: float) -> TiltVector:
-    """The tilt h~(q, p) with grad L_Lambda(h~) = (q, p), residual < 1e-10.
-
-    Solved by damped Newton with continuation along t (q, p), t = 1/8..1;
-    on failure the continuation is restarted with 64 steps.
-    """
-    return _continuation_solve(q, p, beta, None)
+    """The tilt h~(q, p) with grad L_Lambda(h~) = (q, p), residual < 1e-10:
+    the minimizer of L_Lambda(h) - q h0 - p h1 by damped Newton from h = 0."""
+    return _solve_tilt(q, p, beta, None)
 
 
 def rate_g(q: float, p: float, beta: float) -> float:
@@ -353,9 +338,10 @@ def _finite_hessian(n: int, h: TiltVector, grad=None) -> np.ndarray:
 
 
 def finite_tilt(n: int, q: float, p: float, beta: float) -> TiltVector:
-    """Inverse of the n-step gradient: grad (1/n) L_{Lambda,n}(h) = (q, p)."""
+    """Inverse of the n-step gradient: grad (1/n) L_{Lambda,n}(h) = (q, p),
+    by the damped Newton of ``tilt_inverse`` on D_{beta,n}."""
     _require_steps(n, 2, "at n = 1 the gradient's q component is 0 for every h")
-    return _continuation_solve(q, p, beta, n)
+    return _solve_tilt(q, p, beta, n)
 
 
 # -- collapse profile -------------------------------------------------------

@@ -25,8 +25,7 @@ area-tilted ``exactz.area_wetting_dp`` (e^{-gamma h / N} on top) only
 choose the weights.  It walks half the length and joins the two halves by
 time reversal, since the step matrix is symmetric.  Its step matrix
 x^{|i-j|} / c_beta is applied in O(H) by two geometric sweeps
-(``_step_apply``); the dense product is the test oracle.  A negative
-``height_cutoff`` raises ValueError.
+(``_step_apply``); the dense product is the test oracle.
 """
 
 from __future__ import annotations
@@ -74,14 +73,10 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must be finite, got {delta!r}")
 
 
-def _strip_top(height_cutoff: int | None, n: float, beta: float) -> int:
-    """Top height H of the strip for a walk of ~n steps started at 0:
-    ``height_cutoff``, else a generous multiple of sqrt(n/beta)."""
-    if height_cutoff is None:
-        return math.ceil(12.0 * math.sqrt(max(n, 1.0) / beta)) + 64
-    if height_cutoff < 0:
-        raise ValueError(f"height_cutoff must be >= 0, got {height_cutoff!r}")
-    return int(height_cutoff)
+def _strip_top(n: float, beta: float) -> int:
+    """Top height H of the strip for a walk of ~n steps started at 0, a
+    generous multiple of sqrt(n/beta)."""
+    return math.ceil(12.0 * math.sqrt(max(n, 1.0) / beta)) + 64
 
 
 def _step_matrix(law: StepLaw, H: int) -> np.ndarray:
@@ -309,8 +304,7 @@ def zwet(beta: float, delta: float, N: int) -> float:
     return float(zwet_series(beta, delta, N)[N])
 
 
-def zwet_direct(beta: float, delta: float, N: int,
-                height_cutoff: int | None = None) -> float:
+def zwet_direct(beta: float, delta: float, N: int) -> float:
     """log Z_wet(N) by direct height DP (independent cross-check of the renewal).
 
     The pinned bridge ``_log_bridge`` with the site weight e^delta at
@@ -320,7 +314,7 @@ def zwet_direct(beta: float, delta: float, N: int,
         raise ValueError("N must be >= 0")
     _check_delta(delta)
     law = StepLaw(beta)
-    H = _strip_top(height_cutoff, N, beta)
+    H = _strip_top(N, beta)
     if N == 0:
         return 0.0
     log_w = np.zeros(H + 1)

@@ -304,6 +304,20 @@ def test_tilt_n_below_2_exits_2(capsys, n):
     assert f"n = {n} " in capsys.readouterr().err
 
 
+def test_tilt_unsolvable_exits_2_without_traceback():
+    # at q = 100 the tilt lies closer to the domain boundary than any double
+    # that meets the residual tolerance: invalid input, not a failed check
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ipdsaw.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ipdsaw.cli", "tilt", "--beta", "2", "--q", "100",
+         "--out", "-"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert "(q, p) = (100.0, 0.0), beta = 2.0" in proc.stderr
+
+
 def test_asymptotics_columns(tmp_path):
     out = tmp_path / "asym.csv"
     rc = cli.main(["asymptotics", "--beta", "2", "--delta", "1.2",

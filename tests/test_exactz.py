@@ -309,11 +309,6 @@ def test_d_circ_minimum_area_per_step():
     assert exactz.d_circ(3, 1.0 / 9.0, 2.0, 0.5) == 0.0
 
 
-def test_d_circ_infeasible_at_cutoff():
-    # area target far above what the height cutoff allows
-    assert exactz.d_circ(2, 2.5, 2.0, 0.5, height_cutoff=2) == 0.0
-
-
 def test_d_circ_off_lattice_q_rejected():
     with pytest.raises(ValueError):
         exactz.d_circ(2, 0.3, 2.0, 0.5)
@@ -430,9 +425,10 @@ def test_area_dp_validation():
 
 def test_area_dp_column_sums_match_plain_recursion():
     # independent reimplementation: dict-based forward pass in plain floats
-    N, H, beta, delta, gamma = 6, 30, 2.0, 0.5, 0.7
+    N, H, beta, delta, gamma = 6, 85, 2.0, 0.5, 0.7
+    assert H == wetting._strip_top(N, beta)  # the strip the DP walks on
     law = StepLaw(beta)
-    dp = exactz.area_wetting_dp(N, gamma, beta, delta, height_cutoff=H)
+    dp = exactz.area_wetting_dp(N, gamma, beta, delta)
     probs = {y: math.exp(-0.5 * beta * y) / law.c_beta * (2 if y else 1)
              for y in range(H + 1)}  # |step| law, used via explicit pairs
     cur = {0: 1.0}

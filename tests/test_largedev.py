@@ -196,6 +196,36 @@ def test_duality_roundtrip():
         assert got[1] == pytest.approx(p, abs=2e-10)
 
 
+@pytest.mark.parametrize("beta, n, q, p", [
+    (0.05, None, 0.5, 0.0),             # nearly flat step law
+    (0.05, None, 2.0, -1.0),
+    (50.0, None, 0.1, 0.0),             # nearly frozen step law
+    (50.0, None, 0.05, 0.1 * (1 - 1e-6)),
+    (2.0, None, 1.0, 2.0 * (1 + 1e-6)),  # either side of the diagonal h0 = 0
+    (2.0, None, 1.0, 2.0 * (1 - 1e-6)),
+    (2.0, None, 0.7, -0.7),
+    (2.0, None, 6.9, 0.0),              # gap to the boundary about 3e-7
+    (2.0, 2, 0.5, 0.3),                 # fewest steps
+    (2.0, 3, -1.0, 0.4),
+    (0.5, 1000, 53.25, 0.0),            # only a double a few ulps off the
+    (2.0, 100, 53.5, 0.0),              # last Newton iterate meets 1e-10
+])
+def test_tilt_solver_edges(beta, n, q, p):
+    if n is None:
+        h = largedev.tilt_inverse(q, p, beta)
+        got = largedev.grad_l_lambda(h)
+    else:
+        h = largedev.finite_tilt(n, q, p, beta)
+        got = largedev.grad_finite_l_lambda(n, h)
+    assert math.hypot(got[0] - q, got[1] - p) <= 1e-10
+
+
+def test_tilt_past_double_precision_rejected():
+    # the tilt's gap to the boundary is far below what a double resolves
+    with pytest.raises(ValueError, match=r"\(q, p\) = \(100, 0\), beta = 2\.0"):
+        largedev.tilt_inverse(100, 0, BETA)
+
+
 # ---------------------------------------------------------------------------
 # rate function g
 # ---------------------------------------------------------------------------

@@ -352,26 +352,6 @@ def test_negative_length_rejected():
         wetting.zwet_direct(BETA, 0.0, -1)
 
 
-@pytest.mark.parametrize("call, name", [
-    (lambda: wetting.zwet_direct(BETA, 1.0, 10, height_cutoff=-1),
-     "height_cutoff"),
-    (lambda: wetting.zwet_direct(BETA, 1.0, 10, height_cutoff=-3),
-     "height_cutoff"),
-    (lambda: exactz.area_wetting_dp(10, 0.1, BETA, 1.0, height_cutoff=-2),
-     "height_cutoff"),
-])
-def test_strip_cutoff_validated(call, name):
-    with pytest.raises(ValueError, match=name):
-        call()
-
-
-def test_strip_cutoff_zero_keeps_walk_on_wall():
-    # H = 0: every step stays at 0 with probability 1/c_beta
-    want = 10 * (1.0 - math.log(oracles.c_beta(BETA)))
-    assert wetting.zwet_direct(BETA, 1.0, 10, height_cutoff=0) == \
-        pytest.approx(want, rel=1e-14)
-
-
 def test_positive_bridge_zero_steps():
     # zwet_direct at delta = 0 is the positive bridge from 0 back to 0
     assert wetting.zwet_direct(BETA, 0.0, 0) == 0.0
