@@ -6,7 +6,9 @@ Seven subcommands wire the library into machine-readable artifacts:
 * ``exact``        transfer-DP partition values with an optional
                    brute-force cross-check column (CSV);
 * ``asymptotics``  (log Z - beta L) / sqrt(L) against the collapse
-                   constant across a list of lengths (CSV);
+                   constant across a list of lengths, at the smallest
+                   certified height cutoff, with that cutoff and the log
+                   of its truncation bound relative to the reduced Z (CSV);
 * ``sample``       exact polymer-measure draws with observables
                    (JSON lines), by default from the smallest certified
                    height cutoff;
@@ -207,13 +209,17 @@ def _run_asymptotics(config: ExperimentConfig) -> int:
     beta, delta = p["beta"], p["delta"]
     lengths = [int(tok) for tok in p["lengths"].split(",")]
     prof = largedev.collapse_profile(beta, delta)
-    header = ["length", "beta", "delta", "log_z", "scaled_gap", "Phi"]
+    header = ["length", "beta", "delta", "log_z", "scaled_gap", "Phi",
+              "cutoff", "log_rel_bound"]
     rows = []
     for L in lengths:
-        log_z, _ = exactz.dp_Z(L, beta, delta, Variant.SINGLE_BEAD)
+        log_z, table = exactz.certified_dp_Z(L, beta, delta, Variant.SINGLE_BEAD)
         scaled = (log_z - beta * L) / math.sqrt(L)
+        bound = table.log_truncation_bound  # -inf: the table is exact
+        rel = bound if bound == -math.inf else bound - (log_z - beta * L)
         rows.append([str(L), _fmt(beta), _fmt(delta), _fmt(log_z),
-                     _fmt(scaled), _fmt(prof.phi_max)])
+                     _fmt(scaled), _fmt(prof.phi_max),
+                     str(table.height_cutoff), _fmt(rel)])
     _emit_csv(config, header, rows)
     return 0
 

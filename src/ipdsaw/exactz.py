@@ -28,19 +28,22 @@ the transfer DP below exploit.  The module provides
                        plan, returned as one checked ``StretchBatch`` of
                        arrays;
 * ``d_circ``           joint upper/lower-envelope DP at a prescribed
-                       enclosed-area difference, the terms of
-                       ``z_circ_from_walks``;
+                       enclosed-area difference, at its exact height
+                       cutoff, the terms of ``z_circ_from_walks``;
 * ``area_wetting_dp``  log of the area-tilted pinned bridge, the strip
                        bridge ``wetting._log_bridge`` with an extra
                        e^{-gamma h / N} per height h;
 * ``e_circ`` / ``e_n_gamma``   its values at the tilts of the paper;
 * ``z_circ_from_walks`` / ``z_constrained_from_walks``   the random-walk
-  representations of the single-bead and end-constrained models, used to
-  cross-validate the direct enumerations.
+  representations of the single-bead and end-constrained models, each one
+  pass of its recursion over N at the exact height cutoff, every N's term
+  read on the way: the second route to ``dp_Z`` for the returning
+  variants, also at lengths where ``certified_dp_Z`` cuts the table.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -735,16 +738,49 @@ def backward_sample(table: DPTable, count: int, rng) -> StretchBatch:
 # envelope-pair DPs and walk representations
 # ---------------------------------------------------------------------------
 
+def _circ_closings(law: StepLaw, delta: float, H: int, a: int):
+    """Yield, after each N = 1, 2, ... steps of the joint (S, I) walk of
+    ``d_circ`` on heights 0..H, its closed weight at every area 0..a: S's
+    bridge step to 0 taken and I pinned at 0.  Entry d of yield N is
+    ``d_circ`` of N at area d, for every d whose exact cutoff d - N + 1 is
+    at most H."""
+    n = H + 1
+    P = _step_matrix(law, H)
+    gap = np.subtract.outer(np.arange(n), np.arange(n))  # [s', i]: s' - i
+    strict = gap > 0
+    shifts = [np.nonzero(gap == sig) for sig in range(1, min(n, a + 1))]
+    T = np.zeros((n, n, a + 1))
+    T[0, 0, 0] = 1.0
+    while True:
+        B = np.tensordot(P, T, axes=(1, 0))       # S-move: [s', i, d]
+        B *= strict[:, :, None]                   # S_k > I_{k-1}
+        C = np.tensordot(B, P, axes=([1], [1]))   # I-move: [s', d, i']
+        C = np.ascontiguousarray(np.moveaxis(C, 1, 2))  # [s', i', d]
+        C *= strict[:, :, None]                   # S_k > I_k
+        C[:, 0, :] *= math.exp(delta)             # pinning reward on I_k = 0
+        T = np.zeros_like(C)
+        for sig, (si, ii) in enumerate(shifts, 1):
+            T[si, ii, sig:] = C[si, ii, :a + 1 - sig]
+        # the bridge step of S to zero, P[0, s] = P(X = -s); I_N = 0
+        yield P[0] @ T[:, 0]
+
+
 def d_circ(N: int, q, beta: float, delta: float) -> float:
     """Joint ordered-envelope probability at a pinned enclosed-area difference.
 
     Expectation over two independent step walks S (N+1 steps, S_{N+1} = 0)
     and I (N steps, I_N = 0), both >= 0, strictly ordered (S_k > I_k and
     S_k > I_{k-1}), carrying e^{delta} per zero of I, on the event that the
-    signed-area difference A_{N+1}(S) - A_N(I) equals q N^2.
+    signed-area difference A_{N+1}(S) - A_N(I) equals q N^2 = a.
+
+    The height cutoff a - N + 1 is exact: step k adds S_k - I_k >= 1 to
+    the area, and from S_k = h the steps k..N add at least h + N - k (by
+    induction back from I_N = 0, as S_{k+1} >= I_k + 1), so a walk through
+    S_k = h has area at least (k - 1) + h + N - k and h <= a - N + 1.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    _check_delta(delta)
     j2 = 2.0 * q * N * N
     j2r = round(j2)
     if j2r < 1 or abs(j2 - j2r) > 1e-9 * max(1.0, abs(j2)):
@@ -754,43 +790,28 @@ def d_circ(N: int, q, beta: float, delta: float) -> float:
     a = j2r // 2
     if a < N:
         return 0.0  # the ordering forces an area gain of at least 1 per step
-    L_eff = 2 * N + 2 * a
-    H = math.ceil(10.0 * math.sqrt(L_eff)) + 8
-    n = H + 1
-    law = StepLaw(beta)
-    P = _step_matrix(law, H)
-    ss = np.arange(n)
-    strict = ss[:, None] > ss[None, :]  # [s', i]: s' > i
-    ed = math.exp(delta)
-    gap = ss[:, None] - ss[None, :]
-    shifts = [np.nonzero(gap == sig) for sig in range(min(n, a + 1))]
-    T = np.zeros((n, n, a + 1))
-    T[0, 0, 0] = 1.0
-    for _ in range(N):
-        B = np.tensordot(P, T, axes=(1, 0))       # S-move: [s', i, d]
-        B *= strict[:, :, None]                   # S_k > I_{k-1}
-        C = np.tensordot(B, P, axes=([1], [1]))   # I-move: [s', d, i']
-        C = np.ascontiguousarray(np.moveaxis(C, 1, 2))  # [s', i', d]
-        C *= strict[:, :, None]                   # S_k > I_k
-        C[:, 0, :] *= ed                          # pinning reward on I_k = 0
-        out = np.zeros_like(C)
-        for sig in range(1, len(shifts)):
-            si, ii = shifts[sig]
-            out[si, ii, sig:] = C[si, ii, :a + 1 - sig]
-        T = out
-    # final bridge step of S to zero; I is already pinned by the last reward
-    close = np.exp(-0.5 * beta * ss) / law.c_beta
-    return float(close @ T[:, 0, a])
+    closings = _circ_closings(StepLaw(beta), delta, a - N + 1, a)
+    return float(next(itertools.islice(closings, N - 1, None))[a])
 
 
 def z_circ_from_walks(L: int, beta: float, delta: float) -> float:
-    """Single-bead partition value Z°_L / (c_beta e^{beta L}) via envelope walks."""
+    """Single-bead partition value Z°_L / (c_beta e^{beta L}) via envelope walks:
+    the sum over N <= L/4 of Gamma^{2N} ``d_circ`` at area L/2 - N, read
+    off one pass of the joint walk; 0.0 for odd L.
+
+    One pass serves every N at the height cutoff of N = 1, (L - 2)/2, the
+    largest of the exact cutoffs L/2 - 2N + 1 of ``d_circ``, and at the
+    areas up to L/2 - 1.
+    """
+    _check_dp_args(L, delta)
+    if L % 2:
+        return 0.0
     law = StepLaw(beta)
-    total = 0.0
-    for N in range(1, (L - 2) // 2 + 1):
-        qq = (L - 2 * N) / (2.0 * N * N)
-        total += law.gamma_beta ** (2 * N) * d_circ(N, qq, beta, delta)
-    return total
+    half = L // 2
+    closings = _circ_closings(law, delta, _exact_cutoff(L, Variant.SINGLE_BEAD),
+                              half - 1)
+    return float(sum(law.gamma_beta ** (2 * N) * closed[half - N]
+                     for N, closed in zip(range(1, half // 2 + 1), closings)))
 
 
 def z_constrained_from_walks(L: int, beta: float, delta: float) -> float:
@@ -799,31 +820,34 @@ def z_constrained_from_walks(L: int, beta: float, delta: float) -> float:
     Interleaves the two envelope walks into one chain T_1, ..., T_{N+1}
     whose steps go two indices back, tracks the accumulated vertical bond
     count g, rewards contacts on the real prefixes T_1..T_N only, and sums
-    Gamma^N over the section at g = L - N, T_N = T_{N+1} = 0.
+    Gamma^N over the section at g = L - N, T_N = T_{N+1} = 0.  One pass
+    serves every N: after N rewarded steps, the step to T_{N+1} is read at
+    [0, 0, L - N] before its contact reward is applied.
+
+    The height cutoff (L - 2)/2 of ``_exact_cutoff`` is exact: the T_j are
+    prefix heights of a returning polymer with g = L - N vertical bonds, so
+    a height h > 0 takes 2h <= L - N of them and N >= 2 stretches.
     """
+    _check_dp_args(L, delta)
     law = StepLaw(beta)
-    H = L // 2 + 1
+    H = _exact_cutoff(L, Variant.CONSTRAINED_END)
     n = H + 1
     P = _step_matrix(law, H)
-    ed = math.exp(delta)
     absdiff = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    shifts = [np.nonzero(absdiff == d) for d in range(n)]
+    shifts = [np.nonzero(absdiff == d) for d in range(min(n, L))]
+    D = np.zeros((n, n, L))
+    D[0, 0, 0] = 1.0  # state (T_{N-1}, T_N, g), started at (0, 0, 0); g < L
     total = 0.0
-    for N in range(1, L + 1):
-        g_max = L - N
-        D = np.zeros((n, n, g_max + 1))
-        D[0, 0, 0] = 1.0  # state (T_{j-1}, T_j), started at (0, 0)
-        for j in range(1, N + 2):
-            B = np.tensordot(P, D, axes=(1, 0))   # [w, v, g]: step from T_{j-2}
-            if j <= N:
-                B[0] *= ed
-            out = np.zeros_like(B)
-            for d in range(min(n, g_max + 1)):
-                wi, vi = shifts[d]
-                out[wi, vi, d:] = B[wi, vi, :g_max + 1 - d]
-            # reorder to state (T_{j-1}, T_j) = (v, w)
-            D = np.ascontiguousarray(np.swapaxes(out, 0, 1))
-        total += law.gamma_beta ** N * float(D[0, 0, g_max])
+    for N in range(L + 1):  # N rewarded steps taken
+        B = np.tensordot(P, D, axes=(1, 0))   # [w, v, g]: step from T_{N-1}
+        if N:
+            total += law.gamma_beta ** N * float(B[0, 0, L - N])
+        B[0] *= math.exp(delta)
+        out = np.zeros_like(B)
+        for d, (wi, vi) in enumerate(shifts):
+            out[wi, vi, d:] = B[wi, vi, :L - d]
+        # reorder to state (T_N, T_{N+1}) = (v, w)
+        D = np.ascontiguousarray(np.swapaxes(out, 0, 1))
     return total
 
 

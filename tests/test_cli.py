@@ -1,6 +1,7 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -321,14 +322,21 @@ def test_tilt_unsolvable_exits_2_without_traceback():
 def test_asymptotics_columns(tmp_path):
     out = tmp_path / "asym.csv"
     rc = cli.main(["asymptotics", "--beta", "2", "--delta", "1.2",
-                   "--lengths", "60,80", "--out", str(out)])
+                   "--lengths", "60,200", "--out", str(out)])
     assert rc == 0
     _, header, rows = parse_csv(out.read_text())
-    assert header == ["length", "beta", "delta", "log_z", "scaled_gap", "Phi"]
-    assert [int(r["length"]) for r in rows] == [60, 80]
+    assert header == ["length", "beta", "delta", "log_z", "scaled_gap", "Phi",
+                      "cutoff", "log_rel_bound"]
+    assert [int(r["length"]) for r in rows] == [60, 200]
     for r in rows:
         assert float(r["Phi"]) == pytest.approx(-2.397933555200658, rel=1e-8)
         assert float(r["scaled_gap"]) < 0.0
+    # L = 60 keeps the exact table; L = 200 is cut far below its exact 99
+    assert (int(rows[0]["cutoff"]), rows[0]["log_rel_bound"]) == (29, "-inf")
+    assert int(rows[1]["cutoff"]) < 99
+    assert float(rows[1]["log_rel_bound"]) < math.log(1e-13)
+    exact, _ = exactz.dp_Z(200, 2.0, 1.2, polymer.Variant.SINGLE_BEAD)
+    assert float(rows[1]["log_z"]) == pytest.approx(exact, rel=1e-13)
 
 
 def test_invalid_grid_exits_2(tmp_path):

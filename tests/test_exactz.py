@@ -314,6 +314,10 @@ def test_d_circ_off_lattice_q_rejected():
         exactz.d_circ(2, 0.3, 2.0, 0.5)
     with pytest.raises(ValueError):
         exactz.d_circ(0, 1.0, 2.0, 0.5)
+    for walks in (exactz.z_circ_from_walks, exactz.z_constrained_from_walks):
+        for L in (0, -1):
+            with pytest.raises(ValueError):
+                walks(L, 2.0, 0.5)
 
 
 def test_envelope_representation_identity_single_bead():
@@ -326,6 +330,15 @@ def test_envelope_representation_identity_single_bead():
         rhs = math.log(law.c_beta) + beta * L + \
             math.log(exactz.z_circ_from_walks(L, beta, delta))
         assert rhs == pytest.approx(lhs, rel=1e-9)
+    # each d_circ at its own cutoff a - N + 1 against the one pass at (L - 2)/2
+    for beta in (0.05, 2.0):
+        law = StepLaw(beta)
+        for L in range(4, 21, 2):
+            terms = sum(law.gamma_beta ** (2 * N)
+                        * exactz.d_circ(N, (L - 2 * N) / (2.0 * N * N), beta, delta)
+                        for N in range(1, (L - 2) // 2 + 1))
+            assert terms == pytest.approx(
+                exactz.z_circ_from_walks(L, beta, delta), rel=1e-13)
 
 
 def test_envelope_representation_identity_constrained():
@@ -336,6 +349,20 @@ def test_envelope_representation_identity_constrained():
         rhs = math.log(law.c_beta) + beta * L + \
             math.log(exactz.z_constrained_from_walks(L, beta, delta))
         assert rhs == pytest.approx(lhs, rel=1e-9)
+
+
+def test_walk_routes_check_a_cut_table():
+    # the walk routes run at the exact height cutoff (L - 2)/2 = 79, so they
+    # are a second route to tables that certified_dp_Z cuts far below it
+    beta, delta, L = 2.0, 0.5, 160
+    c_beta = StepLaw(beta).c_beta
+    for variant, walks in ((Variant.SINGLE_BEAD, exactz.z_circ_from_walks),
+                           (Variant.CONSTRAINED_END,
+                            exactz.z_constrained_from_walks)):
+        log_z, table = exactz.certified_dp_Z(L, beta, delta, variant)
+        assert table.height_cutoff < 79
+        want = math.exp(log_z - beta * L) / c_beta
+        assert walks(L, beta, delta) == pytest.approx(want, rel=1e-12)
 
 
 def test_d_circ_e_circ_band():

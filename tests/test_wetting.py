@@ -339,6 +339,15 @@ def test_very_negative_delta_stays_finite():
     lambda: wetting.zwet_direct(BETA, math.nan, 10),
     lambda: wetting.cwet_constant(BETA, math.nan),
     lambda: exactz.area_wetting_dp(10, 0.0, BETA, math.nan),
+    lambda: exactz.d_circ(2, 1.0, BETA, math.nan),
+    lambda: exactz.d_circ(2, 1.0, BETA, math.inf),
+    lambda: exactz.d_circ(2, 1.0, BETA, -math.inf),
+    lambda: exactz.z_circ_from_walks(10, BETA, math.nan),
+    lambda: exactz.z_circ_from_walks(10, BETA, math.inf),
+    lambda: exactz.z_circ_from_walks(10, BETA, -math.inf),
+    lambda: exactz.z_constrained_from_walks(10, BETA, math.nan),
+    lambda: exactz.z_constrained_from_walks(10, BETA, math.inf),
+    lambda: exactz.z_constrained_from_walks(10, BETA, -math.inf),
 ])
 def test_nan_inputs_rejected(call):
     with pytest.raises(ValueError):
