@@ -99,9 +99,9 @@ def _emit_csv(config: ExperimentConfig, header: list, rows) -> None:
     _write_text(config, "\n".join(lines) + "\n")
 
 
-def _emit_jsonl(config: ExperimentConfig, lines, **facts) -> None:
-    """Provenance record, with ``facts`` about the run, then the already
-    serialized record ``lines``."""
+def _emit_jsonl(config: ExperimentConfig, records: str, **facts) -> None:
+    """Provenance record, with ``facts`` about the run, then ``records``,
+    the already serialized record lines joined by newlines ("" for none)."""
     prov = {
         "record": "provenance",
         "tool": "ipdsaw",
@@ -111,7 +111,8 @@ def _emit_jsonl(config: ExperimentConfig, lines, **facts) -> None:
         "parameters": config.parameters,
         **facts,
     }
-    _write_text(config, "\n".join([json.dumps(prov, sort_keys=True), *lines]) + "\n")
+    head = json.dumps(prov, sort_keys=True) + "\n"
+    _write_text(config, head + records + "\n" if records else head)
 
 
 def _write_text(config: ExperimentConfig, text: str) -> None:
@@ -226,10 +227,12 @@ def _run_asymptotics(config: ExperimentConfig) -> int:
 
 # -- sample -----------------------------------------------------------------
 
-# json.dumps(record, sort_keys=True) of one draw's record; str() of a list of
-# ints is its JSON text
-_SAMPLE_RECORD = ('{{"area": {}, "contacts": {}, "horizontal_extension": {}, '
-                  '"max_height": {}, "stretches": {}}}')
+def _sample_template(n: int) -> str:
+    """%-template of json.dumps(record, sort_keys=True) for one draw's
+    record with n stretches: area, contacts, n, max height, then the
+    stretches."""
+    return ('{"area": %d, "contacts": %d, "horizontal_extension": %d, '
+            '"max_height": %d, "stretches": [' + ", ".join(["%d"] * n) + "]}")
 
 
 def _run_sample(config: ExperimentConfig) -> int:
@@ -243,11 +246,17 @@ def _run_sample(config: ExperimentConfig) -> int:
     rng = np.random.default_rng(config.seed)
     draws = exactz.backward_sample(table, count=count, rng=rng)
     obs = polymer.batch_observables(draws.stretches, draws.sizes)
-    cols = (obs[k].tolist() for k in ("signed_area", "contacts",
-                                      "horizontal_extension", "max_height"))
-    _emit_jsonl(config, [_SAMPLE_RECORD.format(a, c, n, h, row[:n]) for a, c, n, h, row
-                         in zip(*cols, draws.stretches.tolist())],
-                cutoff=table.height_cutoff, truncation_bound=table.truncation_bound)
+    # each record's ints (area, contacts, n, max height, then its n
+    # stretches) in one flat list, one template per record size, and one %
+    sizes = obs["horizontal_extension"]
+    rows = np.column_stack((obs["signed_area"], obs["contacts"], sizes,
+                            obs["max_height"], draws.stretches))
+    values = rows[np.arange(rows.shape[1]) < 4 + sizes[:, None]].tolist()
+    ns = sizes.tolist()
+    templates = {n: _sample_template(n) for n in set(ns)}
+    records = "\n".join([templates[n] for n in ns]) % tuple(values)
+    _emit_jsonl(config, records, cutoff=table.height_cutoff,
+                truncation_bound=table.truncation_bound)
     return 0
 
 

@@ -740,29 +740,35 @@ def backward_sample(table: DPTable, count: int, rng) -> StretchBatch:
 
 def _circ_closings(law: StepLaw, delta: float, H: int, a: int):
     """Yield, after each N = 1, 2, ... steps of the joint (S, I) walk of
-    ``d_circ`` on heights 0..H, its closed weight at every area 0..a: S's
-    bridge step to 0 taken and I pinned at 0.  Entry d of yield N is
-    ``d_circ`` of N at area d, for every d whose exact cutoff d - N + 1 is
-    at most H."""
+    ``d_circ`` on heights 0..H, its closed weight at area a - N + 1: S's
+    bridge step to 0 taken and I pinned at 0.  Yield N is ``d_circ`` of N
+    at area a - N + 1 when that area's exact cutoff a - 2N + 2 is at most
+    H.  Every step adds at least 1 to the area, so before step N the area
+    axis holds only the areas below a - N + 1, the ones a read can still
+    reach."""
     n = H + 1
     P = _step_matrix(law, H)
     gap = np.subtract.outer(np.arange(n), np.arange(n))  # [s', i]: s' - i
     strict = gap > 0
     shifts = [np.nonzero(gap == sig) for sig in range(1, min(n, a + 1))]
-    T = np.zeros((n, n, a + 1))
+    T = np.zeros((n, n, a))                       # areas 0..a - 1
     T[0, 0, 0] = 1.0
     while True:
+        top = T.shape[2]                          # the area read after this step
         B = np.tensordot(P, T, axes=(1, 0))       # S-move: [s', i, d]
         B *= strict[:, :, None]                   # S_k > I_{k-1}
         C = np.tensordot(B, P, axes=([1], [1]))   # I-move: [s', d, i']
         C = np.ascontiguousarray(np.moveaxis(C, 1, 2))  # [s', i', d]
         C *= strict[:, :, None]                   # S_k > I_k
         C[:, 0, :] *= math.exp(delta)             # pinning reward on I_k = 0
-        T = np.zeros_like(C)
-        for sig, (si, ii) in enumerate(shifts, 1):
-            T[si, ii, sig:] = C[si, ii, :a + 1 - sig]
-        # the bridge step of S to zero, P[0, s] = P(X = -s); I_N = 0
-        yield P[0] @ T[:, 0]
+        T = np.zeros((n, n, top + 1))
+        for sig, (si, ii) in enumerate(shifts[:top], 1):
+            T[si, ii, sig:] = C[si, ii, :top + 1 - sig]
+        # the bridge step of S to zero, P[0, s] = P(X = -s); I_N = 0, taken
+        # at every area by one vector-matrix product and read at the top (a
+        # lone dot product sums in another order and moves the last bit)
+        yield float((P[0] @ T[:, 0])[top])
+        T = T[:, :, :top - 1]
 
 
 def d_circ(N: int, q, beta: float, delta: float) -> float:
@@ -790,8 +796,8 @@ def d_circ(N: int, q, beta: float, delta: float) -> float:
     a = j2r // 2
     if a < N:
         return 0.0  # the ordering forces an area gain of at least 1 per step
-    closings = _circ_closings(StepLaw(beta), delta, a - N + 1, a)
-    return float(next(itertools.islice(closings, N - 1, None))[a])
+    closings = _circ_closings(StepLaw(beta), delta, a - N + 1, a + N - 1)
+    return next(itertools.islice(closings, N - 1, None))
 
 
 def z_circ_from_walks(L: int, beta: float, delta: float) -> float:
@@ -800,8 +806,8 @@ def z_circ_from_walks(L: int, beta: float, delta: float) -> float:
     off one pass of the joint walk; 0.0 for odd L.
 
     One pass serves every N at the height cutoff of N = 1, (L - 2)/2, the
-    largest of the exact cutoffs L/2 - 2N + 1 of ``d_circ``, and at the
-    areas up to L/2 - 1.
+    largest of the exact cutoffs L/2 - 2N + 1 of ``d_circ``; step N keeps
+    the areas up to L/2 - N, the one it reads.
     """
     _check_dp_args(L, delta)
     if L % 2:
@@ -810,7 +816,7 @@ def z_circ_from_walks(L: int, beta: float, delta: float) -> float:
     half = L // 2
     closings = _circ_closings(law, delta, _exact_cutoff(L, Variant.SINGLE_BEAD),
                               half - 1)
-    return float(sum(law.gamma_beta ** (2 * N) * closed[half - N]
+    return float(sum(law.gamma_beta ** (2 * N) * closed
                      for N, closed in zip(range(1, half // 2 + 1), closings)))
 
 
@@ -822,7 +828,8 @@ def z_constrained_from_walks(L: int, beta: float, delta: float) -> float:
     count g, rewards contacts on the real prefixes T_1..T_N only, and sums
     Gamma^N over the section at g = L - N, T_N = T_{N+1} = 0.  One pass
     serves every N: after N rewarded steps, the step to T_{N+1} is read at
-    [0, 0, L - N] before its contact reward is applied.
+    [0, 0, L - N] before its contact reward is applied, and the g axis is
+    then cut to g < L - N, since g never falls and later reads are lower.
 
     The height cutoff (L - 2)/2 of ``_exact_cutoff`` is exact: the T_j are
     prefix heights of a returning polymer with g = L - N vertical bonds, so
@@ -842,10 +849,12 @@ def z_constrained_from_walks(L: int, beta: float, delta: float) -> float:
         B = np.tensordot(P, D, axes=(1, 0))   # [w, v, g]: step from T_{N-1}
         if N:
             total += law.gamma_beta ** N * float(B[0, 0, L - N])
+            B = B[:, :, :L - N]  # g never falls: later reads are below L - N
         B[0] *= math.exp(delta)
+        G = B.shape[2]
         out = np.zeros_like(B)
-        for d, (wi, vi) in enumerate(shifts):
-            out[wi, vi, d:] = B[wi, vi, :L - d]
+        for d, (wi, vi) in enumerate(shifts[:G]):
+            out[wi, vi, d:] = B[wi, vi, :G - d]
         # reorder to state (T_N, T_{N+1}) = (v, w)
         D = np.ascontiguousarray(np.swapaxes(out, 0, 1))
     return total

@@ -24,8 +24,10 @@ primitive, ``_log_bridge``; ``zwet_direct`` (e^delta at height 0) and the
 area-tilted ``exactz.area_wetting_dp`` (e^{-gamma h / N} on top) only
 choose the weights.  It walks half the length and joins the two halves by
 time reversal, since the step matrix is symmetric.  Its step matrix
-x^{|i-j|} / c_beta is applied in O(H) by two geometric sweeps
-(``_step_apply``); the dense product is the test oracle.
+x^{|i-j|} / c_beta is semiseparable (the coupling of two blocks of heights
+has rank one), so ``_step_apply`` applies it as a blocked product, three
+small matmuls with no sequential sweep; the dense product is the test
+oracle.
 """
 
 from __future__ import annotations
@@ -85,51 +87,64 @@ def _step_matrix(law: StepLaw, H: int) -> np.ndarray:
     return step_pmf(law, np.subtract.outer(y, y))
 
 
-_SWEEP_EXP = 600.0  # largest exponent a t inside a sweep block (e^600 < 1e261)
+def _step_block(n: int) -> int:
+    """Block length of ``_step_apply`` on n heights: 16, or 2 n^{1/3} once
+    that is larger, which balances the in-block product (about n bs
+    terms) against the carry across blocks (4 n^2 / bs^2)."""
+    return max(16, int(2.0 * n ** (1.0 / 3.0)))
 
 
 def _step_apply(law: StepLaw, n: int):
-    """v -> M v for the step matrix M[i, j] = x^{|i - j|} / c_beta on
-    heights 0..n-1, in O(n).
+    """The step v -> M v, M[i, j] = x^{|i - j|} / c_beta on heights 0..n-1,
+    as a blocked semiseparable product with no sequential sweep.
 
-    With the forward sweep F(v)_i = v_i + x F(v)_{i-1} = sum_{j <= i}
-    x^{i - j} v_j, M v = (F(v) + reversed F(reversed v) - v) / c_beta.
-    F runs in blocks of B <= 600/a entries, a = beta/2, so that e^{a t}
-    stays finite: a cumsum of v_t e^{a t} within each block, scaled by
-    e^{-a t}, plus the last value of the block before times e^{-a (t + 1)}.
-    Both sweeps share one buffer.  Every term is positive, so nothing
-    cancels; entries of v up to 1e40 keep v_t e^{a t} finite.
+    Returns (v, apply): v is a length-n view of a zero-padded (r, bs)
+    block buffer, bs = ``_step_block(n)``, and apply() returns M v for the
+    present contents of v as a new array.
+
+    M (the Kac-Murdock-Szego matrix) couples two blocks by a rank-one
+    term: for i in block b and j in block b' < b (offsets within the
+    block), x^{i - j} = x^{i+1} X^{b-b'-1} x^{bs-1-j} with X = x^bs, and
+    symmetrically above the diagonal.  So one matmul V @ [T | E] / c_beta
+    of the buffer gives the in-block products (T[i, j] = x^{|i - j|}) and
+    each block's forward and backward geometric sums F_b and G_b (the
+    columns of E are x^{bs-1-j} and x^j); one (2r x 2r) matmul carries them across
+    blocks, L_b = sum_{b' < b} X^{b-b'-1} F_b' and R_b = sum_{b' > b}
+    X^{b'-b-1} G_b'; and one (r x 2)(2 x bs) product spreads them back
+    with x^{i+1} and x^{bs-i}.  Every entry is formed as e^{-a k},
+    a = beta/2, with a split a_hi + a_lo that keeps a_hi k exact (x ** k
+    from the rounded x drifts to 3e-14 relative by k ~ 600).  Every term
+    is positive, so nothing cancels.
     """
+    bs = _step_block(n)
+    r = -(-n // bs)
     a = 0.5 * law.beta
-    B = min(n, max(1, int(_SWEEP_EXP / a)))
-    blocks = -(-n // B)
-    # e^{a t} = e^{a_hi t} e^{a_lo t}: a_hi has 20 fractional bits, so a_hi t
-    # is exact and no exponent is rounded at the size of a t (up to 600)
-    a_hi = round(a * 2.0 ** 20) / 2.0 ** 20
-    t = np.arange(B)
-    up = np.exp(a_hi * t) * np.exp((a - a_hi) * t)
-    down = np.exp(-a_hi * t) * np.exp((a_hi - a) * t)
-    carry = down * law.x
-    buf = np.zeros((2, blocks, B))   # F(v) and F(reversed v), by block
-    flat = buf.reshape(2, blocks * B)
+    a_hi = round(a * 2.0 ** 20) / 2.0 ** 20  # 20 fractional bits
 
-    def apply(v):
-        flat[0, :n] = v
-        flat[1, :n] = v[::-1]
-        flat[:, n:] = 0.0
-        np.multiply(buf, up, out=buf)
-        np.cumsum(buf, axis=2, out=buf)
-        np.multiply(buf, down, out=buf)
-        if blocks > 1:
-            # the final last value of each block but the last, then its carry
-            ends = buf[:, :-1, -1].tolist()
-            for e in ends:
-                for b in range(1, len(e)):
-                    e[b] += carry[-1] * e[b - 1]
-            np.add(buf[:, 1:], np.multiply.outer(ends, carry), out=buf[:, 1:])
-        return (flat[0, :n] + flat[1, n - 1::-1] - v) / law.c_beta
+    def power(k):
+        return np.exp(-a_hi * k) * np.exp((a_hi - a) * k)
 
-    return apply
+    t = np.arange(bs)
+    TE = np.empty((bs, bs + 2))
+    TE[:, :bs] = power(np.abs(np.subtract.outer(t, t)))
+    TE[:, bs] = power(bs - 1 - t)
+    TE[:, bs + 1] = power(t)
+    TE /= law.c_beta
+    gap = np.subtract.outer(np.arange(r), np.arange(r)) - 1  # b - b' - 1
+    low = np.tril(power(bs * np.abs(gap)), -1)
+    K = np.zeros((r, 2, r, 2))  # acts on [F_0, G_0, F_1, G_1, ...]
+    K[:, 0, :, 0] = low
+    K[:, 1, :, 1] = low.T
+    K = K.reshape(2 * r, 2 * r)
+    S = np.stack((power(t + 1), power(bs - t)))
+    V = np.zeros((r, bs))
+
+    def apply():
+        Y = V @ TE
+        LR = K @ Y[:, bs:].ravel()
+        return (Y[:, :bs] + LR.reshape(r, 2) @ S).reshape(-1)[:n]
+
+    return V.reshape(-1)[:n], apply
 
 
 def _log_bridge(law: StepLaw, log_w: np.ndarray, N: int) -> float:
@@ -152,24 +167,24 @@ def _log_bridge(law: StepLaw, log_w: np.ndarray, N: int) -> float:
     renormalized by the power of two that brings its max into [1/2, 1),
     so the rescale is exact and off_i is (sum of the exponents) log 2 +
     (i - 1) max log_w, rounded a fixed number of times however many steps
-    are taken.  The step is applied by the two geometric sweeps of
-    ``_step_apply`` in O(H); the dense product it replaces is the test
-    oracle ``oracles.strip_walk_dense``.
+    are taken.  v lives in the block buffer of ``_step_apply``, so the
+    site weight and the rescale are written into it in place and each step
+    is the blocked semiseparable product; the dense product it replaces is
+    the test oracle ``oracles.strip_walk_dense``.
     """
-    apply = _step_apply(law, len(log_w))
+    v, apply = _step_apply(law, len(log_w))
     shift = float(np.max(log_w))
     w = np.exp(log_w - shift)
-    v = np.zeros(len(log_w))
     v[0] = 1.0
     exps = 0  # the rescales so far divided by 2^exps in all
     j, k = -(-N // 2), N // 2
     for step in range(j):
         if step:
-            v = w * p
+            np.multiply(w, p, out=v)
             e = math.frexp(v.max())[1]
-            v = np.ldexp(v, -e)
+            np.ldexp(v, -e, out=v)
             exps += e
-        p = apply(v)
+        p = apply()
         log_off = exps * math.log(2.0) + step * shift
         if step + 1 == k:
             p_k, off_k = p, log_off

@@ -72,6 +72,13 @@ def test_zwet_renewal_equals_direct_dp_at_scale():
         wetting.zwet_direct(1.0, 1.0, 20000), rel=1e-12)
 
 
+def test_zwet_renewal_equals_direct_dp_at_benchmark_point():
+    # beta = 2, delta = 1, N = 5000, the point the benchmark checks: the
+    # strip has 665 heights, 39 blocks of 17 and one of 2
+    assert wetting.zwet(2.0, 1.0, 5000) == pytest.approx(
+        wetting.zwet_direct(2.0, 1.0, 5000), rel=1e-12)
+
+
 # lengths 0..N: N = B - 1 fills one block of the solve, N = B and B + 1
 # start a second
 @pytest.mark.parametrize("N", [wetting._RENEWAL_BLOCK - 1,
@@ -94,21 +101,22 @@ def test_zwet_series_blocked_solve_matches_sequential_loop(beta, N):
 @pytest.mark.parametrize("beta", [0.1, 0.5, 2.0, 4.0, 30.0])
 def test_step_apply_matches_dense_product(beta):
     law = steps.StepLaw(beta)
-    B = int(wetting._SWEEP_EXP / (0.5 * beta))  # sweep block length
-    # 1, 2, one block, one block + 1, several blocks and two fixed sizes, as
-    # far as the dense matrix stays small
-    for n in sorted(n for n in {1, 2, 665, 1999, B, B + 1, 3 * B + 7}
-                    if n <= 2401):
+    B = wetting._step_block(2)  # the block length up to 614 heights, 16
+    # 1, 2, one block - 1, one block, one block + 1, several blocks, a
+    # multiple of the large-n block length (680 = 40 x 17) and three fixed
+    # sizes, as far as the dense matrix stays small
+    for n in sorted({1, 2, B - 1, B, B + 1, 3 * B + 7, 665, 680, 1999, 2401}):
         M = wetting._step_matrix(law, n - 1)
-        apply = wetting._step_apply(law, n)
+        v_buf, apply = wetting._step_apply(law, n)
         down = np.logspace(0.0, -300.0, n)
         # a spike at the end of the first block over a 1e-280 floor: from
         # the third block on, its carry through the second block dominates
         spike = np.full(n, 1e-280)
-        spike[min(B, n) - 1] = 1.0
+        spike[min(wetting._step_block(n), n) - 1] = 1.0
         for v in (down, down[::-1].copy(), spike, spike[::-1].copy(),
                   np.random.default_rng(n).random(n)):
-            got, want = apply(v), M @ v
+            v_buf[:] = v
+            got, want = apply(), M @ v
             big = want > 1e-290
             assert np.all(np.abs(got[big] / want[big] - 1.0) < 1e-14), (n, v[:2])
             assert np.all(got[~big] < 1e-280)
@@ -135,12 +143,15 @@ def _check_strip_callers(beta, N, delta, **tol):
         _dense_log_bridge(beta, log_w, N), **tol)
 
 
-# beta = 2 at N = 200: one sweep block of 185 heights; beta = 30: 96 heights
-# in blocks of 40; beta = 4 at N = 2000: 334 heights in blocks of 300.
-# The bridge walks ceil(N/2) steps and joins the two halves, so odd and
-# even N (1, 2, 3, 201) check the join; N = 1 reads the one step's p(0)
+# Strip heights n = H + 1, in blocks of 16 for the step: beta = 2 at
+# N = 200 has 185 heights (11 blocks + 9), beta = 4 at N = 2000 has 334
+# (20 blocks + 14); beta = 2 at N = 3 (80), beta = 30 at N = 200 (96)
+# and beta = 2 at N = 787 (304) are exact multiples of the block length,
+# and beta = 2 at N = 794 (305) is one more.  The bridge walks ceil(N/2)
+# steps and joins the two halves, so odd and even N (1, 2, 3, 201) check
+# the join; N = 1 reads the one step's p(0)
 _STRIP_CASES = [(2.0, 1), (2.0, 2), (2.0, 3), (2.0, 200), (2.0, 201),
-                (30.0, 200), (4.0, 2000)]
+                (30.0, 200), (4.0, 2000), (2.0, 787), (2.0, 794)]
 
 
 @pytest.mark.parametrize("beta, N", _STRIP_CASES)
