@@ -30,6 +30,7 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -275,27 +276,17 @@ def _check_dp_vs_brute() -> tuple:
     return worst < 1e-10, f"max rel err {worst:.2e} (tol 1e-10)"
 
 
-def _check_single_bead_identity() -> tuple:
+def _check_walk_identity(variant: Variant, walks, lengths: range) -> tuple:
     beta, delta = 2.0, 0.5
     worst = 0.0
-    for L in range(4, 15):
-        lhs = exactz.z_circ_from_walks(L, beta, delta)
-        log_z, _ = exactz.dp_Z(L, beta, delta, Variant.SINGLE_BEAD)
+    for L in lengths:
+        lhs = walks(L, beta, delta)
+        log_z, _ = exactz.dp_Z(L, beta, delta, variant)
         rhs = math.exp(log_z - beta * L) / steps.StepLaw(beta).c_beta
         if rhs > 0:
             worst = max(worst, abs(lhs - rhs) / rhs)
-    return worst < 1e-9, f"max rel err {worst:.2e} over lengths 4..14"
-
-
-def _check_constrained_identity() -> tuple:
-    beta, delta = 2.0, 0.5
-    worst = 0.0
-    for L in range(2, 13):
-        lhs = exactz.z_constrained_from_walks(L, beta, delta)
-        log_z, _ = exactz.dp_Z(L, beta, delta, Variant.CONSTRAINED_END)
-        rhs = math.exp(log_z - beta * L) / steps.StepLaw(beta).c_beta
-        worst = max(worst, abs(lhs - rhs) / rhs)
-    return worst < 1e-9, f"max rel err {worst:.2e} over lengths 2..12"
+    return worst < 1e-9, (f"max rel err {worst:.2e} over lengths "
+                          f"{lengths[0]}..{lengths[-1]}")
 
 
 def _check_curve_ordering() -> tuple:
@@ -356,8 +347,12 @@ def _check_truncation_bound() -> tuple:
 
 _VERIFY_CHECKS = [
     ("dp-vs-brute", _check_dp_vs_brute),
-    ("single-bead-identity", _check_single_bead_identity),
-    ("constrained-identity", _check_constrained_identity),
+    ("single-bead-identity", functools.partial(
+        _check_walk_identity, Variant.SINGLE_BEAD, exactz.z_circ_from_walks,
+        range(4, 15))),
+    ("constrained-identity", functools.partial(
+        _check_walk_identity, Variant.CONSTRAINED_END,
+        exactz.z_constrained_from_walks, range(2, 13))),
     ("curve-ordering", _check_curve_ordering),
     ("collapse-consistency", _check_collapse_consistency),
     ("legendre-duality", _check_legendre_duality),

@@ -27,7 +27,7 @@ the transfer DP below exploit.  The module provides
                        stretch per round, on that step and through that
                        plan, returned as one checked ``StretchBatch`` of
                        arrays;
-* ``d_circ``           joint upper/lower-envelope DP at a prescribed
+* ``d_circ``           ordered upper/lower-envelope walks at a prescribed
                        enclosed-area difference, at its exact height
                        cutoff, the terms of ``z_circ_from_walks``;
 * ``area_wetting_dp``  log of the area-tilted pinned bridge, the strip
@@ -36,9 +36,11 @@ the transfer DP below exploit.  The module provides
 * ``e_circ`` / ``e_n_gamma``   its values at the tilts of the paper;
 * ``z_circ_from_walks`` / ``z_constrained_from_walks``   the random-walk
   representations of the single-bead and end-constrained models, each one
-  pass of its recursion over N at the exact height cutoff, every N's term
-  read on the way: the second route to ``dp_Z`` for the returning
-  variants, also at lengths where ``certified_dp_Z`` cuts the table.
+  pass over N at the exact height cutoff, every N's term read on the way:
+  the second route to ``dp_Z`` for the returning variants, also at
+  lengths where ``certified_dp_Z`` cuts the table.  They and ``d_circ``
+  run one envelope chain, which interleaves the two envelope walks and
+  differs between them only in its direction tables and reads.
 """
 
 from __future__ import annotations
@@ -738,37 +740,50 @@ def backward_sample(table: DPTable, count: int, rng) -> StretchBatch:
 # envelope-pair DPs and walk representations
 # ---------------------------------------------------------------------------
 
-def _circ_closings(law: StepLaw, delta: float, H: int, a: int):
-    """Yield, after each N = 1, 2, ... steps of the joint (S, I) walk of
-    ``d_circ`` on heights 0..H, its closed weight at area a - N + 1: S's
-    bridge step to 0 taken and I pinned at 0.  Yield N is ``d_circ`` of N
-    at area a - N + 1 when that area's exact cutoff a - 2N + 2 is at most
-    H.  Every step adds at least 1 to the area, so before step N the area
-    axis holds only the areas below a - N + 1, the ones a read can still
-    reach."""
+def _envelope_chain(law: StepLaw, delta: float, H: int, incs: tuple, reads):
+    """Yield, after each N = 1, ..., len(reads) stretches of the interleaved
+    envelope chain T_1, T_2, ... on heights 0..H, its weight closed at
+    T_N = T_{N+1} = 0 with counter reads[N - 1].
+
+    The state is (T_{N-1}, T_N, counter), started at (0, 0, 0).  Each step
+    draws T_{N+1} from T_{N-1}, two indices back, by the step matrix, so
+    the odd and even entries are two independent walks; it puts e^delta on
+    T_{N+1} = 0 and adds ``incs[N % len(incs)][T_{N+1}, T_N]`` to the
+    counter, an entry of -1 forbidding that stretch.  Read N is taken on
+    the step to T_{N+1} before its reward and increment, so the closing
+    step is a bridge step with no contact reward.  Reads must never rise:
+    counters never fall, so after each read the counter axis keeps only
+    the counters up to the next one.
+    """
     n = H + 1
     P = _step_matrix(law, H)
-    gap = np.subtract.outer(np.arange(n), np.arange(n))  # [s', i]: s' - i
-    strict = gap > 0
-    shifts = [np.nonzero(gap == sig) for sig in range(1, min(n, a + 1))]
-    T = np.zeros((n, n, a))                       # areas 0..a - 1
-    T[0, 0, 0] = 1.0
-    while True:
-        top = T.shape[2]                          # the area read after this step
-        B = np.tensordot(P, T, axes=(1, 0))       # S-move: [s', i, d]
-        B *= strict[:, :, None]                   # S_k > I_{k-1}
-        C = np.tensordot(B, P, axes=([1], [1]))   # I-move: [s', d, i']
-        C = np.ascontiguousarray(np.moveaxis(C, 1, 2))  # [s', i', d]
-        C *= strict[:, :, None]                   # S_k > I_k
-        C[:, 0, :] *= math.exp(delta)             # pinning reward on I_k = 0
-        T = np.zeros((n, n, top + 1))
-        for sig, (si, ii) in enumerate(shifts[:top], 1):
-            T[si, ii, sig:] = C[si, ii, :top + 1 - sig]
-        # the bridge step of S to zero, P[0, s] = P(X = -s); I_N = 0, taken
-        # at every area by one vector-matrix product and read at the top (a
-        # lone dot product sums in another order and moves the last bit)
-        yield float((P[0] @ T[:, 0])[top])
-        T = T[:, :, :top - 1]
+    shifts = [[np.nonzero(inc == d) for d in range(inc.max() + 1)]
+              for inc in incs]
+    D = np.zeros((n, n, reads[0] + 1))
+    D[0, 0, 0] = 1.0
+    for N in range(len(reads) + 1):
+        # [w, v, c]: T_{N+1} = w drawn from T_{N-1}, with T_N = v
+        B = np.tensordot(P, D, axes=(1, 0))
+        if N:
+            yield float(B[0, 0, reads[N - 1]])
+            if N == len(reads):
+                return
+            B = B[:, :, :reads[N] + 1]
+        B[0] *= math.exp(delta)
+        G = B.shape[2]
+        out = np.zeros_like(B)
+        for d, (wi, vi) in enumerate(shifts[N % len(incs)][:G]):
+            out[wi, vi, d:] = B[wi, vi, :G - d]
+        # reorder to state (T_N, T_{N+1}) = (v, w)
+        D = np.ascontiguousarray(np.swapaxes(out, 0, 1))
+
+
+def _bead_incs(H: int) -> tuple:
+    """Direction tables of a single bead: stretches alternate up (w > v),
+    adding 0, and down (w < v), adding the area S_k - I_k = v - w."""
+    heights = np.arange(H + 1)
+    drop = heights - heights[:, None]  # [w, v]: v - w
+    return np.where(drop < 0, 0, -1), np.where(drop > 0, drop, -1)
 
 
 def d_circ(N: int, q, beta: float, delta: float) -> float:
@@ -777,7 +792,10 @@ def d_circ(N: int, q, beta: float, delta: float) -> float:
     Expectation over two independent step walks S (N+1 steps, S_{N+1} = 0)
     and I (N steps, I_N = 0), both >= 0, strictly ordered (S_k > I_k and
     S_k > I_{k-1}), carrying e^{delta} per zero of I, on the event that the
-    signed-area difference A_{N+1}(S) - A_N(I) equals q N^2 = a.
+    signed-area difference A_{N+1}(S) - A_N(I) equals q N^2 = a.  It is
+    the envelope chain S_1, I_1, ..., S_N, I_N with the single-bead
+    direction tables, the down stretch S_k -> I_k counting S_k - I_k of
+    area, read once after 2N stretches at area a.
 
     The height cutoff a - N + 1 is exact: step k adds S_k - I_k >= 1 to
     the area, and from S_k = h the steps k..N add at least h + N - k (by
@@ -796,40 +814,42 @@ def d_circ(N: int, q, beta: float, delta: float) -> float:
     a = j2r // 2
     if a < N:
         return 0.0  # the ordering forces an area gain of at least 1 per step
-    closings = _circ_closings(StepLaw(beta), delta, a - N + 1, a + N - 1)
-    return next(itertools.islice(closings, N - 1, None))
+    H = a - N + 1
+    closings = _envelope_chain(StepLaw(beta), delta, H, _bead_incs(H),
+                               [a] * (2 * N))
+    return next(itertools.islice(closings, 2 * N - 1, None))
 
 
 def z_circ_from_walks(L: int, beta: float, delta: float) -> float:
     """Single-bead partition value Z°_L / (c_beta e^{beta L}) via envelope walks:
     the sum over N <= L/4 of Gamma^{2N} ``d_circ`` at area L/2 - N, read
-    off one pass of the joint walk; 0.0 for odd L.
+    off one pass of the envelope chain; 0.0 for odd L.
 
-    One pass serves every N at the height cutoff of N = 1, (L - 2)/2, the
-    largest of the exact cutoffs L/2 - 2N + 1 of ``d_circ``; step N keeps
-    the areas up to L/2 - N, the one it reads.
+    A bead of k stretches has sum |l_i| = L - k = 2(A(S) - A(I)), so its
+    down stretches add up to (L - k)/2, the read after k stretches, and k
+    <= L/2; term k is Gamma^k times that read, and an odd k ends on an up
+    stretch and closes to exactly 0.  One pass serves every N at the
+    height cutoff of N = 1, (L - 2)/2, the largest of the exact cutoffs
+    L/2 - 2N + 1 of ``d_circ``.
     """
     _check_dp_args(L, delta)
-    if L % 2:
-        return 0.0
+    if L % 2 or L < 4:
+        return 0.0  # the smallest bead, stretches (1, -1), has length 4
     law = StepLaw(beta)
-    half = L // 2
-    closings = _circ_closings(law, delta, _exact_cutoff(L, Variant.SINGLE_BEAD),
-                              half - 1)
-    return float(sum(law.gamma_beta ** (2 * N) * closed
-                     for N, closed in zip(range(1, half // 2 + 1), closings)))
+    H = _exact_cutoff(L, Variant.SINGLE_BEAD)
+    closings = _envelope_chain(law, delta, H, _bead_incs(H),
+                               [(L - k) // 2 for k in range(1, L // 2 + 1)])
+    return float(sum(law.gamma_beta ** k * closed
+                     for k, closed in enumerate(closings, 1)))
 
 
 def z_constrained_from_walks(L: int, beta: float, delta: float) -> float:
     """End-constrained partition value Z^{+,c}_L / (c_beta e^{beta L}).
 
-    Interleaves the two envelope walks into one chain T_1, ..., T_{N+1}
-    whose steps go two indices back, tracks the accumulated vertical bond
-    count g, rewards contacts on the real prefixes T_1..T_N only, and sums
-    Gamma^N over the section at g = L - N, T_N = T_{N+1} = 0.  One pass
-    serves every N: after N rewarded steps, the step to T_{N+1} is read at
-    [0, 0, L - N] before its contact reward is applied, and the g axis is
-    then cut to g < L - N, since g never falls and later reads are lower.
+    The envelope chain with one direction table, the vertical bond count
+    |w - v| of a stretch, summing Gamma^N times its read at g = L - N,
+    T_N = T_{N+1} = 0: contacts are rewarded on the real prefixes
+    T_1..T_N only.
 
     The height cutoff (L - 2)/2 of ``_exact_cutoff`` is exact: the T_j are
     prefix heights of a returning polymer with g = L - N vertical bonds, so
@@ -838,26 +858,12 @@ def z_constrained_from_walks(L: int, beta: float, delta: float) -> float:
     _check_dp_args(L, delta)
     law = StepLaw(beta)
     H = _exact_cutoff(L, Variant.CONSTRAINED_END)
-    n = H + 1
-    P = _step_matrix(law, H)
-    absdiff = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    shifts = [np.nonzero(absdiff == d) for d in range(min(n, L))]
-    D = np.zeros((n, n, L))
-    D[0, 0, 0] = 1.0  # state (T_{N-1}, T_N, g), started at (0, 0, 0); g < L
-    total = 0.0
-    for N in range(L + 1):  # N rewarded steps taken
-        B = np.tensordot(P, D, axes=(1, 0))   # [w, v, g]: step from T_{N-1}
-        if N:
-            total += law.gamma_beta ** N * float(B[0, 0, L - N])
-            B = B[:, :, :L - N]  # g never falls: later reads are below L - N
-        B[0] *= math.exp(delta)
-        G = B.shape[2]
-        out = np.zeros_like(B)
-        for d, (wi, vi) in enumerate(shifts[:G]):
-            out[wi, vi, d:] = B[wi, vi, :G - d]
-        # reorder to state (T_N, T_{N+1}) = (v, w)
-        D = np.ascontiguousarray(np.swapaxes(out, 0, 1))
-    return total
+    heights = np.arange(H + 1)
+    closings = _envelope_chain(law, delta, H,
+                               (np.abs(heights - heights[:, None]),),
+                               range(L - 1, -1, -1))
+    return float(sum(law.gamma_beta ** N * closed
+                     for N, closed in enumerate(closings, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,10 @@ def _solve_tilt(q: float, p: float, beta: float, n: int | None) -> TiltVector:
     within two ulps of h per coordinate; if even that misses the
     tolerance, a ValueError names the point and the residual.
     """
+    for name, x in (("q", q), ("p", p)):
+        if not math.isfinite(x):
+            raise ValueError(f"tilt inversion needs a finite gradient: "
+                             f"{name} = {x}")
     if n is None:
         value, grad, hess = l_lambda, grad_l_lambda, _hessian_l_lambda
     else:

@@ -48,7 +48,7 @@ def test_c02_envelope_representation_identities():
     # at beta = 0.05 the walks spread wide enough that one height less than
     # the exact cutoff loses weight far above the tolerance
     worst_sb = 0.0
-    for beta, delta in ((2.0, 0.5), (1.3, 1.0), (0.05, 0.7)):
+    for beta, delta in ((2.0, 0.5), (1.3, 1.0), (0.5, -1.0), (0.05, 0.7)):
         law = steps.StepLaw(beta)
         for L in range(4, 21, 2):
             lhs = exactz.brute_force_Z(L, beta, delta, Variant.SINGLE_BEAD)
@@ -56,7 +56,7 @@ def test_c02_envelope_representation_identities():
                 math.log(exactz.z_circ_from_walks(L, beta, delta))
             worst_sb = max(worst_sb, abs(rhs - lhs) / max(abs(lhs), 1.0))
     worst_c = 0.0
-    for beta, delta in ((2.0, 0.5), (1.3, 1.0), (0.05, 0.7)):
+    for beta, delta in ((2.0, 0.5), (1.3, 1.0), (0.5, -1.0), (0.05, 0.7)):
         law = steps.StepLaw(beta)
         for L in range(2, 17):
             lhs = exactz.brute_force_Z(L, beta, delta,

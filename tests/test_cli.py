@@ -305,6 +305,17 @@ def test_tilt_n_below_2_exits_2(capsys, n):
     assert f"n = {n} " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, value", [("q", "nan"), ("p", "inf"),
+                                         ("p", "-inf")])
+def test_tilt_non_finite_exits_2_naming_it(capsys, name, value):
+    rc = cli.main(["tilt", "--beta", "2", "--q", "0.5", f"--{name}={value}",
+                   "--out", "-"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"finite gradient: {name} = {value}" in err
+
+
 def test_tilt_unsolvable_exits_2_without_traceback():
     # at q = 100 the tilt lies closer to the domain boundary than any double
     # that meets the residual tolerance: invalid input, not a failed check

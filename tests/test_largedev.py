@@ -220,6 +220,20 @@ def test_tilt_solver_edges(beta, n, q, p):
     assert math.hypot(got[0] - q, got[1] - p) <= 1e-10
 
 
+@pytest.mark.parametrize("n", [None, 100])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["q", "p"])
+def test_tilt_rejects_non_finite_gradient(name, bad, n):
+    # Newton on a non-finite target ends in a residual of nan or inf, which
+    # would blame the domain boundary; the argument is named instead
+    q, p = (bad, 0.0) if name == "q" else (0.5, bad)
+    with pytest.raises(ValueError, match=f"finite gradient: {name} = {bad}$"):
+        if n is None:
+            largedev.tilt_inverse(q, p, BETA)
+        else:
+            largedev.finite_tilt(n, q, p, BETA)
+
+
 def test_tilt_past_double_precision_rejected():
     # the tilt's gap to the boundary is far below what a double resolves
     with pytest.raises(ValueError, match=r"\(q, p\) = \(100, 0\), beta = 2\.0"):
