@@ -15,9 +15,11 @@ the transfer DP below exploit.  The module provides
                        path; ``feature_histogram`` aggregates them fast);
 * ``dp_Z``             rescaled transfer DP over (consumed length, prev
                        height, cur height) on one backward step for all
-                       variants, storing and stepping only the height
-                       pairs that are reachable and can still finish, every
-                       read through one precomputed gather plan; exact at
+                       variants, stepping only the height pairs that are
+                       reachable and can still finish and storing, per row,
+                       only the closed-form range of them that some step
+                       reads, every read through one precomputed gather
+                       plan; exact at
                        the default cutoff, otherwise with a rigorous
                        truncation bound (kept as a log) on the same step,
                        from a wall-free completion majorant;
@@ -132,7 +134,15 @@ def feature_histogram(L: int, variant=Variant.FREE) -> dict:
 @lru_cache(maxsize=64)
 def _histogram(L: int, variant: Variant) -> dict:
     """The enumeration behind ``feature_histogram``, cached per (L, variant);
-    never handed out, so no caller can change a cached entry."""
+    never handed out, so no caller can change a cached entry.
+
+    The frontier (budget, height, last stretch, overlap, contacts) is int16,
+    a quarter of the memory of int64: each is at most L in size (the
+    overlap, a sum of min(|l_i|, |l_{i+1}|), is at most sum |l_i| < L) and
+    every intermediate at most 2L, far inside int16 at the enumerable
+    L <= 24.  Index and count arrays stay int64, and so do the histogram
+    keys.
+    """
     if L < 1:
         raise ValueError("L must be >= 1")
 
@@ -152,11 +162,11 @@ def _histogram(L: int, variant: Variant) -> dict:
         keep = m > 0
         b, h, p, w, c, lo, m = (a[keep] for a in (b, h, p, w, c, lo, m))
         if b.size == 0:
-            return tuple(np.empty(0, dtype=np.int64) for _ in range(5))
+            return tuple(np.empty(0, dtype=np.int16) for _ in range(5))
         tot = int(m.sum())
         idx = np.repeat(np.arange(b.size), m)
-        starts = np.cumsum(m) - m
-        v = lo[idx] + (np.arange(tot) - starts[idx])
+        starts = np.cumsum(m, dtype=np.int64) - m
+        v = (lo[idx] + (np.arange(tot) - starts[idx])).astype(np.int16)
         pr = p[idx]
         nb = b[idx] - 1 - np.abs(v)
         nh = h[idx] + v
@@ -164,8 +174,8 @@ def _histogram(L: int, variant: Variant) -> dict:
         nc = c[idx] + (nh == 0)
         return nb, nh, v, nw, nc
 
-    z = np.zeros(1, dtype=np.int64)
-    frontier = (np.full(1, L, dtype=np.int64), z, z, z.copy(), z.copy())
+    z = np.zeros(1, dtype=np.int16)
+    frontier = (np.full(1, L, dtype=np.int16), z, z, z.copy(), z.copy())
     while frontier[0].size:
         b, h, p, w, c = frontier
         if variant is Variant.SINGLE_BEAD:
@@ -225,36 +235,67 @@ def _exact_cutoff(L: int, variant: Variant) -> int:
 
 
 def _blocks(L: int, H: int, variant: Variant) -> tuple:
-    """(start, rows, cols) of the stored block of every consumed length m.
+    """(rows, cols, lo, hi): the block of every consumed length m and, in
+    it, the stored column range [lo, hi) of every row u of each stack.
 
     After m >= 1 units the last two prefix heights satisfy u + |v - u| <=
     m - 1, so u, v < b(m) = min(m, H + 1); before the first stretch the
     state is (0, 0), b(0) = 1.  The returning variants must also get back
     to 0 from v in the L - m units left, which takes at least v + 1 of them
     while any are left, so only v < c(m) = min(b(m), max(L - m, 1)) can
-    finish; Free keeps c = b.  Slice m of a stack is the b(m) x c(m) block
-    at offset start[m] = sum_{j<m} b(j) c(j) of one flat array.  Entry
-    L + 1 is a sentinel: start[L + 1] is the length of the array.
+    finish; Free keeps c = b.
+
+    Of that b(m) x c(m) block only a band is stored.  A row u >= 1 needs two
+    or more stretches: reaching u costs u + 1 units and the next stretch
+    |v - u| + 1, so u + |v - u| <= m - 2 and row u keeps v in
+    [max(0, 2u - m + 2), c(m)); row 0 keeps all of [0, c(m)), as the first
+    stretch can end at m - 1, and rows u >= m - 1 are empty.  Single beads
+    alternate, so stack 0 (next stretch up) keeps only v < u and stack 1
+    (next stretch down) only v > u; slice 0, the start, stays whole.
+
+    Every read that the step and the sampler do not mask (past the end,
+    ``need``, against the direction) lands in these ranges.  Block r reads
+    row v < c(r) of slice m = r + 1 + |w - v| at a w < c(m) that can still
+    finish, and a draw at a stored (r, u, v) reads the same, with v <= r - 1
+    there; for v >= 1, w >= 2v - m + 2 holds at every w exactly when
+    v <= r - 1, and c(r) <= r.  A single bead's read follows the direction
+    of the stack it reads.  Past m = 2H + 1 every row is whole, so cut
+    tables keep plain blocks there.  lo and hi are (stacks, L + 2, H + 1),
+    lo <= hi, with an empty range at every row u >= b(m) and in the
+    sentinel slice L + 1.
     """
-    rows = np.minimum(np.maximum(np.arange(L + 2), 1), H + 1)
+    consumed = np.arange(L + 2)
+    rows = np.minimum(np.maximum(consumed, 1), H + 1)
     cols = rows
     if variant is not Variant.FREE:
-        cols = np.minimum(rows, np.maximum(L - np.arange(L + 2), 1))
-    start = np.zeros(L + 2, dtype=np.int64)
-    np.cumsum(rows[:-1] * cols[:-1], out=start[1:])
-    return start, rows, cols
+        cols = np.minimum(rows, np.maximum(L - consumed, 1))
+    heights = np.arange(H + 1)
+    lo = np.where(heights >= 1, np.maximum(2 * heights - consumed[:, None] + 2, 0), 0)
+    hi = np.where(heights < rows[:, None], cols[:, None], 0)
+    hi[L + 1] = 0
+    bands = [(lo, hi)]
+    if variant is Variant.SINGLE_BEAD:
+        bands = [(lo, np.minimum(hi, heights)), (np.maximum(lo, heights + 1), hi)]
+    lo = np.stack([a for a, _ in bands])
+    hi = np.stack([b for _, b in bands])
+    lo[:, 0, 0], hi[:, 0, 0] = 0, 1
+    return rows, cols, np.minimum(lo, hi).astype(np.int32), hi.astype(np.int32)
 
 
 class _Plan:
-    """Where every read of the transfer step lands in a flat block stack.
+    """Where every read of the transfer step lands in a flat band stack.
 
-    The step from (m, u, v) to w reads G[m'][v, w], m' = m + 1 + |w - v|,
-    at entry rowbase[m', v] + w, rowbase[m', v] = start[m'] + v c(m') of
-    ``_blocks``.  ``pair[v, w] = |w - v| n + v`` indexes the flattened
-    rowbase from row m + 1, so a read is one ``take`` on rowbase, plus w,
-    then one ``take`` on the stack.  Row L + 1 of rowbase, where every
-    clipped index lands, holds the stack length: a read past the last
-    slice is at or after the end of the stack.
+    Stack k stores the ranges [lo, hi) of ``_blocks`` row after row, slice
+    after slice: slice m starts at start[k, m], and start[k, L + 1] is the
+    length of the stack.  Row u of slice m starts at rowbase[k][m, u] +
+    lo[k, m, u], so the step from (m, u, v) to w reads G[m'][v, w],
+    m' = m + 1 + |w - v|, at entry rowbase[k][m', v] + w.
+    ``pair[v, w] = |w - v| n + v`` indexes the flattened rowbase from row
+    m + 1, so a read is one ``take`` on rowbase, plus w, then one ``take``
+    on the stack.  Row L + 1 of rowbase, where every clipped index lands,
+    holds the stack length: a read past the last slice is at or after the
+    end of the stack.  A read outside its row's range is masked, so it may
+    land anywhere.
 
     ``dirs[k]`` is (need, source stack) of stretch direction k: stretch k
     takes direction k mod len(dirs) and reads its completion from the
@@ -267,13 +308,16 @@ class _Plan:
     """
 
     def __init__(self, L: int, H: int, variant: Variant):
-        self.start, self.rows, self.cols = _blocks(L, H, variant)
+        self.variant = variant
+        self.rows, self.cols, self.lo, self.hi = _blocks(L, H, variant)
         n = H + 1
         heights = np.arange(n)
         gaps = np.abs(heights - heights[:, None])
-        rowbase = self.start[:, None] + heights * self.cols[:, None]
-        rowbase[L + 1] = self.start[L + 1]
-        self.rowbase = rowbase.ravel()
+        lengths = (self.hi - self.lo).reshape(len(self.hi), -1)
+        rowstart = np.zeros(lengths.shape, dtype=np.int64)
+        np.cumsum(lengths[:, :-1], axis=1, out=rowstart[:, 1:])
+        self.start = rowstart[:, ::n].copy()  # row 0 of every slice
+        self.rowbase = rowstart - self.lo.reshape(len(rowstart), -1)
         self.pair = gaps * n + heights[:, None]
         if variant is Variant.FREE:
             self.dirs = ((None, 0),)
@@ -287,25 +331,33 @@ class _Plan:
         self.dirs = ((np.where(up, need, L + 1), 1),
                      (np.where(up.T, need, L + 1), 0))
 
-    def block(self, stack, m: int) -> np.ndarray:
-        """Slice m of a flat stack as its (b, c) block, a view."""
-        return stack[self.start[m]:self.start[m + 1]].reshape(
-            self.rows[m], self.cols[m])
+    def store(self, stack, k: int, m: int, block: np.ndarray) -> None:
+        """Write the ranges of slice m of stack k from its whole (b, c)
+        block: the leading whole rows in one copy, the rest by row mask."""
+        c = block.shape[1]
+        lo, hi = self.lo[k, m, :len(block)], self.hi[k, m, :len(block)]
+        whole = int(np.logical_and.accumulate((lo == 0) & (hi == c)).sum())
+        out = stack[self.start[k, m]:self.start[k, m + 1]]
+        out[:whole * c] = block[:whole].ravel()
+        columns = np.arange(c, dtype=np.int32)
+        band = (columns >= lo[whole:, None]) & (columns < hi[whole:, None])
+        out[whole * c:] = block[whole:][band]
 
 
 @dataclass
 class DPTable:
     """Backward completion table of the transfer DP.
 
-    ``completion(m)[u, v]`` is the log of the total reduced weight (the
+    Its entry (m, u, v) is the log of the total reduced weight (the
     e^{beta L} prefactor stripped) of all ways to finish a configuration
     given that m length units are consumed and the last two prefix heights
-    are (u, v), for the reachable heights u < b(m) = min(max(m, 1), H + 1)
-    and, of those, the heights v < c(m) of ``_blocks`` that can still
-    finish only.  ``log_weights`` holds these blocks back to back, slice m
-    at offset sum_{j<m} b(j) c(j), in one flat array per stack; for
-    SingleBead it is a pair of such stacks, indexed by the direction of the
-    next stretch (up, down).  ``normalization`` is log Z.
+    are (u, v).  It is stored for the rows u < b(m) = min(max(m, 1), H + 1)
+    and, in row u, for the heights v in the range [lo, hi) of ``_blocks``
+    only: those that some configuration reaches and some step reads.
+    ``log_weights`` holds these ranges back to back, row after row and
+    slice after slice, at the offsets of ``_Plan``, in one flat array per
+    stack; for SingleBead it is a pair of such stacks, indexed by the
+    direction of the next stretch (up, down).  ``normalization`` is log Z.
     ``log_truncation_bound`` is the log of a bound on the reduced weight
     lost to the height cutoff, -inf when the table is exact;
     ``truncation_bound`` is its value as a double, raised to the smallest
@@ -321,15 +373,6 @@ class DPTable:
     normalization: float
     truncation_bound: float
     log_truncation_bound: float
-
-    def completion(self, consumed: int, next_up: bool = True) -> np.ndarray:
-        """The (b, c) block of consumed length ``consumed``, a view."""
-        lw = self.log_weights
-        if self.variant is Variant.SINGLE_BEAD:
-            lw = lw[0 if next_up else 1]
-        start, rows, cols = _blocks(self.L, self.height_cutoff, self.variant)
-        return lw[start[consumed]:start[consumed + 1]].reshape(
-            rows[consumed], cols[consumed])
 
 
 _TINY = np.finfo(float).tiny  # the smallest normal double
@@ -390,10 +433,11 @@ def dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE,
         G_k[m][u, v] = sum_w e^{-beta} x^{|w - u|} e^{delta 1{w = 0}}
                        1_k(v, w) G_{k'}[m + 1 + |w - v|][v, w]
 
-    over the stretch directions k of ``_Plan``, on the stored block of
-    ``_blocks`` only (``_transfer``): the heights u < b(m) reachable after
-    m units, and of the v < b(m) those from which the returning variants
-    can still get back to 0.  With the default cutoff the DP is exact
+    over the stretch directions k of ``_Plan``, on the block of ``_blocks``
+    only (``_transfer``): the heights u < b(m) reachable after m units,
+    and of the v < b(m) those from which the returning variants can still
+    get back to 0; of each block the table keeps only the row ranges that
+    some step reads.  With the default cutoff the DP is exact
     (``_exact_cutoff``); a smaller cutoff gives a lower bound on Z and a
     rigorous bound on the missing reduced weight, from the same step run
     on a second stack with a first-exceedance source: a stretch that first
@@ -477,10 +521,11 @@ def _dp(L, beta, delta, variant, H, log_g) -> tuple:
     law = StepLaw(beta)
     X = law.c_beta * _step_matrix(law, H)  # X[u, w] = x^{|w - u|}
     raised = -np.inf
+    plan = _Plan(L, H, variant)
     if X[0, H] < _TINY:  # the raised run first: one table alive at a time
-        raised = _transfer(L, beta, delta, variant, np.maximum(X, _TINY),
+        raised = _transfer(L, beta, delta, plan, np.maximum(X, _TINY),
                            None)[1][0, 0]
-    S, off, log_bound = _transfer(L, beta, delta, variant, X, log_g)
+    S, off, log_bound = _transfer(L, beta, delta, plan, X, log_g)
     # flat vectors fit any cutoff; beads (1, -1) and (2, -2) take 4 and 6
     empty = variant is Variant.SINGLE_BEAD and not (
         L >= 4 and L % 2 == 0 and (H >= 2 or L % 4 == 0))
@@ -494,13 +539,12 @@ def _dp(L, beta, delta, variant, H, log_g) -> tuple:
             f" {_TINY:.1e} to it moves log Z by {raised - off[0, 0]:.1e}, above"
             f" the supported {_MAX_UNDERFLOW:.0e} (double-precision underflow)")
     log_z = beta * L + float(off[0, 0])
-    start = _blocks(L, H, variant)[0]
-    with np.errstate(divide="ignore"):
-        np.log(S, out=S)  # in place: the linear values are no longer needed
-    for k in range(len(S)):
-        for m in range(L + 1):  # block by block: no table-sized offsets array
-            S[k, start[m]:start[m + 1]] += off[k, m]
-    lw = (S[0], S[1]) if variant is Variant.SINGLE_BEAD else S[0]
+    for k, (stack, start) in enumerate(zip(S, plan.start)):
+        with np.errstate(divide="ignore"):
+            np.log(stack, out=stack)  # in place: the linear values are done
+        for m in range(L + 1):  # slice by slice: no table-sized offsets array
+            stack[start[m]:start[m + 1]] += off[k, m]
+    lw = tuple(S) if variant is Variant.SINGLE_BEAD else S[0]
     bound = 0.0
     if log_g is not None:  # a bound below the smallest normal double still
         with np.errstate(over="ignore"):  # bounds the loss as that double
@@ -518,14 +562,15 @@ def _toeplitz(vec: np.ndarray, rows: int, cols: int) -> np.ndarray:
                       offset=(len(vec) - 1) * size, strides=(-size, size))
 
 
-def _transfer(L, beta, delta, variant, X, log_g) -> tuple:
+def _transfer(L, beta, delta, plan, X, log_g) -> tuple:
     """(S, off, log truncation bound) of the backward transfer of ``dp_Z``
-    with the step matrix X; block (k, m) of S times e^{off[k, m]} is G_k[m]
-    on the stored heights.  With a majorant ``log_g`` (log Ĝ[r, d] of
-    ``_log_majorant``) the bound stack B runs on the same step with its own
-    scales, plus a first-exceedance source at the stored heights; else the
-    log bound is -inf.  The returning variants store no height that cannot
-    finish, so B has no source there: the true loss from such a state is 0.
+    with the step matrix X; slice m of stack S[k] times e^{off[k, m]} is
+    G_k[m] on the stored heights of ``plan``.  With a majorant ``log_g``
+    (log Ĝ[r, d] of ``_log_majorant``) the bound stack B runs on the same
+    step with its own scales, plus a first-exceedance source at the
+    heights of the block; else the log bound is -inf.  The returning
+    variants step no height that cannot finish, so B has no source there:
+    the true loss from such a state is 0.
 
     Every read goes through the table's ``_Plan``.  The terms of block m
     are G[m + 1 + |w - v|][v, w] for its rows v < c(m) and every w < n,
@@ -543,12 +588,15 @@ def _transfer(L, beta, delta, variant, X, log_g) -> tuple:
     then normalized to a largest of 1; a step whose largest term is below
     ``_RESCALE`` is redone from the logs of the terms.  Each block is kept
     at max 1, so B neither underflows nor overflows however small or large
-    the lost weight is.
+    the lost weight is.  The step computes the whole b x c block in one
+    scratch buffer and normalizes it by its max over all b x c entries;
+    only then does ``_Plan.store`` keep the stored ranges.
     """
     n = len(X)
     H = n - 1
-    plan = _Plan(L, H, variant)
-    rows, cols, dirs, block = plan.rows, plan.cols, plan.dirs, plan.block
+    variant = plan.variant
+    rows, cols, dirs = plan.rows, plan.cols, plan.dirs
+    scratch = np.empty(n * n)
     lift = max(delta, 0.0) - beta          # per-stretch factor kept in off
     heights = np.arange(n)
     site = np.where(heights == 0, min(delta, 0.0), -max(delta, 0.0))
@@ -582,7 +630,8 @@ def _transfer(L, beta, delta, variant, X, log_g) -> tuple:
         ref = top_gap + top_col  # -inf: every source slice is empty
         if ref > -np.inf:
             # past the end the gap factor is 0, times a clipped read
-            idx = plan.rowbase[(m + 1) * n:].take(plan.pair[:c, :ne], mode="clip")
+            idx = plan.rowbase[src, (m + 1) * n:].take(plan.pair[:c, :ne],
+                                                       mode="clip")
             idx += heights[:ne]
             raw = Y[src].take(idx, mode="clip")
             C = raw * _toeplitz(np.exp(prior - top_gap), c, ne)
@@ -610,10 +659,12 @@ def _transfer(L, beta, delta, variant, X, log_g) -> tuple:
             else:  # the largest term at 1 keeps products out of subnormals
                 C /= top
                 ref += math.log(top)
-        out = block(Y[k], m)
+        out = scratch[:rows[m] * c].reshape(rows[m], c)
         if ref > -np.inf:
             step(out, m, C)
             ref += lift
+        else:
+            out.fill(0.0)
         if log_src is not None and log_src.max() > -np.inf:
             scale = max(ref, log_src.max())
             out *= math.exp(ref - scale)
@@ -624,15 +675,18 @@ def _transfer(L, beta, delta, variant, X, log_g) -> tuple:
         top = out.max()
         out /= top
         off_y[k, m] = ref + math.log(top)
+        plan.store(Y[k], k, m, out)
 
-    S = np.zeros((len(dirs), plan.start[-1]))
+    S = [np.zeros(end) for end in plan.start[:, -1]]
+    last = np.zeros((rows[L], cols[L]))
     if variant is Variant.FREE:
-        block(S[0], L)[:] = X[:rows[L], :rows[L]]
+        last[:] = X[:rows[L], :rows[L]]
     else:
-        block(S[0], L)[:, 0] = X[:rows[L], 0]  # closed at height 0
+        last[:, 0] = X[:rows[L], 0]  # closed at height 0
+    plan.store(S[0], 0, L, last)
     off = np.full((len(dirs), L + 1 + n), -np.inf)  # -inf past the end
     off[0, L] = 0.0
-    B = None if log_g is None else np.zeros_like(S)
+    B = None if log_g is None else [np.zeros_like(stack) for stack in S]
     off_b = np.full_like(off, -np.inf)  # B[L] = 0: no units left to lose
     if B is not None:  # log e^{-beta} x^{v - u}
         uv = 0.5 * beta * (heights[:, None] - heights) - beta
@@ -704,7 +758,6 @@ def backward_sample(table: DPTable, count: int, rng) -> StretchBatch:
     lw = table.log_weights
     stacks = lw if isinstance(lw, tuple) else (lw,)
     plan = _Plan(L, table.height_cutoff, table.variant)
-    end = plan.start[-1]
     heights = np.arange(n)
     log_rew = np.where(heights == 0, table.delta, 0.0)
     rows = max(1, _SAMPLE_BLOCK // n)
@@ -719,10 +772,10 @@ def backward_sample(table: DPTable, count: int, rng) -> StretchBatch:
             vi, mi = v[i], m[i]
             at = plan.pair[vi]
             at += n * (mi[:, None] + 1)
-            idx = plan.rowbase.take(at, mode="clip")
+            idx = plan.rowbase[src].take(at, mode="clip")
             idx += heights
             lp = stacks[src].take(idx, mode="clip")
-            lp[idx >= end if need is None
+            lp[idx >= len(stacks[src]) if need is None
                else need[vi] > L - mi[:, None]] = -np.inf
             lp += log_rew - 0.5 * beta * np.abs(heights - u[i, None])
             cdf = np.cumsum(np.exp(lp - lp.max(axis=1, keepdims=True)), axis=1)
@@ -805,6 +858,8 @@ def d_circ(N: int, q, beta: float, delta: float) -> float:
     if N < 1:
         raise ValueError("N must be >= 1")
     _check_delta(delta)
+    if not math.isfinite(q):
+        raise ValueError(f"q must be finite, got {q!r}")
     j2 = 2.0 * q * N * N
     j2r = round(j2)
     if j2r < 1 or abs(j2 - j2r) > 1e-9 * max(1.0, abs(j2)):

@@ -239,8 +239,12 @@ def _solve_tilt(q: float, p: float, beta: float, n: int | None) -> TiltVector:
     share is below the rounding of F, where the full step is taken.  Once
     a step no longer moves h, the tilt is the double of least residual
     within two ulps of h per coordinate; if even that misses the
-    tolerance, a ValueError names the point and the residual.
+    tolerance, a ValueError names the point and the residual.  A beta
+    that is not positive and finite, or a non-finite q or p, is named
+    before Newton starts.
     """
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta!r}")
     for name, x in (("q", q), ("p", p)):
         if not math.isfinite(x):
             raise ValueError(f"tilt inversion needs a finite gradient: "

@@ -316,6 +316,14 @@ def test_tilt_non_finite_exits_2_naming_it(capsys, name, value):
     assert f"finite gradient: {name} = {value}" in err
 
 
+def test_tilt_infinite_beta_exits_2_naming_it(capsys):
+    rc = cli.main(["tilt", "--beta", "inf", "--q", "0.5", "--out", "-"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "beta must be positive and finite, got inf" in err
+
+
 def test_tilt_unsolvable_exits_2_without_traceback():
     # at q = 100 the tilt lies closer to the domain boundary than any double
     # that meets the residual tolerance: invalid input, not a failed check

@@ -249,16 +249,19 @@ def test_truncation_bound_matches_forward_oracle(variant):
             assert table.truncation_bound == pytest.approx(want, rel=1e-12)
 
 
-def _block_shape(m, L, H, variant):
-    """(b, c): reachable rows, and the columns that can still finish."""
-    b = min(max(m, 1), H + 1)
-    return b, b if variant is Variant.FREE else min(b, max(L - m, 1))
+def _stored_rows(plan, k):
+    """(m, u, lo, hi, offset) of every nonempty stored row of stack k."""
+    lo, hi = plan.lo[k], plan.hi[k]
+    base = plan.rowbase[k].reshape(lo.shape)
+    for m, u in zip(*np.nonzero(hi > lo)):
+        yield m, u, lo[m, u], hi[m, u], base[m, u] + lo[m, u]
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
 def test_dp_blocks_match_dense_table(variant):
-    # every stored block equals the dense slab, every dropped column of the
-    # dense slab is exactly -inf, and the table stores those blocks only
+    # every stored row range equals the dense slab there, the table stores
+    # those ranges only, back to back, and every column that cannot finish
+    # is exactly -inf in the dense slab
     for L, cutoff in ((18, None), (31, None), (40, 20)):
         for beta, delta in ((2.0, 1.2), (1.0, -0.5)):
             lz, table = exactz.dp_Z(L, beta, delta, variant, height_cutoff=cutoff)
@@ -266,23 +269,104 @@ def test_dp_blocks_match_dense_table(variant):
                                                           height_cutoff=cutoff)
             assert lz == pytest.approx(want_z, rel=1e-12)
             assert table.truncation_bound == pytest.approx(bound, rel=1e-12, abs=0)
-            H = table.height_cutoff
+            plan = exactz._Plan(L, table.height_cutoff, variant)
             stacks = dense if isinstance(dense, tuple) else (dense,)
             lw = table.log_weights
             got_stacks = lw if isinstance(lw, tuple) else (lw,)
-            shapes = [_block_shape(m, L, H, variant) for m in range(L + 1)]
-            for stack in got_stacks:
-                assert stack.nbytes == 8 * sum(b * c for b, c in shapes)
-            for k, stack in enumerate(stacks):
-                for m, (b, c) in enumerate(shapes):
-                    got = table.completion(m, k == 0)
-                    want = stack[m, :b, :c]
-                    assert got.shape == (b, c)
-                    assert np.all(stack[m, :b, c:b] == -np.inf)
+            for k, (got_stack, stack) in enumerate(zip(got_stacks, stacks)):
+                assert got_stack.nbytes == 8 * int((plan.hi[k] - plan.lo[k]).sum())
+                end = 0
+                for m, u, lo, hi, at in _stored_rows(plan, k):
+                    assert at == end  # rows back to back, in (m, u) order
+                    end = at + hi - lo
+                    got, want = got_stack[at:end], stack[m, u, lo:hi]
                     np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
                     fin = np.isfinite(want)
                     assert np.all(np.abs(got[fin] - want[fin])
                                   <= 1e-12 * np.maximum(1.0, np.abs(want[fin])))
+                assert end == got_stack.size
+                for m in range(L + 1):  # no dropped height can still finish
+                    b, c = plan.rows[m], plan.cols[m]
+                    assert np.all(stack[m, :b, c:b] == -np.inf)
+
+
+def _states(l):
+    """(stretch index k, consumed m, (T_{k-1}, T_k)) before every stretch
+    of the stretch vector l and after the last."""
+    T, m = [0, 0], 0
+    for k, step in enumerate(l):
+        yield k, m, T[-2], T[-1]
+        m += 1 + abs(step)
+        T.append(T[-1] + step)
+    yield len(l), m, T[-2], T[-1]
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
+def test_enumerated_states_lie_in_stored_ranges(variant):
+    # every state a configuration passes through, at heights the table
+    # keeps, lies in its row's range, in the stack of the next direction
+    for L in range(1, 13):
+        exact_H = exactz._exact_cutoff(L, variant)
+        for H in sorted({max(exact_H, 1), 1, 2, 3}):
+            plan = exactz._Plan(L, H, variant)
+            stacks = len(plan.dirs)
+            for l in exactz.enumerate_configs(L, variant):
+                for k, m, u, v in _states(l):
+                    if u <= H and v <= H:
+                        k %= stacks
+                        assert u < plan.rows[m] and v < plan.cols[m]
+                        assert plan.lo[k, m, u] <= v < plan.hi[k, m, u], (l, m)
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
+def test_plan_reads_land_in_stored_ranges(variant):
+    # replay the gathers of the DP step and of the sampler: every read that
+    # neither masks (past the end, ``need``, against the direction) lands
+    # in the stored range of the row it reads
+    for L, H in ((12, None), (31, None), (40, 6), (60, 20)):
+        H = exactz._exact_cutoff(L, variant) if H is None else H
+        n = H + 1
+        plan = exactz._Plan(L, H, variant)
+        heights = np.arange(n)
+        for m in range(L):
+            ne = n if variant is Variant.FREE else min(n, max(L - m - 1, 1))
+            c = plan.cols[m]
+            for k, (need, src) in enumerate(plan.dirs):
+                lo = plan.lo[src].take(plan.pair + (m + 1) * n, mode="clip")
+                hi = plan.hi[src].take(plan.pair + (m + 1) * n, mode="clip")
+                inside = (lo <= heights) & (heights < hi)
+                past = m + 1 + np.abs(heights - heights[:, None]) > L
+                # the step: rows v < c(m), columns w < ne; a single bead's
+                # zero gap and every gap past the end have factor 0
+                masked = past.copy()
+                if variant is Variant.SINGLE_BEAD:
+                    masked |= heights == heights[:, None]
+                if need is not None:
+                    masked |= need > L - m
+                assert np.all(inside[:c, :ne] | masked[:c, :ne]), (L, m, k)
+                # the sampler: a draw in stack k at any stored (m, u, v)
+                # reads row v at every w, masking the end (Free) or need
+                stored = ((heights >= plan.lo[k, m, :, None])
+                          & (heights < plan.hi[k, m, :, None]))  # [u, v]
+                drawn = past if need is None else need > L - m
+                rows_v = stored.any(axis=0)
+                assert np.all((inside | drawn)[rows_v]), (L, m, k)
+
+
+def test_stored_bytes_at_l300():
+    # the layout's sizes from the plan alone, without running the DP: the
+    # whole b x c blocks took 72.4 / 22.5 / 45.0 MB at L = 300
+    want = {Variant.FREE: 54.1, Variant.CONSTRAINED_END: 17.9,
+            Variant.SINGLE_BEAD: 17.7}
+    for variant, mb in want.items():
+        plan = exactz._Plan(300, exactz._exact_cutoff(300, variant), variant)
+        assert np.array_equal(plan.start[:, -1], (plan.hi - plan.lo).sum(axis=(1, 2)))
+        assert round(8 * int(plan.start[:, -1].sum()) / 1e6, 1) == mb
+    # past m = 2H + 1 every row of a cut table is whole
+    plan = exactz._Plan(300, 46, Variant.FREE)
+    assert round(8 * int(plan.start[0, -1]) / 1e6, 2) == 4.61
+    assert np.all(plan.lo[0, 2 * 46 + 2:] == 0)
+    assert np.all(plan.hi[0, 2 * 46 + 2:-1] == 47)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +391,12 @@ def test_d_circ_half_integer_area_is_empty():
 def test_d_circ_minimum_area_per_step():
     # the strict ordering forces at least one unit of area per step
     assert exactz.d_circ(3, 1.0 / 9.0, 2.0, 0.5) == 0.0
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+def test_d_circ_names_a_non_finite_q(q):
+    with pytest.raises(ValueError, match=f"q must be finite, got {q}$"):
+        exactz.d_circ(2, q, 2.0, 0.5)
 
 
 def test_d_circ_off_lattice_q_rejected():

@@ -234,6 +234,20 @@ def test_tilt_rejects_non_finite_gradient(name, bad, n):
             largedev.finite_tilt(n, q, p, BETA)
 
 
+@pytest.mark.parametrize("solve", [
+    lambda beta: largedev.tilt_inverse(0.5, 0.0, beta),
+    lambda beta: largedev.finite_tilt(100, 0.5, 0.0, beta),
+    lambda beta: largedev.rate_g(0.5, 0.0, beta)],
+    ids=["tilt_inverse", "finite_tilt", "rate_g"])
+@pytest.mark.parametrize("beta", [math.inf, -2.0, 0.0, math.nan])
+def test_tilt_solvers_validate_beta(solve, beta):
+    # checked before Newton: not the domain boundary, a math domain error or
+    # a TiltVector outside D_beta
+    with pytest.raises(ValueError,
+                       match=f"beta must be positive and finite, got {beta}$"):
+        solve(beta)
+
+
 def test_tilt_past_double_precision_rejected():
     # the tilt's gap to the boundary is far below what a double resolves
     with pytest.raises(ValueError, match=r"\(q, p\) = \(100, 0\), beta = 2\.0"):
