@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -97,12 +98,13 @@ def _emit_csv(config: ExperimentConfig, header: list, rows) -> None:
     lines = _provenance_lines(config)
     lines.append(",".join(header))
     lines.extend(",".join(row) for row in rows)
-    _write_text(config, "\n".join(lines) + "\n")
+    _write(config, ["\n".join(lines) + "\n"])
 
 
-def _emit_jsonl(config: ExperimentConfig, records: str, **facts) -> None:
-    """Provenance record, with ``facts`` about the run, then ``records``,
-    the already serialized record lines joined by newlines ("" for none)."""
+def _emit_jsonl(config: ExperimentConfig, chunks, **facts) -> None:
+    """Provenance record, with ``facts`` about the run, then ``chunks``,
+    pieces of already serialized record lines, each line ending in a
+    newline, written one after the other."""
     prov = {
         "record": "provenance",
         "tool": "ipdsaw",
@@ -112,20 +114,23 @@ def _emit_jsonl(config: ExperimentConfig, records: str, **facts) -> None:
         "parameters": config.parameters,
         **facts,
     }
-    head = json.dumps(prov, sort_keys=True) + "\n"
-    _write_text(config, head + records + "\n" if records else head)
+    _write(config, itertools.chain([json.dumps(prov, sort_keys=True) + "\n"],
+                                   chunks))
 
 
-def _write_text(config: ExperimentConfig, text: str) -> None:
+def _write(config: ExperimentConfig, pieces) -> None:
+    """Write the strings of ``pieces`` one after the other."""
     if config.output_path == "-":
-        sys.stdout.write(text)
+        for piece in pieces:
+            sys.stdout.write(piece)
         return
     path = _resolve_path(config.output_path)
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        for piece in pieces:
+            fh.write(piece)
 
 
 def _parse_grid(spec: str) -> list:
@@ -228,6 +233,9 @@ def _run_asymptotics(config: ExperimentConfig) -> int:
 
 # -- sample -----------------------------------------------------------------
 
+_SAMPLE_CHUNK = 4096  # draws formatted and written at a time by ``sample``
+
+
 def _sample_template(n: int) -> str:
     """%-template of json.dumps(record, sort_keys=True) for one draw's
     record with n stretches: area, contacts, n, max height, then the
@@ -247,16 +255,23 @@ def _run_sample(config: ExperimentConfig) -> int:
     rng = np.random.default_rng(config.seed)
     draws = exactz.backward_sample(table, count=count, rng=rng)
     obs = polymer.batch_observables(draws.stretches, draws.sizes)
-    # each record's ints (area, contacts, n, max height, then its n
-    # stretches) in one flat list, one template per record size, and one %
     sizes = obs["horizontal_extension"]
-    rows = np.column_stack((obs["signed_area"], obs["contacts"], sizes,
-                            obs["max_height"], draws.stretches))
-    values = rows[np.arange(rows.shape[1]) < 4 + sizes[:, None]].tolist()
-    ns = sizes.tolist()
-    templates = {n: _sample_template(n) for n in set(ns)}
-    records = "\n".join([templates[n] for n in ns]) % tuple(values)
-    _emit_jsonl(config, records, cutoff=table.height_cutoff,
+    templates = {n: _sample_template(n) for n in set(sizes.tolist())}
+
+    def chunks():
+        # per chunk of draws, each record's ints (area, contacts, n, max
+        # height, then its n stretches) in one flat list, one template per
+        # record size, and one %
+        for a in range(0, count, _SAMPLE_CHUNK):
+            part = slice(a, a + _SAMPLE_CHUNK)
+            rows = np.column_stack((obs["signed_area"][part], obs["contacts"][part],
+                                    sizes[part], obs["max_height"][part],
+                                    draws.stretches[part]))
+            values = rows[np.arange(rows.shape[1]) < 4 + sizes[part, None]].tolist()
+            lines = "\n".join([templates[n] for n in sizes[part].tolist()])
+            yield lines % tuple(values) + "\n"
+
+    _emit_jsonl(config, chunks(), cutoff=table.height_cutoff,
                 truncation_bound=table.truncation_bound)
     return 0
 
@@ -337,10 +352,11 @@ def _check_sampler_determinism() -> tuple:
 
 
 def _check_truncation_bound() -> tuple:
-    beta, delta, L = 2.0, 0.5, 40
+    # H = 10 is below the exact cutoff 19, so the table loses weight
+    beta, delta, L, H = 2.0, 0.5, 40, 10
     full, _ = exactz.dp_Z(L, beta, delta, Variant.FREE, height_cutoff=L)
-    half, table = exactz.dp_Z(L, beta, delta, Variant.FREE, height_cutoff=L // 2)
-    lost = math.exp(full - beta * L) - math.exp(half - beta * L)
+    cut, table = exactz.dp_Z(L, beta, delta, Variant.FREE, height_cutoff=H)
+    lost = math.exp(full - beta * L) - math.exp(cut - beta * L)
     ok = 0.0 <= lost <= table.truncation_bound
     return ok, f"lost mass {lost:.2e} <= bound {table.truncation_bound:.2e}"
 
@@ -372,7 +388,7 @@ def _run_verify(config: ExperimentConfig) -> int:
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     lines.append(f"# {len(_VERIFY_CHECKS) - failures}/{len(_VERIFY_CHECKS)} "
                  f"checks passed")
-    _write_text(config, "\n".join(lines) + "\n")
+    _write(config, ["\n".join(lines) + "\n"])
     return 1 if failures else 0
 
 

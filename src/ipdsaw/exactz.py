@@ -20,15 +20,18 @@ the transfer DP below exploit.  The module provides
                        only the closed-form range of them that some step
                        reads, every read through one precomputed gather
                        plan; exact at
-                       the default cutoff, otherwise with a rigorous
-                       truncation bound (kept as a log) on the same step,
-                       from a wall-free completion majorant;
+                       the default cutoff (L - 2)/2, where the Free table
+                       is closed by the exact wall-free completion,
+                       otherwise with a rigorous truncation bound (kept
+                       as a log) on the same step, from a wall-free
+                       completion majorant;
 * ``certified_dp_Z``   ``dp_Z`` at the smallest searched cutoff whose bound
                        is below 1e-13 of Z, the exact table failing that;
 * ``backward_sample``  exact samples, all draws advanced together, one
                        stretch per round, on that step and through that
-                       plan, returned as one checked ``StretchBatch`` of
-                       arrays;
+                       plan, a Free draw leaving the table into the
+                       wall-free completion, returned as one checked
+                       ``StretchBatch`` of arrays;
 * ``d_circ``           ordered upper/lower-envelope walks at a prescribed
                        enclosed-area difference, at its exact height
                        cutoff, the terms of ``z_circ_from_walks``;
@@ -222,15 +225,21 @@ def brute_force_Z(L: int, beta: float, delta: float, variant=Variant.FREE) -> fl
 # transfer DP
 # ---------------------------------------------------------------------------
 
-def _exact_cutoff(L: int, variant: Variant) -> int:
-    """Smallest height cutoff that provably loses nothing.
+def _exact_cutoff(L: int) -> int:
+    """Smallest height cutoff that provably loses nothing: (L - 2)/2.
 
-    A prefix height h needs h vertical bonds to reach; the returning
-    variants need h more to come back, and at least one horizontal bond is
-    consumed, hence h <= (L-2)/2 there and h <= L-1 for Free.
+    The returning variants: a prefix height h takes h vertical bonds to
+    reach and h more to come back, and at least one horizontal bond is
+    consumed, so h <= (L - 2)/2.
+
+    Free: heights above (L - 2)/2 occur, but the table need not hold them.
+    Take a state with a prefix height h >= (L - 1)/2.  Reaching h took at
+    least h + 1 units, so at most L - h - 1 <= h remain, and touching the
+    wall from h needs h + 1 of them.  So the rest of the walk never meets
+    the wall and earns no contact: its completion is the wall-free one, W
+    of ``_log_completion``, and ``dp_Z`` closes the table above the cutoff
+    with it.
     """
-    if variant is Variant.FREE:
-        return max(L - 1, 0)
     return max((L - 2) // 2, 0)
 
 
@@ -361,7 +370,10 @@ class DPTable:
     ``log_truncation_bound`` is the log of a bound on the reduced weight
     lost to the height cutoff, -inf when the table is exact;
     ``truncation_bound`` is its value as a double, raised to the smallest
-    normal double when it is below that and not exact.
+    normal double when it is below that and not exact.  A Free table at or
+    above the exact cutoff is closed above it: ``log_wall_free`` is the log
+    of the wall-free completion W (``_log_completion``) that the DP and the
+    sampler read there; it is None for every other table.
     """
 
     variant: Variant
@@ -373,6 +385,7 @@ class DPTable:
     normalization: float
     truncation_bound: float
     log_truncation_bound: float
+    log_wall_free: object
 
 
 _TINY = np.finfo(float).tiny  # the smallest normal double
@@ -384,31 +397,45 @@ _CERTIFIED_REL = 1e-13  # truncation bound, relative to Z, that certifies a cuto
 
 
 def _log_majorant(L: int, beta: float, delta: float) -> np.ndarray:
-    """log Ĝ_r(d) for r + d <= L - 1, d >= 0, in a (L, L) array [r, d].
-
-    Ĝ is the completion of r remaining units after a last height step d in
-    the wall-free model, every stretch weighted e^{max(delta, 0) - beta}
-    and the end constraint and bead alternation dropped, x = e^{-beta/2}:
-
-        Ĝ_0(d) = x^{|d|},
-        Ĝ_r(d) = sum_{|i| <= r-1} e^{max(delta,0) - beta} x^{|i + d|} Ĝ_{r-1-|i|}(i).
+    """log Ĝ_r(d) for r + d <= L - 1, d >= 0, in a (L, L) array [r, d]:
+    ``_log_completion`` with every stretch weighted e^{max(delta, 0) - beta}
+    and each level raised.
 
     The wall only removes configurations and each contact factor is at most
     e^{max(delta, 0)}, so Ĝ_{L-m}(v - u) bounds the completion of every
-    variant from (m, u, v); Ĝ_r is even in d.  With g_k = Ĝ_{r-1-|k|}(k),
-    level r is e^{max(delta,0) - beta} sum_k x^{|d - k|} g_k: two log-space
-    geometric sweeps, of g_k + (beta/2) k over k <= d and of
-    g_k - (beta/2) k over k > d, O(L) per level.  Each level is raised by
-    eps times the largest magnitude its sweeps handle, so that rounding the
-    shifted sums cannot push Ĝ below its true value: at L <= 300, without
-    the raise, the logs fell up to 4.5e-14 below a long-double recursion,
-    several times less than the raise of one level.
+    variant from (m, u, v), with the end constraint and bead alternation
+    dropped.
+    """
+    return _log_completion(L, L, beta, max(delta, 0.0) - beta, True)
+
+
+def _log_completion(L: int, levels: int, beta: float, log_e: float,
+                    raised: bool) -> np.ndarray:
+    """log of the wall-free completion C_r(d), r < levels, r + d <= L - 1,
+    d >= 0, in a (levels, L) array [r, d].
+
+    C is the weight of r remaining units after a last height step d in the
+    wall-free model with no contacts, every stretch weighted e^{log_e},
+    x = e^{-beta/2}:
+
+        C_0(d) = x^{|d|},
+        C_r(d) = sum_{|i| <= r-1} e^{log_e} x^{|i + d|} C_{r-1-|i|}(i).
+
+    C_r is even in d.  With log_e = -beta it is the exact completion W of a
+    Free walk that can no longer reach the wall (``_exact_cutoff``); with
+    log_e = max(delta, 0) - beta it is the majorant Ĝ.  With g_k =
+    C_{r-1-|k|}(k), level r is e^{log_e} sum_k x^{|d - k|} g_k: two
+    log-space geometric sweeps, of g_k + (beta/2) k over k <= d and of
+    g_k - (beta/2) k over k > d, O(L) per level.  If ``raised``, each level
+    is raised by eps times the largest magnitude its sweeps handle, so that
+    rounding the shifted sums cannot push a bound below its true value: at
+    L <= 300, without the raise, the logs fell up to 4.5e-14 below a
+    long-double recursion, several times less than the raise of one level.
     """
     half = 0.5 * beta
-    log_e = max(delta, 0.0) - beta
-    out = np.full((L, L), -np.inf)
+    out = np.full((levels, L), -np.inf)
     out[0] = -half * np.arange(L)
-    for r in range(1, L):
+    for r in range(1, levels):
         k = np.arange(1 - r, r)
         g = out[r - 1 - np.abs(k), np.abs(k)]
         d = np.arange(L - r)
@@ -418,8 +445,36 @@ def _log_majorant(L: int, beta: float, delta: float) -> np.ndarray:
         inner = d < r - 1  # k > d exists
         right[inner] = (np.logaddexp.accumulate(fall[::-1])[::-1][d[inner] + r]
                         + half * d[inner])
-        scale = max(np.abs(rise).max(), np.abs(fall).max()) + half * L + abs(log_e)
-        out[r, :L - r] = np.logaddexp(left, right) + log_e + _EPS * (1.0 + scale)
+        out[r, :L - r] = np.logaddexp(left, right) + log_e
+        if raised:
+            scale = max(np.abs(rise).max(), np.abs(fall).max()) + half * L + abs(log_e)
+            out[r, :L - r] += _EPS * (1.0 + scale)
+    return out
+
+
+def _exceed_sources(log_c: np.ndarray, beta: float, L: int, H: int,
+                    cols: np.ndarray) -> np.ndarray:
+    """(L + 1, H + 1) array [m, v] of the log first-exceedance weight
+
+        sum_{j >= H + 1 - v} x^j C_{L-m-1-j}(j),   x = e^{-beta/2},
+
+    for v < cols[m], -inf elsewhere: the stretches up from height v, with
+    L - m units left, that first leave [0, H], each followed by the
+    completion log_c[r, d] = log C_r(d) of ``_log_completion``.  From
+    (m, u, v) such a stretch to w = v + j has the factor e^{-beta} x^{w - u}
+    = e^{-beta} x^{v - u} x^j and no contact reward.  Only rows
+    r <= L - H - 2 of log_c are read: from v <= max(m - 1, 0) such a
+    stretch ends at a consumed length of at least m + H + 2 - v >= H + 2.
+    """
+    out = np.full((L + 1, H + 1), -np.inf)
+    for m in range(L):
+        R, c = L - m, cols[m]
+        j = np.arange(H + 2 - c, R)  # the stretches from the top row v = c - 1
+        # tail[t] sums the t + 1 longest; row v = c - 1 - i drops the i
+        # shortest, so it reads tail[j.size - 1 - i]
+        tail = np.logaddexp.accumulate((log_c[R - 1 - j, j] - 0.5 * beta * j)[::-1])
+        k = min(c, tail.size)
+        out[m, c - k:c] = tail[tail.size - k:]
     return out
 
 
@@ -437,13 +492,18 @@ def dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE,
     only (``_transfer``): the heights u < b(m) reachable after m units,
     and of the v < b(m) those from which the returning variants can still
     get back to 0; of each block the table keeps only the row ranges that
-    some step reads.  With the default cutoff the DP is exact
-    (``_exact_cutoff``); a smaller cutoff gives a lower bound on Z and a
-    rigorous bound on the missing reduced weight, from the same step run
-    on a second stack with a first-exceedance source: a stretch that first
-    leaves [0, H], then the wall-free completion majorant Ĝ of
-    ``_log_majorant`` for what follows.  ``certified_dp_Z`` picks the
-    smallest cutoff whose bound is negligible against Z.
+    some step reads.  With the default cutoff, (L - 2)/2 for every
+    variant, the DP is exact (``_exact_cutoff``).  A Free walk can pass
+    above it, but from there it never meets the wall again, so its table is
+    closed there: every stretch that first leaves [0, H] adds its weight
+    times the exact wall-free completion W (``_exceed_sources`` on
+    ``_log_completion``) to the completion it starts from.  Any
+    H >= (L - 2)/2 is exact in the same way, and the source is empty from
+    H = L - 1 on.  A smaller cutoff gives a lower bound on Z and a rigorous
+    bound on the missing reduced weight, from the same step run on a second
+    stack with the same first-exceedance source, the wall-free completion
+    majorant Ĝ of ``_log_majorant`` in place of W.  ``certified_dp_Z``
+    picks the smallest cutoff whose bound is negligible against Z.
 
     Guard: the step multiplies by x^{|w - u|} in double precision, so a
     factor below the smallest normal double (x^H < 2.2e-308, beta > 1417/H)
@@ -452,14 +512,14 @@ def dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE,
     ``_MAX_UNDERFLOW`` relative, or the start weight underflows to zero,
     dp_Z raises ValueError.  At delta = 0.5 it raises from beta = 284 at
     L = 18 (343 for the returning variants), 153 at L = 60 (158), 115 at
-    L = 120 and 69 at L = 300; every smaller beta checked against the
-    log-space recursion agrees with it.
+    L = 120 and 72 at L = 300 (69 for Free at the full height 299); every
+    smaller beta checked against the log-space recursion agrees with it.
     """
     variant = as_variant(variant)
-    _check_dp_args(L, delta)
+    _check_dp_args(L, beta, delta)
     if height_cutoff is not None and height_cutoff < 1:
         raise ValueError("height_cutoff must be >= 1")
-    exact_H = _exact_cutoff(L, variant)
+    exact_H = _exact_cutoff(L)
     H = exact_H if height_cutoff is None else int(height_cutoff)
     log_g = _log_majorant(L, beta, delta) if H < exact_H else None
     return _dp(L, beta, delta, variant, H, log_g)
@@ -472,9 +532,10 @@ def certified_dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE) -> t
     still certifies.
 
     In the collapsed phase the polymer stays about sqrt(L) high, so such a
-    cutoff is O(sqrt L) where the exact one is O(L).  The search starts at
-    ceil(2 sqrt L), takes one x1.25 step, then secant steps on log(bound /
-    reduced Z) against H^2, each plus one height of margin: that log falls
+    cutoff is O(sqrt L) where the exact one, (L - 2)/2, is O(L).  The
+    search starts at ceil(2 sqrt L), takes one x1.25 step, then secant
+    steps on log(bound / reduced Z) against H^2, each plus one height of
+    margin: that log falls
     about linearly in H^2 (at L = 300, beta = 1, delta = 0 it is -3.8,
     -12.1, -29.9 at H = 35, 60, 95), where a secant in H overshoots.  Once
     a predicted H reaches half the exact cutoff, or the bound stops falling
@@ -482,8 +543,8 @@ def certified_dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE) -> t
     majorant Ĝ is built once for all trials.
     """
     variant = as_variant(variant)
-    _check_dp_args(L, delta)
-    exact_H = _exact_cutoff(L, variant)
+    _check_dp_args(L, beta, delta)
+    exact_H = _exact_cutoff(L)
     target = math.log(_CERTIFIED_REL)
     H = math.ceil(2.0 * math.sqrt(L))
     log_g = _log_majorant(L, beta, delta)
@@ -509,23 +570,32 @@ def certified_dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE) -> t
     return dp_Z(L, beta, delta, variant)
 
 
-def _check_dp_args(L: int, delta: float) -> None:
+def _check_dp_args(L: int, beta: float, delta: float) -> None:
     if L < 1:
         raise ValueError("L must be >= 1")
+    StepLaw(beta)  # names a beta that is not positive and finite
     _check_delta(delta)
 
 
 def _dp(L, beta, delta, variant, H, log_g) -> tuple:
     """``dp_Z`` at cutoff H; the bound stack runs with the majorant
-    ``log_g`` of ``_log_majorant``, or not at all if it is None."""
+    ``log_g`` of ``_log_majorant``, or not at all if it is None.  A Free
+    table at or above the exact cutoff is closed by the wall-free
+    completion W, of which only the levels r <= L - H - 2 are read."""
     law = StepLaw(beta)
     X = law.c_beta * _step_matrix(law, H)  # X[u, w] = x^{|w - u|}
     raised = -np.inf
     plan = _Plan(L, H, variant)
+    log_w = closing = bounding = None
+    if variant is Variant.FREE and H >= _exact_cutoff(L):
+        log_w = _log_completion(L, max(L - H - 1, 1), beta, -beta, False)
+        closing = _exceed_sources(log_w, beta, L, H, plan.cols)
+    if log_g is not None:
+        bounding = _exceed_sources(log_g, beta, L, H, plan.cols)
     if X[0, H] < _TINY:  # the raised run first: one table alive at a time
         raised = _transfer(L, beta, delta, plan, np.maximum(X, _TINY),
-                           None)[1][0, 0]
-    S, off, log_bound = _transfer(L, beta, delta, plan, X, log_g)
+                           closing, None)[1][0, 0]
+    S, off, log_bound = _transfer(L, beta, delta, plan, X, closing, bounding)
     # flat vectors fit any cutoff; beads (1, -1) and (2, -2) take 4 and 6
     empty = variant is Variant.SINGLE_BEAD and not (
         L >= 4 and L % 2 == 0 and (H >= 2 or L % 4 == 0))
@@ -550,7 +620,7 @@ def _dp(L, beta, delta, variant, H, log_g) -> tuple:
         with np.errstate(over="ignore"):  # bounds the loss as that double
             bound = max(float(np.exp(log_bound)), _TINY)
     return log_z, DPTable(variant, L, beta, delta, H, lw, log_z, bound,
-                          log_bound)
+                          log_bound, log_w)
 
 
 def _toeplitz(vec: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -562,15 +632,18 @@ def _toeplitz(vec: np.ndarray, rows: int, cols: int) -> np.ndarray:
                       offset=(len(vec) - 1) * size, strides=(-size, size))
 
 
-def _transfer(L, beta, delta, plan, X, log_g) -> tuple:
+def _transfer(L, beta, delta, plan, X, closing, bounding) -> tuple:
     """(S, off, log truncation bound) of the backward transfer of ``dp_Z``
     with the step matrix X; slice m of stack S[k] times e^{off[k, m]} is
-    G_k[m] on the stored heights of ``plan``.  With a majorant ``log_g``
-    (log Ĝ[r, d] of ``_log_majorant``) the bound stack B runs on the same
-    step with its own scales, plus a first-exceedance source at the
-    heights of the block; else the log bound is -inf.  The returning
-    variants step no height that cannot finish, so B has no source there:
-    the true loss from such a state is 0.
+    G_k[m] on the stored heights of ``plan``.  ``closing`` and
+    ``bounding`` are first-exceedance sources of ``_exceed_sources``, or
+    None: row m of ``closing`` (on W) times e^{-beta} x^{v - u} joins block
+    m of S, which closes a Free table above its cutoff, and with
+    ``bounding`` (on Ĝ) the bound stack B runs on the same step with its
+    own scales, fed the same way; without it the log bound is -inf.  Both
+    enter the up stack only.  The returning variants step no height that
+    cannot finish, so B has no source there: the true loss from such a
+    state is 0.
 
     Every read goes through the table's ``_Plan``.  The terms of block m
     are G[m + 1 + |w - v|][v, w] for its rows v < c(m) and every w < n,
@@ -686,12 +759,18 @@ def _transfer(L, beta, delta, plan, X, log_g) -> tuple:
     plan.store(S[0], 0, L, last)
     off = np.full((len(dirs), L + 1 + n), -np.inf)  # -inf past the end
     off[0, L] = 0.0
-    B = None if log_g is None else [np.zeros_like(stack) for stack in S]
+    B = None if bounding is None else [np.zeros_like(stack) for stack in S]
     off_b = np.full_like(off, -np.inf)  # B[L] = 0: no units left to lose
-    if B is not None:  # log e^{-beta} x^{v - u}
-        uv = 0.5 * beta * (heights[:, None] - heights) - beta
+    uv = 0.5 * beta * (heights[:, None] - heights) - beta  # log e^{-beta} x^{v - u}
+
+    def source(sources, k, m):
+        """log of the first-exceedance source of block m of stack k."""
+        if sources is None or k:
+            return None
+        return uv[:rows[m], :cols[m]] + sources[m, :cols[m]]
+
     for m in range(L - 1, -1, -1):
-        b, c = rows[m], cols[m]
+        b = rows[m]
         # the returning variants read only the columns some v can finish from
         ne = n if variant is Variant.FREE else min(n, max(L - m - 1, 1))
         log_col = (site - 0.5 * beta * np.maximum(heights + 1 - b, 0))[:ne]
@@ -699,20 +778,10 @@ def _transfer(L, beta, delta, plan, X, log_g) -> tuple:
         if variant is Variant.SINGLE_BEAD:  # an up stretch never ends at 0
             columns[0] = scales(np.concatenate(([-np.inf], log_col[1:])))
         for k in range(len(dirs)):
-            advance(S, off, k, m, columns[k])
+            advance(S, off, k, m, columns[k], source(closing, k, m))
         if B is not None:
-            # first exceedance from (u, v) with R units left: an up stretch
-            # of length j >= H + 1 - v, to w = v + j > H, whose factor
-            # x^{w - u} = x^{v - u} x^j, then at most Ĝ_{R-1-j}(j); log_t
-            # sums j
-            R = L - m
-            j = np.arange(1, R)
-            log_t = np.full(R + n, -np.inf)
-            log_t[1:R] = np.logaddexp.accumulate(
-                (log_g[R - 1 - j, j] - 0.5 * beta * j)[::-1])[::-1]
             for k in range(len(dirs)):
-                advance(B, off_b, k, m, columns[k], None if k else
-                        uv[:b, :c] + log_t[H + 1 - heights[:c]])
+                advance(B, off_b, k, m, columns[k], source(bounding, k, m))
     # block 0 of B is 1 x 1 at max 1, so its log scale is the log bound
     return S, off, float(off_b[0, 0])
 
@@ -732,10 +801,18 @@ def backward_sample(table: DPTable, count: int, rng) -> StretchBatch:
     go in blocks of ``_SAMPLE_BLOCK`` table entries.  A negative or
     non-integer ``count`` raises ValueError, and so does a table whose log
     truncation bound is not below log ``_SAMPLE_REL_BOUND`` plus its log
-    reduced Z.  That bound counts every configuration that leaves the
+    reduced Z.  That bound counts every configuration that leaves a cut
     table's heights with the wall-free majorant Ĝ of its completion, so a
     certified cut table (``certified_dp_Z``) draws from a law within its
-    bound of the exact one.
+    bound of the exact one; no draw leaves a cut table.
+
+    On a Free table closed above its cutoff (``DPTable.log_wall_free``) a
+    draw has one more candidate, leaving the table, weighed by the DP's
+    first-exceedance source (``_exceed_sources``).  A draw that leaves
+    picks its stretch j >= H + 1 - v with weight x^j W_{R-1-j}(j), R units
+    left, and from then on is wall-free: after a stretch d it picks the
+    next stretch i with weight x^{|d + i|} W_{R-1-|i|}(|i|), in the same
+    rounds, in blocks of ``_SAMPLE_BLOCK`` candidate entries.
 
     The draws come back as one ``StretchBatch``: the (count, L) stretch
     matrix, draw i in the first ``sizes[i]`` entries of row i, and the
@@ -754,21 +831,40 @@ def backward_sample(table: DPTable, count: int, rng) -> StretchBatch:
             f" (log {log_reduced_z:.2f}); refuse to sample from a biased law")
     if not np.isfinite(table.normalization):
         raise ValueError("the configuration set is empty at these parameters")
-    L, beta, n = table.L, table.beta, table.height_cutoff + 1
+    L, beta, H = table.L, table.beta, table.height_cutoff
+    n = H + 1
     lw = table.log_weights
     stacks = lw if isinstance(lw, tuple) else (lw,)
-    plan = _Plan(L, table.height_cutoff, table.variant)
+    plan = _Plan(L, H, table.variant)
     heights = np.arange(n)
     log_rew = np.where(heights == 0, table.delta, 0.0)
     rows = max(1, _SAMPLE_BLOCK // n)
+    rows_free = max(1, _SAMPLE_BLOCK // L)  # about L candidates per free draw
+    log_w = table.log_wall_free
+    if log_w is not None:  # the log weight of leaving the table, by (m, v)
+        leave = _exceed_sources(log_w, beta, L, H, plan.cols)
     m, u, v, sizes = (np.zeros(count, dtype=np.int64) for _ in range(4))
+    free = np.zeros(count, dtype=bool)  # above the table once: wall-free
+    lowest = np.full(count, -L)  # shortest next stretch of a free draw
     stretches = np.zeros((count, L), dtype=np.min_scalar_type(-L))
     live = np.arange(count)
     k = 0
+
+    def pick(lp):
+        """Column of each row of log weights by inverse CDF, one uniform each."""
+        cdf = np.cumsum(np.exp(lp - lp.max(axis=1, keepdims=True)), axis=1)
+        return (cdf <= (rng.random(len(lp)) * cdf[:, -1])[:, None]).sum(axis=1)
+
+    def record(i, step):
+        stretches[i, k] = step
+        m[i] += 1 + np.abs(step)
+        u[i], v[i] = v[i], v[i] + step
+
     while live.size:
         need, src = plan.dirs[k % len(plan.dirs)]
-        for a in range(0, live.size, rows):
-            i = live[a:a + rows]
+        inside = live[~free[live]]
+        for a in range(0, inside.size, rows):
+            i = inside[a:a + rows]
             vi, mi = v[i], m[i]
             at = plan.pair[vi]
             at += n * (mi[:, None] + 1)
@@ -778,11 +874,28 @@ def backward_sample(table: DPTable, count: int, rng) -> StretchBatch:
             lp[idx >= len(stacks[src]) if need is None
                else need[vi] > L - mi[:, None]] = -np.inf
             lp += log_rew - 0.5 * beta * np.abs(heights - u[i, None])
-            cdf = np.cumsum(np.exp(lp - lp.max(axis=1, keepdims=True)), axis=1)
-            w = (cdf <= (rng.random(i.size) * cdf[:, -1])[:, None]).sum(axis=1)
-            stretches[i, k] = w - vi
-            m[i] += 1 + np.abs(w - vi)
-            u[i], v[i] = vi, w
+            if log_w is not None:  # candidate n leaves: x^{v - u} times the source
+                lp = np.column_stack((lp, leave[mi, vi] + 0.5 * beta * (u[i] - vi)))
+            w = pick(lp)
+            stay = w < n
+            if not stay.all():
+                free[i[~stay]] = True
+                lowest[i[~stay]] = H + 1 - vi[~stay]
+                i, vi, w = i[stay], vi[stay], w[stay]
+            record(i, w - vi)
+        outside = live[free[live]]
+        for a in range(0, outside.size, rows_free):
+            # a wall-free stretch j from R units left after a step d weighs
+            # x^{|d + j|} W_{R-1-|j|}(|j|); on leaving, only j >= H + 1 - v
+            i = outside[a:a + rows_free]
+            R, d = L - m[i], v[i] - u[i]
+            j = np.arange(max(lowest[i].min(), 1 - R.max()), R.max())
+            r = R[:, None] - 1 - np.abs(j)
+            lp = log_w[np.clip(r, 0, len(log_w) - 1), np.abs(j)]
+            lp -= 0.5 * beta * np.abs(d[:, None] + j)
+            lp[(r < 0) | (j < lowest[i, None])] = -np.inf
+            lowest[i] = -L
+            record(i, j[pick(lp)])
         sizes[live] += 1
         live = live[m[live] < L]
         k += 1
@@ -887,11 +1000,11 @@ def z_circ_from_walks(L: int, beta: float, delta: float) -> float:
     height cutoff of N = 1, (L - 2)/2, the largest of the exact cutoffs
     L/2 - 2N + 1 of ``d_circ``.
     """
-    _check_dp_args(L, delta)
+    _check_dp_args(L, beta, delta)
     if L % 2 or L < 4:
         return 0.0  # the smallest bead, stretches (1, -1), has length 4
     law = StepLaw(beta)
-    H = _exact_cutoff(L, Variant.SINGLE_BEAD)
+    H = _exact_cutoff(L)
     closings = _envelope_chain(law, delta, H, _bead_incs(H),
                                [(L - k) // 2 for k in range(1, L // 2 + 1)])
     return float(sum(law.gamma_beta ** k * closed
@@ -910,9 +1023,9 @@ def z_constrained_from_walks(L: int, beta: float, delta: float) -> float:
     prefix heights of a returning polymer with g = L - N vertical bonds, so
     a height h > 0 takes 2h <= L - N of them and N >= 2 stretches.
     """
-    _check_dp_args(L, delta)
+    _check_dp_args(L, beta, delta)
     law = StepLaw(beta)
-    H = _exact_cutoff(L, Variant.CONSTRAINED_END)
+    H = _exact_cutoff(L)
     heights = np.arange(H + 1)
     closings = _envelope_chain(law, delta, H,
                                (np.abs(heights - heights[:, None]),),

@@ -243,8 +243,7 @@ def _solve_tilt(q: float, p: float, beta: float, n: int | None) -> TiltVector:
     that is not positive and finite, or a non-finite q or p, is named
     before Newton starts.
     """
-    if not 0.0 < beta < math.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta!r}")
+    StepLaw(beta)  # names a beta that is not positive and finite
     for name, x in (("q", q), ("p", p)):
         if not math.isfinite(x):
             raise ValueError(f"tilt inversion needs a finite gradient: "

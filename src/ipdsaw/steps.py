@@ -31,7 +31,7 @@ class StepLaw:
     Attributes
     ----------
     beta : float
-        Coupling, must be positive.
+        Coupling, must be positive and finite.
     x : float
         Shorthand exp(-beta/2); the common ratio of both geometric tails.
     c_beta : float
@@ -45,8 +45,8 @@ class StepLaw:
     __slots__ = ("beta", "x", "c_beta", "gamma_beta", "sigma2")
 
     def __init__(self, beta: float):
-        if not beta > 0.0:
-            raise ValueError(f"beta must be positive, got {beta!r}")
+        if not 0.0 < beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {beta!r}")
         self.beta = float(beta)
         self.x = math.exp(-self.beta / 2.0)
         x = self.x

@@ -179,9 +179,27 @@ def test_sample_jsonl_matches_record_oracle(variant, capsys):
             assert text == want
 
 
+def test_sample_chunks_match_on_stdout_and_in_a_file(tmp_path, capsys):
+    # more draws than one chunk: the same bytes on stdout and in a file, and
+    # every record is the oracle's
+    count = cli._SAMPLE_CHUNK + 904
+    argv = ["sample", "--length", "12", "--beta", "0.3", "--delta", "-1",
+            "--variant", "free", "--count", str(count), "--seed", "3"]
+    assert cli.main([*argv, "--out", "-"]) == 0
+    text = capsys.readouterr().out
+    out = tmp_path / "draws.jsonl"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == text.encode()
+    prov, *records = text.splitlines()
+    _, table = exactz.certified_dp_Z(12, 0.3, -1.0, polymer.Variant.FREE)
+    draws = exactz.backward_sample(table, count, np.random.default_rng(3))
+    assert records == oracles.sample_record_lines(draws)
+
+
 def test_sample_certified_cut_table_exits_0(capsys):
-    # a cut table whose bound is 9.3e-20 of Z is sampled from
-    rc = cli.main(["sample", "--length", "40", "--beta", "2", "--delta", "1.2",
+    # a table cut below the exact cutoff 31, whose bound is 2.6e-16 of Z,
+    # is sampled from
+    rc = cli.main(["sample", "--length", "64", "--beta", "2", "--delta", "1.2",
                    "--variant", "free", "--cutoff", "30", "--count", "20",
                    "--out", "-"])
     assert rc == 0

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from ipdsaw import exactz, largedev, wetting
 from ipdsaw.polymer import StretchConfig, Variant, hamiltonian
@@ -92,6 +93,46 @@ def test_dp_l2_closed_form():
                                    rel=1e-13)
 
 
+def test_free_walk_above_the_exact_cutoff_never_meets_the_wall():
+    # the lemma of _exact_cutoff, configuration by configuration: after a
+    # prefix height above (L - 2)/2, every later prefix height is positive
+    crossed = 0
+    for L in range(1, 15):
+        H = exactz._exact_cutoff(L)
+        for l in exactz.enumerate_configs(L, Variant.FREE):
+            T = np.cumsum(l)
+            above = np.flatnonzero(T > H)
+            if above.size:
+                crossed += 1
+                assert 2 * T[above[0]] >= L - 1
+                assert np.all(T[above[0]:] > 0), l
+    assert crossed > 1000
+
+
+def test_closed_free_table_matches_the_full_height_route():
+    # the exact cutoff (L - 2)/2 with the wall-free closure against the
+    # table at height L - 1, which holds every height a Free walk reaches;
+    # at L = 300 not at beta = 0.3 and 20, which take 2.6 s more
+    grid = ((0.05, 0.7), (0.3, 2.0), (20.0, 0.5), (2.0, -5.0))
+    for L in (*range(1, 25), 40, 60, 61, 100, 150, 300):
+        for beta, delta in grid[::3] if L == 300 else grid:
+            got, table = exactz.dp_Z(L, beta, delta, Variant.FREE)
+            want, full = exactz.dp_Z(L, beta, delta, Variant.FREE,
+                                     height_cutoff=max(L - 1, 1))
+            assert table.height_cutoff == max((L - 2) // 2, 0)
+            assert table.log_truncation_bound == full.log_truncation_bound == -math.inf
+            assert got == pytest.approx(want, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("beta", [math.inf, math.nan, -math.inf, 0.0])
+def test_dp_and_walk_routes_name_a_bad_beta(beta):
+    for route in (exactz.dp_Z, exactz.certified_dp_Z, exactz.z_circ_from_walks,
+                  exactz.z_constrained_from_walks):
+        with pytest.raises(ValueError,
+                           match=f"beta must be positive and finite, got {beta}$"):
+            route(10, beta, 0.5)
+
+
 def _lost_weight(lz, exact, beta, L):
     """Reduced weight a cut table misses: e^{exact - beta L} (1 - e^{lz - exact})."""
     return math.exp(exact - beta * L) * -math.expm1(lz - exact)
@@ -133,7 +174,7 @@ def test_truncation_bound_covers_lost_weight(variant):
         for beta, delta in ((1.0, 0.0), (2.0, 1.2), (3.0, -1.0), (1.5, 0.5)):
             exact, _ = exactz.dp_Z(L, beta, delta, variant)
             for H in (2, 4, 7, 11):
-                if H >= exactz._exact_cutoff(L, variant):
+                if H >= exactz._exact_cutoff(L):
                     continue
                 lz, table = exactz.dp_Z(L, beta, delta, variant, height_cutoff=H)
                 if not exact - lz > 1e-8:
@@ -157,10 +198,12 @@ def test_certified_dp_z_is_within_its_bound(L, beta, delta, variant):
     # log Z is below the exact value by at most rel, up to its own rounding
     ulps = 4 * np.finfo(float).eps * abs(exact)
     assert -ulps <= exact - lz <= rel + ulps
-    if variant is Variant.FREE:  # both cut far below the exact height
-        assert 2 * table.height_cutoff < exactz._exact_cutoff(L, variant)
-    if beta == 1.0:  # the secant in H^2 lands near H = 95, where the bound
-        assert table.height_cutoff <= 100  # first certifies
+    if variant is Variant.FREE and beta == 2.0:  # cut far below the exact height
+        assert 2 * table.height_cutoff < exactz._exact_cutoff(L)
+    if beta == 1.0:  # the bound first certifies near H = 95, above half the
+        # exact 149, so the search returns the exact table
+        assert table.height_cutoff == exactz._exact_cutoff(L) == 149
+        assert table.log_truncation_bound == -math.inf
 
 
 def test_dp_input_validation():
@@ -242,7 +285,7 @@ def test_truncation_bound_matches_forward_oracle(variant):
     for L, H in ((18, 3), (30, 4), (40, 20), (60, 6), (60, 10)):
         for beta, delta in ((2.0, 0.5), (1.0, 1.2), (3.0, -0.5)):
             _, table = exactz.dp_Z(L, beta, delta, variant, height_cutoff=H)
-            if H >= exactz._exact_cutoff(L, variant):
+            if H >= exactz._exact_cutoff(L):
                 assert table.truncation_bound == 0.0
                 continue
             want = oracles.truncation_tail(L, beta, delta, variant, H)
@@ -262,7 +305,9 @@ def test_dp_blocks_match_dense_table(variant):
     # every stored row range equals the dense slab there, the table stores
     # those ranges only, back to back, and every column that cannot finish
     # is exactly -inf in the dense slab
-    for L, cutoff in ((18, None), (31, None), (40, 20)):
+    # (a Free table at the exact cutoff (L - 2)/2 against the dense one at
+    # L - 1: the closure above the cutoff leaves every stored entry exact)
+    for L, cutoff in ((18, None), (31, None), (40, 12)):
         for beta, delta in ((2.0, 1.2), (1.0, -0.5)):
             lz, table = exactz.dp_Z(L, beta, delta, variant, height_cutoff=cutoff)
             want_z, dense, bound = oracles.dp_dense_table(L, beta, delta, variant,
@@ -306,7 +351,7 @@ def test_enumerated_states_lie_in_stored_ranges(variant):
     # every state a configuration passes through, at heights the table
     # keeps, lies in its row's range, in the stack of the next direction
     for L in range(1, 13):
-        exact_H = exactz._exact_cutoff(L, variant)
+        exact_H = exactz._exact_cutoff(L)
         for H in sorted({max(exact_H, 1), 1, 2, 3}):
             plan = exactz._Plan(L, H, variant)
             stacks = len(plan.dirs)
@@ -324,7 +369,7 @@ def test_plan_reads_land_in_stored_ranges(variant):
     # neither masks (past the end, ``need``, against the direction) lands
     # in the stored range of the row it reads
     for L, H in ((12, None), (31, None), (40, 6), (60, 20)):
-        H = exactz._exact_cutoff(L, variant) if H is None else H
+        H = exactz._exact_cutoff(L) if H is None else H
         n = H + 1
         plan = exactz._Plan(L, H, variant)
         heights = np.arange(n)
@@ -355,11 +400,13 @@ def test_plan_reads_land_in_stored_ranges(variant):
 
 def test_stored_bytes_at_l300():
     # the layout's sizes from the plan alone, without running the DP: the
-    # whole b x c blocks took 72.4 / 22.5 / 45.0 MB at L = 300
-    want = {Variant.FREE: 54.1, Variant.CONSTRAINED_END: 17.9,
-            Variant.SINGLE_BEAD: 17.7}
-    for variant, mb in want.items():
-        plan = exactz._Plan(300, exactz._exact_cutoff(300, variant), variant)
+    # whole b x c blocks took 72.4 / 22.5 / 45.0 MB at L = 300, and Free's
+    # table at the full height 299 takes 54.1 MB
+    want = {(Variant.FREE, 149): 31.5, (Variant.FREE, 299): 54.1,
+            (Variant.CONSTRAINED_END, 149): 17.9, (Variant.SINGLE_BEAD, 149): 17.7}
+    assert exactz._exact_cutoff(300) == 149
+    for (variant, H), mb in want.items():
+        plan = exactz._Plan(300, H, variant)
         assert np.array_equal(plan.start[:, -1], (plan.hi - plan.lo).sum(axis=(1, 2)))
         assert round(8 * int(plan.start[:, -1].sum()) / 1e6, 1) == mb
     # past m = 2H + 1 every row of a cut table is whole
@@ -609,7 +656,7 @@ def test_cut_bound_below_double_range_is_not_read_as_exact():
     # the log bound certifies a cut far below the exact cutoff all the same
     log_z, certified = exactz.certified_dp_Z(120, 60.0, 0.5, Variant.FREE)
     log_bound = certified.log_truncation_bound
-    assert 2 * certified.height_cutoff < exactz._exact_cutoff(120, Variant.FREE)
+    assert 2 * certified.height_cutoff < exactz._exact_cutoff(120)
     assert log_bound < math.log(1e-13) + log_z - 60.0 * 120
     assert 0.0 <= exact - log_z <= math.exp(log_bound - (log_z - 60.0 * 120))
     assert len(exactz.backward_sample(certified, 10, np.random.default_rng(0))) == 10
@@ -640,17 +687,15 @@ def test_backward_sample_yields_valid_configs():
             assert cfg.total_length == 20  # validated on construction
 
 
-@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
-def test_backward_sample_mini_total_variation(variant):
-    # scaled-down version of the headline check: exact law at L = 12
-    L, beta, delta = 12, 2.0, 1.2
+def _sampled_law(L, beta, delta, variant, count=2 * 10 ** 5):
+    """(configurations, exact law, counts of ``count`` draws from the exact
+    table), after checking the draws' total variation distance."""
     _, table = exactz.dp_Z(L, beta, delta, variant)
     cfgs = [StretchConfig(c, L, variant)
             for c in exactz.enumerate_configs(L, variant)]
     w = np.array([hamiltonian(c, beta, delta) for c in cfgs])
     p = np.exp(w - w.max())
     p /= p.sum()
-    count = 2 * 10 ** 5
     counts = oracles.draw_counts(
         exactz.backward_sample(table, count, np.random.default_rng(11)), cfgs)
     emp = counts / counts.sum()
@@ -661,6 +706,33 @@ def test_backward_sample_mini_total_variation(variant):
     noise = np.median([0.5 * np.abs(ref.multinomial(count, p) / count - p).sum()
                        for _ in range(5)])
     assert 0.5 * np.abs(emp - p).sum() < max(0.01, 1.2 * noise)
+    return cfgs, p, counts
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
+def test_backward_sample_mini_total_variation(variant):
+    # scaled-down version of the headline check: exact law at L = 12
+    _sampled_law(12, 2.0, 1.2, variant)
+
+
+def test_backward_sample_leaves_the_closed_free_table_by_law():
+    # at beta = 0.3, delta = -1, 23.5 % of the law lies above the exact
+    # cutoff 5, where the draws leave the table into the wall-free region
+    cfgs, p, counts = _sampled_law(12, 0.3, -1.0, Variant.FREE)
+    above = np.array([max(c.prefix_heights()) > 5 for c in cfgs])
+    share = p[above].sum()
+    assert share == pytest.approx(0.2347, abs=1e-4)
+    assert abs(counts[above].sum() / counts.sum() - share) < 5 * math.sqrt(
+        share * (1 - share) / counts.sum())
+    # the draws above the cutoff against the exact law there: chi-square
+    # over the cells expecting at least 5 draws, the rest pooled, level 1e-6
+    seen = counts[above]
+    want = p[above] / share * seen.sum()
+    big = want >= 5
+    seen = np.append(seen[big], seen[~big].sum())
+    want = np.append(want[big], want[~big].sum())
+    chi2 = ((seen - want) ** 2 / want).sum()
+    assert stats.chi2.sf(chi2, len(want) - 1) > 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -438,15 +438,16 @@ def test_profile_adsorption_raises_scale():
 def test_profile_supported_beta_edge():
     # at delta <= delta_tilde the boundary gap is about e^{-2 beta}; it is
     # a normal double up to beta = 354.198, and past that a ValueError
-    # names beta, delta and the gap
+    # names beta, delta and the gap; the step law refuses an infinite beta
     cp = largedev.collapse_profile(354.198, 0.0)
     want = oracles.profile_mp(354.198, 0.0)
     for got, ref in zip((cp.a_tilde, cp.phi_max, cp.psi), want):
         assert got == pytest.approx(float(ref), rel=1e-13)
-    for beta, delta in ((354.199, 0.0), (360.0, -5.0), (1e6, 0.0),
-                        (math.inf, 0.0)):
+    for beta, delta in ((354.199, 0.0), (360.0, -5.0), (1e6, 0.0)):
         with pytest.raises(ValueError, match=rf"\({beta}, {delta}\).*gap"):
             largedev.collapse_profile(beta, delta)
+    with pytest.raises(ValueError, match="beta must be positive and finite, got inf"):
+        largedev.collapse_profile(math.inf, 0.0)
     # a larger delta lifts the gap, so the edge in beta moves out
     cp = largedev.collapse_profile(360.0, 100.0)
     assert math.isfinite(cp.a_tilde) and math.isfinite(cp.phi_max)

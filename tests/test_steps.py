@@ -53,6 +53,12 @@ def test_derived_constants():
     assert law.sigma2 > 0
 
 
+@pytest.mark.parametrize("beta", [math.inf, math.nan, -math.inf, 0.0, -1.0])
+def test_step_law_names_a_bad_beta(beta):
+    with pytest.raises(ValueError, match=f"beta must be positive and finite, got {beta}$"):
+        steps.StepLaw(beta)
+
+
 def test_beta_critical_value():
     assert steps.beta_critical() == pytest.approx(oracles.beta_critical_bisect(),
                                                   abs=1e-8)
