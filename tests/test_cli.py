@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -194,6 +195,26 @@ def test_sample_chunks_match_on_stdout_and_in_a_file(tmp_path, capsys):
     _, table = exactz.certified_dp_Z(12, 0.3, -1.0, polymer.Variant.FREE)
     draws = exactz.backward_sample(table, count, np.random.default_rng(3))
     assert records == oracles.sample_record_lines(draws)
+
+
+@pytest.mark.parametrize("argv, digest", [
+    # cut at 46
+    ("--length 300 --beta 2 --delta 1.2 --variant free --count 1000 --seed 1",
+     "00970a95659f0b9fed150ff74466af0ef19628cc825089f8b154e09035b31527"),
+    # closed at 19, so draws leave the table
+    ("--length 40 --beta 0.3 --delta -1 --variant free --count 2000 --seed 2",
+     "c140dc70678057f4d43791f27f7e240ed84c807aa725132e286d00d094f8da29"),
+    ("--length 60 --beta 2 --delta 0.5 --variant single-bead --count 2000 --seed 3",
+     "a84e76802f7f56f4c050be43007ef1b39c1d1a3806b4e10bea96f47faaf2491f"),
+    ("--length 50 --beta 1.5 --delta 0.3 --variant constrained --count 1000 --seed 4",
+     "deb40e646fef11d8cbbd42c58f81913f1c60b92e722b74427f5fc422d67bcf13"),
+])
+def test_sample_records_are_pinned(argv, digest, capsys):
+    # the SHA-256 of the record lines; the provenance line is left out, as
+    # its float truncation_bound can move by an ulp across BLAS builds
+    assert cli.main(["sample", *argv.split(), "--out", "-"]) == 0
+    records = capsys.readouterr().out.split("\n", 1)[1]
+    assert hashlib.sha256(records.encode()).hexdigest() == digest
 
 
 def test_sample_certified_cut_table_exits_0(capsys):
