@@ -254,21 +254,20 @@ def _run_sample(config: ExperimentConfig) -> int:
                 else exactz.dp_Z(L, beta, delta, var, height_cutoff=cutoff))
     rng = np.random.default_rng(config.seed)
     draws = exactz.backward_sample(table, count=count, rng=rng)
-    obs = polymer.batch_observables(draws.stretches, draws.sizes)
-    sizes = obs["horizontal_extension"]
-    templates = {n: _sample_template(n) for n in set(sizes.tolist())}
+    templates = {n: _sample_template(n) for n in set(draws.sizes.tolist())}
 
     def chunks():
-        # per chunk of draws, each record's ints (area, contacts, n, max
-        # height, then its n stretches) in one flat list, one template per
-        # record size, and one %
+        # per chunk of draws, its observables, each record's ints (area,
+        # contacts, n, max height, then its n stretches) in one flat list,
+        # one template per record size, and one %
         for a in range(0, count, _SAMPLE_CHUNK):
             part = slice(a, a + _SAMPLE_CHUNK)
-            rows = np.column_stack((obs["signed_area"][part], obs["contacts"][part],
-                                    sizes[part], obs["max_height"][part],
-                                    draws.stretches[part]))
-            values = rows[np.arange(rows.shape[1]) < 4 + sizes[part, None]].tolist()
-            lines = "\n".join([templates[n] for n in sizes[part].tolist()])
+            obs = polymer.batch_observables(draws.stretches[part], draws.sizes[part])
+            sizes = obs["horizontal_extension"]
+            rows = np.column_stack((obs["signed_area"], obs["contacts"], sizes,
+                                    obs["max_height"], draws.stretches[part]))
+            values = rows[np.arange(rows.shape[1]) < 4 + sizes[:, None]].tolist()
+            lines = "\n".join([templates[n] for n in sizes.tolist()])
             yield lines % tuple(values) + "\n"
 
     _emit_jsonl(config, chunks(), cutoff=table.height_cutoff,

@@ -262,8 +262,8 @@ def _blocks(L: int, H: int, variant: Variant) -> tuple:
     alternate, so stack 0 (next stretch up) keeps only v < u and stack 1
     (next stretch down) only v > u; slice 0, the start, stays whole.
 
-    Every read that the step and the sampler do not mask (past the end,
-    ``need``, against the direction) lands in these ranges.  Block r reads
+    Every read of the step and the sampler that can finish lands in these
+    ranges, every other on the trailing zero (``_Plan.reads``).  Block r reads
     row v < c(r) of slice m = r + 1 + |w - v| at a w < c(m) that can still
     finish, and a draw at a stored (r, u, v) reads the same, with v <= r - 1
     there; for v >= 1, w >= 2v - m + 2 holds at every w exactly when
@@ -295,16 +295,13 @@ class _Plan:
     """Where every read of the transfer step lands in a flat band stack.
 
     Stack k stores the ranges [lo, hi) of ``_blocks`` row after row, slice
-    after slice: slice m starts at start[k, m], and start[k, L + 1] is the
-    length of the stack.  Row u of slice m starts at rowbase[k][m, u] +
-    lo[k, m, u], so the step from (m, u, v) to w reads G[m'][v, w],
-    m' = m + 1 + |w - v|, at entry rowbase[k][m', v] + w.
-    ``pair[v, w] = |w - v| n + v`` indexes the flattened rowbase from row
-    m + 1, so a read is one ``take`` on rowbase, plus w, then one ``take``
-    on the stack.  Row L + 1 of rowbase, where every clipped index lands,
-    holds the stack length: a read past the last slice is at or after the
-    end of the stack.  A read outside its row's range is masked, so it may
-    land anywhere.
+    after slice, then one trailing zero (-inf once the table is in logs) at
+    start[k, L + 1]; slice m starts at start[k, m].  Row u of slice m
+    starts at rowbase[k][m, u] + lo[k, m, u], so the step from (m, u, v) to
+    w reads G[m'][v, w], m' = m + 1 + |w - v|, at entry rowbase[k][m', v] +
+    w.  ``pair[v, w] = |w - v| n + v`` indexes the flattened rowbase from
+    row m + 1.  ``reads`` builds every such index, for the DP and the
+    sampler alike, with each read that cannot finish on the trailing zero.
 
     ``dirs[k]`` is (need, source stack) of stretch direction k: stretch k
     takes direction k mod len(dirs) and reads its completion from the
@@ -317,7 +314,7 @@ class _Plan:
     """
 
     def __init__(self, L: int, H: int, variant: Variant):
-        self.variant = variant
+        self.L, self.variant = L, variant
         self.rows, self.cols, self.lo, self.hi = _blocks(L, H, variant)
         n = H + 1
         heights = np.arange(n)
@@ -339,6 +336,28 @@ class _Plan:
         up = heights > heights[:, None]
         self.dirs = ((np.where(up, need, L + 1), 1),
                      (np.where(up.T, need, L + 1), 0))
+
+    def reads(self, k: int, m, v, columns: int) -> tuple:
+        """(source stack, flat index) of the reads G[m + 1 + |w - v|][v, w]
+        of direction k at every w < ``columns``, for a scalar m and rows v
+        (the DP) or one m and v per draw (the sampler).  A read past the end
+        or with ``need`` above the L - m units left is the trailing zero."""
+        need, src = self.dirs[k]
+        n = len(self.pair)
+        if np.ndim(m):
+            m = m[:, None]
+            idx = self.rowbase[src].take(self.pair[v, :columns] + (m + 1) * n,
+                                         mode="clip")
+        else:  # rowbase from row m + 1 on: no index copy
+            idx = self.rowbase[src, (m + 1) * n:].take(self.pair[v, :columns],
+                                                       mode="clip")
+        idx += np.arange(columns)
+        end = self.start[src, -1]  # the trailing zero
+        if need is None:
+            np.minimum(idx, end, out=idx)
+        else:  # need > L - m past the end too: need >= |w - v| + 1
+            np.putmask(idx, need[v, :columns] > self.L - m, end)
+        return src, idx
 
     def store(self, stack, k: int, m: int, block: np.ndarray) -> None:
         """Write the ranges of slice m of stack k from its whole (b, c)
@@ -365,10 +384,10 @@ class DPTable:
     only: those that some configuration reaches and some step reads.
     ``log_weights`` holds these ranges back to back, row after row and
     slice after slice, at the offsets of ``_Plan``, in one flat array per
-    stack; for SingleBead it is a pair of such stacks, indexed by the
-    direction of the next stretch (up, down).  ``normalization`` is log Z.
-    ``log_truncation_bound`` is the log of a bound on the reduced weight
-    lost to the height cutoff, -inf when the table is exact;
+    stack ending in one -inf, where the reads that cannot finish land; for
+    SingleBead a pair of such stacks, indexed by the direction of the next
+    stretch (up, down).  ``normalization`` is log Z.  ``log_truncation_bound``
+    is the log of a bound on the weight lost to the cutoff, -inf if exact;
     ``truncation_bound`` is its value as a double, raised to the smallest
     normal double when it is below that and not exact.  A Free table at or
     above the exact cutoff is closed above it: ``log_wall_free`` is the log
@@ -645,25 +664,25 @@ def _transfer(L, beta, delta, plan, X, closing, bounding) -> tuple:
     cannot finish, so B has no source there: the true loss from such a
     state is 0.
 
-    Every read goes through the table's ``_Plan``.  The terms of block m
-    are G[m + 1 + |w - v|][v, w] for its rows v < c(m) and every w < n,
-    and for the returning variants only w < max(L - m - 1, 1), the columns
-    from which some v can finish; one mask zeroes the reads whose ``need``
-    exceeds the L - m units left.  For u < b, x^{|w - u|} = x^{max(0,
-    w + 1 - b)} x^{|min(w, b - 1) - u|}: the first factor joins the term,
-    and the second makes every column w >= b the same, so a step is a
-    b x min(b, columns) product plus a rank-one term.  A term's log scale
-    is its slice offset, by gap, plus the site weight and that decay, by
-    column, so it is the product of an n-vector over gaps (seen through a
-    Toeplitz view) and an n-vector over w, each at max 1; the w-vector's
-    max is over the columns the direction reads, so for SingleBead's up
-    stretches, which never end at 0, over w >= 1.  The terms are
-    then normalized to a largest of 1; a step whose largest term is below
-    ``_RESCALE`` is redone from the logs of the terms.  Each block is kept
-    at max 1, so B neither underflows nor overflows however small or large
-    the lost weight is.  The step computes the whole b x c block in one
-    scratch buffer and normalizes it by its max over all b x c entries;
-    only then does ``_Plan.store`` keep the stored ranges.
+    Every read goes through ``_Plan.reads``, once per (m, direction) for S
+    and B.  The terms of block m are G[m + 1 + |w - v|][v, w] for its rows
+    v < c(m) and every w < n, and for the returning variants only w <
+    max(L - m - 1, 1), the columns from which some v can finish; a read
+    that cannot finish is the stack's trailing zero.  For u < b,
+    x^{|w - u|} = x^{max(0, w + 1 - b)} x^{|min(w, b - 1) - u|}: the first
+    factor joins the term, and the second makes every column w >= b the
+    same, so a step is a b x min(b, columns) product plus a rank-one term.
+    A term's log scale is its slice offset, by gap, plus the site weight
+    and that decay, by column, so it is the product of an n-vector over
+    gaps (seen through a Toeplitz view) and an n-vector over w, each at max
+    1; the w-vector's max is over the columns the direction reads, so for
+    SingleBead's up stretches, which never end at 0, over w >= 1.  The
+    terms are then normalized to a largest of 1; a step whose largest term
+    is below ``_RESCALE`` is redone from the logs of the terms.  Each block
+    is kept at max 1, so B neither underflows nor overflows however small
+    or large the lost weight is.  The step computes the whole b x c block
+    in one scratch buffer and normalizes it by its max over all b x c
+    entries; only then does ``_Plan.store`` keep the stored ranges.
     """
     n = len(X)
     H = n - 1
@@ -688,12 +707,13 @@ def _transfer(L, beta, delta, plan, X, closing, bounding) -> tuple:
         if head < ne:
             out += X[:b, b - 1, None] * C[:, b:].sum(axis=1)
 
-    def advance(Y, off_y, k, m, columns, log_src=None):
+    def advance(Y, off_y, k, m, columns, read, log_src=None):
         """Block m of stack k of Y at max 1 and its log scale off_y[k, m]:
-        the step from the later blocks, plus e^{log_src} if given.
+        the step from the later blocks through ``read``, the (source stack,
+        flat index) of ``_Plan.reads``, plus e^{log_src} if given.
         ``columns`` is (log weight, its max, e^{weight - max}) of the site
         weight and decay of every column w the step reads."""
-        need, src = dirs[k]
+        src, idx = read
         log_col, top_col, col_scale = columns
         c, ne = cols[m], len(log_col)
         prior = off_y[src, m + 1:m + 1 + n]  # the slices at gaps 0, 1, ...
@@ -702,32 +722,19 @@ def _transfer(L, beta, delta, plan, X, closing, bounding) -> tuple:
         top_gap = prior.max()
         ref = top_gap + top_col  # -inf: every source slice is empty
         if ref > -np.inf:
-            # past the end the gap factor is 0, times a clipped read
-            idx = plan.rowbase[src, (m + 1) * n:].take(plan.pair[:c, :ne],
-                                                       mode="clip")
-            idx += heights[:ne]
-            raw = Y[src].take(idx, mode="clip")
+            raw = Y[src].take(idx, mode="clip")  # 0 where a read cannot finish
             C = raw * _toeplitz(np.exp(prior - top_gap), c, ne)
             C *= col_scale
-            cut = None if need is None else need[:c, :ne] > L - m
-            if cut is not None:
-                C[cut] = 0.0
             top = C.max()
             if top < _RESCALE:
-                # redo from logs unless every term is 0 by structure: cut,
-                # past the end, off its columns or an exact 0 of the stack
-                live = (raw > 0.0) & _toeplitz(prior > -np.inf, c, ne)
-                live &= log_col > -np.inf
-                if cut is not None:
-                    live &= ~cut
-                ref = -np.inf
-                if live.any():
-                    with np.errstate(divide="ignore"):
-                        E = np.log(raw)
-                    E += _toeplitz(prior, c, ne)
-                    E += log_col
-                    E[~live] = -np.inf
-                    ref = E.max()
+                # redo from logs: a term that is 0 by structure (cannot
+                # finish, off its columns, an exact 0 of the stack) is -inf
+                with np.errstate(divide="ignore"):
+                    E = np.log(raw)
+                E += _toeplitz(prior, c, ne)
+                E += log_col
+                ref = E.max()
+                if ref > -np.inf:
                     C = np.exp(E - ref)
             else:  # the largest term at 1 keeps products out of subnormals
                 C /= top
@@ -750,7 +757,7 @@ def _transfer(L, beta, delta, plan, X, closing, bounding) -> tuple:
         off_y[k, m] = ref + math.log(top)
         plan.store(Y[k], k, m, out)
 
-    S = [np.zeros(end) for end in plan.start[:, -1]]
+    S = [np.zeros(end + 1) for end in plan.start[:, -1]]  # + the trailing zero
     last = np.zeros((rows[L], cols[L]))
     if variant is Variant.FREE:
         last[:] = X[:rows[L], :rows[L]]
@@ -778,10 +785,10 @@ def _transfer(L, beta, delta, plan, X, closing, bounding) -> tuple:
         if variant is Variant.SINGLE_BEAD:  # an up stretch never ends at 0
             columns[0] = scales(np.concatenate(([-np.inf], log_col[1:])))
         for k in range(len(dirs)):
-            advance(S, off, k, m, columns[k], source(closing, k, m))
-        if B is not None:
-            for k in range(len(dirs)):
-                advance(B, off_b, k, m, columns[k], source(bounding, k, m))
+            read = plan.reads(k, m, slice(cols[m]), ne)
+            advance(S, off, k, m, columns[k], read, source(closing, k, m))
+            if B is not None:
+                advance(B, off_b, k, m, columns[k], read, source(bounding, k, m))
     # block 0 of B is 1 x 1 at max 1, so its log scale is the log bound
     return S, off, float(off_b[0, 0])
 
@@ -796,15 +803,15 @@ def backward_sample(table: DPTable, count: int, rng) -> StretchBatch:
     All draws advance together, one stretch per round, on the step of
     ``dp_Z``: a draw at (m, u, v) weighs each next height w by x^{|w - u|}
     e^{delta 1{w = 0}} times the table's completion of (v, w), read through
-    the table's ``_Plan`` as the DP reads it, and picks w by inverse CDF
-    with one uniform, so the draws are i.i.d. from e^{H} / Z.  Live draws
-    go in blocks of ``_SAMPLE_BLOCK`` table entries.  A negative or
-    non-integer ``count`` raises ValueError, and so does a table whose log
-    truncation bound is not below log ``_SAMPLE_REL_BOUND`` plus its log
-    reduced Z.  That bound counts every configuration that leaves a cut
-    table's heights with the wall-free majorant Ĝ of its completion, so a
-    certified cut table (``certified_dp_Z``) draws from a law within its
-    bound of the exact one; no draw leaves a cut table.
+    ``_Plan.reads`` as the DP reads it, -inf where it cannot finish, and
+    picks w by inverse CDF with one uniform, so the draws are i.i.d. from
+    e^{H} / Z.  Live draws go in blocks of ``_SAMPLE_BLOCK`` entries.  A
+    negative or non-integer ``count`` raises ValueError, and so does a
+    table whose log truncation bound is not below log ``_SAMPLE_REL_BOUND``
+    plus its log reduced Z.  That bound counts every configuration that
+    leaves a cut table's heights with the wall-free majorant Ĝ of its
+    completion, so a certified cut table (``certified_dp_Z``) draws from a
+    law within its bound of the exact one; no draw leaves a cut table.
 
     On a Free table closed above its cutoff (``DPTable.log_wall_free``) a
     draw has one more candidate, leaving the table, weighed by the DP's
@@ -861,18 +868,12 @@ def backward_sample(table: DPTable, count: int, rng) -> StretchBatch:
         u[i], v[i] = v[i], v[i] + step
 
     while live.size:
-        need, src = plan.dirs[k % len(plan.dirs)]
         inside = live[~free[live]]
         for a in range(0, inside.size, rows):
             i = inside[a:a + rows]
             vi, mi = v[i], m[i]
-            at = plan.pair[vi]
-            at += n * (mi[:, None] + 1)
-            idx = plan.rowbase[src].take(at, mode="clip")
-            idx += heights
-            lp = stacks[src].take(idx, mode="clip")
-            lp[idx >= len(stacks[src]) if need is None
-               else need[vi] > L - mi[:, None]] = -np.inf
+            src, idx = plan.reads(k % len(plan.dirs), mi, vi, n)
+            lp = stacks[src].take(idx, mode="clip")  # -inf where it cannot finish
             lp += log_rew - 0.5 * beta * np.abs(heights - u[i, None])
             if log_w is not None:  # candidate n leaves: x^{v - u} times the source
                 lp = np.column_stack((lp, leave[mi, vi] + 0.5 * beta * (u[i] - vi)))
@@ -1044,8 +1045,8 @@ def area_wetting_dp(N: int, gamma: float, beta: float, delta: float) -> float:
     e^{delta 1{h = 0} - gamma h / N}."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be >= 0 and finite, got {gamma!r}")
     _check_delta(delta)
     law = StepLaw(beta)
     H = _strip_top(N, beta)
@@ -1064,6 +1065,6 @@ def e_circ(N: int, q: float, beta: float, delta: float) -> float:
 
 def e_n_gamma(N: int, gamma: float, beta: float) -> float:
     """log E_N(gamma): area-tilted positive bridge without pinning."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     return area_wetting_dp(N, gamma, beta, 0.0)

@@ -463,7 +463,7 @@ def airy_first_zero() -> float:
 
 
 def meander_rate(gamma: float) -> float:
-    """J(gamma) = -2^{-1/3} |a_1| gamma^{2/3} for gamma > 0."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    """J(gamma) = -2^{-1/3} |a_1| gamma^{2/3} for finite gamma > 0."""
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     return -(2.0 ** (-1.0 / 3.0)) * abs(airy_first_zero()) * gamma ** (2.0 / 3.0)

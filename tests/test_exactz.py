@@ -303,8 +303,8 @@ def _stored_rows(plan, k):
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
 def test_dp_blocks_match_dense_table(variant):
     # every stored row range equals the dense slab there, the table stores
-    # those ranges only, back to back, and every column that cannot finish
-    # is exactly -inf in the dense slab
+    # those ranges only, back to back, then one trailing -inf, and every
+    # column that cannot finish is exactly -inf in the dense slab
     # (a Free table at the exact cutoff (L - 2)/2 against the dense one at
     # L - 1: the closure above the cutoff leaves every stored entry exact)
     for L, cutoff in ((18, None), (31, None), (40, 12)):
@@ -319,7 +319,8 @@ def test_dp_blocks_match_dense_table(variant):
             lw = table.log_weights
             got_stacks = lw if isinstance(lw, tuple) else (lw,)
             for k, (got_stack, stack) in enumerate(zip(got_stacks, stacks)):
-                assert got_stack.nbytes == 8 * int((plan.hi[k] - plan.lo[k]).sum())
+                assert got_stack.nbytes == 8 * (int((plan.hi[k] - plan.lo[k]).sum()) + 1)
+                assert got_stack[-1] == -np.inf
                 end = 0
                 for m, u, lo, hi, at in _stored_rows(plan, k):
                     assert at == end  # rows back to back, in (m, u) order
@@ -329,7 +330,7 @@ def test_dp_blocks_match_dense_table(variant):
                     fin = np.isfinite(want)
                     assert np.all(np.abs(got[fin] - want[fin])
                                   <= 1e-12 * np.maximum(1.0, np.abs(want[fin])))
-                assert end == got_stack.size
+                assert end == got_stack.size - 1
                 for m in range(L + 1):  # no dropped height can still finish
                     b, c = plan.rows[m], plan.cols[m]
                     assert np.all(stack[m, :b, c:b] == -np.inf)
@@ -365,37 +366,45 @@ def test_enumerated_states_lie_in_stored_ranges(variant):
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
 def test_plan_reads_land_in_stored_ranges(variant):
-    # replay the gathers of the DP step and of the sampler: every read that
-    # neither masks (past the end, ``need``, against the direction) lands
-    # in the stored range of the row it reads
+    # ``_Plan.reads`` in the DP's call shape (scalar m, rows v < c(m)) and
+    # the sampler's (one m and v per draw, at every stored state): a read
+    # past the end or over ``need`` is the trailing zero, and every other
+    # read is the entry (v, w) of its row's stored range, with the row
+    # offsets counted afresh from the ranges
     for L, H in ((12, None), (31, None), (40, 6), (60, 20)):
         H = exactz._exact_cutoff(L) if H is None else H
         n = H + 1
         plan = exactz._Plan(L, H, variant)
         heights = np.arange(n)
-        for m in range(L):
-            ne = n if variant is Variant.FREE else min(n, max(L - m - 1, 1))
-            c = plan.cols[m]
-            for k, (need, src) in enumerate(plan.dirs):
-                lo = plan.lo[src].take(plan.pair + (m + 1) * n, mode="clip")
-                hi = plan.hi[src].take(plan.pair + (m + 1) * n, mode="clip")
-                inside = (lo <= heights) & (heights < hi)
-                past = m + 1 + np.abs(heights - heights[:, None]) > L
-                # the step: rows v < c(m), columns w < ne; a single bead's
-                # zero gap and every gap past the end have factor 0
-                masked = past.copy()
-                if variant is Variant.SINGLE_BEAD:
-                    masked |= heights == heights[:, None]
-                if need is not None:
-                    masked |= need > L - m
-                assert np.all(inside[:c, :ne] | masked[:c, :ne]), (L, m, k)
-                # the sampler: a draw in stack k at any stored (m, u, v)
-                # reads row v at every w, masking the end (Free) or need
-                stored = ((heights >= plan.lo[k, m, :, None])
-                          & (heights < plan.hi[k, m, :, None]))  # [u, v]
-                drawn = past if need is None else need > L - m
-                rows_v = stored.any(axis=0)
-                assert np.all((inside | drawn)[rows_v]), (L, m, k)
+        gaps = np.abs(heights - heights[:, None])
+        lengths = (plan.hi - plan.lo).reshape(len(plan.hi), -1)
+        first = (np.cumsum(lengths, axis=1) - lengths).reshape(plan.hi.shape)
+
+        def check(k, m, v, columns, read):
+            src, idx = read
+            need, want_src = plan.dirs[k]
+            assert src == want_src and idx.shape == (len(v), columns)
+            w = heights[:columns]
+            later = m[:, None] + 1 + gaps[v, :columns]
+            stop = later > L
+            if need is not None:
+                stop |= need[v, :columns] > L - m[:, None]
+            assert np.all(idx[stop] == plan.start[src, -1]), (L, k)
+            at = (src, np.minimum(later, L + 1), v[:, None])
+            lo, hi = plan.lo[at], plan.hi[at]
+            inside = (lo <= w) & (w < hi) & (idx == first[at] + w - lo)
+            assert np.all(inside | stop), (L, k)
+
+        for k in range(len(plan.dirs)):
+            for m in range(L):
+                c = plan.cols[m]
+                ne = n if variant is Variant.FREE else min(n, max(L - m - 1, 1))
+                check(k, np.full(c, m), np.arange(c), ne,
+                      plan.reads(k, m, slice(c), ne))
+            stored = ((heights >= plan.lo[k, :L, :, None])
+                      & (heights < plan.hi[k, :L, :, None]))  # [m, u, v]
+            m, _, v = np.nonzero(stored)
+            check(k, m, v, n, plan.reads(k, m, v, n))
 
 
 def test_stored_bytes_at_l300():
@@ -578,6 +587,9 @@ def test_e_n_gamma_requires_positive_gamma():
         exactz.e_n_gamma(10, 0.0, 2.0)
     with pytest.raises(ValueError):
         exactz.e_n_gamma(10, -1.0, 2.0)
+    for gamma in (math.nan, math.inf):  # these read nan before
+        with pytest.raises(ValueError, match="gamma"):
+            exactz.e_n_gamma(10, gamma, 2.0)
 
 
 def test_area_dp_validation():
@@ -585,6 +597,14 @@ def test_area_dp_validation():
         exactz.area_wetting_dp(0, 1.0, 2.0, 0.0)
     with pytest.raises(ValueError):
         exactz.area_wetting_dp(5, -0.1, 2.0, 0.0)
+    # these read nan before (at inf, -inf * 0 at height 0), although the
+    # value at the largest finite gammas, the gamma -> inf one, is finite
+    for gamma in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="gamma"):
+            exactz.area_wetting_dp(10, gamma, 2.0, 0.5)
+    want = exactz.area_wetting_dp(10, 1e6, 2.0, 0.5)
+    assert math.isfinite(want)
+    assert exactz.area_wetting_dp(10, 1e300, 2.0, 0.5) == pytest.approx(want, rel=1e-12)
 
 
 def test_area_dp_column_sums_match_plain_recursion():

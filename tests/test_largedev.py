@@ -521,3 +521,6 @@ def test_meander_rate_rejects_nonpositive():
         largedev.meander_rate(0.0)
     with pytest.raises(ValueError):
         largedev.meander_rate(-2.0)
+    for gamma in (math.nan, math.inf):  # nan read nan before
+        with pytest.raises(ValueError, match="gamma"):
+            largedev.meander_rate(gamma)
