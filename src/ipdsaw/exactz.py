@@ -18,8 +18,10 @@ the transfer DP below exploit.  The module provides
                        variants, stepping only the height pairs that are
                        reachable and can still finish and storing, per row,
                        only the closed-form range of them that some step
-                       reads, every read through one precomputed gather
-                       plan; exact at
+                       reads, in one table for every variant (a single
+                       bead goes up next where v < u, else down; its
+                       diagonal is stored, never read), every read
+                       through one precomputed gather plan; exact at
                        the default cutoff (L - 2)/2, where the Free table
                        is closed by the exact wall-free completion,
                        otherwise with a rigorous truncation bound (kept
@@ -29,7 +31,8 @@ the transfer DP below exploit.  The module provides
                        is below 1e-13 of Z, the exact table failing that;
 * ``backward_sample``  exact samples, all draws advanced together, one
                        stretch per round, on that step and through that
-                       plan, a Free draw leaving the table into the
+                       plan, the weights built once per distinct state of
+                       a round, a Free draw leaving the table into the
                        wall-free completion, returned as one checked
                        ``StretchBatch`` of arrays;
 * ``d_circ``           ordered upper/lower-envelope walks at a prescribed
@@ -245,7 +248,7 @@ def _exact_cutoff(L: int) -> int:
 
 def _blocks(L: int, H: int, variant: Variant) -> tuple:
     """(rows, cols, lo, hi): the block of every consumed length m and, in
-    it, the stored column range [lo, hi) of every row u of each stack.
+    it, the stored column range [lo, hi) of every row u.
 
     After m >= 1 units the last two prefix heights satisfy u + |v - u| <=
     m - 1, so u, v < b(m) = min(m, H + 1); before the first stretch the
@@ -258,20 +261,24 @@ def _blocks(L: int, H: int, variant: Variant) -> tuple:
     or more stretches: reaching u costs u + 1 units and the next stretch
     |v - u| + 1, so u + |v - u| <= m - 2 and row u keeps v in
     [max(0, 2u - m + 2), c(m)); row 0 keeps all of [0, c(m)), as the first
-    stretch can end at m - 1, and rows u >= m - 1 are empty.  Single beads
-    alternate, so stack 0 (next stretch up) keeps only v < u and stack 1
-    (next stretch down) only v > u; slice 0, the start, stays whole.
+    stretch can end at m - 1, and rows u >= m - 1 are empty.  A single
+    bead's stretches alternate and never keep the height, so its state
+    (u, v) tells the next direction: up if v < u (the last went down) and
+    at the start (0, 0), down if v > u.  Its one table keeps both sides in
+    the same band; the diagonal v = u, never reached after the start, is
+    stored but never read.
 
     Every read of the step and the sampler that can finish lands in these
     ranges, every other on the trailing zero (``_Plan.reads``).  Block r reads
     row v < c(r) of slice m = r + 1 + |w - v| at a w < c(m) that can still
     finish, and a draw at a stored (r, u, v) reads the same, with v <= r - 1
     there; for v >= 1, w >= 2v - m + 2 holds at every w exactly when
-    v <= r - 1, and c(r) <= r.  A single bead's read follows the direction
-    of the stack it reads.  Past m = 2H + 1 every row is whole, so cut
-    tables keep plain blocks there.  lo and hi are (stacks, L + 2, H + 1),
-    lo <= hi, with an empty range at every row u >= b(m) and in the
-    sentinel slice L + 1.
+    v <= r - 1, and c(r) <= r.  A single bead's up stretch to w > v reads
+    the entry (v, w) with w > v, whose next stretch goes down, and a down
+    stretch the entry with w < v, whose next goes up.  Past m = 2H + 1
+    every row is whole, so cut tables keep plain blocks there.  lo and hi
+    are (L + 2, H + 1), lo <= hi, with an empty range at every row
+    u >= b(m) and in the sentinel slice L + 1.
     """
     consumed = np.arange(L + 2)
     rows = np.minimum(np.maximum(consumed, 1), H + 1)
@@ -282,35 +289,33 @@ def _blocks(L: int, H: int, variant: Variant) -> tuple:
     lo = np.where(heights >= 1, np.maximum(2 * heights - consumed[:, None] + 2, 0), 0)
     hi = np.where(heights < rows[:, None], cols[:, None], 0)
     hi[L + 1] = 0
-    bands = [(lo, hi)]
-    if variant is Variant.SINGLE_BEAD:
-        bands = [(lo, np.minimum(hi, heights)), (np.maximum(lo, heights + 1), hi)]
-    lo = np.stack([a for a, _ in bands])
-    hi = np.stack([b for _, b in bands])
-    lo[:, 0, 0], hi[:, 0, 0] = 0, 1
     return rows, cols, np.minimum(lo, hi).astype(np.int32), hi.astype(np.int32)
 
 
 class _Plan:
-    """Where every read of the transfer step lands in a flat band stack.
+    """Where every read of the transfer step lands in the flat band stack.
 
-    Stack k stores the ranges [lo, hi) of ``_blocks`` row after row, slice
-    after slice, then one trailing zero (-inf once the table is in logs) at
-    start[k, L + 1]; slice m starts at start[k, m].  Row u of slice m
-    starts at rowbase[k][m, u] + lo[k, m, u], so the step from (m, u, v) to
-    w reads G[m'][v, w], m' = m + 1 + |w - v|, at entry rowbase[k][m', v] +
-    w.  ``pair[v, w] = |w - v| n + v`` indexes the flattened rowbase from
-    row m + 1.  ``reads`` builds every such index, for the DP and the
-    sampler alike, with each read that cannot finish on the trailing zero.
+    The stack stores the ranges [lo, hi) of ``_blocks`` row after row,
+    slice after slice, then one trailing zero (-inf once the table is in
+    logs) at start[L + 1]; slice m starts at start[m].  Row u of slice m
+    starts at rowbase[m, u] + lo[m, u], so the step from (m, u, v) to w
+    reads G[m'][v, w], m' = m + 1 + |w - v|, at entry rowbase[m', v] + w.
+    ``pair[v, w] = |w - v| n + v`` indexes the flattened rowbase from row
+    m + 1.  ``reads`` builds every such index, for the DP and the sampler
+    alike, with each read that cannot finish on the trailing zero.
+    ``band[u, w] = w - 2u`` (row 0 whole) picks a partial row's stored
+    columns, w - 2u >= 2 - m, for ``store``.
 
-    ``dirs[k]`` is (need, source stack) of stretch direction k: stretch k
-    takes direction k mod len(dirs) and reads its completion from the
-    stack of the direction that follows; single beads alternate up and
-    down.  For the returning variants need[v, w] is the fewest units the
-    stretch v -> w and the way back to 0 take, w + |w - v| + 2 (|w - v| + 1
-    to w = 0), and L + 1 for a stretch against the direction, so a read
-    from consumed length m with need > L - m cannot finish; Free keeps
-    None, as its only reads that cannot finish are those past the end.
+    ``need[v, w]`` is the fewest units the stretch v -> w and the way back
+    to 0 take, for the returning variants w + |w - v| + 2 (|w - v| + 1 to
+    w = 0), so a read from consumed length m with need > L - m cannot
+    finish; a single bead's stretch must change the height, so its
+    diagonal is L + 1.  Free keeps None, as its only reads that cannot
+    finish are those past the end.  ``dirs[k]`` is the need of stretch
+    direction k: stretch k takes direction k mod len(dirs), single beads
+    alternating up and down with need L + 1 against the direction, which
+    the sampler reads one stretch at a time; the DP reads ``need`` and
+    splits the terms by direction itself.
     """
 
     def __init__(self, L: int, H: int, variant: Variant):
@@ -319,57 +324,57 @@ class _Plan:
         n = H + 1
         heights = np.arange(n)
         gaps = np.abs(heights - heights[:, None])
-        lengths = (self.hi - self.lo).reshape(len(self.hi), -1)
+        lengths = (self.hi - self.lo).ravel()
         rowstart = np.zeros(lengths.shape, dtype=np.int64)
-        np.cumsum(lengths[:, :-1], axis=1, out=rowstart[:, 1:])
-        self.start = rowstart[:, ::n].copy()  # row 0 of every slice
-        self.rowbase = rowstart - self.lo.reshape(len(rowstart), -1)
+        np.cumsum(lengths[:-1], out=rowstart[1:])
+        self.start = rowstart[::n].copy()  # row 0 of every slice
+        self.rowbase = rowstart - self.lo.ravel()
+        self.whole = ((self.lo == 0) & (heights < self.rows[:, None])).sum(axis=1).tolist()
         self.pair = gaps * n + heights[:, None]
+        self.band = (heights - 2 * heights[:, None]).astype(np.int32)
+        self.band[0] = n
         if variant is Variant.FREE:
-            self.dirs = ((None, 0),)
+            self.need, self.dirs = None, (None,)
             return
         need = gaps + 1
         need[:, 1:] += heights[1:] + 1
-        if variant is Variant.CONSTRAINED_END:
-            self.dirs = ((need, 0),)
-            return
-        up = heights > heights[:, None]
-        self.dirs = ((np.where(up, need, L + 1), 1),
-                     (np.where(up.T, need, L + 1), 0))
+        self.need, self.dirs = need, (need,)
+        if variant is Variant.SINGLE_BEAD:
+            up = heights > heights[:, None]
+            self.dirs = (np.where(up, need, L + 1), np.where(up.T, need, L + 1))
+            self.need = np.where(gaps == 0, L + 1, need)
 
-    def reads(self, k: int, m, v, columns: int) -> tuple:
-        """(source stack, flat index) of the reads G[m + 1 + |w - v|][v, w]
-        of direction k at every w < ``columns``, for a scalar m and rows v
-        (the DP) or one m and v per draw (the sampler).  A read past the end
-        or with ``need`` above the L - m units left is the trailing zero."""
-        need, src = self.dirs[k]
+    def reads(self, m, v, columns: int, need) -> np.ndarray:
+        """Flat index of the reads G[m + 1 + |w - v|][v, w] at every
+        w < ``columns``, for a scalar m and rows v (the DP) or one m and v
+        per draw (the sampler).  A read past the end or with ``need`` above
+        the L - m units left is the trailing zero."""
         n = len(self.pair)
         if np.ndim(m):
             m = m[:, None]
-            idx = self.rowbase[src].take(self.pair[v, :columns] + (m + 1) * n,
-                                         mode="clip")
+            idx = self.rowbase.take(self.pair[v, :columns] + (m + 1) * n,
+                                    mode="clip")
         else:  # rowbase from row m + 1 on: no index copy
-            idx = self.rowbase[src, (m + 1) * n:].take(self.pair[v, :columns],
-                                                       mode="clip")
+            idx = self.rowbase[(m + 1) * n:].take(self.pair[v, :columns],
+                                                  mode="clip")
         idx += np.arange(columns)
-        end = self.start[src, -1]  # the trailing zero
+        end = self.start[-1]  # the trailing zero
         if need is None:
             np.minimum(idx, end, out=idx)
         else:  # need > L - m past the end too: need >= |w - v| + 1
             np.putmask(idx, need[v, :columns] > self.L - m, end)
-        return src, idx
+        return idx
 
-    def store(self, stack, k: int, m: int, block: np.ndarray) -> None:
-        """Write the ranges of slice m of stack k from its whole (b, c)
-        block: the leading whole rows in one copy, the rest by row mask."""
-        c = block.shape[1]
-        lo, hi = self.lo[k, m, :len(block)], self.hi[k, m, :len(block)]
-        whole = int(np.logical_and.accumulate((lo == 0) & (hi == c)).sum())
-        out = stack[self.start[k, m]:self.start[k, m + 1]]
+    def store(self, stack, m: int, block: np.ndarray) -> None:
+        """Write the ranges of slice m from its whole (b, c) block: the
+        leading ``whole[m]`` rows (lo = 0) in one copy, the rest by one
+        compare on ``band``."""
+        b, c = block.shape
+        whole = self.whole[m]
+        out = stack[self.start[m]:self.start[m + 1]]
         out[:whole * c] = block[:whole].ravel()
-        columns = np.arange(c, dtype=np.int32)
-        band = (columns >= lo[whole:, None]) & (columns < hi[whole:, None])
-        out[whole * c:] = block[whole:][band]
+        if whole < b:
+            out[whole * c:] = block[whole:][self.band[whole:b, :c] >= 2 - m]
 
 
 @dataclass
@@ -383,16 +388,20 @@ class DPTable:
     and, in row u, for the heights v in the range [lo, hi) of ``_blocks``
     only: those that some configuration reaches and some step reads.
     ``log_weights`` holds these ranges back to back, row after row and
-    slice after slice, at the offsets of ``_Plan``, in one flat array per
-    stack ending in one -inf, where the reads that cannot finish land; for
-    SingleBead a pair of such stacks, indexed by the direction of the next
-    stretch (up, down).  ``normalization`` is log Z.  ``log_truncation_bound``
-    is the log of a bound on the weight lost to the cutoff, -inf if exact;
-    ``truncation_bound`` is its value as a double, raised to the smallest
-    normal double when it is below that and not exact.  A Free table at or
-    above the exact cutoff is closed above it: ``log_wall_free`` is the log
-    of the wall-free completion W (``_log_completion``) that the DP and the
-    sampler read there; it is None for every other table.
+    slice after slice, at the offsets of ``plan`` (the table's ``_Plan``),
+    in one flat array ending in one -inf, where the reads that cannot
+    finish land.  A single bead's entry is the completion whose next
+    stretch goes up where v < u and at the start (0, 0), down elsewhere;
+    its diagonal v = u is stored but never read.  ``normalization`` is
+    log Z.  ``log_truncation_bound`` is the log of a bound on the weight
+    lost to the cutoff, -inf if exact; ``truncation_bound`` is its value
+    as a double, raised to the smallest normal double when it is below
+    that and not exact.  A Free table at or above the exact cutoff is
+    closed above it: ``log_wall_free`` is the log of the wall-free
+    completion W (``_log_completion``) that the DP and the sampler read
+    there, and ``log_leave`` the first-exceedance source on it
+    (``_exceed_sources``), the log weight of leaving the table by (m, v);
+    both are None for every other table.
     """
 
     variant: Variant
@@ -405,6 +414,8 @@ class DPTable:
     truncation_bound: float
     log_truncation_bound: float
     log_wall_free: object
+    log_leave: object
+    plan: object
 
 
 _TINY = np.finfo(float).tiny  # the smallest normal double
@@ -613,33 +624,32 @@ def _dp(L, beta, delta, variant, H, log_g) -> tuple:
         bounding = _exceed_sources(log_g, beta, L, H, plan.cols)
     if X[0, H] < _TINY:  # the raised run first: one table alive at a time
         raised = _transfer(L, beta, delta, plan, np.maximum(X, _TINY),
-                           closing, None)[1][0, 0]
+                           closing, None)[1][0]
     S, off, log_bound = _transfer(L, beta, delta, plan, X, closing, bounding)
     # flat vectors fit any cutoff; beads (1, -1) and (2, -2) take 4 and 6
     empty = variant is Variant.SINGLE_BEAD and not (
         L >= 4 and L % 2 == 0 and (H >= 2 or L % 4 == 0))
-    if off[0, 0] == -np.inf:
+    if off[0] == -np.inf:
         if not empty:
             raise ValueError(f"dp_Z at beta={beta}, L={L}: the start weight "
                              "underflowed to zero (double-precision underflow)")
-    elif raised - off[0, 0] > _MAX_UNDERFLOW * max(1.0, abs(off[0, 0])):
+    elif raised - off[0] > _MAX_UNDERFLOW * max(1.0, abs(off[0])):
         raise ValueError(
             f"dp_Z at beta={beta}, L={L}: raising the transition factors below"
-            f" {_TINY:.1e} to it moves log Z by {raised - off[0, 0]:.1e}, above"
+            f" {_TINY:.1e} to it moves log Z by {raised - off[0]:.1e}, above"
             f" the supported {_MAX_UNDERFLOW:.0e} (double-precision underflow)")
-    log_z = beta * L + float(off[0, 0])
-    for k, (stack, start) in enumerate(zip(S, plan.start)):
-        with np.errstate(divide="ignore"):
-            np.log(stack, out=stack)  # in place: the linear values are done
-        for m in range(L + 1):  # slice by slice: no table-sized offsets array
-            stack[start[m]:start[m + 1]] += off[k, m]
-    lw = tuple(S) if variant is Variant.SINGLE_BEAD else S[0]
+    log_z = beta * L + float(off[0])
+    with np.errstate(divide="ignore"):
+        np.log(S, out=S)  # in place: the linear values are done
+    start = plan.start
+    for m in range(L + 1):  # slice by slice: no table-sized offsets array
+        S[start[m]:start[m + 1]] += off[m]
     bound = 0.0
     if log_g is not None:  # a bound below the smallest normal double still
         with np.errstate(over="ignore"):  # bounds the loss as that double
             bound = max(float(np.exp(log_bound)), _TINY)
-    return log_z, DPTable(variant, L, beta, delta, H, lw, log_z, bound,
-                          log_bound, log_w)
+    return log_z, DPTable(variant, L, beta, delta, H, S, log_z, bound,
+                          log_bound, log_w, closing, plan)
 
 
 def _toeplitz(vec: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -653,20 +663,20 @@ def _toeplitz(vec: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 def _transfer(L, beta, delta, plan, X, closing, bounding) -> tuple:
     """(S, off, log truncation bound) of the backward transfer of ``dp_Z``
-    with the step matrix X; slice m of stack S[k] times e^{off[k, m]} is
-    G_k[m] on the stored heights of ``plan``.  ``closing`` and
-    ``bounding`` are first-exceedance sources of ``_exceed_sources``, or
-    None: row m of ``closing`` (on W) times e^{-beta} x^{v - u} joins block
-    m of S, which closes a Free table above its cutoff, and with
-    ``bounding`` (on Ĝ) the bound stack B runs on the same step with its
-    own scales, fed the same way; without it the log bound is -inf.  Both
-    enter the up stack only.  The returning variants step no height that
-    cannot finish, so B has no source there: the true loss from such a
-    state is 0.
+    with the step matrix X; slice m of the stack S times e^{off[m]} is G[m]
+    on the stored heights of ``plan``.  ``closing`` and ``bounding`` are
+    first-exceedance sources of ``_exceed_sources``, or None: row m of
+    ``closing`` (on W) times e^{-beta} x^{v - u} joins block m of S, which
+    closes a Free table above its cutoff, and with ``bounding`` (on Ĝ) the
+    bound stack B runs on the same step with its own scales, fed the same
+    way; without it the log bound is -inf.  A source enters as the rank-one
+    term e^{(beta/2) u} e^{source[m, v] - (beta/2) v - beta}, on up
+    stretches only.  The returning variants step no height that cannot
+    finish, so B has no source there: the true loss from such a state is 0.
 
-    Every read goes through ``_Plan.reads``, once per (m, direction) for S
-    and B.  The terms of block m are G[m + 1 + |w - v|][v, w] for its rows
-    v < c(m) and every w < n, and for the returning variants only w <
+    Every read goes through ``_Plan.reads``, once per m for S and B.  The
+    terms of block m are G[m + 1 + |w - v|][v, w] for its rows v < c(m)
+    and every w < n, and for the returning variants only w <
     max(L - m - 1, 1), the columns from which some v can finish; a read
     that cannot finish is the stack's trailing zero.  For u < b,
     x^{|w - u|} = x^{max(0, w + 1 - b)} x^{|min(w, b - 1) - u|}: the first
@@ -675,29 +685,29 @@ def _transfer(L, beta, delta, plan, X, closing, bounding) -> tuple:
     A term's log scale is its slice offset, by gap, plus the site weight
     and that decay, by column, so it is the product of an n-vector over
     gaps (seen through a Toeplitz view) and an n-vector over w, each at max
-    1; the w-vector's max is over the columns the direction reads, so for
-    SingleBead's up stretches, which never end at 0, over w >= 1.  The
-    terms are then normalized to a largest of 1; a step whose largest term
-    is below ``_RESCALE`` is redone from the logs of the terms.  Each block
-    is kept at max 1, so B neither underflows nor overflows however small
-    or large the lost weight is.  The step computes the whole b x c block
-    in one scratch buffer and normalizes it by its max over all b x c
-    entries; only then does ``_Plan.store`` keep the stored ranges.
+    1.  The gathered terms are scaled in place and normalized to a largest
+    of 1; a step whose largest term is below ``_RESCALE`` gathers them
+    again and is redone from their logs.  A single bead gathers once for
+    both directions and takes two products, with the terms' strict upper
+    triangle (up stretches, w > v; the tail w >= b and the source are
+    theirs alone) and strict lower one (down, w < v), and keeps the up
+    product where v < u and at the start.  Each block is kept at max 1, so
+    B neither underflows nor overflows however small or large the lost
+    weight is.  The step computes the whole b x c block in one scratch
+    buffer and normalizes it by its max over all b x c entries; only then
+    does ``_Plan.store`` keep the stored ranges.
     """
     n = len(X)
-    H = n - 1
-    variant = plan.variant
-    rows, cols, dirs = plan.rows, plan.cols, plan.dirs
-    scratch = np.empty(n * n)
+    variant, rows, cols = plan.variant, plan.rows, plan.cols
+    bead = variant is Variant.SINGLE_BEAD
+    scratch = np.empty((1 + bead, n * n))
     lift = max(delta, 0.0) - beta          # per-stretch factor kept in off
+    half = 0.5 * beta
     heights = np.arange(n)
     site = np.where(heights == 0, min(delta, 0.0), -max(delta, 0.0))
-
-    def scales(log_col):
-        """(log weight, its max, e^{weight - max}) of the columns a step
-        reads, -inf at a column it never reads."""
-        top = log_col.max()
-        return log_col, top, np.exp(log_col - top) if top > -np.inf else None
+    if bead:
+        upper = (heights > heights[:, None]).astype(float)  # [v, w]: up to w > v
+        below = upper.T > 0.0  # [u, v]: v < u, the next stretch goes up
 
     def step(out, m, C):
         """Block ``out`` of length m from the terms C[v, w], decay included."""
@@ -707,90 +717,109 @@ def _transfer(L, beta, delta, plan, X, closing, bounding) -> tuple:
         if head < ne:
             out += X[:b, b - 1, None] * C[:, b:].sum(axis=1)
 
-    def advance(Y, off_y, k, m, columns, read, log_src=None):
-        """Block m of stack k of Y at max 1 and its log scale off_y[k, m]:
-        the step from the later blocks through ``read``, the (source stack,
-        flat index) of ``_Plan.reads``, plus e^{log_src} if given.
+    def advance(Y, off_y, m, columns, idx, log_src):
+        """Block m of Y at max 1 and its log scale off_y[m]: the step from
+        the later blocks through ``idx`` of ``_Plan.reads``, plus the
+        rank-one source e^{log_src[0][u] + log_src[1][v]} if given.
         ``columns`` is (log weight, its max, e^{weight - max}) of the site
         weight and decay of every column w the step reads."""
-        src, idx = read
         log_col, top_col, col_scale = columns
-        c, ne = cols[m], len(log_col)
-        prior = off_y[src, m + 1:m + 1 + n]  # the slices at gaps 0, 1, ...
-        if variant is Variant.SINGLE_BEAD:  # every stretch changes the height
+        b, c, ne = rows[m], cols[m], len(log_col)
+        prior = off_y[m + 1:m + 1 + n]  # the slices at gaps 0, 1, ...
+        if bead:  # every stretch changes the height
             prior = np.concatenate(([-np.inf], prior[1:]))
         top_gap = prior.max()
         ref = top_gap + top_col  # -inf: every source slice is empty
         if ref > -np.inf:
-            raw = Y[src].take(idx, mode="clip")  # 0 where a read cannot finish
-            C = raw * _toeplitz(np.exp(prior - top_gap), c, ne)
+            C = Y.take(idx, mode="clip")  # 0 where a read cannot finish
+            C *= _toeplitz(np.exp(prior - top_gap), c, ne)
             C *= col_scale
             top = C.max()
             if top < _RESCALE:
                 # redo from logs: a term that is 0 by structure (cannot
                 # finish, off its columns, an exact 0 of the stack) is -inf
                 with np.errstate(divide="ignore"):
-                    E = np.log(raw)
-                E += _toeplitz(prior, c, ne)
-                E += log_col
-                ref = E.max()
+                    C = np.log(Y.take(idx, mode="clip"))
+                C += _toeplitz(prior, c, ne)
+                C += log_col
+                ref = C.max()
                 if ref > -np.inf:
-                    C = np.exp(E - ref)
+                    C -= ref
+                    np.exp(C, out=C)
             else:  # the largest term at 1 keeps products out of subnormals
                 C /= top
                 ref += math.log(top)
-        out = scratch[:rows[m] * c].reshape(rows[m], c)
+        out = up = scratch[0, :b * c].reshape(b, c)
+        if bead:
+            up = scratch[1, :b * c].reshape(b, c)
         if ref > -np.inf:
-            step(out, m, C)
+            if bead:
+                terms = C * upper[:c, :ne]
+                C -= terms  # the down stretches: a diagonal read is 0
+                low = min(c, ne)  # a down stretch from v < c ends below c
+                np.matmul(X[:b, :low], C[:, :low].T, out=out)
+                C = terms
+            step(up, m, C)
             ref += lift
         else:
             out.fill(0.0)
-        if log_src is not None and log_src.max() > -np.inf:
-            scale = max(ref, log_src.max())
-            out *= math.exp(ref - scale)
-            out += np.exp(log_src - scale)
+            up.fill(0.0)
+        if log_src is not None:
+            rise, log_v = log_src
+            scale = max(ref, rise[-1] + log_v.max())
+            if scale > ref > -np.inf:
+                out *= math.exp(ref - scale)
+                if bead:
+                    up *= math.exp(ref - scale)
+            up += np.multiply.outer(np.exp(rise - rise[-1]),
+                                    np.exp(log_v + (rise[-1] - scale)))
             ref = scale
-        if ref == -np.inf:
-            return
+        if bead:
+            np.copyto(out, up, where=below[:b, :c] if m else True)
         top = out.max()
+        if top == 0.0:  # no weight: the block stays 0, its scale -inf
+            return
         out /= top
-        off_y[k, m] = ref + math.log(top)
-        plan.store(Y[k], k, m, out)
+        off_y[m] = ref + math.log(top)
+        plan.store(Y, m, out)
 
-    S = [np.zeros(end + 1) for end in plan.start[:, -1]]  # + the trailing zero
+    def source(sources, m):
+        """(log by row, log by column) of the first-exceedance source of
+        block m, or None if it is empty."""
+        if sources is None:
+            return None
+        c = cols[m]
+        log_v = sources[m, :c] - shift[:c]
+        if log_v.max() == -np.inf:
+            return None
+        return half * heights[:rows[m]], log_v
+
+    shift = half * heights + beta  # log e^{-beta} x^{v - u} = (beta/2) u - shift[v]
+    S = np.zeros(plan.start[-1] + 1)  # + the trailing zero
     last = np.zeros((rows[L], cols[L]))
     if variant is Variant.FREE:
         last[:] = X[:rows[L], :rows[L]]
     else:
         last[:, 0] = X[:rows[L], 0]  # closed at height 0
-    plan.store(S[0], 0, L, last)
-    off = np.full((len(dirs), L + 1 + n), -np.inf)  # -inf past the end
-    off[0, L] = 0.0
-    B = None if bounding is None else [np.zeros_like(stack) for stack in S]
+        if bead:  # by a down stretch, so never at (0, 0)
+            last[0, 0] = 0.0
+    plan.store(S, L, last)
+    off = np.full(L + 1 + n, -np.inf)  # -inf past the end
+    off[L] = 0.0
+    B = None if bounding is None else np.zeros_like(S)
     off_b = np.full_like(off, -np.inf)  # B[L] = 0: no units left to lose
-    uv = 0.5 * beta * (heights[:, None] - heights) - beta  # log e^{-beta} x^{v - u}
-
-    def source(sources, k, m):
-        """log of the first-exceedance source of block m of stack k."""
-        if sources is None or k:
-            return None
-        return uv[:rows[m], :cols[m]] + sources[m, :cols[m]]
-
     for m in range(L - 1, -1, -1):
-        b = rows[m]
         # the returning variants read only the columns some v can finish from
         ne = n if variant is Variant.FREE else min(n, max(L - m - 1, 1))
-        log_col = (site - 0.5 * beta * np.maximum(heights + 1 - b, 0))[:ne]
-        columns = [scales(log_col)] * len(dirs)
-        if variant is Variant.SINGLE_BEAD:  # an up stretch never ends at 0
-            columns[0] = scales(np.concatenate(([-np.inf], log_col[1:])))
-        for k in range(len(dirs)):
-            read = plan.reads(k, m, slice(cols[m]), ne)
-            advance(S, off, k, m, columns[k], read, source(closing, k, m))
-            if B is not None:
-                advance(B, off_b, k, m, columns[k], read, source(bounding, k, m))
+        log_col = (site - half * np.maximum(heights + 1 - rows[m], 0))[:ne]
+        top_col = log_col.max()
+        columns = (log_col, top_col, np.exp(log_col - top_col))
+        idx = plan.reads(m, slice(cols[m]), ne, plan.need)
+        advance(S, off, m, columns, idx, source(closing, m))
+        if B is not None:
+            advance(B, off_b, m, columns, idx, source(bounding, m))
     # block 0 of B is 1 x 1 at max 1, so its log scale is the log bound
-    return S, off, float(off_b[0, 0])
+    return S, off, float(off_b[0])
 
 
 _SAMPLE_BLOCK = 1 << 15  # (draws x heights) entries per block of live draws
@@ -803,9 +832,15 @@ def backward_sample(table: DPTable, count: int, rng) -> StretchBatch:
     All draws advance together, one stretch per round, on the step of
     ``dp_Z``: a draw at (m, u, v) weighs each next height w by x^{|w - u|}
     e^{delta 1{w = 0}} times the table's completion of (v, w), read through
-    ``_Plan.reads`` as the DP reads it, -inf where it cannot finish, and
-    picks w by inverse CDF with one uniform, so the draws are i.i.d. from
-    e^{H} / Z.  Live draws go in blocks of ``_SAMPLE_BLOCK`` entries.  A
+    the table's ``_Plan.reads`` as the DP reads it, one direction at a time
+    (a single bead's up stretch reads the entries w > v, whose next stretch
+    goes down, and its down stretch those w < v), -inf where it cannot
+    finish, and picks w by inverse CDF with one uniform, so the draws are
+    i.i.d. from e^{H} / Z.  Live draws go in blocks of ``_SAMPLE_BLOCK``
+    entries; as every draw of a round takes the same direction, a block's
+    weights and CDF are built once per distinct state (m, u, v), one
+    ``np.unique`` on a packed key, and each draw still takes its own
+    uniform in draw order, so grouping changes no byte.  A
     negative or non-integer ``count`` raises ValueError, and so does a
     table whose log truncation bound is not below log ``_SAMPLE_REL_BOUND``
     plus its log reduced Z.  That bound counts every configuration that
@@ -815,7 +850,7 @@ def backward_sample(table: DPTable, count: int, rng) -> StretchBatch:
 
     On a Free table closed above its cutoff (``DPTable.log_wall_free``) a
     draw has one more candidate, leaving the table, weighed by the DP's
-    first-exceedance source (``_exceed_sources``).  A draw that leaves
+    first-exceedance source (``DPTable.log_leave``).  A draw that leaves
     picks its stretch j >= H + 1 - v with weight x^j W_{R-1-j}(j), R units
     left, and from then on is wall-free: after a stretch d it picks the
     next stretch i with weight x^{|d + i|} W_{R-1-|i|}(|i|), in the same
@@ -838,18 +873,14 @@ def backward_sample(table: DPTable, count: int, rng) -> StretchBatch:
             f" (log {log_reduced_z:.2f}); refuse to sample from a biased law")
     if not np.isfinite(table.normalization):
         raise ValueError("the configuration set is empty at these parameters")
-    L, beta, H = table.L, table.beta, table.height_cutoff
+    L, beta, H, plan = table.L, table.beta, table.height_cutoff, table.plan
     n = H + 1
-    lw = table.log_weights
-    stacks = lw if isinstance(lw, tuple) else (lw,)
-    plan = _Plan(L, H, table.variant)
+    half = 0.5 * beta
     heights = np.arange(n)
     log_rew = np.where(heights == 0, table.delta, 0.0)
     rows = max(1, _SAMPLE_BLOCK // n)
     rows_free = max(1, _SAMPLE_BLOCK // L)  # about L candidates per free draw
-    log_w = table.log_wall_free
-    if log_w is not None:  # the log weight of leaving the table, by (m, v)
-        leave = _exceed_sources(log_w, beta, L, H, plan.cols)
+    log_w, leave = table.log_wall_free, table.log_leave
     m, u, v, sizes = (np.zeros(count, dtype=np.int64) for _ in range(4))
     free = np.zeros(count, dtype=bool)  # above the table once: wall-free
     lowest = np.full(count, -L)  # shortest next stretch of a free draw
@@ -857,10 +888,13 @@ def backward_sample(table: DPTable, count: int, rng) -> StretchBatch:
     live = np.arange(count)
     k = 0
 
-    def pick(lp):
-        """Column of each row of log weights by inverse CDF, one uniform each."""
+    def pick(lp, inv=None):
+        """Column of each draw by inverse CDF, one uniform each, from the
+        rows of log weights lp, draw j reading row inv[j] if given."""
         cdf = np.cumsum(np.exp(lp - lp.max(axis=1, keepdims=True)), axis=1)
-        return (cdf <= (rng.random(len(lp)) * cdf[:, -1])[:, None]).sum(axis=1)
+        if inv is not None:
+            cdf = cdf[inv]
+        return (cdf <= (rng.random(len(cdf)) * cdf[:, -1])[:, None]).sum(axis=1)
 
     def record(i, step):
         stretches[i, k] = step
@@ -869,15 +903,20 @@ def backward_sample(table: DPTable, count: int, rng) -> StretchBatch:
 
     while live.size:
         inside = live[~free[live]]
+        need = plan.dirs[k % len(plan.dirs)]
         for a in range(0, inside.size, rows):
             i = inside[a:a + rows]
-            vi, mi = v[i], m[i]
-            src, idx = plan.reads(k % len(plan.dirs), mi, vi, n)
-            lp = stacks[src].take(idx, mode="clip")  # -inf where it cannot finish
-            lp += log_rew - 0.5 * beta * np.abs(heights - u[i, None])
-            if log_w is not None:  # candidate n leaves: x^{v - u} times the source
-                lp = np.column_stack((lp, leave[mi, vi] + 0.5 * beta * (u[i] - vi)))
-            w = pick(lp)
+            vi = v[i]
+            # one row of weights per distinct state (m, u, v) of the block
+            _, first, inv = np.unique((m[i] * n + u[i]) * n + vi,
+                                      return_index=True, return_inverse=True)
+            ms, us, vs = m[i[first]], u[i[first]], vi[first]
+            lp = table.log_weights.take(plan.reads(ms, vs, n, need),
+                                        mode="clip")  # -inf where it cannot finish
+            lp += log_rew - half * np.abs(heights - us[:, None])
+            if leave is not None:  # candidate n leaves: x^{v - u} times the source
+                lp = np.column_stack((lp, leave[ms, vs] + half * (us - vs)))
+            w = pick(lp, inv)
             stay = w < n
             if not stay.all():
                 free[i[~stay]] = True
@@ -893,7 +932,7 @@ def backward_sample(table: DPTable, count: int, rng) -> StretchBatch:
             j = np.arange(max(lowest[i].min(), 1 - R.max()), R.max())
             r = R[:, None] - 1 - np.abs(j)
             lp = log_w[np.clip(r, 0, len(log_w) - 1), np.abs(j)]
-            lp -= 0.5 * beta * np.abs(d[:, None] + j)
+            lp -= half * np.abs(d[:, None] + j)
             lp[(r < 0) | (j < lowest[i, None])] = -np.inf
             lowest[i] = -L
             record(i, j[pick(lp)])

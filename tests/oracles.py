@@ -11,7 +11,9 @@ sweeps, a log-space transfer recursion instead of its rescaled linear
 one, the dense table of every height pair instead of its reachable
 blocks, the dense strip step matrix instead of
 the two geometric sweeps of the strip walk, the wetting renewal one dot
-per length instead of its blocked Toeplitz solve, root-finding through the
+per length instead of its blocked Toeplitz solve, the sampler's weights
+built afresh for every draw instead of once per distinct state,
+root-finding through the
 numerical tilt solve and bisection instead of the quadratics behind the
 collapse profile and the critical curves, 40-digit mpmath instead of double
 precision, per-configuration loops and ``json.dumps`` instead of array
@@ -35,7 +37,7 @@ import numpy as np
 import scipy.optimize
 from numpy.polynomial.legendre import leggauss
 
-from ipdsaw import largedev, steps, wetting
+from ipdsaw import exactz, largedev, steps, wetting
 from ipdsaw.polymer import StretchConfig, Variant, beads
 
 
@@ -612,6 +614,72 @@ def dp_dense_table(L: int, beta: float, delta: float, variant,
     S += off[:, :, None, None]
     lw = (S[0], S[1]) if variant is Variant.SINGLE_BEAD else S[0]
     return log_z, lw, bound
+
+
+def backward_sample_per_draw(table, count: int, rng) -> tuple:
+    """(stretches, sizes) of ``exactz.backward_sample`` on the same table,
+    with every draw's candidate weights and CDF built for that draw alone,
+    and the gather plan and the leave weights of a closed Free table built
+    afresh from the table's parameters.  It takes one uniform per draw in
+    the same order, so the bytes must agree."""
+    L, beta, H = table.L, table.beta, table.height_cutoff
+    n = H + 1
+    plan = exactz._Plan(L, H, table.variant)
+    heights = np.arange(n)
+    log_rew = np.where(heights == 0, table.delta, 0.0)
+    rows = max(1, exactz._SAMPLE_BLOCK // n)
+    rows_free = max(1, exactz._SAMPLE_BLOCK // L)
+    log_w = table.log_wall_free
+    if log_w is not None:  # the log weight of leaving the table, by (m, v)
+        leave = exactz._exceed_sources(log_w, beta, L, H, plan.cols)
+    m, u, v, sizes = (np.zeros(count, dtype=np.int64) for _ in range(4))
+    free = np.zeros(count, dtype=bool)
+    lowest = np.full(count, -L)
+    stretches = np.zeros((count, L), dtype=np.min_scalar_type(-L))
+    live = np.arange(count)
+    k = 0
+
+    def pick(lp):
+        cdf = np.cumsum(np.exp(lp - lp.max(axis=1, keepdims=True)), axis=1)
+        return (cdf <= (rng.random(len(lp)) * cdf[:, -1])[:, None]).sum(axis=1)
+
+    def record(i, step):
+        stretches[i, k] = step
+        m[i] += 1 + np.abs(step)
+        u[i], v[i] = v[i], v[i] + step
+
+    while live.size:
+        inside = live[~free[live]]
+        for a in range(0, inside.size, rows):
+            i = inside[a:a + rows]
+            vi, mi = v[i], m[i]
+            idx = plan.reads(mi, vi, n, plan.dirs[k % len(plan.dirs)])
+            lp = table.log_weights.take(idx, mode="clip")
+            lp += log_rew - 0.5 * beta * np.abs(heights - u[i, None])
+            if log_w is not None:
+                lp = np.column_stack((lp, leave[mi, vi] + 0.5 * beta * (u[i] - vi)))
+            w = pick(lp)
+            stay = w < n
+            if not stay.all():
+                free[i[~stay]] = True
+                lowest[i[~stay]] = H + 1 - vi[~stay]
+                i, vi, w = i[stay], vi[stay], w[stay]
+            record(i, w - vi)
+        outside = live[free[live]]
+        for a in range(0, outside.size, rows_free):
+            i = outside[a:a + rows_free]
+            R, d = L - m[i], v[i] - u[i]
+            j = np.arange(max(lowest[i].min(), 1 - R.max()), R.max())
+            r = R[:, None] - 1 - np.abs(j)
+            lp = log_w[np.clip(r, 0, len(log_w) - 1), np.abs(j)]
+            lp -= 0.5 * beta * np.abs(d[:, None] + j)
+            lp[(r < 0) | (j < lowest[i, None])] = -np.inf
+            lowest[i] = -L
+            record(i, j[pick(lp)])
+        sizes[live] += 1
+        live = live[m[live] < L]
+        k += 1
+    return stretches, sizes
 
 
 # -- per-configuration observables and sample records ------------------------

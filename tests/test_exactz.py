@@ -292,10 +292,10 @@ def test_truncation_bound_matches_forward_oracle(variant):
             assert table.truncation_bound == pytest.approx(want, rel=1e-12)
 
 
-def _stored_rows(plan, k):
-    """(m, u, lo, hi, offset) of every nonempty stored row of stack k."""
-    lo, hi = plan.lo[k], plan.hi[k]
-    base = plan.rowbase[k].reshape(lo.shape)
+def _stored_rows(plan):
+    """(m, u, lo, hi, offset) of every nonempty stored row."""
+    lo, hi = plan.lo, plan.hi
+    base = plan.rowbase.reshape(lo.shape)
     for m, u in zip(*np.nonzero(hi > lo)):
         yield m, u, lo[m, u], hi[m, u], base[m, u] + lo[m, u]
 
@@ -306,7 +306,9 @@ def test_dp_blocks_match_dense_table(variant):
     # those ranges only, back to back, then one trailing -inf, and every
     # column that cannot finish is exactly -inf in the dense slab
     # (a Free table at the exact cutoff (L - 2)/2 against the dense one at
-    # L - 1: the closure above the cutoff leaves every stored entry exact)
+    # L - 1: the closure above the cutoff leaves every stored entry exact);
+    # a single bead's entry is the dense up stack where v < u and at the
+    # start (0, 0, 0), the down stack elsewhere
     for L, cutoff in ((18, None), (31, None), (40, 12)):
         for beta, delta in ((2.0, 1.2), (1.0, -0.5)):
             lz, table = exactz.dp_Z(L, beta, delta, variant, height_cutoff=cutoff)
@@ -314,25 +316,29 @@ def test_dp_blocks_match_dense_table(variant):
                                                           height_cutoff=cutoff)
             assert lz == pytest.approx(want_z, rel=1e-12)
             assert table.truncation_bound == pytest.approx(bound, rel=1e-12, abs=0)
-            plan = exactz._Plan(L, table.height_cutoff, variant)
+            plan = table.plan
             stacks = dense if isinstance(dense, tuple) else (dense,)
-            lw = table.log_weights
-            got_stacks = lw if isinstance(lw, tuple) else (lw,)
-            for k, (got_stack, stack) in enumerate(zip(got_stacks, stacks)):
-                assert got_stack.nbytes == 8 * (int((plan.hi[k] - plan.lo[k]).sum()) + 1)
-                assert got_stack[-1] == -np.inf
-                end = 0
-                for m, u, lo, hi, at in _stored_rows(plan, k):
-                    assert at == end  # rows back to back, in (m, u) order
-                    end = at + hi - lo
-                    got, want = got_stack[at:end], stack[m, u, lo:hi]
-                    np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
-                    fin = np.isfinite(want)
-                    assert np.all(np.abs(got[fin] - want[fin])
-                                  <= 1e-12 * np.maximum(1.0, np.abs(want[fin])))
-                assert end == got_stack.size - 1
-                for m in range(L + 1):  # no dropped height can still finish
-                    b, c = plan.rows[m], plan.cols[m]
+            if variant is Variant.SINGLE_BEAD:
+                up, down = dense
+                heights = np.arange(up.shape[-1])
+                dense = np.where(heights < heights[:, None], up, down)
+                dense[0, 0, 0] = up[0, 0, 0]
+            got_stack = table.log_weights
+            assert got_stack.nbytes == 8 * (int((plan.hi - plan.lo).sum()) + 1)
+            assert got_stack[-1] == -np.inf
+            end = 0
+            for m, u, lo, hi, at in _stored_rows(plan):
+                assert at == end  # rows back to back, in (m, u) order
+                end = at + hi - lo
+                got, want = got_stack[at:end], dense[m, u, lo:hi]
+                np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+                fin = np.isfinite(want)
+                assert np.all(np.abs(got[fin] - want[fin])
+                              <= 1e-12 * np.maximum(1.0, np.abs(want[fin])))
+            assert end == got_stack.size - 1
+            for m in range(L + 1):  # no dropped height can still finish
+                b, c = plan.rows[m], plan.cols[m]
+                for stack in stacks:
                     assert np.all(stack[m, :b, c:b] == -np.inf)
 
 
@@ -350,79 +356,94 @@ def _states(l):
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
 def test_enumerated_states_lie_in_stored_ranges(variant):
     # every state a configuration passes through, at heights the table
-    # keeps, lies in its row's range, in the stack of the next direction
+    # keeps, lies in its row's range; after the start a single bead's next
+    # stretch goes up exactly when v < u, the rule its one table keys on
     for L in range(1, 13):
         exact_H = exactz._exact_cutoff(L)
         for H in sorted({max(exact_H, 1), 1, 2, 3}):
             plan = exactz._Plan(L, H, variant)
-            stacks = len(plan.dirs)
             for l in exactz.enumerate_configs(L, variant):
                 for k, m, u, v in _states(l):
+                    if variant is Variant.SINGLE_BEAD and m:
+                        assert (v < u) == (k % 2 == 0), (l, m)
                     if u <= H and v <= H:
-                        k %= stacks
                         assert u < plan.rows[m] and v < plan.cols[m]
-                        assert plan.lo[k, m, u] <= v < plan.hi[k, m, u], (l, m)
+                        assert plan.lo[m, u] <= v < plan.hi[m, u], (l, m)
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
 def test_plan_reads_land_in_stored_ranges(variant):
-    # ``_Plan.reads`` in the DP's call shape (scalar m, rows v < c(m)) and
-    # the sampler's (one m and v per draw, at every stored state): a read
-    # past the end or over ``need`` is the trailing zero, and every other
-    # read is the entry (v, w) of its row's stored range, with the row
-    # offsets counted afresh from the ranges
+    # ``_Plan.reads`` in the DP's call shape (scalar m, rows v < c(m), both
+    # directions at once through ``need``) and the sampler's (one m and v
+    # per draw, at every stored state, one direction of ``dirs`` at a
+    # time): a read past the end or over its need is the trailing zero, and
+    # every other read is the entry (v, w) of its row's stored range, with
+    # the row offsets counted afresh from the ranges
     for L, H in ((12, None), (31, None), (40, 6), (60, 20)):
         H = exactz._exact_cutoff(L) if H is None else H
         n = H + 1
         plan = exactz._Plan(L, H, variant)
         heights = np.arange(n)
         gaps = np.abs(heights - heights[:, None])
-        lengths = (plan.hi - plan.lo).reshape(len(plan.hi), -1)
-        first = (np.cumsum(lengths, axis=1) - lengths).reshape(plan.hi.shape)
+        lengths = (plan.hi - plan.lo).ravel()
+        first = (np.cumsum(lengths) - lengths).reshape(plan.hi.shape)
+        if variant is not Variant.FREE:  # |w - v| + 1, and w + 1 back from w
+            need = gaps + 1 + np.where(heights > 0, heights + 1, 0)
+            dirs = (need,)
+            if variant is Variant.SINGLE_BEAD:  # no stretch keeps the height
+                up = heights > heights[:, None]
+                dirs = (np.where(up, need, L + 1), np.where(up.T, need, L + 1))
+                need = np.where(gaps > 0, need, L + 1)
+            np.testing.assert_array_equal(plan.need, need)
+            assert len(plan.dirs) == len(dirs)
+            for got, want in zip(plan.dirs, dirs):
+                np.testing.assert_array_equal(got, want)
+        else:  # only reads past the end cannot finish
+            assert plan.need is None and plan.dirs == (None,)
 
-        def check(k, m, v, columns, read):
-            src, idx = read
-            need, want_src = plan.dirs[k]
-            assert src == want_src and idx.shape == (len(v), columns)
+        def check(need, m, v, columns, idx):
+            assert idx.shape == (len(v), columns)
             w = heights[:columns]
             later = m[:, None] + 1 + gaps[v, :columns]
             stop = later > L
             if need is not None:
                 stop |= need[v, :columns] > L - m[:, None]
-            assert np.all(idx[stop] == plan.start[src, -1]), (L, k)
-            at = (src, np.minimum(later, L + 1), v[:, None])
+            assert np.all(idx[stop] == plan.start[-1]), L
+            at = (np.minimum(later, L + 1), v[:, None])
             lo, hi = plan.lo[at], plan.hi[at]
             inside = (lo <= w) & (w < hi) & (idx == first[at] + w - lo)
-            assert np.all(inside | stop), (L, k)
+            assert np.all(inside | stop), L
 
-        for k in range(len(plan.dirs)):
-            for m in range(L):
-                c = plan.cols[m]
-                ne = n if variant is Variant.FREE else min(n, max(L - m - 1, 1))
-                check(k, np.full(c, m), np.arange(c), ne,
-                      plan.reads(k, m, slice(c), ne))
-            stored = ((heights >= plan.lo[k, :L, :, None])
-                      & (heights < plan.hi[k, :L, :, None]))  # [m, u, v]
-            m, _, v = np.nonzero(stored)
-            check(k, m, v, n, plan.reads(k, m, v, n))
+        for m in range(L):
+            c = plan.cols[m]
+            ne = n if variant is Variant.FREE else min(n, max(L - m - 1, 1))
+            check(plan.need, np.full(c, m), np.arange(c), ne,
+                  plan.reads(m, slice(c), ne, plan.need))
+        stored = ((heights >= plan.lo[:L, :, None])
+                  & (heights < plan.hi[:L, :, None]))  # [m, u, v]
+        m, _, v = np.nonzero(stored)
+        for need in plan.dirs:
+            check(need, m, v, n, plan.reads(m, v, n, need))
 
 
 def test_stored_bytes_at_l300():
     # the layout's sizes from the plan alone, without running the DP: the
     # whole b x c blocks took 72.4 / 22.5 / 45.0 MB at L = 300, and Free's
-    # table at the full height 299 takes 54.1 MB
+    # table at the full height 299 takes 54.1 MB; the single bead's one
+    # table has the end-constrained layout, its never-read diagonal
+    # included (its two one-sided stacks took 17.7 MB)
     want = {(Variant.FREE, 149): 31.5, (Variant.FREE, 299): 54.1,
-            (Variant.CONSTRAINED_END, 149): 17.9, (Variant.SINGLE_BEAD, 149): 17.7}
+            (Variant.CONSTRAINED_END, 149): 17.9, (Variant.SINGLE_BEAD, 149): 17.9}
     assert exactz._exact_cutoff(300) == 149
     for (variant, H), mb in want.items():
         plan = exactz._Plan(300, H, variant)
-        assert np.array_equal(plan.start[:, -1], (plan.hi - plan.lo).sum(axis=(1, 2)))
-        assert round(8 * int(plan.start[:, -1].sum()) / 1e6, 1) == mb
+        assert plan.start[-1] == (plan.hi - plan.lo).sum()
+        assert round(8 * int(plan.start[-1]) / 1e6, 1) == mb
     # past m = 2H + 1 every row of a cut table is whole
     plan = exactz._Plan(300, 46, Variant.FREE)
-    assert round(8 * int(plan.start[0, -1]) / 1e6, 2) == 4.61
-    assert np.all(plan.lo[0, 2 * 46 + 2:] == 0)
-    assert np.all(plan.hi[0, 2 * 46 + 2:-1] == 47)
+    assert round(8 * int(plan.start[-1]) / 1e6, 2) == 4.61
+    assert np.all(plan.lo[2 * 46 + 2:] == 0)
+    assert np.all(plan.hi[2 * 46 + 2:-1] == 47)
 
 
 # ---------------------------------------------------------------------------
@@ -753,6 +774,30 @@ def test_backward_sample_leaves_the_closed_free_table_by_law():
     want = np.append(want[big], want[~big].sum())
     chi2 = ((seen - want) ** 2 / want).sum()
     assert stats.chi2.sf(chi2, len(want) - 1) > 1e-6
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
+@pytest.mark.parametrize("L, beta, delta, cutoff", [
+    (12, 2.0, 1.2, None),  # exact
+    (40, 0.3, -1.0, None),  # exact; Free is closed at 19 and draws leave it
+    (60, 4.0, 1.2, 20),  # cut, with a bound below the certifying 1e-13 of Z
+], ids=["exact", "closed", "cut"])
+def test_backward_sample_matches_per_draw_oracle(L, beta, delta, cutoff, variant):
+    # the sampler builds each block's weights once per distinct state
+    # (m, u, v); building them for every draw gives the same bytes
+    log_z, table = exactz.dp_Z(L, beta, delta, variant, height_cutoff=cutoff)
+    if cutoff is not None:
+        assert (table.log_truncation_bound
+                < math.log(exactz._CERTIFIED_REL) + log_z - beta * L)
+    for seed in (1, 2, 3):
+        for count in (0, 1, 2000):
+            got = exactz.backward_sample(table, count, np.random.default_rng(seed))
+            stretches, sizes = oracles.backward_sample_per_draw(
+                table, count, np.random.default_rng(seed))
+            assert got.stretches.tobytes() == stretches.tobytes()
+            assert got.sizes.tobytes() == sizes.tobytes()
+    if table.log_wall_free is not None:  # some draws left the table
+        assert np.cumsum(got.stretches, axis=1).max() > table.height_cutoff
 
 
 # ---------------------------------------------------------------------------
