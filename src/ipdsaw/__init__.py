@@ -4,7 +4,7 @@ Submodules
 ----------
 steps     two-sided geometric step law, its constants, collapse threshold
 wetting   first-return kernel, pinned-walk partition function, critical curves
-polymer   stretch configurations and batches, Hamiltonian, beads, observables
+polymer   configuration rules, checked batches, Hamiltonian, batch observables
 exactz    exact partition functions: brute force, transfer DP, exact sampling,
           walk identities, area-tilted bridges
 largedev  Legendre layer of tilted walks, collapse profile, meander rate

@@ -21,7 +21,8 @@ Every artifact opens with a provenance header (tool version, command,
 seed, parameter echo) and is byte-reproducible: the same configuration
 and seed always produce the same bytes.  The grid command accepts
 ``--workers`` for process fan-out; results are written by the parent in
-input order.  The environment variable ``IPDSAW_OUTDIR`` redirects
+input order.  It refuses a grid with a non-finite end or step, or with
+more than ``_PHASE_MAX_POINTS`` points, before building it.  The environment variable ``IPDSAW_OUTDIR`` redirects
 relative output paths; ``--out -`` writes to standard output.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input.
@@ -133,20 +134,27 @@ def _write(config: ExperimentConfig, pieces) -> None:
             fh.write(piece)
 
 
-def _parse_grid(spec: str) -> list:
-    """``lo:hi:step`` inclusive of both ends (up to rounding fuzz)."""
+def _parse_grid(spec: str) -> tuple:
+    """``lo:hi:step`` inclusive of both ends (up to rounding fuzz), as
+    (lo, step, point count), so that a grid can be refused before it is
+    built; the count is inf where the span overflows a double."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid {spec!r} is not of the form lo:hi:step")
     lo, hi, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError(f"grid {spec!r} needs a finite lo, hi and step")
     if step <= 0 or hi < lo:
         raise ValueError(f"grid {spec!r} needs hi >= lo and step > 0")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + k * step for k in range(count)]
+    span = (hi - lo) / step
+    return lo, step, math.floor(span + 1e-9) + 1 if math.isfinite(span) else math.inf
 
 
 # -- phase ------------------------------------------------------------------
 
+# beta points times delta points of one phase run; at about 126 bytes a
+# row, a run at the limit writes about 13 MB of CSV
+_PHASE_MAX_POINTS = 10 ** 5
 _PHASE_HEADER = ["beta", "delta", "a_tilde", "Phi", "Psi_or_empty",
                  "h_wet", "delta_tilde", "delta_c", "delta_circ"]
 
@@ -166,9 +174,13 @@ def _phase_row(point) -> list:
 
 def _run_phase(config: ExperimentConfig) -> int:
     p = config.parameters
-    betas = _parse_grid(p["beta_grid"]) if p.get("beta_grid") else [p["beta"]]
-    deltas = (_parse_grid(p["delta_grid"]) if p.get("delta_grid")
-              else [p.get("delta", 0.0)])
+    grids = [_parse_grid(p[g]) if p.get(g) else (p.get(k, 0.0), 0.0, 1)
+             for g, k in (("beta_grid", "beta"), ("delta_grid", "delta"))]
+    total = grids[0][2] * grids[1][2]
+    if total > _PHASE_MAX_POINTS:
+        raise ValueError(f"phase grid of {total:.6g} (beta x delta) points is "
+                         f"over the limit of {_PHASE_MAX_POINTS}")
+    betas, deltas = ([lo + k * step for k in range(n)] for lo, step, n in grids)
     points = [(b, d) for b in betas for d in deltas]
     workers = int(p.get("workers", 1))
     if workers > 1:

@@ -184,30 +184,24 @@ def _histogram(L: int, variant: Variant) -> dict:
     frontier = (np.full(1, L, dtype=np.int16), z, z, z.copy(), z.copy())
     while frontier[0].size:
         b, h, p, w, c = frontier
+        lo, hi = -np.minimum(h, b - 1), b - 1
         if variant is Variant.SINGLE_BEAD:
+            # up next after a down stretch and at the start, leaving room
+            # for the matching descent; down otherwise
             up = p <= 0
-            parts = []
-            # upward stretches must leave room for the matching descent
-            ub, uh, upr, uw, uc = (a[up] for a in (b, h, p, w, c))
-            hi = np.minimum(ub - 1, (ub - 2 - uh) // 2)
-            parts.append(expand(ub, uh, upr, uw, uc, np.ones_like(ub), hi))
-            db, dh, dpr, dw, dc = (a[~up] for a in (b, h, p, w, c))
-            parts.append(expand(db, dh, dpr, dw, dc,
-                                -np.minimum(dh, db - 1), -np.ones_like(db)))
-            nb, nh, nv, nw, nc = (np.concatenate(t) for t in zip(*parts))
-            leaf = (nb == 0) & (nh == 0) & (nv < 0)
-            harvest(nw[leaf], nc[leaf])
-            go = (~leaf) & np.where(nv > 0, nh <= nb - 1, nb >= nh + 4)
+            lo = np.where(up, 1, lo)
+            hi = np.where(up, np.minimum(hi, (b - 2 - h) // 2), -1)
+        nb, nh, nv, nw, nc = expand(b, h, p, w, c, lo, hi)
+        if variant is Variant.FREE:
+            leaf = nb == 0
+            go = ~leaf
+        elif variant is Variant.CONSTRAINED_END:
+            leaf = (nb == 0) & (nh == 0)
+            go = (nb >= 1) & (nh <= nb - 1)  # must still be able to return
         else:
-            lo = -np.minimum(h, b - 1)
-            nb, nh, nv, nw, nc = expand(b, h, p, w, c, lo, b - 1)
-            if variant is Variant.FREE:
-                leaf = nb == 0
-                go = ~leaf
-            else:
-                leaf = (nb == 0) & (nh == 0)
-                go = (nb >= 1) & (nh <= nb - 1)  # must still be able to return
-            harvest(nw[leaf], nc[leaf])
+            leaf = (nb == 0) & (nh == 0) & (nv < 0)
+            go = (~leaf) & np.where(nv > 0, nh <= nb - 1, nb >= nh + 4)
+        harvest(nw[leaf], nc[leaf])
         frontier = (nb[go], nh[go], nv[go], nw[go], nc[go])
 
     return hist
@@ -859,7 +853,7 @@ def backward_sample(table: DPTable, count: int, rng) -> StretchBatch:
     The draws come back as one ``StretchBatch``: the (count, L) stretch
     matrix, draw i in the first ``sizes[i]`` entries of row i, and the
     sizes.  Its construction checks every row at once with array
-    operations, so no draw becomes a ``StretchConfig`` unless indexed.
+    operations; no draw becomes a per-draw object.
     """
     if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 0:
         raise ValueError(f"count must be a non-negative integer, got {count!r}")

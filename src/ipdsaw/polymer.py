@@ -22,6 +22,8 @@ Three boundary flavours are used throughout:
 
 Many configurations of one length are held as a ``StretchBatch``: one
 integer matrix, row i carrying configuration i's stretches then zeros.
+``_broken`` states the rules above once, over such rows: ``StretchConfig``
+checks one configuration through it, ``StretchBatch`` a whole matrix.
 ``batch_observables`` computes their observables over the whole matrix.
 """
 
@@ -39,8 +41,6 @@ __all__ = [
     "StretchBatch",
     "wedge",
     "hamiltonian",
-    "beads",
-    "observables",
     "batch_observables",
 ]
 
@@ -74,9 +74,48 @@ def wedge(x: int, y: int) -> int:
     return min(abs(x), abs(y)) if x * y <= 0 else 0
 
 
+def _broken(l, n, L: int, variant: Variant) -> list:
+    """(rows breaking it, why) for every rule of a configuration, in order.
+
+    Row i of the integer matrix ``l`` holds the ``n[i]`` stretches of one
+    configuration of total length ``L``, then zeros; a row may be wider
+    than its size.  This is the one statement of what a valid
+    configuration is: ``StretchConfig`` checks its stretches as one row,
+    ``StretchBatch`` its matrix in blocks of rows.
+    """
+    inside = np.arange(l.shape[1]) < n[:, None]
+    a = np.absolute(l, dtype=np.int64)
+    if l.dtype.itemsize < 8:
+        long = n + a.sum(axis=1) != L
+    else:  # 64-bit rows: a sum of |l_i| that turns negative has wrapped
+        a = np.cumsum(a, axis=1)
+        total = n + a[:, -1]
+        long = (total != L) | (total < 0) | (a.min(axis=1) < 0)
+    bad = [
+        (n < 1, "a configuration needs at least one stretch"),
+        (((l != 0) & ~inside).any(axis=1), "entries past its size must be 0"),
+        (long, f"N + sum|l_i| != total_length {L}"),
+    ]
+    # after the |l_i| sums (which bound every |T_k|): one int64 block of
+    # heights alive at a time; past its size a row keeps T_N
+    T = np.cumsum(l, axis=1, dtype=np.int64)
+    bad.append((T.min(axis=1) < 0, "prefix heights dip below the wall"))
+    if variant is not Variant.FREE:
+        bad.append((T[:, -1] != 0, f"{variant.value} requires end height 0"))
+    if variant is Variant.SINGLE_BEAD:
+        up = 1 - 2 * (np.arange(l.shape[1]) % 2)  # +1, -1, +1, ...
+        bad += [((n % 2 == 1) | ((l == 0) & inside).any(axis=1),
+                 "single-bead needs an even number of nonzero stretches"),
+                (((np.sign(l) != up) & inside).any(axis=1),
+                 "single-bead stretches must alternate sign, starting upward")]
+    return bad
+
+
 @dataclass(frozen=True)
 class StretchConfig:
-    """Validated stretch vector with its declared total length and flavour."""
+    """Stretch vector with its declared total length and flavour, checked
+    on construction by the rules of ``_broken``: ValueError names the first
+    rule it breaks.  A stretch, or N + sum|l_i|, outside int64 is refused."""
 
     stretches: tuple
     total_length: int
@@ -85,32 +124,14 @@ class StretchConfig:
     def __post_init__(self):
         object.__setattr__(self, "stretches", tuple(int(v) for v in self.stretches))
         object.__setattr__(self, "variant", as_variant(self.variant))
-        self._validate()
-
-    def _validate(self) -> None:
         l = self.stretches
-        n = len(l)
-        if n < 1:
-            raise ValueError("a configuration needs at least one stretch")
-        if self.total_length != n + sum(abs(v) for v in l):
-            raise ValueError(
-                f"total_length {self.total_length} != N + sum|l_i| "
-                f"= {n + sum(abs(v) for v in l)}"
-            )
-        heights = list(accumulate(l))
-        if min(heights) < 0:
-            raise ValueError("prefix heights dip below the wall")
-        if self.variant is not Variant.FREE and heights[-1] != 0:
-            raise ValueError(f"{self.variant.value} requires end height 0")
-        if self.variant is Variant.SINGLE_BEAD:
-            if n % 2 or any(v == 0 for v in l):
-                raise ValueError("single-bead needs an even number of nonzero stretches")
-            if l[0] < 0 or any(a * b >= 0 for a, b in zip(l, l[1:])):
-                raise ValueError("single-bead stretches must alternate sign, starting upward")
-
-    @property
-    def horizontal_extension(self) -> int:
-        return len(self.stretches)
+        try:  # one row, at least one entry wide
+            row = np.array([l or (0,)], dtype=np.int64)
+        except OverflowError:
+            raise ValueError("a stretch does not fit in int64") from None
+        for bad, why in _broken(row, np.array([len(l)]), self.total_length, self.variant):
+            if bad[0]:
+                raise ValueError(why)
 
     def prefix_heights(self) -> tuple:
         """T_0 = 0, T_1, ..., T_N."""
@@ -123,11 +144,9 @@ class StretchBatch:
 
     Row i of the (count, L) integer matrix ``stretches`` holds the
     ``sizes[i]`` stretches of configuration i, then zeros.  Construction
-    checks every row against the rules of ``StretchConfig``, with array
-    operations over blocks of rows, and raises ValueError naming the first
-    row that breaks the first broken rule.  ``len`` is the
-    count; indexing by an integer or iterating builds a validated
-    ``StretchConfig`` on demand.
+    checks every row against the rules of ``_broken``, over blocks of rows,
+    and raises ValueError naming the first row that breaks the first
+    broken rule.  ``len`` is the count.
     """
 
     stretches: np.ndarray
@@ -152,45 +171,15 @@ class StretchBatch:
         first = {}
         rows = max(1, _CHECK_BLOCK // L)
         for a in range(0, n.size, rows):
-            for rule, (bad, why) in enumerate(self._broken(l[a:a + rows], n[a:a + rows])):
+            broken = _broken(l[a:a + rows], n[a:a + rows], L, self.variant)
+            for rule, (bad, why) in enumerate(broken):
                 if rule not in first and bad.any():
                     first[rule] = f"row {a + int(np.argmax(bad))}: {why}"
         if first:
             raise ValueError(first[min(first)])
 
-    def _broken(self, l, n) -> list:
-        """(rows breaking it, why) for every rule, in order, over rows l."""
-        L = self.L
-        inside = np.arange(L) < n[:, None]
-        bad = [
-            (n < 1, "a configuration needs at least one stretch"),
-            (((l != 0) & ~inside).any(axis=1), "entries past its size must be 0"),
-            (n + np.absolute(l, dtype=np.int64).sum(axis=1) != L,
-             f"N + sum|l_i| != total_length {L}"),
-        ]
-        # after the |l_i| sums: one int64 block of heights alive at a time;
-        # past its size a row keeps T_N
-        T = np.cumsum(l, axis=1, dtype=np.int64)
-        bad.append((T.min(axis=1) < 0, "prefix heights dip below the wall"))
-        if self.variant is not Variant.FREE:
-            bad.append((T[:, -1] != 0, f"{self.variant.value} requires end height 0"))
-        if self.variant is Variant.SINGLE_BEAD:
-            up = 1 - 2 * (np.arange(L) % 2)  # +1, -1, +1, ...
-            bad += [((n % 2 == 1) | ((l == 0) & inside).any(axis=1),
-                     "single-bead needs an even number of nonzero stretches"),
-                    (((np.sign(l) != up) & inside).any(axis=1),
-                     "single-bead stretches must alternate sign, starting upward")]
-        return bad
-
     def __len__(self) -> int:
         return self.sizes.size
-
-    def __getitem__(self, i) -> StretchConfig:
-        n = int(self.sizes[i])
-        return StretchConfig(tuple(self.stretches[i, :n].tolist()), self.L, self.variant)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
 
 def hamiltonian(cfg: StretchConfig, beta: float, delta: float) -> float:
@@ -199,28 +188,6 @@ def hamiltonian(cfg: StretchConfig, beta: float, delta: float) -> float:
     wsum = sum(wedge(a, b) for a, b in zip(padded, padded[1:]))
     contacts = sum(1 for t in accumulate(cfg.stretches) if t == 0)
     return beta * wsum + delta * contacts
-
-
-def beads(cfg: StretchConfig) -> tuple:
-    """Maximal runs of mutually overlapping stretches, as 1-based index ranges.
-
-    A bead ends after stretch i whenever the overlap with stretch i+1
-    vanishes (with l_{N+1} = 0, so the final bead always closes at N).
-    """
-    l = cfg.stretches + (0,)
-    out = []
-    start = 1
-    for i in range(1, len(cfg.stretches) + 1):
-        if wedge(l[i - 1], l[i]) == 0:
-            out.append((start, i))
-            start = i + 1
-    return tuple(out)
-
-
-def observables(cfg: StretchConfig) -> dict:
-    """Scalar summary of one configuration: the one-row ``batch_observables``."""
-    obs = batch_observables([cfg.stretches], [len(cfg.stretches)])
-    return {k: int(v[0]) for k, v in obs.items()}
 
 
 def batch_observables(stretches, sizes) -> dict:

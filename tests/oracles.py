@@ -38,7 +38,7 @@ import scipy.optimize
 from numpy.polynomial.legendre import leggauss
 
 from ipdsaw import exactz, largedev, steps, wetting
-from ipdsaw.polymer import StretchConfig, Variant, beads
+from ipdsaw.polymer import StretchConfig, Variant, wedge
 
 
 # -- step-law oracles -------------------------------------------------------
@@ -684,9 +684,32 @@ def backward_sample_per_draw(table, count: int, rng) -> tuple:
 
 # -- per-configuration observables and sample records ------------------------
 
+def configs(batch) -> list:
+    """One checked ``StretchConfig`` per row of ``batch``, in row order."""
+    return [StretchConfig(tuple(row[:n]), batch.L, batch.variant)
+            for row, n in zip(batch.stretches.tolist(), batch.sizes.tolist())]
+
+
+def beads(cfg: StretchConfig) -> tuple:
+    """Maximal runs of mutually overlapping stretches, as 1-based index ranges.
+
+    A bead ends after stretch i whenever the overlap with stretch i+1
+    vanishes (with l_{N+1} = 0, so the final bead always closes at N).
+    """
+    l = cfg.stretches + (0,)
+    out = []
+    start = 1
+    for i in range(1, len(cfg.stretches) + 1):
+        if wedge(l[i - 1], l[i]) == 0:
+            out.append((start, i))
+            start = i + 1
+    return tuple(out)
+
+
 def observables(cfg: StretchConfig) -> dict:
-    """``polymer.observables`` of one configuration from its prefix heights
-    and bead list, one Python loop each, instead of array reductions."""
+    """``polymer.batch_observables`` of one configuration from its prefix
+    heights and bead list, one Python loop each, instead of array
+    reductions."""
     t = cfg.prefix_heights()
     return {
         "horizontal_extension": len(cfg.stretches),
@@ -702,11 +725,11 @@ def sample_record_lines(batch) -> list:
     per draw, a dict from its heights, and ``json.dumps(sort_keys=True)``
     instead of the text template over observable arrays."""
     lines = []
-    for cfg in batch:
+    for cfg in configs(batch):
         heights = cfg.prefix_heights()[1:]
         lines.append(json.dumps({
             "stretches": list(cfg.stretches),
-            "horizontal_extension": cfg.horizontal_extension,
+            "horizontal_extension": len(cfg.stretches),
             "contacts": sum(1 for t in heights if t == 0),
             "max_height": max(heights),
             "area": sum(heights),

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -404,6 +405,25 @@ def test_invalid_grid_exits_2(tmp_path):
                      "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("--beta-grid", "1.5:inf:0.5"),
+    ("--beta", "2", "--delta-grid", "0:1:inf"),
+    ("--beta", "2", "--delta-grid", "0:1:1e-300"),  # 1e300 points
+], ids=["inf-hi", "inf-step", "tiny-step"])
+def test_unbounded_phase_grid_exits_2_at_once(tmp_path, capsys, args):
+    out = tmp_path / "x.csv"
+    tracemalloc.start()
+    try:
+        rc = cli.main(["phase", *args, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert "grid" in capsys.readouterr().err
+    assert peak < 1 << 20  # refused before any list of points was built
+    assert not out.exists()
+
+
 def test_verify_all_checks_pass(tmp_path):
     out = tmp_path / "verify.txt"
     rc = cli.main(["verify", "--out", str(out)])
@@ -443,3 +463,9 @@ def test_public_names_resolve():
     kernel = wetting.return_kernel(2.0, 10)
     assert kernel.t_max == 10
     assert kernel.height_cutoff == 0  # closed form: no height cutoff
+    # the tracer's return hooks: dp_Z's table and backward_sample's batch
+    _, table = exactz.dp_Z(12, 2.0, 1.2, polymer.Variant.FREE)
+    assert table.log_weights.nbytes > 0
+    assert table.height_cutoff == exactz._exact_cutoff(12)
+    assert table.L == 12
+    assert len(exactz.backward_sample(table, 3, np.random.default_rng(0))) == 3

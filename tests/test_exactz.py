@@ -68,6 +68,19 @@ def test_feature_histogram_copy_protects_cache():
     assert exactz.brute_force_Z(10, 2.0, 0.5, Variant.FREE) == want
 
 
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
+def test_feature_histogram_matches_recursive_enumeration(variant):
+    # the frontier sweep against the recursive generator, each configuration
+    # scored by the Hamiltonian at (beta, delta) = (1, 0) and (0, 1)
+    for L in range(1, 15):
+        want = {}
+        for l in exactz.enumerate_configs(L, variant):
+            cfg = StretchConfig(l, L, variant)
+            key = (round(hamiltonian(cfg, 1.0, 0.0)), round(hamiltonian(cfg, 0.0, 1.0)))
+            want[key] = want.get(key, 0) + 1
+        assert exactz.feature_histogram(L, variant) == want, L
+
+
 # ---------------------------------------------------------------------------
 # transfer DP
 # ---------------------------------------------------------------------------
@@ -262,11 +275,20 @@ def test_dp_large_beta_matches_log_space_or_raises(variant):
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
 def test_dp_large_beta_supported_floor(variant):
     # points inside the supported region at delta = 0.5: dp_Z must answer,
-    # and answer exactly, not raise
-    for L, beta in ((18, 135.0), (60, 76.0)):
+    # and answer exactly, not raise; after the first two, the last
+    # supported beta at L = 18, 60, 120 (and 300 for Free) that dp_Z's
+    # docstring states, one below where it raises
+    free = variant is Variant.FREE
+    for L, beta in ((18, 135.0), (60, 76.0), (18, 283.0 if free else 342.0),
+                    (60, 152.0 if free else 157.0), (120, 114.0)):
         got, _ = exactz.dp_Z(L, beta, 0.5, variant)
+        if free and L == 120:  # the oracle takes 4 s here
+            assert math.isfinite(got)
+            continue
         assert got == pytest.approx(oracles.dp_log_space(L, beta, 0.5, variant),
                                     rel=1e-12)
+    if free:
+        assert math.isfinite(exactz.dp_Z(300, 71.0, 0.5, variant)[0])
 
 
 def test_dp_empty_single_bead_set_is_minus_inf():
@@ -659,9 +681,11 @@ def test_backward_sample_deterministic():
     _, table = exactz.dp_Z(30, 2.0, 1.0, Variant.SINGLE_BEAD)
     a = exactz.backward_sample(table, 200, np.random.default_rng(42))
     b = exactz.backward_sample(table, 200, np.random.default_rng(42))
-    assert [c.stretches for c in a] == [c.stretches for c in b]
+    assert ([c.stretches for c in oracles.configs(a)]
+            == [c.stretches for c in oracles.configs(b)])
     c = exactz.backward_sample(table, 200, np.random.default_rng(43))
-    assert [x.stretches for x in a] != [x.stretches for x in c]
+    assert ([x.stretches for x in oracles.configs(a)]
+            != [x.stretches for x in oracles.configs(c)])
 
 
 def test_backward_sample_refuses_truncated_table():
@@ -721,8 +745,8 @@ def test_backward_sample_refuses_empty_set():
 def test_backward_sample_yields_valid_configs():
     for variant in VARIANTS:
         _, table = exactz.dp_Z(20, 1.4, 0.6, variant)
-        for cfg in exactz.backward_sample(table, 100,
-                                          np.random.default_rng(7)):
+        for cfg in oracles.configs(exactz.backward_sample(
+                table, 100, np.random.default_rng(7))):
             assert isinstance(cfg, StretchConfig)
             assert cfg.variant is variant
             assert cfg.total_length == 20  # validated on construction

@@ -18,6 +18,12 @@ def cfg(stretches, variant=Variant.FREE):
     return StretchConfig(l, len(l) + sum(abs(v) for v in l), variant)
 
 
+def observables(c):
+    """``batch_observables`` of the one-row batch of configuration c."""
+    obs = polymer.batch_observables([c.stretches], [len(c.stretches)])
+    return {k: int(v[0]) for k, v in obs.items()}
+
+
 # -- wedge ------------------------------------------------------------------
 
 def test_wedge_examples():
@@ -58,6 +64,20 @@ def test_validation_single_bead_alternation():
     with pytest.raises(ValueError):
         StretchConfig((1, -1, 1), 6, Variant.SINGLE_BEAD)
     StretchConfig((1, -1, 2, -2), 10, Variant.SINGLE_BEAD)
+
+
+def test_validation_rejects_what_int64_cannot_hold():
+    # a stretch outside int64, and int64 stretches whose N + sum|l_i| wraps
+    # to the declared length: 4 + 4 * 2**62 = 4 mod 2**64
+    with pytest.raises(ValueError, match="int64"):
+        StretchConfig((2 ** 70, -2 ** 70), 2 ** 71 + 2)
+    wraps = (2 ** 62, -2 ** 62, 2 ** 62, -2 ** 62)
+    with pytest.raises(ValueError, match="total_length"):
+        StretchConfig(wraps, 4)
+    with pytest.raises(ValueError, match="total_length"):  # 1 + 2**63 - 1
+        StretchConfig((2 ** 63 - 1,), -2 ** 63)
+    with pytest.raises(ValueError, match="row 0: .*total_length"):
+        polymer.StretchBatch(np.array([wraps]), [4], 4)
 
 
 def test_configuration_counts_match_counting_dp():
@@ -114,13 +134,13 @@ def test_hamiltonian_pairwise_identity(l):
 # -- beads ------------------------------------------------------------------
 
 def test_beads_examples():
-    assert polymer.beads(cfg((2, -2, 2, -2))) == ((1, 4),)
-    assert polymer.beads(cfg((1, 1))) == ((1, 1), (2, 2))
-    assert polymer.beads(cfg((2, -1, 0, 3))) == ((1, 2), (3, 3), (4, 4))
+    assert oracles.beads(cfg((2, -2, 2, -2))) == ((1, 4),)
+    assert oracles.beads(cfg((1, 1))) == ((1, 1), (2, 2))
+    assert oracles.beads(cfg((2, -1, 0, 3))) == ((1, 2), (3, 3), (4, 4))
 
 
 def test_beads_zero_stretch_is_own_bead():
-    assert polymer.beads(cfg((0, 0))) == ((1, 1), (2, 2))
+    assert oracles.beads(cfg((0, 0))) == ((1, 1), (2, 2))
 
 
 @given(st.lists(st.integers(-3, 3), min_size=1, max_size=10))
@@ -131,7 +151,7 @@ def test_beads_partition(l):
         heights.append(heights[-1] + v)
     if min(heights) < 0:
         return
-    ranges = polymer.beads(cfg(l))
+    ranges = oracles.beads(cfg(l))
     flat = [i for a, b in ranges for i in range(a, b + 1)]
     assert flat == list(range(1, len(l) + 1))
 
@@ -139,12 +159,12 @@ def test_beads_partition(l):
 # -- observables -----------------------------------------------------------
 
 def test_observables_hand_values():
-    obs = polymer.observables(cfg((1, -1)))
+    obs = observables(cfg((1, -1)))
     assert obs["horizontal_extension"] == 2
     assert obs["contacts"] == 1
     assert obs["bead_count"] == 1
     assert obs["max_height"] == 1
-    obs = polymer.observables(cfg((0, 0)))
+    obs = observables(cfg((0, 0)))
     assert obs["contacts"] == 2
     assert obs["bead_count"] == 2
     assert obs["max_height"] == 0
@@ -158,7 +178,7 @@ def test_contacts_bounded_by_extension(l):
         heights.append(heights[-1] + v)
     if min(heights) < 0:
         return
-    obs = polymer.observables(cfg(l))
+    obs = observables(cfg(l))
     assert 0 <= obs["contacts"] <= obs["horizontal_extension"]
 
 
@@ -173,7 +193,7 @@ def test_batch_observables_match_oracle_exhaustive(variant):
         want = [oracles.observables(c) for c in cfgs]
         for key, col in got.items():
             assert col.tolist() == [w[key] for w in want], (L, key)
-        assert [polymer.observables(c) for c in cfgs] == want
+        assert [observables(c) for c in cfgs] == want
 
 
 def test_batch_observables_sum_heights_in_int64():
