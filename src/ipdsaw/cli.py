@@ -22,8 +22,9 @@ seed, parameter echo) and is byte-reproducible: the same configuration
 and seed always produce the same bytes.  The grid command accepts
 ``--workers`` for process fan-out; results are written by the parent in
 input order.  It refuses a grid with a non-finite end or step, or with
-more than ``_PHASE_MAX_POINTS`` points, before building it.  The environment variable ``IPDSAW_OUTDIR`` redirects
-relative output paths; ``--out -`` writes to standard output.
+more than ``_PHASE_MAX_POINTS`` points, before building it.  The
+environment variable ``IPDSAW_OUTDIR`` redirects relative output paths;
+``--out -`` writes to standard output.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input.
 """
@@ -174,8 +175,10 @@ def _phase_row(point) -> list:
 
 def _run_phase(config: ExperimentConfig) -> int:
     p = config.parameters
-    grids = [_parse_grid(p[g]) if p.get(g) else (p.get(k, 0.0), 0.0, 1)
-             for g, k in (("beta_grid", "beta"), ("delta_grid", "delta"))]
+    grids = [_parse_grid(p["beta_grid"]) if p.get("beta_grid")
+             else (p["beta"], 0.0, 1),
+             _parse_grid(p["delta_grid"]) if p.get("delta_grid")
+             else (p.get("delta", 0.0), 0.0, 1)]
     total = grids[0][2] * grids[1][2]
     if total > _PHASE_MAX_POINTS:
         raise ValueError(f"phase grid of {total:.6g} (beta x delta) points is "

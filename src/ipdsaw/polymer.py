@@ -84,13 +84,11 @@ def _broken(l, n, L: int, variant: Variant) -> list:
     ``StretchBatch`` its matrix in blocks of rows.
     """
     inside = np.arange(l.shape[1]) < n[:, None]
+    # running sums of |l_i|, then N + sum|l_i|: a negative one has wrapped
     a = np.absolute(l, dtype=np.int64)
-    if l.dtype.itemsize < 8:
-        long = n + a.sum(axis=1) != L
-    else:  # 64-bit rows: a sum of |l_i| that turns negative has wrapped
-        a = np.cumsum(a, axis=1)
-        total = n + a[:, -1]
-        long = (total != L) | (total < 0) | (a.min(axis=1) < 0)
+    np.cumsum(a, axis=1, out=a)
+    total = n + a[:, -1]
+    long = (total != L) | (total < 0) | (a.min(axis=1) < 0)
     bad = [
         (n < 1, "a configuration needs at least one stretch"),
         (((l != 0) & ~inside).any(axis=1), "entries past its size must be 0"),
