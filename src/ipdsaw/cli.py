@@ -217,11 +217,11 @@ def _run_exact(config: ExperimentConfig) -> int:
 
 
 def _exact_row(L, beta, delta, var, cutoff, want_brute) -> list:
-    """One CSV row; the table dies on return, before the next variant's."""
-    log_z, table = exactz.dp_Z(L, beta, delta, var, height_cutoff=cutoff)
+    """One CSV row, from the DP on a ring: no table is kept."""
+    z = exactz.dp_log_Z(L, beta, delta, var, height_cutoff=cutoff)
     brute = exactz.brute_force_Z(L, beta, delta, var) if want_brute else None
-    return [var.value, str(L), _fmt(beta), _fmt(delta), str(table.height_cutoff),
-            _fmt(log_z), _fmt(table.truncation_bound), _fmt(brute)]
+    return [var.value, str(L), _fmt(beta), _fmt(delta), str(z.height_cutoff),
+            _fmt(z.log_z), _fmt(z.truncation_bound), _fmt(brute)]
 
 
 # -- asymptotics ------------------------------------------------------------
@@ -235,13 +235,13 @@ def _run_asymptotics(config: ExperimentConfig) -> int:
               "cutoff", "log_rel_bound"]
     rows = []
     for L in lengths:
-        log_z, table = exactz.certified_dp_Z(L, beta, delta, Variant.SINGLE_BEAD)
-        scaled = (log_z - beta * L) / math.sqrt(L)
-        bound = table.log_truncation_bound  # -inf: the table is exact
-        rel = bound if bound == -math.inf else bound - (log_z - beta * L)
-        rows.append([str(L), _fmt(beta), _fmt(delta), _fmt(log_z),
+        z = exactz.certified_dp_log_Z(L, beta, delta, Variant.SINGLE_BEAD)
+        scaled = (z.log_z - beta * L) / math.sqrt(L)
+        bound = z.log_truncation_bound  # -inf: the cutoff is exact
+        rel = bound if bound == -math.inf else bound - (z.log_z - beta * L)
+        rows.append([str(L), _fmt(beta), _fmt(delta), _fmt(z.log_z),
                      _fmt(scaled), _fmt(prof.phi_max),
-                     str(table.height_cutoff), _fmt(rel)])
+                     str(z.height_cutoff), _fmt(rel)])
     _emit_csv(config, header, rows)
     return 0
 
@@ -297,7 +297,7 @@ def _check_dp_vs_brute() -> tuple:
     for beta, delta in ((2.0, 0.5), (1.0, 2.0)):
         for L in range(2, 11):
             for var in Variant:
-                a, _ = exactz.dp_Z(L, beta, delta, var)
+                a = exactz.dp_log_Z(L, beta, delta, var).log_z
                 b = exactz.brute_force_Z(L, beta, delta, var)
                 if math.isinf(a) and math.isinf(b):
                     continue
@@ -310,7 +310,7 @@ def _check_walk_identity(variant: Variant, walks, lengths: range) -> tuple:
     worst = 0.0
     for L in lengths:
         lhs = walks(L, beta, delta)
-        log_z, _ = exactz.dp_Z(L, beta, delta, variant)
+        log_z = exactz.dp_log_Z(L, beta, delta, variant).log_z
         rhs = math.exp(log_z - beta * L) / steps.StepLaw(beta).c_beta
         if rhs > 0:
             worst = max(worst, abs(lhs - rhs) / rhs)
@@ -368,11 +368,11 @@ def _check_sampler_determinism() -> tuple:
 def _check_truncation_bound() -> tuple:
     # H = 10 is below the exact cutoff 19, so the table loses weight
     beta, delta, L, H = 2.0, 0.5, 40, 10
-    full, _ = exactz.dp_Z(L, beta, delta, Variant.FREE, height_cutoff=L)
-    cut, table = exactz.dp_Z(L, beta, delta, Variant.FREE, height_cutoff=H)
-    lost = math.exp(full - beta * L) - math.exp(cut - beta * L)
-    ok = 0.0 <= lost <= table.truncation_bound
-    return ok, f"lost mass {lost:.2e} <= bound {table.truncation_bound:.2e}"
+    full = exactz.dp_log_Z(L, beta, delta, Variant.FREE, height_cutoff=L)
+    cut = exactz.dp_log_Z(L, beta, delta, Variant.FREE, height_cutoff=H)
+    lost = math.exp(full.log_z - beta * L) - math.exp(cut.log_z - beta * L)
+    ok = 0.0 <= lost <= cut.truncation_bound
+    return ok, f"lost mass {lost:.2e} <= bound {cut.truncation_bound:.2e}"
 
 
 _VERIFY_CHECKS = [

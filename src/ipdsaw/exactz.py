@@ -26,9 +26,14 @@ the transfer DP below exploit.  The module provides
                        is closed by the exact wall-free completion,
                        otherwise with a rigorous truncation bound (kept
                        as a log) on the same step, from a wall-free
-                       completion majorant;
+                       completion majorant; the whole table is kept for
+                       the sampler;
 * ``certified_dp_Z``   ``dp_Z`` at the smallest searched cutoff whose bound
                        is below 1e-13 of Z, the exact table failing that;
+* ``dp_log_Z`` / ``certified_dp_log_Z``   the same log Z, cutoff and bound,
+                       bit for bit, as a ``LogZ`` without the table: the DP
+                       runs on a ring that holds only the slices some later
+                       step still reads, about H + 1 of the L + 2;
 * ``backward_sample``  exact samples, all draws advanced together, one
                        stretch per round, on that step and through that
                        plan, the weights built once per distinct state of
@@ -55,8 +60,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +78,11 @@ __all__ = [
     "brute_force_Z",
     "enumerate_configs",
     "feature_histogram",
+    "LogZ",
     "dp_Z",
     "certified_dp_Z",
+    "dp_log_Z",
+    "certified_dp_log_Z",
     "backward_sample",
     "d_circ",
     "area_wetting_dp",
@@ -83,6 +93,7 @@ __all__ = [
 ]
 
 _BRUTE_MAX_L = 24
+_ENUM_BLOCK = 1 << 16  # children a frontier sweep expands at a time
 
 
 # ---------------------------------------------------------------------------
@@ -147,20 +158,22 @@ def _histogram(L: int, variant: Variant) -> dict:
     overlap, a sum of min(|l_i|, |l_{i+1}|), is at most sum |l_i| < L) and
     every intermediate at most 2L, far inside int16 at the enumerable
     L <= 24.  Index and count arrays stay int64, and so do the histogram
-    keys.
+    keys.  A level's rows are expanded in blocks of about ``_ENUM_BLOCK``
+    children, so the int64 temporaries stay bounded (one level of Free at
+    L = 18 has 406390 children), and its leaves are counted in one dense
+    array over the keys w (L + 1) + c, which enter the histogram level by
+    level in ascending order.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
 
     hist: dict = {}
 
-    def harvest(w, c):
-        if w.size:
-            keys = w.astype(np.int64) * (L + 1) + c
-            uk, cnt = np.unique(keys, return_counts=True)
-            for k, n in zip(uk.tolist(), cnt.tolist()):
-                wc = divmod(k, L + 1)
-                hist[wc] = hist.get(wc, 0) + n
+    def harvest(counts):
+        keys = np.flatnonzero(counts)
+        for k, n in zip(keys.tolist(), counts[keys].tolist()):
+            wc = divmod(k, L + 1)
+            hist[wc] = hist.get(wc, 0) + n
 
     def expand(b, h, p, w, c, lo, hi):
         """All children with stretch value in [lo, hi] per row."""
@@ -191,18 +204,26 @@ def _histogram(L: int, variant: Variant) -> dict:
             up = p <= 0
             lo = np.where(up, 1, lo)
             hi = np.where(up, np.minimum(hi, (b - 2 - h) // 2), -1)
-        nb, nh, nv, nw, nc = expand(b, h, p, w, c, lo, hi)
-        if variant is Variant.FREE:
-            leaf = nb == 0
-            go = ~leaf
-        elif variant is Variant.CONSTRAINED_END:
-            leaf = (nb == 0) & (nh == 0)
-            go = (nb >= 1) & (nh <= nb - 1)  # must still be able to return
-        else:
-            leaf = (nb == 0) & (nh == 0) & (nv < 0)
-            go = (~leaf) & np.where(nv > 0, nh <= nb - 1, nb >= nh + 4)
-        harvest(nw[leaf], nc[leaf])
-        frontier = (nb[go], nh[go], nv[go], nw[go], nc[go])
+        ends = np.cumsum(np.maximum(hi - lo + 1, 0))  # children up to each row
+        cuts = np.searchsorted(ends, np.arange(_ENUM_BLOCK, ends[-1], _ENUM_BLOCK))
+        counts = np.zeros((L + 1) ** 2, dtype=np.int64)
+        kids = []
+        for a, e in itertools.pairwise([0, *cuts.tolist(), b.size]):
+            nb, nh, nv, nw, nc = expand(*(x[a:e] for x in (b, h, p, w, c, lo, hi)))
+            if variant is Variant.FREE:
+                leaf = nb == 0
+                go = ~leaf
+            elif variant is Variant.CONSTRAINED_END:
+                leaf = (nb == 0) & (nh == 0)
+                go = (nb >= 1) & (nh <= nb - 1)  # must still be able to return
+            else:
+                leaf = (nb == 0) & (nh == 0) & (nv < 0)
+                go = (~leaf) & np.where(nv > 0, nh <= nb - 1, nb >= nh + 4)
+            counts += np.bincount(nw[leaf].astype(np.int64) * (L + 1) + nc[leaf],
+                                  minlength=counts.size)
+            kids.append((nb[go], nh[go], nv[go], nw[go], nc[go]))
+        harvest(counts)
+        frontier = tuple(np.concatenate(col) for col in zip(*kids))
 
     return hist
 
@@ -290,15 +311,30 @@ class _Plan:
     """Where every read of the transfer step lands in the flat band stack.
 
     The stack stores the ranges [lo, hi) of ``_blocks`` row after row,
-    slice after slice, then one trailing zero (-inf once the table is in
-    logs) at start[L + 1]; slice m starts at start[m].  Row u of slice m
-    starts at rowbase[m, u] + lo[m, u], so the step from (m, u, v) to w
-    reads G[m'][v, w], m' = m + 1 + |w - v|, at entry rowbase[m', v] + w.
-    ``pair[v, w] = |w - v| n + v`` indexes the flattened rowbase from row
-    m + 1.  ``reads`` builds every such index, for the DP and the sampler
-    alike, with each read that cannot finish on the trailing zero.
-    ``band[u, w] = w - 2u`` (row 0 whole) picks a partial row's stored
-    columns, w - 2u >= 2 - m, for ``store``.
+    slice after slice; slice m holds ``size[m]`` entries from start[m].
+    One trailing zero (-inf once the table is in logs) sits at start[L + 1],
+    the end of the stack.  Row u of slice m starts at rowbase[m, u] + lo[m, u],
+    so the step from (m, u, v) to w reads G[m'][v, w], m' = m + 1 + |w - v|,
+    at entry rowbase[m', v] + w.  ``pair[v, w] = |w - v| n + v`` indexes the
+    flattened rowbase from row m + 1.  ``reads`` builds every such index, for
+    the DP and the sampler alike, with each read that cannot finish on the
+    trailing zero.  ``band[u, w] = w - 2u`` (row 0 whole) picks a partial
+    row's stored columns, w - 2u >= 2 - m, for ``store``.
+
+    The table placement puts the slices back to back, slice 0 first, as
+    the sampler reads them.  The ring placement (``ring``) keeps only the
+    slices the DP still reads, for log Z alone.  Block m reads slices m + 1
+    to m + 1 + H and is gathered before slice m is stored, so when slice m
+    is stored the slices m + 1 ... m + H must be intact: its live window is
+    slices m ... m + H.  The DP stores slice L first, then L - 1, ..., and
+    each goes on at the end of the one before it, or at 0 if it does not
+    fit below the capacity C (the tail is left unused).  With C at least the
+    largest window plus the largest slice, no slice is written over one of
+    its window: a window starts less than C back, because between two
+    slices placed at 0 lie more than C minus one slice, more than the
+    window, so it holds at most one wrap and that wrap skips less than one
+    slice.  C is that sum, capped at the table's size, where no slice ever
+    wraps.  The trailing zero stays at C.
 
     ``need[v, w]`` is the fewest units the stretch v -> w and the way back
     to 0 take, for the returning variants w + |w - v| + 2 (|w - v| + 1 to
@@ -312,17 +348,21 @@ class _Plan:
     splits the terms by direction itself.
     """
 
-    def __init__(self, L: int, H: int, variant: Variant):
+    def __init__(self, L: int, H: int, variant: Variant, ring: bool = False):
         self.L, self.variant = L, variant
         self.rows, self.cols, self.lo, self.hi = _blocks(L, H, variant)
         n = H + 1
         heights = np.arange(n)
         gaps = np.abs(heights - heights[:, None])
-        lengths = (self.hi - self.lo).ravel()
-        rowstart = np.zeros(lengths.shape, dtype=np.int64)
-        np.cumsum(lengths[:-1], out=rowstart[1:])
-        self.start = rowstart[::n].copy()  # row 0 of every slice
-        self.rowbase = rowstart - self.lo.ravel()
+        lengths = self.hi - self.lo
+        within = np.cumsum(lengths, axis=1, dtype=np.int64)  # row ends in a slice
+        self.size = within[:, -1].copy()
+        within -= lengths  # row starts
+        if ring:
+            self.start = _ring_starts(self.size, H)
+        else:
+            self.start = np.cumsum(self.size) - self.size
+        self.rowbase = (self.start[:, None] + within - self.lo).ravel()
         self.whole = ((self.lo == 0) & (heights < self.rows[:, None])).sum(axis=1).tolist()
         self.pair = gaps * n + heights[:, None]
         self.band = (heights - 2 * heights[:, None]).astype(np.int32)
@@ -337,6 +377,11 @@ class _Plan:
             up = heights > heights[:, None]
             self.dirs = (np.where(up, need, L + 1), np.where(up.T, need, L + 1))
             self.need = np.where(gaps == 0, L + 1, need)
+
+    def nbytes(self, stacks: int) -> int:
+        """Bytes of ``stacks`` float64 stacks on this placement, each with
+        its trailing zero."""
+        return 8 * stacks * (int(self.start[-1]) + 1)
 
     def reads(self, m, v, columns: int, need) -> np.ndarray:
         """Flat index of the reads G[m + 1 + |w - v|][v, w] at every
@@ -365,10 +410,30 @@ class _Plan:
         compare on ``band``."""
         b, c = block.shape
         whole = self.whole[m]
-        out = stack[self.start[m]:self.start[m + 1]]
+        at = self.start[m]
+        out = stack[at:at + self.size[m]]
         out[:whole * c] = block[:whole].ravel()
         if whole < b:
             out[whole * c:] = block[whole:][self.band[whole:b, :c] >= 2 - m]
+
+
+def _ring_starts(size: np.ndarray, H: int) -> np.ndarray:
+    """start[m] of every slice of the ring placement of ``_Plan``, from the
+    entries ``size`` of slices 0 ... L + 1; start[L + 1] is the capacity."""
+    L = len(size) - 2
+    total = np.concatenate(([0], np.cumsum(size[:L + 1])))
+    m = np.arange(L + 1)
+    window = total[np.minimum(m + H, L) + 1] - total[m]  # slices m ... m + H
+    capacity = min(int(window.max() + size.max()), int(total[-1]))
+    start = np.empty(L + 2, dtype=np.int64)
+    start[L + 1] = capacity
+    at = 0
+    for m, entries in zip(range(L, -1, -1), size[L::-1].tolist()):
+        if at + entries > capacity:
+            at = 0
+        start[m] = at
+        at += entries
+    return start
 
 
 @dataclass
@@ -410,6 +475,19 @@ class DPTable:
     log_wall_free: object
     log_leave: object
     plan: object
+
+
+class LogZ(NamedTuple):
+    """log Z of the transfer DP without its table (``dp_log_Z``,
+    ``certified_dp_log_Z``), with the height cutoff and the truncation
+    bound as ``DPTable`` holds them: its log, -inf if exact, and its value
+    as a double, 0.0 if exact and at least the smallest normal double
+    otherwise."""
+
+    log_z: float
+    height_cutoff: int
+    log_truncation_bound: float
+    truncation_bound: float
 
 
 _TINY = np.finfo(float).tiny  # the smallest normal double
@@ -529,16 +607,42 @@ def dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE,
     majorant Ĝ of ``_log_majorant`` in place of W.  ``certified_dp_Z``
     picks the smallest cutoff whose bound is negligible against Z.
 
+    The table keeps every slice, for ``backward_sample``.  So does the bound
+    stack B of a cut table, of which only its log scale at m = 0 is read:
+    it shares the table's read index, and a ring of its own would need a
+    second ``_Plan.reads`` per step.  ``dp_log_Z`` is the same DP on the
+    ring placement of ``_Plan``, for log Z and the bound alone.  Before the
+    stacks are allocated, a run whose stacks (``_Plan.nbytes``) exceed
+    physical memory raises ValueError naming L, H, the variant and the
+    bytes.
+
     Guard: the step multiplies by x^{|w - u|} in double precision, so a
     factor below the smallest normal double (x^H < 2.2e-308, beta > 1417/H)
     is lost.  Then the DP first runs with such factors raised to that
-    double, which can only increase Z; if log Z moves by more than
-    ``_MAX_UNDERFLOW`` relative, or the start weight underflows to zero,
-    dp_Z raises ValueError.  At delta = 0.5 it raises from beta = 284 at
-    L = 18 (343 for the returning variants), 153 at L = 60 (158), 115 at
-    L = 120 and 72 at L = 300 (69 for Free at the full height 299); every
-    smaller beta checked against the log-space recursion agrees with it.
+    double, which can only increase Z, on a ring, as only its log Z is read;
+    if log Z moves by more than ``_MAX_UNDERFLOW`` relative, or the start
+    weight underflows to zero, dp_Z raises ValueError.  At delta = 0.5 it
+    raises from beta = 284 at L = 18 (343 for the returning variants), 153
+    at L = 60 (158), 115 at L = 120 and 72 at L = 300 (69 for Free at the
+    full height 299); every smaller beta checked against the log-space
+    recursion agrees with it.
     """
+    z, table = _at_cutoff(L, beta, delta, variant, height_cutoff, True)
+    return z.log_z, table
+
+
+def dp_log_Z(L: int, beta: float, delta: float, variant=Variant.FREE,
+             height_cutoff: int | None = None) -> LogZ:
+    """``LogZ`` of ``dp_Z``, bit for bit, without the table: the DP runs on
+    the ring placement of ``_Plan``, which holds only the slices some later
+    step still reads, about H + 1 of them, for S and for the bound stack B
+    alike.  At H = 200 that is about 65 MB per stack at any L past 2H,
+    where the table takes about 8 (H + 1)^2 bytes per unit of L."""
+    return _at_cutoff(L, beta, delta, variant, height_cutoff, False)[0]
+
+
+def _at_cutoff(L, beta, delta, variant, height_cutoff, keep) -> tuple:
+    """``_dp`` at ``height_cutoff``, the exact cutoff if it is None."""
     variant = as_variant(variant)
     _check_dp_args(L, beta, delta)
     if height_cutoff is not None and height_cutoff < 1:
@@ -546,7 +650,7 @@ def dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE,
     exact_H = _exact_cutoff(L)
     H = exact_H if height_cutoff is None else int(height_cutoff)
     log_g = _log_majorant(L, beta, delta) if H < exact_H else None
-    return _dp(L, beta, delta, variant, H, log_g)
+    return _dp(L, beta, delta, variant, H, log_g, keep)
 
 
 def certified_dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE) -> tuple:
@@ -564,8 +668,23 @@ def certified_dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE) -> t
     -12.1, -29.9 at H = 35, 60, 95), where a secant in H overshoots.  Once
     a predicted H reaches half the exact cutoff, or the bound stops falling
     or reads inf or nan, it returns the exact table of ``dp_Z``.  The
-    majorant Ĝ is built once for all trials.
+    majorant Ĝ is built once for all trials.  The table is the sampler's;
+    ``certified_dp_log_Z`` runs the same search on rings.
     """
+    z, table = _certified(L, beta, delta, variant, True)
+    return z.log_z, table
+
+
+def certified_dp_log_Z(L: int, beta: float, delta: float,
+                       variant=Variant.FREE) -> LogZ:
+    """``LogZ`` of ``certified_dp_Z``, bit for bit, from the same search
+    with every trial on the ring of ``dp_log_Z``."""
+    return _certified(L, beta, delta, variant, False)[0]
+
+
+def _certified(L, beta, delta, variant, keep) -> tuple:
+    """(LogZ, table) of the search of ``certified_dp_Z``, ``keep`` as in
+    ``_dp``."""
     variant = as_variant(variant)
     _check_dp_args(L, beta, delta)
     exact_H = _exact_cutoff(L)
@@ -574,13 +693,13 @@ def certified_dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE) -> t
     log_g = _log_majorant(L, beta, delta)
     tried = []  # (H, log(bound / reduced Z)) of each refused trial
     while 2 * H < exact_H:
-        log_z, table = _dp(L, beta, delta, variant, H, log_g)
-        gap = table.log_truncation_bound - (log_z - beta * L)
-        if not (math.isfinite(log_z) and gap < math.inf):
-            break
-        if gap < target:
-            return log_z, table
+        z, table = _dp(L, beta, delta, variant, H, log_g, keep)
+        gap = z.log_truncation_bound - (z.log_z - beta * L)
+        if math.isfinite(z.log_z) and gap < target:
+            return z, table
         del table  # one table alive at a time
+        if not (math.isfinite(z.log_z) and gap < math.inf):
+            break
         tried.append((H, gap))
         if len(tried) == 1:
             predicted = math.ceil(1.25 * H)
@@ -591,7 +710,8 @@ def certified_dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE) -> t
                 break
             predicted = math.ceil(math.sqrt(h1 * h1 + (target - g1) / slope)) + 1
         H = max(predicted, H + 1)
-    return dp_Z(L, beta, delta, variant)
+    del log_g  # the exact table needs no majorant
+    return _dp(L, beta, delta, variant, exact_H, None, keep)
 
 
 def _check_dp_args(L: int, beta: float, delta: float) -> None:
@@ -601,25 +721,41 @@ def _check_dp_args(L: int, beta: float, delta: float) -> None:
     _check_delta(delta)
 
 
-def _dp(L, beta, delta, variant, H, log_g) -> tuple:
-    """``dp_Z`` at cutoff H; the bound stack runs with the majorant
-    ``log_g`` of ``_log_majorant``, or not at all if it is None.  A Free
-    table at or above the exact cutoff is closed by the wall-free
-    completion W, of which only the levels r <= L - H - 2 are read."""
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, None where ``os.sysconf`` cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _dp(L, beta, delta, variant, H, log_g, keep) -> tuple:
+    """(LogZ, DPTable) of ``dp_Z`` at cutoff H if ``keep``, else (LogZ,
+    None) from the ring placement of ``_Plan``; the bound stack runs with
+    the majorant ``log_g`` of ``_log_majorant``, or not at all if it is
+    None.  A Free table at or above the exact cutoff is closed by the
+    wall-free completion W, of which only the levels r <= L - H - 2 are
+    read."""
     law = StepLaw(beta)
     X = law.c_beta * _step_matrix(law, H)  # X[u, w] = x^{|w - u|}
     raised = -np.inf
-    plan = _Plan(L, H, variant)
+    plan = _Plan(L, H, variant, ring=not keep)
+    need, memory = plan.nbytes(1 if log_g is None else 2), _physical_memory()
+    if memory is not None and need > memory:
+        raise ValueError(f"dp_Z at L={L}, H={H}, {variant.value}: its stacks"
+                         f" take {need} bytes, more than the {memory} bytes"
+                         " of physical memory")
     log_w = closing = bounding = None
     if variant is Variant.FREE and H >= _exact_cutoff(L):
         log_w = _log_completion(L, max(L - H - 1, 1), beta, -beta, False)
         closing = _exceed_sources(log_w, beta, L, H, plan.cols)
     if log_g is not None:
         bounding = _exceed_sources(log_g, beta, L, H, plan.cols)
-    if X[0, H] < _TINY:  # the raised run first: one table alive at a time
-        raised = _transfer(L, beta, delta, plan, np.maximum(X, _TINY),
-                           closing, None)[1][0]
-    S, off, log_bound = _transfer(L, beta, delta, plan, X, closing, bounding)
+    if X[0, H] < _TINY:  # the raised run first, on a ring: only off[0] is read
+        ring = _Plan(L, H, variant, ring=True) if keep else plan
+        raised = _transfer(L, beta, delta, ring, np.maximum(X, _TINY),
+                           closing, None)[2][0]
+    S, _, off, log_bound = _transfer(L, beta, delta, plan, X, closing, bounding)
     # flat vectors fit any cutoff; beads (1, -1) and (2, -2) take 4 and 6
     empty = variant is Variant.SINGLE_BEAD and not (
         L >= 4 and L % 2 == 0 and (H >= 2 or L % 4 == 0))
@@ -633,17 +769,20 @@ def _dp(L, beta, delta, variant, H, log_g) -> tuple:
             f" {_TINY:.1e} to it moves log Z by {raised - off[0]:.1e}, above"
             f" the supported {_MAX_UNDERFLOW:.0e} (double-precision underflow)")
     log_z = beta * L + float(off[0])
-    with np.errstate(divide="ignore"):
-        np.log(S, out=S)  # in place: the linear values are done
-    start = plan.start
-    for m in range(L + 1):  # slice by slice: no table-sized offsets array
-        S[start[m]:start[m + 1]] += off[m]
     bound = 0.0
     if log_g is not None:  # a bound below the smallest normal double still
         with np.errstate(over="ignore"):  # bounds the loss as that double
             bound = max(float(np.exp(log_bound)), _TINY)
-    return log_z, DPTable(variant, L, beta, delta, H, S, log_z, bound,
-                          log_bound, log_w, closing, plan)
+    z = LogZ(log_z, H, log_bound, bound)
+    if not keep:
+        return z, None
+    with np.errstate(divide="ignore"):
+        np.log(S, out=S)  # in place: the linear values are done
+    start, size = plan.start, plan.size
+    for m in range(L + 1):  # slice by slice: no table-sized offsets array
+        S[start[m]:start[m] + size[m]] += off[m]
+    return z, DPTable(variant, L, beta, delta, H, S, log_z, bound, log_bound,
+                      log_w, closing, plan)
 
 
 def _toeplitz(vec: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -656,9 +795,10 @@ def _toeplitz(vec: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def _transfer(L, beta, delta, plan, X, closing, bounding) -> tuple:
-    """(S, off, log truncation bound) of the backward transfer of ``dp_Z``
+    """(S, B, off, log truncation bound) of the backward transfer of ``dp_Z``
     with the step matrix X; slice m of the stack S times e^{off[m]} is G[m]
-    on the stored heights of ``plan``.  ``closing`` and ``bounding`` are
+    on the stored heights of ``plan``, while the placement keeps it (a ring
+    holds only the slices still read).  ``closing`` and ``bounding`` are
     first-exceedance sources of ``_exceed_sources``, or None: row m of
     ``closing`` (on W) times e^{-beta} x^{v - u} joins block m of S, which
     closes a Free table above its cutoff, and with ``bounding`` (on Ĝ) the
@@ -689,7 +829,11 @@ def _transfer(L, beta, delta, plan, X, closing, bounding) -> tuple:
     B neither underflows nor overflows however small or large the lost
     weight is.  The step computes the whole b x c block in one scratch
     buffer and normalizes it by its max over all b x c entries; only then
-    does ``_Plan.store`` keep the stored ranges.
+    does ``_Plan.store`` keep the stored ranges.  A block with no weight is
+    not stored and keeps log scale -inf.  On a ring its slot may still hold
+    an older slice, entries finite in [0, 1]: its gap scale e^{-inf} = 0
+    makes them 0 on the scaled path and their log plus -inf is -inf on the
+    redo, exactly what the table's zeros give.
     """
     n = len(X)
     variant, rows, cols = plan.variant, plan.rows, plan.cols
@@ -813,7 +957,7 @@ def _transfer(L, beta, delta, plan, X, closing, bounding) -> tuple:
         if B is not None:
             advance(B, off_b, m, columns, idx, source(bounding, m))
     # block 0 of B is 1 x 1 at max 1, so its log scale is the log bound
-    return S, off, float(off_b[0])
+    return S, B, off, float(off_b[0])
 
 
 _SAMPLE_BLOCK = 1 << 15  # (draws x heights) entries per block of live draws

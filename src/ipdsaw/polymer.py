@@ -109,18 +109,37 @@ def _broken(l, n, L: int, variant: Variant) -> list:
     return bad
 
 
+def _integers(values, what: str) -> tuple:
+    """``values`` as a tuple of ints; ValueError naming every entry that is
+    not a whole number, such as 1.5 (which ``int`` would truncate), nan or
+    the string "1"."""
+    values = tuple(values)
+    odd = []
+    for v in values:
+        try:
+            whole = int(v) == v
+        except (TypeError, ValueError, OverflowError):
+            whole = False
+        if not whole:
+            odd.append(v)
+    if odd:
+        raise ValueError(f"{what} must be integers, got {odd}")
+    return tuple(int(v) for v in values)
+
+
 @dataclass(frozen=True)
 class StretchConfig:
     """Stretch vector with its declared total length and flavour, checked
     on construction by the rules of ``_broken``: ValueError names the first
-    rule it breaks.  A stretch, or N + sum|l_i|, outside int64 is refused."""
+    rule it breaks.  A stretch that is not a whole number, or a stretch or
+    N + sum|l_i| outside int64, is refused."""
 
     stretches: tuple
     total_length: int
     variant: Variant = Variant.FREE
 
     def __post_init__(self):
-        object.__setattr__(self, "stretches", tuple(int(v) for v in self.stretches))
+        object.__setattr__(self, "stretches", _integers(self.stretches, "stretches"))
         object.__setattr__(self, "variant", as_variant(self.variant))
         l = self.stretches
         try:  # one row, at least one entry wide
@@ -144,7 +163,8 @@ class StretchBatch:
     ``sizes[i]`` stretches of configuration i, then zeros.  Construction
     checks every row against the rules of ``_broken``, over blocks of rows,
     and raises ValueError naming the first row that breaks the first
-    broken rule.  ``len`` is the count.
+    broken rule; sizes that are not whole numbers are refused by value.
+    ``len`` is the count.
     """
 
     stretches: np.ndarray
@@ -154,7 +174,10 @@ class StretchBatch:
 
     def __post_init__(self):
         object.__setattr__(self, "stretches", np.asarray(self.stretches))
-        object.__setattr__(self, "sizes", np.asarray(self.sizes, dtype=np.int64))
+        sizes = np.asarray(self.sizes)
+        if sizes.dtype.kind not in "iu":  # floats must hold whole numbers
+            _integers(sizes.ravel().tolist(), "sizes")
+        object.__setattr__(self, "sizes", sizes.astype(np.int64))
         object.__setattr__(self, "variant", as_variant(self.variant))
         self._validate()
 

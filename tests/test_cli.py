@@ -128,6 +128,34 @@ def test_exact_single_variant(tmp_path):
     assert rows[0]["log_z_brute"] == ""
 
 
+@pytest.mark.parametrize("L", [60, 300])
+def test_exact_csv_is_the_same_from_the_ring_and_the_table(tmp_path, monkeypatch, L):
+    # exact runs the DP on a ring; the same rows from dp_Z's table
+    argv = ["exact", "--length", str(L), "--beta", "2", "--delta", "1.2",
+            "--variant", "all"]
+    ring, table = tmp_path / "ring.csv", tmp_path / "table.csv"
+    assert cli.main([*argv, "--out", str(ring)]) == 0
+
+    def from_table(*args, **kwargs):
+        log_z, t = exactz.dp_Z(*args, **kwargs)
+        return exactz.LogZ(log_z, t.height_cutoff, t.log_truncation_bound,
+                           t.truncation_bound)
+
+    monkeypatch.setattr(exactz, "dp_log_Z", from_table)
+    assert cli.main([*argv, "--out", str(table)]) == 0
+    assert ring.read_bytes() == table.read_bytes()
+
+
+def test_exact_beyond_physical_memory_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(exactz, "_physical_memory", lambda: 1 << 20)
+    out = tmp_path / "x.csv"
+    assert cli.main(["exact", "--length", "400", "--beta", "2", "--delta", "0.5",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "L=400, H=199, Free" in err and "physical memory" in err
+    assert not out.exists()
+
+
 def test_exact_rejects_unknown_variant(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["exact", "--length", "10", "--beta", "2", "--delta", "0.5",

@@ -81,6 +81,18 @@ def test_feature_histogram_matches_recursive_enumeration(variant):
         assert exactz.feature_histogram(L, variant) == want, L
 
 
+def test_feature_histogram_does_not_depend_on_the_block_size(monkeypatch):
+    # each level is expanded in blocks of about _ENUM_BLOCK children: small
+    # blocks give the same counts with the keys in the same order, which is
+    # the order brute_force_Z sums its terms in
+    enumerate_levels = exactz._histogram.__wrapped__  # past the cache
+    want = {(v, L): list(enumerate_levels(L, v).items())
+            for v in VARIANTS for L in range(1, 13)}
+    monkeypatch.setattr(exactz, "_ENUM_BLOCK", 97)
+    for (v, L), items in want.items():
+        assert list(enumerate_levels(L, v).items()) == items, (v, L)
+
+
 # ---------------------------------------------------------------------------
 # transfer DP
 # ---------------------------------------------------------------------------
@@ -466,6 +478,149 @@ def test_stored_bytes_at_l300():
     assert round(8 * int(plan.start[-1]) / 1e6, 2) == 4.61
     assert np.all(plan.lo[2 * 46 + 2:] == 0)
     assert np.all(plan.hi[2 * 46 + 2:-1] == 47)
+
+
+# ---------------------------------------------------------------------------
+# log Z on a ring of slices
+# ---------------------------------------------------------------------------
+
+def _hex(*values):
+    return tuple(float(x).hex() for x in values)
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
+def test_ring_log_z_matches_table_bit_for_bit(variant):
+    # exact and cut cutoffs, the underflow guard's raised run (x^H below the
+    # smallest normal double: beta = 76 at L = 60, H = 29 and beta = 50 at
+    # L = 80, H = 30, cut) and the certified search, whose trials all run
+    # on rings
+    cases = [(L, 2.0, 1.2, H) for L in (1, 2, 7, 18, 31, 60) for H in (None, 1, 6)]
+    cases += [(60, 1.0, -0.5, 20), (60, 76.0, 0.5, None), (80, 50.0, 0.5, 30),
+              (300, 2.0, 1.2, None), (300, 2.0, 1.2, 46)]
+    searches = ((120, 2.0, 0.2), (200, 2.0, 1.2), (300, 1.0, 0.0))
+    runs = [(exactz.dp_Z(L, beta, delta, variant, height_cutoff=H),
+             exactz.dp_log_Z(L, beta, delta, variant, height_cutoff=H))
+            for L, beta, delta, H in cases]
+    runs += [(exactz.certified_dp_Z(L, beta, delta, variant),
+              exactz.certified_dp_log_Z(L, beta, delta, variant))
+             for L, beta, delta in searches]
+    for ((log_z, table), z), case in zip(runs, cases + list(searches)):
+        assert z.height_cutoff == table.height_cutoff, case
+        assert _hex(z.log_z, z.log_truncation_bound, z.truncation_bound) == _hex(
+            log_z, table.log_truncation_bound, table.truncation_bound), case
+
+
+def _spy_transfer(monkeypatch):
+    """Record (plan, bytes of the stacks, off) of every ``_transfer`` run."""
+    runs = []
+    transfer = exactz._transfer
+
+    def spy(*args):
+        S, B, off, log_bound = transfer(*args)
+        runs.append((args[3], S.nbytes + (0 if B is None else B.nbytes), off))
+        return S, B, off, log_bound
+
+    monkeypatch.setattr(exactz, "_transfer", spy)
+    return runs
+
+
+def _stale_reads(plan, off):
+    """Slices never stored (log scale -inf) whose ring slot an earlier,
+    stored slice wrote: the DP reads an older slice's numbers there."""
+    start, size, L = plan.start, plan.size, plan.L
+    return [m for m in range(L) if off[m] == -np.inf and size[m] and any(
+        off[k] > -np.inf and start[k] < start[m] + size[m]
+        and start[m] < start[k] + size[k] for k in range(m + 1, L + 1))]
+
+
+def test_ring_stale_slots_read_as_zero(monkeypatch):
+    # a block with no weight is never stored, so its ring slot keeps an
+    # older slice; its scale -inf makes those numbers 0 on the scaled path
+    # and -inf on the log redo, so log Z is the table's bit for bit.  The
+    # redo-heavy cases (200, 30, 0.5) and (80, 50, 0.5) and the empty
+    # single-bead lengths all read such slots
+    runs = _spy_transfer(monkeypatch)
+    cases = [(200, 30.0, 0.5, None), (80, 50.0, 0.5, None),
+             *((L, 2.0, 0.5, None) for L in (2, 3, 5, 7)), (10, 2.0, 0.5, 1)]
+    for L, beta, delta, H in cases:
+        log_z, table = exactz.dp_Z(L, beta, delta, Variant.SINGLE_BEAD,
+                                   height_cutoff=H)
+        runs.clear()
+        z = exactz.dp_log_Z(L, beta, delta, Variant.SINGLE_BEAD, height_cutoff=H)
+        assert float(z.log_z).hex() == float(log_z).hex(), L
+        assert (L > 12) == math.isfinite(log_z)
+        assert all(_stale_reads(plan, off) for plan, _, off in runs), L
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
+def test_ring_placement_keeps_every_slice_until_read(variant):
+    # from _Plan alone: when slice m is stored, block m - 1 still reads
+    # slices m ... m + H, so slice m overlaps none of m + 1 ... m + H; each
+    # slice keeps the table's layout inside it, and the capacity is at most
+    # the largest such window plus one slice
+    for L in range(1, 65):
+        for H in sorted({1, 2, 3, 7, max(exactz._exact_cutoff(L), 1), L + 1}):
+            ring = exactz._Plan(L, H, variant, ring=True)
+            table = exactz._Plan(L, H, variant)
+            np.testing.assert_array_equal(ring.size, table.size)
+            size, start, cap = table.size, ring.start, ring.start[-1]
+            layout = [p.rowbase.reshape(L + 2, H + 1) - p.start[:, None]
+                      for p in (ring, table)]
+            np.testing.assert_array_equal(*layout)
+            assert cap <= table.start[-1]
+            assert np.all((start >= 0) & (start + size <= cap))
+            window = max(int(size[m:m + H + 1].sum()) for m in range(L + 1))
+            assert cap <= window + size.max()
+            for m in range(L):
+                live = np.arange(m + 1, min(m + H, L) + 1)
+                apart = ((start[m] + size[m] <= start[live])
+                         | (start[live] + size[live] <= start[m]))
+                assert size[m] == 0 or np.all(apart | (size[live] == 0)), (L, H, m)
+
+
+def test_stack_bytes_are_counted_before_allocation(monkeypatch):
+    # _Plan.nbytes equals what the DP allocates: S, plus B when cut, on a
+    # table or a ring, and the raised run's ring of the underflow guard
+    runs = _spy_transfer(monkeypatch)
+    for variant in VARIANTS:
+        for L, beta, H in ((18, 2.0, None), (40, 2.0, 6), (60, 76.0, None)):
+            for route in (exactz.dp_Z, exactz.dp_log_Z):
+                runs.clear()
+                route(L, beta, 0.5, variant, height_cutoff=H)
+                assert len(runs) == 1 + (beta > 50)  # the raised run first
+                *raised, (plan, nbytes, _) = runs
+                assert nbytes == plan.nbytes(1 if H is None else 2)
+                assert all(b == p.nbytes(1) for p, b, _ in raised)
+    _, table = exactz.dp_Z(30, 2.0, 0.5, Variant.FREE)
+    assert table.log_weights.nbytes == table.plan.nbytes(1)
+
+
+def test_dp_refuses_stacks_beyond_physical_memory(monkeypatch):
+    # the check reads os.sysconf through _physical_memory; set low, it
+    # refuses before any stack is allocated, naming L, H, variant and bytes
+    runs = _spy_transfer(monkeypatch)
+    table = exactz._Plan(40, 19, Variant.FREE).nbytes(1)
+    ring = exactz._Plan(40, 6, Variant.CONSTRAINED_END, ring=True).nbytes(2)
+    monkeypatch.setattr(exactz, "_physical_memory", lambda: 1000)
+    with pytest.raises(ValueError, match=f"L=40, H=19, Free: .* {table} bytes"):
+        exactz.dp_Z(40, 2.0, 0.5, Variant.FREE)
+    with pytest.raises(ValueError, match=f"L=40, H=6, ConstrainedEnd: .* {ring} bytes"):
+        exactz.dp_log_Z(40, 2.0, 0.5, Variant.CONSTRAINED_END, height_cutoff=6)
+    assert not runs
+    monkeypatch.setattr(exactz, "_physical_memory", lambda: table)
+    exactz.dp_Z(40, 2.0, 0.5, Variant.FREE)  # exactly enough passes
+    monkeypatch.setattr(exactz, "_physical_memory", lambda: None)
+    exactz.dp_log_Z(40, 2.0, 0.5, Variant.FREE)  # memory unknown: no check
+    assert len(runs) == 2
+
+
+def test_ring_at_l6400_stays_small():
+    # the long-L property, from _Plan alone (no stack is allocated): the
+    # single-bead ring at L = 6400, H = 200 holds about H + 1 whole slices
+    ring = exactz._Plan(6400, 200, Variant.SINGLE_BEAD, ring=True).nbytes(1)
+    table = exactz._Plan(6400, 200, Variant.SINGLE_BEAD).nbytes(1)
+    assert ring <= 70e6
+    assert 25 * ring <= table
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,23 @@ def test_validation_rejects_what_int64_cannot_hold():
         polymer.StretchBatch(np.array([wraps]), [4], 4)
 
 
+def test_validation_refuses_what_is_not_a_whole_number():
+    # int() would truncate these to the valid (1, -1) and sizes [2]
+    with pytest.raises(ValueError, match=r"stretches must be integers, got \[1.5, -1.7\]"):
+        StretchConfig((1.5, -1.7), 4)
+    with pytest.raises(ValueError, match=r"sizes must be integers, got \[2.9\]"):
+        polymer.StretchBatch(np.array([[1, -1, 0, 0]]), [2.9], 4)
+    for bad in (math.nan, math.inf, "1"):
+        with pytest.raises(ValueError, match="stretches must be integers"):
+            StretchConfig((bad, -1), 4)
+    with pytest.raises(ValueError, match=r"sizes must be integers, got \[nan\]"):
+        polymer.StretchBatch(np.array([[1, -1, 0, 0]]), np.array([math.nan]), 4)
+    # whole numbers of any type are kept as ints
+    assert StretchConfig((1.0, np.int8(-1)), 4).stretches == (1, -1)
+    batch = polymer.StretchBatch(np.array([[1, -1, 0, 0]]), [2.0], 4)
+    assert batch.sizes.dtype == np.int64 and batch.sizes.tolist() == [2]
+
+
 def test_configuration_counts_match_counting_dp():
     for L in range(2, 13):
         assert (len(list(exactz.enumerate_configs(L, Variant.FREE)))
