@@ -19,12 +19,11 @@ Seven subcommands wire the library into machine-readable artifacts:
 
 Every artifact opens with a provenance header (tool version, command,
 seed, parameter echo) and is byte-reproducible: the same configuration
-and seed always produce the same bytes.  The grid command accepts
-``--workers`` for process fan-out; results are written by the parent in
-input order.  It refuses a grid with a non-finite end or step, or with
-more than ``_PHASE_MAX_POINTS`` points, before building it.  The
-environment variable ``IPDSAW_OUTDIR`` redirects relative output paths;
-``--out -`` writes to standard output.
+and seed always produce the same bytes.  The grid command computes its
+rows in one process, in input order.  It refuses a grid with a
+non-finite end or step, or with more than ``_PHASE_MAX_POINTS`` points,
+before building it.  The environment variable ``IPDSAW_OUTDIR``
+redirects relative output paths; ``--out -`` writes to standard output.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input.
 """
@@ -160,8 +159,7 @@ _PHASE_HEADER = ["beta", "delta", "a_tilde", "Phi", "Psi_or_empty",
                  "h_wet", "delta_tilde", "delta_c", "delta_circ"]
 
 
-def _phase_row(point) -> list:
-    beta, delta = point
+def _phase_row(beta: float, delta: float) -> list:
     curves = wetting.critical_curves(beta)
     h = wetting.wetting_free_energy(beta, delta)
     a_tilde = phi_max = psi = None
@@ -184,15 +182,7 @@ def _run_phase(config: ExperimentConfig) -> int:
         raise ValueError(f"phase grid of {total:.6g} (beta x delta) points is "
                          f"over the limit of {_PHASE_MAX_POINTS}")
     betas, deltas = ([lo + k * step for k in range(n)] for lo, step, n in grids)
-    points = [(b, d) for b in betas for d in deltas]
-    workers = int(p.get("workers", 1))
-    if workers > 1:
-        # imported here: the process pool costs every other run its import
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_phase_row, points, chunksize=4))
-    else:
-        rows = [_phase_row(pt) for pt in points]
+    rows = [_phase_row(b, d) for b in betas for d in deltas]
     _emit_csv(config, _PHASE_HEADER, rows)
     return 0
 
@@ -429,13 +419,9 @@ def _run_tilt(config: ExperimentConfig) -> int:
     p = config.parameters
     beta, q, pp = p["beta"], p["q"], p["p"]
     n = p.get("n")
-    if n is not None:
-        h = largedev.finite_tilt(int(n), q, pp, beta)
-        value = largedev.finite_l_lambda(int(n), h)
-    else:
-        h = largedev.tilt_inverse(q, pp, beta)
-        value = largedev.l_lambda(h)
-    rate = q * h.h0 + pp * h.h1 - value
+    h = (largedev.tilt_inverse(q, pp, beta) if n is None
+         else largedev.finite_tilt(n, q, pp, beta))
+    value, rate = largedev._legendre(q, pp, h, n)
     header = ["beta", "q", "p", "n", "h0", "h1", "l_lambda", "rate"]
     rows = [[_fmt(beta), _fmt(q), _fmt(pp),
              "" if n is None else _fmt(int(n)),
@@ -470,8 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta-grid", help="pinning rewards, lo:hi:step")
     sp.add_argument("--delta", type=float, default=0.0,
                     help="single pinning reward (default 0)")
-    sp.add_argument("--workers", type=int, default=1,
-                    help="process fan-out for the parameter grid")
+    sp.add_argument("--workers", type=int, default=1, choices=[1],
+                    help="only 1: the rows are computed in one process")
     common(sp, seed=False)
 
     sp = sub.add_parser("exact", help="transfer-DP partition values")

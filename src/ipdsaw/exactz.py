@@ -69,7 +69,7 @@ import numpy as np
 
 from . import largedev
 from .polymer import StretchBatch, Variant, as_variant
-from .steps import StepLaw
+from .steps import StepLaw, _count
 from .wetting import (_check_delta, _log_bridge, _step_matrix, _strip_top,
                       logsumexp_c)
 
@@ -145,7 +145,7 @@ def feature_histogram(L: int, variant=Variant.FREE) -> dict:
     exhaustive walk of the tree, just batched.  The result is a copy of the
     cached enumeration, so a caller may change it freely.
     """
-    return dict(_histogram(L, as_variant(variant)))
+    return dict(_histogram(_count(L, "L", 1), as_variant(variant)))
 
 
 @lru_cache(maxsize=64)
@@ -164,9 +164,6 @@ def _histogram(L: int, variant: Variant) -> dict:
     array over the keys w (L + 1) + c, which enter the histogram level by
     level in ascending order.
     """
-    if L < 1:
-        raise ValueError("L must be >= 1")
-
     hist: dict = {}
 
     def harvest(counts):
@@ -230,6 +227,7 @@ def _histogram(L: int, variant: Variant) -> dict:
 
 def brute_force_Z(L: int, beta: float, delta: float, variant=Variant.FREE) -> float:
     """log Z by exhaustive enumeration; the oracle every DP is checked against."""
+    L = _count(L, "L", 1)
     if L > _BRUTE_MAX_L:
         raise ValueError(f"L={L} too large for enumeration (max {_BRUTE_MAX_L})")
     hist = _histogram(L, as_variant(variant))
@@ -316,10 +314,9 @@ class _Plan:
     the end of the stack.  Row u of slice m starts at rowbase[m, u] + lo[m, u],
     so the step from (m, u, v) to w reads G[m'][v, w], m' = m + 1 + |w - v|,
     at entry rowbase[m', v] + w.  ``pair[v, w] = |w - v| n + v`` indexes the
-    flattened rowbase from row m + 1.  ``reads`` builds every such index, for
-    the DP and the sampler alike, with each read that cannot finish on the
-    trailing zero.  ``band[u, w] = w - 2u`` (row 0 whole) picks a partial
-    row's stored columns, w - 2u >= 2 - m, for ``store``.
+    flattened rowbase from row m + 1.  ``reads`` builds every such index by
+    one formula, for the DP and the sampler alike, with each read that
+    cannot finish on the trailing zero.
 
     The table placement puts the slices back to back, slice 0 first, as
     the sampler reads them.  The ring placement (``ring``) keeps only the
@@ -365,8 +362,6 @@ class _Plan:
         self.rowbase = (self.start[:, None] + within - self.lo).ravel()
         self.whole = ((self.lo == 0) & (heights < self.rows[:, None])).sum(axis=1).tolist()
         self.pair = gaps * n + heights[:, None]
-        self.band = (heights - 2 * heights[:, None]).astype(np.int32)
-        self.band[0] = n
         if variant is Variant.FREE:
             self.need, self.dirs = None, (None,)
             return
@@ -389,13 +384,8 @@ class _Plan:
         per draw (the sampler).  A read past the end or with ``need`` above
         the L - m units left is the trailing zero."""
         n = len(self.pair)
-        if np.ndim(m):
-            m = m[:, None]
-            idx = self.rowbase.take(self.pair[v, :columns] + (m + 1) * n,
-                                    mode="clip")
-        else:  # rowbase from row m + 1 on: no index copy
-            idx = self.rowbase[(m + 1) * n:].take(self.pair[v, :columns],
-                                                  mode="clip")
+        m = np.reshape(m, (-1, 1))
+        idx = self.rowbase.take(self.pair[v, :columns] + (m + 1) * n, mode="clip")
         idx += np.arange(columns)
         end = self.start[-1]  # the trailing zero
         if need is None:
@@ -406,15 +396,16 @@ class _Plan:
 
     def store(self, stack, m: int, block: np.ndarray) -> None:
         """Write the ranges of slice m from its whole (b, c) block: the
-        leading ``whole[m]`` rows (lo = 0) in one copy, the rest by one
-        compare on ``band``."""
+        leading ``whole[m]`` rows (lo = 0) in one copy, the columns
+        w >= lo[m, u] of the rest by one compare."""
         b, c = block.shape
         whole = self.whole[m]
         at = self.start[m]
         out = stack[at:at + self.size[m]]
         out[:whole * c] = block[:whole].ravel()
         if whole < b:
-            out[whole * c:] = block[whole:][self.band[whole:b, :c] >= 2 - m]
+            stored = np.arange(c) >= self.lo[m, whole:b, None]
+            out[whole * c:] = block[whole:][stored]
 
 
 def _ring_starts(size: np.ndarray, H: int) -> np.ndarray:
@@ -644,11 +635,10 @@ def dp_log_Z(L: int, beta: float, delta: float, variant=Variant.FREE,
 def _at_cutoff(L, beta, delta, variant, height_cutoff, keep) -> tuple:
     """``_dp`` at ``height_cutoff``, the exact cutoff if it is None."""
     variant = as_variant(variant)
-    _check_dp_args(L, beta, delta)
-    if height_cutoff is not None and height_cutoff < 1:
-        raise ValueError("height_cutoff must be >= 1")
+    L = _check_dp_args(L, beta, delta)
     exact_H = _exact_cutoff(L)
-    H = exact_H if height_cutoff is None else int(height_cutoff)
+    H = (exact_H if height_cutoff is None
+         else _count(height_cutoff, "height_cutoff", 1))
     log_g = _log_majorant(L, beta, delta) if H < exact_H else None
     return _dp(L, beta, delta, variant, H, log_g, keep)
 
@@ -686,7 +676,7 @@ def _certified(L, beta, delta, variant, keep) -> tuple:
     """(LogZ, table) of the search of ``certified_dp_Z``, ``keep`` as in
     ``_dp``."""
     variant = as_variant(variant)
-    _check_dp_args(L, beta, delta)
+    L = _check_dp_args(L, beta, delta)
     exact_H = _exact_cutoff(L)
     target = math.log(_CERTIFIED_REL)
     H = math.ceil(2.0 * math.sqrt(L))
@@ -714,11 +704,12 @@ def _certified(L, beta, delta, variant, keep) -> tuple:
     return _dp(L, beta, delta, variant, exact_H, None, keep)
 
 
-def _check_dp_args(L: int, beta: float, delta: float) -> None:
-    if L < 1:
-        raise ValueError("L must be >= 1")
+def _check_dp_args(L: int, beta: float, delta: float) -> int:
+    """L as an int, once L, beta and delta are checked."""
+    L = _count(L, "L", 1)
     StepLaw(beta)  # names a beta that is not positive and finite
     _check_delta(delta)
+    return L
 
 
 def _physical_memory() -> int | None:
@@ -978,8 +969,8 @@ def backward_sample(table: DPTable, count: int, rng) -> StretchBatch:
     entries; as every draw of a round takes the same direction, a block's
     weights and CDF are built once per distinct state (m, u, v), one
     ``np.unique`` on a packed key, and each draw still takes its own
-    uniform in draw order, so grouping changes no byte.  A
-    negative or non-integer ``count`` raises ValueError, and so does a
+    uniform in draw order, so grouping changes no byte.  A ``count`` that
+    is negative or not a whole number raises ValueError, and so does a
     table whose log truncation bound is not below log ``_SAMPLE_REL_BOUND``
     plus its log reduced Z.  That bound counts every configuration that
     leaves a cut table's heights with the wall-free majorant Ĝ of its
@@ -999,8 +990,7 @@ def backward_sample(table: DPTable, count: int, rng) -> StretchBatch:
     sizes.  Its construction checks every row at once with array
     operations; no draw becomes a per-draw object.
     """
-    if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 0:
-        raise ValueError(f"count must be a non-negative integer, got {count!r}")
+    count = _count(count, "count")
     log_bound = table.log_truncation_bound
     log_reduced_z = table.normalization - table.beta * table.L
     if not (log_bound == -math.inf  # exact, or nan: refused
@@ -1146,8 +1136,7 @@ def d_circ(N: int, q, beta: float, delta: float) -> float:
     induction back from I_N = 0, as S_{k+1} >= I_k + 1), so a walk through
     S_k = h has area at least (k - 1) + h + N - k and h <= a - N + 1.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    N = _count(N, "N", 1)
     _check_delta(delta)
     if not math.isfinite(q):
         raise ValueError(f"q must be finite, got {q!r}")
@@ -1178,7 +1167,7 @@ def z_circ_from_walks(L: int, beta: float, delta: float) -> float:
     height cutoff of N = 1, (L - 2)/2, the largest of the exact cutoffs
     L/2 - 2N + 1 of ``d_circ``.
     """
-    _check_dp_args(L, beta, delta)
+    L = _check_dp_args(L, beta, delta)
     if L % 2 or L < 4:
         return 0.0  # the smallest bead, stretches (1, -1), has length 4
     law = StepLaw(beta)
@@ -1201,7 +1190,7 @@ def z_constrained_from_walks(L: int, beta: float, delta: float) -> float:
     prefix heights of a returning polymer with g = L - N vertical bonds, so
     a height h > 0 takes 2h <= L - N of them and N >= 2 stretches.
     """
-    _check_dp_args(L, beta, delta)
+    L = _check_dp_args(L, beta, delta)
     law = StepLaw(beta)
     H = _exact_cutoff(L)
     heights = np.arange(H + 1)
@@ -1220,8 +1209,7 @@ def area_wetting_dp(N: int, gamma: float, beta: float, delta: float) -> float:
     """log E[e^{-gamma A_N(I)/N} e^{delta #zeros} 1{I in B^{0,+}_N}] (gamma >= 0):
     the pinned bridge ``wetting._log_bridge`` with the site weight
     e^{delta 1{h = 0} - gamma h / N}."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    N = _count(N, "N", 1)
     if not 0.0 <= gamma < math.inf:
         raise ValueError(f"gamma must be >= 0 and finite, got {gamma!r}")
     _check_delta(delta)

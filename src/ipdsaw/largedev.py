@@ -46,7 +46,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .steps import StepLaw
+from .steps import StepLaw, _count
 from .wetting import _delta_at_h, delta_tilde, wetting_free_energy
 
 __all__ = [
@@ -301,8 +301,15 @@ def tilt_inverse(q: float, p: float, beta: float) -> TiltVector:
 
 def rate_g(q: float, p: float, beta: float) -> float:
     """Rate function g(q, p) = h~.(q, p) - L_Lambda(h~) (Legendre transform)."""
-    h = tilt_inverse(q, p, beta)
-    return h.h0 * q + h.h1 * p - l_lambda(h)
+    return _legendre(q, p, tilt_inverse(q, p, beta))[1]
+
+
+def _legendre(q: float, p: float, h: TiltVector, n: int | None = None) -> tuple:
+    """(Lambda(h), q h0 + p h1 - Lambda(h)) at the tilt h of (q, p), with
+    Lambda = L_Lambda (n None) or the n-step (1/n) L_{Lambda,n}: the
+    value and the Legendre rate of ``rate_g`` and of ``ipdsaw tilt``."""
+    value = l_lambda(h) if n is None else finite_l_lambda(n, h)
+    return value, q * h.h0 + p * h.h1 - value
 
 
 # -- finite-n versions ------------------------------------------------------
@@ -316,21 +323,16 @@ def _finite_gaps(n: int, h: TiltVector):
     return s0 * w + s1 * lam, u0 * w + u1 * lam, lam
 
 
-def _require_steps(n: int, least: int, why: str) -> None:
-    if not n >= least:
-        raise ValueError(f"n = {n!r} must be >= {least}: {why}")
-
-
 def finite_l_lambda(n: int, h: TiltVector) -> float:
     """(1/n) sum_{k=1}^n L((1 - k/n) h0 + h1): the n-step analogue of L_Lambda."""
-    _require_steps(n, 1, "the walk needs a step")
+    n = _count(n, "n", 1, "the walk needs a step")
     _require_domain(h, n)
     s, u, _ = _finite_gaps(n, h)
     return float(_l_from_gaps(h.beta, s, u).sum()) / n
 
 
 def grad_finite_l_lambda(n: int, h: TiltVector) -> tuple:
-    _require_steps(n, 1, "the walk needs a step")
+    n = _count(n, "n", 1, "the walk needs a step")
     _require_domain(h, n)
     s, u, lam = _finite_gaps(n, h)
     l1 = _tail_ratio(s) - _tail_ratio(u)
@@ -347,7 +349,7 @@ def _finite_hessian(n: int, h: TiltVector, grad=None) -> np.ndarray:
 def finite_tilt(n: int, q: float, p: float, beta: float) -> TiltVector:
     """Inverse of the n-step gradient: grad (1/n) L_{Lambda,n}(h) = (q, p),
     by the damped Newton of ``tilt_inverse`` on D_{beta,n}."""
-    _require_steps(n, 2, "at n = 1 the gradient's q component is 0 for every h")
+    n = _count(n, "n", 2, "at n = 1 the gradient's q component is 0 for every h")
     return _solve_tilt(q, p, beta, n)
 
 

@@ -35,6 +35,8 @@ from itertools import accumulate
 
 import numpy as np
 
+from .steps import _whole
+
 __all__ = [
     "Variant",
     "StretchConfig",
@@ -111,17 +113,10 @@ def _broken(l, n, L: int, variant: Variant) -> list:
 
 def _integers(values, what: str) -> tuple:
     """``values`` as a tuple of ints; ValueError naming every entry that is
-    not a whole number, such as 1.5 (which ``int`` would truncate), nan or
-    the string "1"."""
+    not ``steps._whole``, such as 1.5 (which ``int`` would truncate), nan,
+    True or the string "1"."""
     values = tuple(values)
-    odd = []
-    for v in values:
-        try:
-            whole = int(v) == v
-        except (TypeError, ValueError, OverflowError):
-            whole = False
-        if not whole:
-            odd.append(v)
+    odd = [v for v in values if not _whole(v)]
     if odd:
         raise ValueError(f"{what} must be integers, got {odd}")
     return tuple(int(v) for v in values)

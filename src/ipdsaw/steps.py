@@ -10,6 +10,9 @@ live in one place.  With x = exp(-beta/2) the normalizer is
 c_beta = (1 + x)/(1 - x), and the combination Gamma_beta = c_beta e^{-beta}
 controls the balance between surface energy and step entropy: it is
 strictly decreasing in beta and crosses 1 at ``beta_critical()``.
+
+Every layer also checks its count arguments (lengths, step and draw
+counts, height cutoffs) by the one rule ``_count`` stated here.
 """
 
 from __future__ import annotations
@@ -74,3 +77,23 @@ def beta_critical() -> float:
     t = ((17.0 + r) ** (1.0 / 3.0) - (r - 17.0) ** (1.0 / 3.0) - 1.0) / 3.0
     t -= (((t + 1.0) * t + 1.0) * t - 1.0) / ((3.0 * t + 2.0) * t + 1.0)
     return -2.0 * math.log(t)
+
+
+def _whole(value) -> bool:
+    """Whether ``value`` is a whole number: not a bool, and equal to its int,
+    so not 10.5 (which ``int`` would truncate), nan, inf or the string "3"."""
+    try:
+        return not isinstance(value, (bool, np.bool_)) and int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _count(value, name: str, least: int = 0, why: str = "") -> int:
+    """``value`` of the count argument ``name`` (a length, a number of
+    steps or draws, a height cutoff) as an int.  ValueError names the
+    argument and its value, and ``why`` if given, when the value is not
+    ``_whole`` or is below ``least``."""
+    if not (_whole(value) and value >= least):
+        raise ValueError(f"{name} = {value!r} must be a whole number >= {least}"
+                         + (f": {why}" if why else ""))
+    return int(value)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .steps import StepLaw, beta_critical, step_pmf
+from .steps import StepLaw, _count, beta_critical, step_pmf
 
 __all__ = [
     "ReturnKernel",
@@ -235,8 +235,7 @@ def return_kernel(beta: float, t_max: int) -> ReturnKernel:
     to where they underflow and exactly 0 after; only that prefix enters
     the convolution (at beta = 2, its first 476 terms).
     """
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
+    t_max = _count(t_max, "t_max", 1)
     law = StepLaw(beta)
     c, s2 = _kernel_constants(law)
     n = np.arange(1, t_max + 1)
@@ -291,8 +290,7 @@ def zwet_series(beta: float, delta: float, N: int) -> np.ndarray:
     sequential recursion it replaces, one dot per length, is the test
     oracle ``oracles.zwet_series_loop``.
     """
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    N = _count(N, "N")
     h = wetting_free_energy(beta, delta)
     kernel = return_kernel(beta, max(N, 1))
     t = np.arange(1, N + 1)
@@ -316,7 +314,7 @@ def zwet_series(beta: float, delta: float, N: int) -> np.ndarray:
 
 def zwet(beta: float, delta: float, N: int) -> float:
     """log Z_wet(N): pinned positive walk, reward e^delta per return to 0."""
-    return float(zwet_series(beta, delta, N)[N])
+    return float(zwet_series(beta, delta, N)[-1])
 
 
 def zwet_direct(beta: float, delta: float, N: int) -> float:
@@ -325,8 +323,7 @@ def zwet_direct(beta: float, delta: float, N: int) -> float:
     The pinned bridge ``_log_bridge`` with the site weight e^delta at
     height 0 and 1 above it.
     """
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    N = _count(N, "N")
     _check_delta(delta)
     law = StepLaw(beta)
     H = _strip_top(N, beta)

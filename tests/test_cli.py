@@ -56,24 +56,49 @@ def test_phase_reruns_and_workers_byte_identical(tmp_path):
     paths = [tmp_path / f"p{i}.csv" for i in range(3)]
     assert cli.main(args + ["--out", str(paths[0])]) == 0
     assert cli.main(args + ["--out", str(paths[1])]) == 0
-    assert cli.main(args + ["--workers", "2", "--out", str(paths[2])]) == 0
-    assert paths[0].read_bytes() == paths[1].read_bytes()
-    # the worker count appears in the provenance but never in the data
-    strip = lambda p: [ln for ln in p.read_text().splitlines()
-                       if not ln.startswith("# params:")]
-    assert strip(paths[0]) == strip(paths[2])
+    # --workers 1, the only value left, is the default: provenance included
+    assert cli.main(args + ["--workers", "1", "--out", str(paths[2])]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+    assert "workers=1" in paths[0].read_text()
     _, _, rows = parse_csv(paths[0].read_text())
     assert rows[0]["Psi_or_empty"] != ""  # delta == 0 exposes the third scale
 
 
 def test_cli_import_leaves_out_process_pool():
-    # the pool is imported only by `phase --workers N` with N > 1, so a
-    # fresh interpreter that imports the CLI does not pay for it
+    # no command uses a process pool, so a fresh interpreter that imports
+    # the CLI does not load one
     code = ("import sys, ipdsaw.cli; "
             "sys.exit('concurrent.futures.process' in sys.modules)")
     env = dict(os.environ,
                PYTHONPATH=str(Path(ipdsaw.__file__).resolve().parents[1]))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_phase_workers_other_than_1_exit_2_and_start_no_process():
+    # every process start fails loudly in the child, so a refused value
+    # that still forked a pool would not exit 2
+    code = """if True:
+        import multiprocessing.process, os, sys
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process was started")
+        os.fork = multiprocessing.process.BaseProcess.start = refuse
+        from ipdsaw import cli
+        for workers in ("2", "0"):
+            try:
+                cli.main(["phase", "--beta", "2", "--workers", workers])
+            except SystemExit as exc:
+                assert exc.code == 2, exc.code
+            else:
+                raise AssertionError("--workers " + workers + " ran")
+        assert "concurrent.futures.process" not in sys.modules
+    """
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ipdsaw.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    for workers in ("2", "0"):
+        assert f"argument --workers: invalid choice: {workers}" in proc.stderr
 
 
 def test_phase_below_collapse_threshold_exits_2(tmp_path):
@@ -362,6 +387,25 @@ def test_tilt_finite_n(capsys):
     assert float(r["h0"]) == pytest.approx(ref.h0, rel=1e-10)
     assert float(r["l_lambda"]) == pytest.approx(
         largedev.finite_l_lambda(100, ref), rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [None, 100, 1000])
+@pytest.mark.parametrize("q, p", [(0.5, 0.0), (1.0, 0.3)])
+def test_tilt_rate_is_the_legendre_rate_bit_for_bit(capsys, q, p, n):
+    # the limit against rate_g, n steps against q h0 + p h1 - L_{Lambda,n}(h)
+    args = ["tilt", "--beta", "2", "--q", str(q), "--p", str(p), "--out", "-"]
+    assert cli.main(args + ([] if n is None else ["--n", str(n)])) == 0
+    r = parse_csv(capsys.readouterr().out)[2][0]
+    if n is None:
+        h = largedev.tilt_inverse(q, p, 2.0)
+        value, rate = largedev.l_lambda(h), largedev.rate_g(q, p, 2.0)
+    else:
+        h = largedev.finite_tilt(n, q, p, 2.0)
+        value = largedev.finite_l_lambda(n, h)
+        rate = q * h.h0 + p * h.h1 - value
+    assert (float(r["h0"]), float(r["h1"])) == (h.h0, h.h1)
+    assert float(r["l_lambda"]) == value
+    assert float(r["rate"]) == rate
 
 
 @pytest.mark.parametrize("n", ["0", "1"])

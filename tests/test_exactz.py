@@ -664,6 +664,34 @@ def test_d_circ_off_lattice_q_rejected():
                 walks(L, 2.0, 0.5)
 
 
+@pytest.mark.parametrize("call, named", [
+    pytest.param(lambda: exactz.dp_log_Z(20, 2.0, 0.5, height_cutoff=5.5),
+                 "height_cutoff = 5.5", id="dp_log_Z-cutoff-5.5"),
+    pytest.param(lambda: exactz.dp_log_Z(20, 2.0, 0.5, height_cutoff=True),
+                 "height_cutoff = True", id="dp_log_Z-cutoff-True"),
+    pytest.param(lambda: exactz.dp_log_Z(10.5, 2.0, 0.5), "L = 10.5",
+                 id="dp_log_Z"),
+    pytest.param(lambda: exactz.brute_force_Z(10.5, 2.0, 0.5), "L = 10.5",
+                 id="brute_force_Z"),
+    pytest.param(lambda: exactz.z_circ_from_walks(10.5, 2.0, 0.5), "L = 10.5",
+                 id="z_circ_from_walks"),
+    pytest.param(lambda: exactz.z_constrained_from_walks(10.5, 2.0, 0.5),
+                 "L = 10.5", id="z_constrained_from_walks"),
+    pytest.param(lambda: exactz.area_wetting_dp(10.5, 0.1, 2.0, 0.5), "N = 10.5",
+                 id="area_wetting_dp"),
+])
+def test_count_arguments_refuse_what_is_not_a_whole_number(call, named):
+    # truncated by int(), 5.5 would run at H = 5 and True at H = 1
+    with pytest.raises(ValueError, match=f"^{named} must be a whole number"):
+        call()
+
+
+def test_count_arguments_take_whole_numbers_of_any_type():
+    ref = exactz.dp_log_Z(20, 2.0, 0.5, height_cutoff=5)
+    assert exactz.dp_log_Z(20.0, 2.0, 0.5, height_cutoff=np.int64(5)) == ref
+    assert exactz.dp_log_Z(np.int32(20), 2.0, 0.5, height_cutoff=5.0) == ref
+
+
 def test_envelope_representation_identity_single_bead():
     # sum over bead sizes of Gamma^{2N} d_circ recovers the single-bead
     # partition value (reduced by c_beta e^{beta L})

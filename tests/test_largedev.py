@@ -330,6 +330,16 @@ def test_grad_finite_l_lambda_rejects_n_below_1():
             largedev.grad_finite_l_lambda(n, h)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: largedev.finite_l_lambda(2.5, tv(0.3, 0.1)),
+    lambda: largedev.finite_tilt(10.5, 0.5, 0.1, 2.0),
+], ids=["finite_l_lambda", "finite_tilt"])
+def test_step_counts_refuse_what_is_not_a_whole_number(call):
+    # a walk of 2.5 or 10.5 steps has no tilt and no L_Lambda
+    with pytest.raises(ValueError, match=r"^n = (2|10)\.5 must be a whole number"):
+        call()
+
+
 def test_finite_tilt_rejects_n_below_2():
     hn = largedev.finite_tilt(2, 0.5, 0.0, BETA)
     assert largedev.grad_finite_l_lambda(2, hn) == pytest.approx((0.5, 0.0),

@@ -80,6 +80,12 @@ def test_validation_rejects_what_int64_cannot_hold():
         polymer.StretchBatch(np.array([wraps]), [4], 4)
 
 
+def test_validation_refuses_a_bool_stretch():
+    # the whole-number rule of every count argument: True is not the int 1
+    with pytest.raises(ValueError, match=r"stretches must be integers, got \[True\]"):
+        StretchConfig((True, -1), 4)
+
+
 def test_validation_refuses_what_is_not_a_whole_number():
     # int() would truncate these to the valid (1, -1) and sizes [2]
     with pytest.raises(ValueError, match=r"stretches must be integers, got \[1.5, -1.7\]"):

@@ -5,6 +5,7 @@ reference that the segment free energy of ``largedev`` is compared with.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,3 +127,14 @@ def test_variance_is_mgf_curvature():
 def test_variance_decreasing_in_beta():
     vals = [steps.StepLaw(b).sigma2 for b in (1.0, 2.0, 3.0, 4.0)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+def test_count_takes_whole_numbers_and_names_the_rest():
+    assert steps._count(3, "L") == 3
+    assert steps._count(np.int64(3), "L", 1) == 3
+    assert type(steps._count(3.0, "L")) is int
+    for bad in (2.5, math.nan, math.inf, "3", True, np.True_, None, 1 + 0j):
+        with pytest.raises(ValueError, match=f"^L = {re.escape(repr(bad))} must"):
+            steps._count(bad, "L")
+    with pytest.raises(ValueError, match="^n = 1 must be a whole number >= 2: why$"):
+        steps._count(1, "n", 2, "why")

@@ -397,3 +397,13 @@ def test_logsumexp_c_matches_mpmath():
     assert wetting.logsumexp_c(np.full(4, -np.inf)) == -math.inf
     assert wetting.logsumexp_c([]) == -math.inf
     assert wetting.logsumexp_c(np.array([])) == -math.inf
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: wetting.zwet(2.0, 1.0, 10.5), "N = 10.5"),
+    (lambda: wetting.zwet_direct(2.0, 1.0, 10.5), "N = 10.5"),
+    (lambda: wetting.return_kernel(2.0, 3.5), "t_max = 3.5"),
+], ids=["zwet", "zwet_direct", "return_kernel"])
+def test_count_arguments_refuse_what_is_not_a_whole_number(call, named):
+    with pytest.raises(ValueError, match=f"^{named} must be a whole number"):
+        call()
