@@ -238,7 +238,7 @@ def _run_asymptotics(config: ExperimentConfig) -> int:
 
 # -- sample -----------------------------------------------------------------
 
-_SAMPLE_CHUNK = 4096  # draws formatted and written at a time by ``sample``
+_SAMPLE_VALUES = 1 << 16  # record values ``sample`` formats and writes at a time
 
 
 def _sample_template(n: int) -> str:
@@ -263,10 +263,12 @@ def _run_sample(config: ExperimentConfig) -> int:
 
     def chunks():
         # per chunk of draws, its observables, each record's ints (area,
-        # contacts, n, max height, then its n stretches) in one flat list,
-        # one template per record size, and one %
-        for a in range(0, count, _SAMPLE_CHUNK):
-            part = slice(a, a + _SAMPLE_CHUNK)
+        # contacts, n, max height, then its n <= L stretches) in one flat
+        # list of at most about _SAMPLE_VALUES, one template per record
+        # size, and one %
+        per = max(1, _SAMPLE_VALUES // (L + 4))
+        for a in range(0, count, per):
+            part = slice(a, a + per)
             obs = polymer.batch_observables(draws.stretches[part], draws.sizes[part])
             sizes = obs["horizontal_extension"]
             rows = np.column_stack((obs["signed_area"], obs["contacts"], sizes,

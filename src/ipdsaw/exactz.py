@@ -32,8 +32,9 @@ the transfer DP below exploit.  The module provides
                        is below 1e-13 of Z, the exact table failing that;
 * ``dp_log_Z`` / ``certified_dp_log_Z``   the same log Z, cutoff and bound,
                        bit for bit, as a ``LogZ`` without the table: the DP
-                       runs on a ring that holds only the slices some later
-                       step still reads, about H + 1 of the L + 2;
+                       runs on a ring that keeps each diagonal of a slice
+                       only until the one step that reads it, at most about
+                       (H + 1)^3 / 3 entries, a third of H + 1 slices;
 * ``backward_sample``  exact samples, all draws advanced together, one
                        stretch per round, on that step and through that
                        plan, the weights built once per distinct state of
@@ -105,11 +106,11 @@ def enumerate_configs(L: int, variant=Variant.FREE):
 
     Plain recursive generation, exponential in L; used for hand-sized cross
     checks and to expose configurations individually.  ``feature_histogram``
-    is the fast aggregated route.
+    is the fast aggregated route.  L is checked at the call, not on the
+    first ``next``.
     """
+    L = _count(L, "L", 1)
     variant = as_variant(variant)
-    if L < 1:
-        return
 
     def rec(budget, height, prev, acc):
         if variant is Variant.SINGLE_BEAD:
@@ -132,7 +133,7 @@ def enumerate_configs(L: int, variant=Variant.FREE):
                 yield from rec(b2, h2, v, acc)
             acc.pop()
 
-    yield from rec(L, 0, 0, [])
+    return rec(L, 0, 0, [])
 
 
 def feature_histogram(L: int, variant=Variant.FREE) -> dict:
@@ -306,125 +307,165 @@ def _blocks(L: int, H: int, variant: Variant) -> tuple:
 
 
 class _Plan:
-    """Where every read of the transfer step lands in the flat band stack.
+    """Where every read of the transfer step lands in a flat stack, and
+    where ``store`` writes each slice.
 
-    The stack stores the ranges [lo, hi) of ``_blocks`` row after row,
-    slice after slice; slice m holds ``size[m]`` entries from start[m].
-    One trailing zero (-inf once the table is in logs) sits at start[L + 1],
-    the end of the stack.  Row u of slice m starts at rowbase[m, u] + lo[m, u],
-    so the step from (m, u, v) to w reads G[m'][v, w], m' = m + 1 + |w - v|,
-    at entry rowbase[m', v] + w.  ``pair[v, w] = |w - v| n + v`` indexes the
-    flattened rowbase from row m + 1.  ``reads`` builds every such index by
-    one formula, for the DP and the sampler alike, with each read that
-    cannot finish on the trailing zero.
+    The step from (m, u, v) to w reads G[m'][v, w], m' = m + 1 + |w - v|,
+    only if it can finish; ``reads`` gives the flat index of every such
+    read, for the DP and the sampler alike, and sends each read that cannot
+    finish to the one trailing zero (-inf once the table is in logs) at
+    ``end``, the last entry of the stack.  ``need[v, w]`` is the fewest
+    units the stretch v -> w and the way back to 0 take, for the returning
+    variants w + |w - v| + 2 (|w - v| + 1 to w = 0), so a read from
+    consumed length m with need > L - m cannot finish; a single bead's
+    stretch must change the height, so its diagonal is L + 1.  Free keeps
+    None, as its only reads that cannot finish are those past the end.
+    ``dirs[k]`` is the need of stretch direction k: stretch k takes
+    direction k mod len(dirs), single beads alternating up and down with
+    need L + 1 against the direction, which the sampler reads one stretch
+    at a time; the DP reads ``need`` and splits the terms by direction
+    itself.  A slice m holds ``size[m]`` entries, the ranges [lo, hi) of
+    ``_blocks``, on either placement.
 
-    The table placement puts the slices back to back, slice 0 first, as
-    the sampler reads them.  The ring placement (``ring``) keeps only the
-    slices the DP still reads, for log Z alone.  Block m reads slices m + 1
-    to m + 1 + H and is gathered before slice m is stored, so when slice m
-    is stored the slices m + 1 ... m + H must be intact: its live window is
-    slices m ... m + H.  The DP stores slice L first, then L - 1, ..., and
-    each goes on at the end of the one before it, or at 0 if it does not
-    fit below the capacity C (the tail is left unused).  With C at least the
-    largest window plus the largest slice, no slice is written over one of
-    its window: a window starts less than C back, because between two
-    slices placed at 0 lie more than C minus one slice, more than the
-    window, so it holds at most one wrap and that wrap skips less than one
-    slice.  C is that sum, capped at the table's size, where no slice ever
-    wraps.  The trailing zero stays at C.
+    The table placement puts the ranges back to back, row after row and
+    slice after slice, slice 0 first, as the sampler reads them: slice m
+    from start[m], row u of it from rowbase[m, u] + lo[m, u], so that
+    (m', v, w) is at rowbase[m', v] + w, and ``pair[v, w] = |w - v| n + v``
+    indexes the flattened rowbase from row m + 1.
 
-    ``need[v, w]`` is the fewest units the stretch v -> w and the way back
-    to 0 take, for the returning variants w + |w - v| + 2 (|w - v| + 1 to
-    w = 0), so a read from consumed length m with need > L - m cannot
-    finish; a single bead's stretch must change the height, so its
-    diagonal is L + 1.  Free keeps None, as its only reads that cannot
-    finish are those past the end.  ``dirs[k]`` is the need of stretch
-    direction k: stretch k takes direction k mod len(dirs), single beads
-    alternating up and down with need L + 1 against the direction, which
-    the sampler reads one stretch at a time; the DP reads ``need`` and
-    splits the terms by direction itself.
+    The ring placement (``ring``) is for log Z alone and stores a slice by
+    its diagonals: chunk g of slice m holds its entries (u, v) with
+    |v - u| = g.  Block m reads exactly chunk g of slice m + 1 + g, at every
+    gap g, so each chunk is read once, by one block, and dead after it.
+    Gap g gets g + 1 slots of ``length[g]`` entries from first[g], and
+    chunk g of slice m goes in slot m mod (g + 1): the slot of slice
+    m + 1 + g, which block m reads just before it writes its own chunk
+    there, while the other g slots hold the chunks of slices m + 1 ... m + g
+    that later blocks still read.  Stored entries of a diagonal are a
+    prefix of it (``_slot_lengths``), so in its slot the up entry (u, u + g)
+    sits at u from the front and the down entry (u, u - g) at u - g from
+    the back, ``inner[u, v]``, and the slot needs only the most entries any
+    slice keeps on that diagonal.  The position of (u, v) in the slots of
+    block m, first[g] + (m mod (g + 1)) length[g] + inner[u, v], serves its
+    reads and its store alike.  The ring takes about a third of (H + 1)
+    whole slices: at L = 300 and the exact cutoff 149, 9.2 MB for Free and
+    5.7 MB for the returning variants.
     """
 
     def __init__(self, L: int, H: int, variant: Variant, ring: bool = False):
-        self.L, self.variant = L, variant
+        self.L, self.H, self.variant, self.ring = L, H, variant, ring
         self.rows, self.cols, self.lo, self.hi = _blocks(L, H, variant)
         n = H + 1
         heights = np.arange(n)
-        gaps = np.abs(heights - heights[:, None])
+        self.gaps = np.abs(heights - heights[:, None])
         lengths = self.hi - self.lo
-        within = np.cumsum(lengths, axis=1, dtype=np.int64)  # row ends in a slice
-        self.size = within[:, -1].copy()
-        within -= lengths  # row starts
-        if ring:
-            self.start = _ring_starts(self.size, H)
-        else:
-            self.start = np.cumsum(self.size) - self.size
-        self.rowbase = (self.start[:, None] + within - self.lo).ravel()
+        self.size = lengths.sum(axis=1, dtype=np.int64)
         self.whole = ((self.lo == 0) & (heights < self.rows[:, None])).sum(axis=1).tolist()
-        self.pair = gaps * n + heights[:, None]
+        if ring:
+            self.length = _slot_lengths(L, H, self.rows, self.cols)
+            self.slots = heights + 1
+            room = self.slots * self.length
+            self.first = np.cumsum(room) - room
+            self.end = int(room.sum())
+            self.inner = np.where(heights >= heights[:, None], heights[:, None],
+                                  self.length[self.gaps] - 1 - heights)
+            self._block, self._at = None, None  # the places of the last block
+        else:
+            within = np.cumsum(lengths, axis=1, dtype=np.int64) - lengths  # row starts
+            self.start = np.cumsum(self.size) - self.size
+            self.end = int(self.start[-1])
+            self.rowbase = (self.start[:, None] + within - self.lo).ravel()
+            self.pair = self.gaps * n + heights[:, None]
         if variant is Variant.FREE:
             self.need, self.dirs = None, (None,)
             return
-        need = gaps + 1
+        need = self.gaps + 1
         need[:, 1:] += heights[1:] + 1
         self.need, self.dirs = need, (need,)
         if variant is Variant.SINGLE_BEAD:
             up = heights > heights[:, None]
             self.dirs = (np.where(up, need, L + 1), np.where(up.T, need, L + 1))
-            self.need = np.where(gaps == 0, L + 1, need)
+            self.need = np.where(self.gaps == 0, L + 1, need)
 
     def nbytes(self, stacks: int) -> int:
         """Bytes of ``stacks`` float64 stacks on this placement, each with
         its trailing zero."""
-        return 8 * stacks * (int(self.start[-1]) + 1)
+        return 8 * stacks * (self.end + 1)
+
+    def index_nbytes(self) -> int:
+        """Bytes of the plan's own index arrays."""
+        arrays = {id(a): a.nbytes for a in (*vars(self).values(), *self.dirs)
+                  if isinstance(a, np.ndarray)}
+        return sum(arrays.values())
+
+    def _places(self, m: int) -> np.ndarray:
+        """Ring place of every entry (u, v) in the slots of block m, one
+        (n, n) matrix per m for its reads and its store alike: the slot
+        starts by gap, seen through a Toeplitz view, plus ``inner``.  Not
+        to be written: it is kept for the next call at the same m."""
+        if self._block != m:
+            n = len(self.gaps)
+            starts = self.first + m % self.slots * self.length
+            self._block, self._at = m, _toeplitz(starts, n, n) + self.inner
+        return self._at
 
     def reads(self, m, v, columns: int, need) -> np.ndarray:
         """Flat index of the reads G[m + 1 + |w - v|][v, w] at every
-        w < ``columns``, for a scalar m and rows v (the DP) or one m and v
-        per draw (the sampler).  A read past the end or with ``need`` above
-        the L - m units left is the trailing zero."""
+        w < ``columns``, for a scalar m and rows v (the DP) or, on the
+        table, one m and v per draw (the sampler).  A read past the end or
+        with ``need`` above the L - m units left is the trailing zero."""
+        if self.ring:
+            if need is None:  # past the end: |w - v| + 1 > L - m
+                cut = self.gaps[v, :columns] >= self.L - m
+            else:  # past the end too, as need >= |w - v| + 1
+                cut = need[v, :columns] > self.L - m
+            return np.where(cut, self.end, self._places(m)[v, :columns])
         n = len(self.pair)
         m = np.reshape(m, (-1, 1))
         idx = self.rowbase.take(self.pair[v, :columns] + (m + 1) * n, mode="clip")
         idx += np.arange(columns)
-        end = self.start[-1]  # the trailing zero
-        if need is None:
-            np.minimum(idx, end, out=idx)
+        if need is None:  # past the end reads slice L + 1, or clips to it
+            np.minimum(idx, self.end, out=idx)
         else:  # need > L - m past the end too: need >= |w - v| + 1
-            np.putmask(idx, need[v, :columns] > self.L - m, end)
+            np.putmask(idx, need[v, :columns] > self.L - m, self.end)
         return idx
 
     def store(self, stack, m: int, block: np.ndarray) -> None:
         """Write the ranges of slice m from its whole (b, c) block: the
-        leading ``whole[m]`` rows (lo = 0) in one copy, the columns
-        w >= lo[m, u] of the rest by one compare."""
+        leading ``whole[m]`` rows (lo = 0) whole, of the rest the columns
+        w >= lo[m, u], picked by one compare."""
         b, c = block.shape
         whole = self.whole[m]
-        at = self.start[m]
-        out = stack[at:at + self.size[m]]
+        kept = np.arange(c) >= self.lo[m, whole:b, None] if whole < b else None
+        if self.ring:
+            at = self._places(m)[:b, :c]
+            stack[at[:whole]] = block[:whole]
+            if kept is not None:
+                stack[at[whole:][kept]] = block[whole:][kept]
+            return
+        out = stack[self.start[m]:self.start[m] + self.size[m]]
         out[:whole * c] = block[:whole].ravel()
-        if whole < b:
-            stored = np.arange(c) >= self.lo[m, whole:b, None]
-            out[whole * c:] = block[whole:][stored]
+        if kept is not None:
+            out[whole * c:] = block[whole:][kept]
 
 
-def _ring_starts(size: np.ndarray, H: int) -> np.ndarray:
-    """start[m] of every slice of the ring placement of ``_Plan``, from the
-    entries ``size`` of slices 0 ... L + 1; start[L + 1] is the capacity."""
-    L = len(size) - 2
-    total = np.concatenate(([0], np.cumsum(size[:L + 1])))
-    m = np.arange(L + 1)
-    window = total[np.minimum(m + H, L) + 1] - total[m]  # slices m ... m + H
-    capacity = min(int(window.max() + size.max()), int(total[-1]))
-    start = np.empty(L + 2, dtype=np.int64)
-    start[L + 1] = capacity
-    at = 0
-    for m, entries in zip(range(L, -1, -1), size[L::-1].tolist()):
-        if at + entries > capacity:
-            at = 0
-        start[m] = at
-        at += entries
-    return start
+def _slot_lengths(L: int, H: int, rows, cols) -> np.ndarray:
+    """The most entries any slice keeps on its two diagonals |v - u| = g,
+    for each gap g, from the ranges of ``_blocks``.
+
+    Up, (u, u + g) is kept for u + g < c(m) if u = 0, and for u >= 1 also
+    u + g >= 2u - m + 2, so for u < min(c(m) - g, max(m + g - 1, 1)).
+    Down, g >= 1, (u, u - g) is kept for g <= u < b(m), u - g < c(m) and
+    u - g >= 2u - m + 2, so for u - g < min(b(m) - g, c(m), m - 2g - 1).
+    Either way the kept entries are a prefix of the diagonal.  Slices
+    0 ... L only: the sentinel slice L + 1 keeps none."""
+    g = np.arange(H + 1)
+    m = np.arange(L + 1)[:, None]
+    b, c = rows[:L + 1, None], cols[:L + 1, None]
+    up = np.maximum(np.minimum(c - g, np.maximum(m + g - 1, 1)), 0)
+    down = np.maximum(np.minimum(np.minimum(b - g, c), m - 2 * g - 1), 0)
+    down[:, 0] = 0
+    return (up + down).max(axis=0)
 
 
 @dataclass
@@ -444,14 +485,18 @@ class DPTable:
     stretch goes up where v < u and at the start (0, 0), down elsewhere;
     its diagonal v = u is stored but never read.  ``normalization`` is
     log Z.  ``log_truncation_bound`` is the log of a bound on the weight
-    lost to the cutoff, -inf if exact; ``truncation_bound`` is its value
-    as a double, raised to the smallest normal double when it is below
-    that and not exact.  A Free table at or above the exact cutoff is
-    closed above it: ``log_wall_free`` is the log of the wall-free
-    completion W (``_log_completion``) that the DP and the sampler read
-    there, and ``log_leave`` the first-exceedance source on it
-    (``_exceed_sources``), the log weight of leaving the table by (m, v);
-    both are None for every other table.
+    lost to the cutoff, -inf if exact; ``truncation_bound`` is its value as
+    a double, raised to the smallest normal double when it is below that
+    and not exact.  The table keeps every slice, as the sampler reads all
+    of them (31.5 MB for Free at L = 300 and the exact cutoff 149); log Z
+    alone (``dp_log_Z``) runs on the ring of ``_Plan``, which keeps each
+    diagonal of a slice only until its one reader (9.2 MB there).  A Free
+    table at or above the exact cutoff is closed above it:
+    ``log_wall_free`` is the log of the wall-free completion W
+    (``_log_completion``) that the DP and the sampler read there, and
+    ``log_leave`` the first-exceedance source on it (``_exceed_sources``),
+    the log weight of leaving the table by (m, v); both are None for every
+    other table.
     """
 
     variant: Variant
@@ -603,9 +648,10 @@ def dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE,
     it shares the table's read index, and a ring of its own would need a
     second ``_Plan.reads`` per step.  ``dp_log_Z`` is the same DP on the
     ring placement of ``_Plan``, for log Z and the bound alone.  Before the
-    stacks are allocated, a run whose stacks (``_Plan.nbytes``) exceed
-    physical memory raises ValueError naming L, H, the variant and the
-    bytes.
+    majorant is built or a stack allocated, a run whose stacks
+    (``_Plan.nbytes``), plan index arrays and, if cut, (L, L) majorant
+    exceed physical memory raises ValueError naming L, H, the variant and
+    the bytes (``_fitted_plan``).
 
     Guard: the step multiplies by x^{|w - u|} in double precision, so a
     factor below the smallest normal double (x^H < 2.2e-308, beta > 1417/H)
@@ -625,10 +671,14 @@ def dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE,
 def dp_log_Z(L: int, beta: float, delta: float, variant=Variant.FREE,
              height_cutoff: int | None = None) -> LogZ:
     """``LogZ`` of ``dp_Z``, bit for bit, without the table: the DP runs on
-    the ring placement of ``_Plan``, which holds only the slices some later
-    step still reads, about H + 1 of them, for S and for the bound stack B
-    alike.  At H = 200 that is about 65 MB per stack at any L past 2H,
-    where the table takes about 8 (H + 1)^2 bytes per unit of L."""
+    the ring placement of ``_Plan``, for S and for the bound stack B alike.
+    Block m reads only diagonal |w - v| of slice m + 1 + |w - v|, so each
+    diagonal of each slice is read once, and the ring keeps it only until
+    then: at most about (H + 1)^3 / 3 entries, a third of the H + 1 whole
+    slices the step reads from.  At H = 200 that is 22 MB per stack at any
+    L past 2H, where the table takes about 8 (H + 1)^2 bytes per unit of
+    L; at L = 300 and the exact cutoff 149 it is 9.2 MB for Free and
+    5.7 MB for the returning variants, whose down diagonals are shorter."""
     return _at_cutoff(L, beta, delta, variant, height_cutoff, False)[0]
 
 
@@ -639,8 +689,9 @@ def _at_cutoff(L, beta, delta, variant, height_cutoff, keep) -> tuple:
     exact_H = _exact_cutoff(L)
     H = (exact_H if height_cutoff is None
          else _count(height_cutoff, "height_cutoff", 1))
+    plan = _fitted_plan(L, H, variant, keep, H < exact_H)
     log_g = _log_majorant(L, beta, delta) if H < exact_H else None
-    return _dp(L, beta, delta, variant, H, log_g, keep)
+    return _dp(plan, beta, delta, log_g)
 
 
 def certified_dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE) -> tuple:
@@ -680,10 +731,13 @@ def _certified(L, beta, delta, variant, keep) -> tuple:
     exact_H = _exact_cutoff(L)
     target = math.log(_CERTIFIED_REL)
     H = math.ceil(2.0 * math.sqrt(L))
-    log_g = _log_majorant(L, beta, delta)
+    log_g = None  # the majorant, built once the first trial's memory is checked
     tried = []  # (H, log(bound / reduced Z)) of each refused trial
     while 2 * H < exact_H:
-        z, table = _dp(L, beta, delta, variant, H, log_g, keep)
+        plan = _fitted_plan(L, H, variant, keep, True)
+        if log_g is None:
+            log_g = _log_majorant(L, beta, delta)
+        z, table = _dp(plan, beta, delta, log_g)
         gap = z.log_truncation_bound - (z.log_z - beta * L)
         if math.isfinite(z.log_z) and gap < target:
             return z, table
@@ -701,7 +755,7 @@ def _certified(L, beta, delta, variant, keep) -> tuple:
             predicted = math.ceil(math.sqrt(h1 * h1 + (target - g1) / slope)) + 1
         H = max(predicted, H + 1)
     del log_g  # the exact table needs no majorant
-    return _dp(L, beta, delta, variant, exact_H, None, keep)
+    return _dp(_fitted_plan(L, exact_H, variant, keep, False), beta, delta, None)
 
 
 def _check_dp_args(L: int, beta: float, delta: float) -> int:
@@ -720,22 +774,34 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _dp(L, beta, delta, variant, H, log_g, keep) -> tuple:
-    """(LogZ, DPTable) of ``dp_Z`` at cutoff H if ``keep``, else (LogZ,
-    None) from the ring placement of ``_Plan``; the bound stack runs with
-    the majorant ``log_g`` of ``_log_majorant``, or not at all if it is
-    None.  A Free table at or above the exact cutoff is closed by the
-    wall-free completion W, of which only the levels r <= L - H - 2 are
-    read."""
+def _fitted_plan(L, H, variant, keep, cut) -> _Plan:
+    """The ``_Plan`` of a run at cutoff H, the table's if ``keep``, else the
+    ring's, once the run is known to fit in physical memory: its stacks
+    (``_Plan.nbytes``, S and, if ``cut``, B), the plan's own index arrays
+    and, if ``cut``, the (L, L) majorant of ``_log_majorant``, which is
+    built only after this check.  A run that does not fit raises
+    ValueError naming L, H, the variant and the bytes."""
+    plan = _Plan(L, H, variant, ring=not keep)
+    need = plan.nbytes(1 + cut) + plan.index_nbytes() + (8 * L * L if cut else 0)
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        parts = "stacks, index and majorant" if cut else "stacks and index"
+        raise ValueError(f"dp_Z at L={L}, H={H}, {variant.value}: its {parts}"
+                         f" take {need} bytes, more than the {memory} bytes"
+                         " of physical memory")
+    return plan
+
+
+def _dp(plan, beta, delta, log_g) -> tuple:
+    """(LogZ, DPTable) of ``dp_Z`` on ``plan`` at its cutoff H if it is the
+    table's, else (LogZ, None) from the ring; the bound stack runs with the
+    majorant ``log_g`` of ``_log_majorant``, or not at all if it is None.
+    A Free table at or above the exact cutoff is closed by the wall-free
+    completion W, of which only the levels r <= L - H - 2 are read."""
+    L, H, variant, keep = plan.L, plan.H, plan.variant, not plan.ring
     law = StepLaw(beta)
     X = law.c_beta * _step_matrix(law, H)  # X[u, w] = x^{|w - u|}
     raised = -np.inf
-    plan = _Plan(L, H, variant, ring=not keep)
-    need, memory = plan.nbytes(1 if log_g is None else 2), _physical_memory()
-    if memory is not None and need > memory:
-        raise ValueError(f"dp_Z at L={L}, H={H}, {variant.value}: its stacks"
-                         f" take {need} bytes, more than the {memory} bytes"
-                         " of physical memory")
     log_w = closing = bounding = None
     if variant is Variant.FREE and H >= _exact_cutoff(L):
         log_w = _log_completion(L, max(L - H - 1, 1), beta, -beta, False)
@@ -821,10 +887,10 @@ def _transfer(L, beta, delta, plan, X, closing, bounding) -> tuple:
     weight is.  The step computes the whole b x c block in one scratch
     buffer and normalizes it by its max over all b x c entries; only then
     does ``_Plan.store`` keep the stored ranges.  A block with no weight is
-    not stored and keeps log scale -inf.  On a ring its slot may still hold
-    an older slice, entries finite in [0, 1]: its gap scale e^{-inf} = 0
-    makes them 0 on the scaled path and their log plus -inf is -inf on the
-    redo, exactly what the table's zeros give.
+    not stored and keeps log scale -inf.  On the ring its slots may still
+    hold older slices' diagonals, entries finite in [0, 1]: its gap scale
+    e^{-inf} = 0 makes them 0 on the scaled path and their log plus -inf is
+    -inf on the redo, exactly what the table's zeros give.
     """
     n = len(X)
     variant, rows, cols = plan.variant, plan.rows, plan.cols
@@ -924,7 +990,7 @@ def _transfer(L, beta, delta, plan, X, closing, bounding) -> tuple:
         return half * heights[:rows[m]], log_v
 
     shift = half * heights + beta  # log e^{-beta} x^{v - u} = (beta/2) u - shift[v]
-    S = np.zeros(plan.start[-1] + 1)  # + the trailing zero
+    S = np.zeros(plan.end + 1)  # + the trailing zero
     last = np.zeros((rows[L], cols[L]))
     if variant is Variant.FREE:
         last[:] = X[:rows[L], :rows[L]]

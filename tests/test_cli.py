@@ -235,9 +235,10 @@ def test_sample_jsonl_matches_record_oracle(variant, capsys):
 
 
 def test_sample_chunks_match_on_stdout_and_in_a_file(tmp_path, capsys):
-    # more draws than one chunk: the same bytes on stdout and in a file, and
-    # every record is the oracle's
-    count = cli._SAMPLE_CHUNK + 904
+    # more draws than one chunk, about _SAMPLE_VALUES values of at most
+    # L + 4 per record: the same bytes on stdout and in a file, and every
+    # record is the oracle's
+    count = cli._SAMPLE_VALUES // (12 + 4) + 904
     argv = ["sample", "--length", "12", "--beta", "0.3", "--delta", "-1",
             "--variant", "free", "--count", str(count), "--seed", "3"]
     assert cli.main([*argv, "--out", "-"]) == 0

@@ -473,6 +473,13 @@ def test_stored_bytes_at_l300():
         plan = exactz._Plan(300, H, variant)
         assert plan.start[-1] == (plan.hi - plan.lo).sum()
         assert round(8 * int(plan.start[-1]) / 1e6, 1) == mb
+    # the ring of diagonals at the exact cutoff (about (H + 1)^3 / 3 entries
+    # for Free, fewer for the returning variants' shorter down diagonals):
+    # the ring of about H + 1 whole slices took 24.9 / 14.7 / 14.7 MB
+    for variant, mb in zip(VARIANTS, (9.2, 5.7, 5.7)):
+        ring = exactz._Plan(300, 149, variant, ring=True)
+        assert round(8 * ring.end / 1e6, 1) == mb
+        assert round(ring.nbytes(1) / 1e6, 1) == mb
     # past m = 2H + 1 every row of a cut table is whole
     plan = exactz._Plan(300, 46, Variant.FREE)
     assert round(8 * int(plan.start[-1]) / 1e6, 2) == 4.61
@@ -525,12 +532,19 @@ def _spy_transfer(monkeypatch):
 
 
 def _stale_reads(plan, off):
-    """Slices never stored (log scale -inf) whose ring slot an earlier,
-    stored slice wrote: the DP reads an older slice's numbers there."""
-    start, size, L = plan.start, plan.size, plan.L
-    return [m for m in range(L) if off[m] == -np.inf and size[m] and any(
-        off[k] > -np.inf and start[k] < start[m] + size[m]
-        and start[m] < start[k] + size[k] for k in range(m + 1, L + 1))]
+    """Slices never stored (log scale -inf) of which some entry's place on
+    the ring an earlier, stored slice wrote: the DP reads an older slice's
+    numbers there.  A slice's places are where ``_Plan.store`` writes it."""
+    written = np.zeros(plan.end + 1, dtype=bool)  # by the stored slices so far
+    stale = []
+    for m in range(plan.L, -1, -1):
+        places = np.zeros_like(written)
+        plan.store(places, m, np.ones((plan.rows[m], plan.cols[m]), dtype=bool))
+        if off[m] > -np.inf:
+            written |= places
+        elif m < plan.L and np.any(written & places):
+            stale.append(m)
+    return stale
 
 
 def test_ring_stale_slots_read_as_zero(monkeypatch):
@@ -554,28 +568,42 @@ def test_ring_stale_slots_read_as_zero(monkeypatch):
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
 def test_ring_placement_keeps_every_slice_until_read(variant):
-    # from _Plan alone: when slice m is stored, block m - 1 still reads
-    # slices m ... m + H, so slice m overlaps none of m + 1 ... m + H; each
-    # slice keeps the table's layout inside it, and the capacity is at most
-    # the largest such window plus one slice
+    # from _Plan alone, in the DP's order of reads and stores, on a stack of
+    # labels (m n + u) n + v of the entries (m, u, v): chunk g of slice m'
+    # (its entries with |v - u| = g) stays intact from its store until block
+    # m' - 1 - g reads it, as every read that can finish finds the label of
+    # its entry, and every other read lands on the trailing zero; a store
+    # writes each kept entry of its slice at a place of its own and only
+    # over chunks whose reader has run, so no two live chunks overlap
     for L in range(1, 65):
         for H in sorted({1, 2, 3, 7, max(exactz._exact_cutoff(L), 1), L + 1}):
             ring = exactz._Plan(L, H, variant, ring=True)
-            table = exactz._Plan(L, H, variant)
-            np.testing.assert_array_equal(ring.size, table.size)
-            size, start, cap = table.size, ring.start, ring.start[-1]
-            layout = [p.rowbase.reshape(L + 2, H + 1) - p.start[:, None]
-                      for p in (ring, table)]
-            np.testing.assert_array_equal(*layout)
-            assert cap <= table.start[-1]
-            assert np.all((start >= 0) & (start + size <= cap))
-            window = max(int(size[m:m + H + 1].sum()) for m in range(L + 1))
-            assert cap <= window + size.max()
-            for m in range(L):
-                live = np.arange(m + 1, min(m + H, L) + 1)
-                apart = ((start[m] + size[m] <= start[live])
-                         | (start[live] + size[live] <= start[m]))
-                assert size[m] == 0 or np.all(apart | (size[live] == 0)), (L, H, m)
+            n = H + 1
+            heights = np.arange(n)
+            gaps = np.abs(heights - heights[:, None])
+            labels = heights[:, None] * n + heights  # of slice 0; slice m adds m n^2
+            stack = np.full(ring.end + 1, -1.0)
+            for m in range(L, -1, -1):
+                if m < L:
+                    c = ring.cols[m]
+                    ne = n if variant is Variant.FREE else min(n, max(L - m - 1, 1))
+                    idx = ring.reads(m, slice(c), ne, ring.need)
+                    later = m + 1 + gaps[:c, :ne]
+                    stop = later > L
+                    if ring.need is not None:
+                        stop |= ring.need[:c, :ne] > L - m
+                    np.testing.assert_array_equal(idx == ring.end, stop)
+                    want = later * n * n + labels[:c, :ne]
+                    assert np.all(stack[idx][~stop] == want[~stop]), (L, H, m)
+                b, c = ring.rows[m], ring.cols[m]
+                before = stack.copy()
+                ring.store(stack, m, (m * n * n + labels[:b, :c]).astype(float))
+                over = before[stack != before].astype(np.int64)
+                assert over.size == ring.size[m], (L, H, m)
+                over = over[over >= 0]
+                reader = over // (n * n) - 1 - np.abs(over // n % n - over % n)
+                assert np.all(reader >= m), (L, H, m)
+            assert stack[-1] == -1.0  # the trailing zero is never written
 
 
 def test_stack_bytes_are_counted_before_allocation(monkeypatch):
@@ -595,12 +623,19 @@ def test_stack_bytes_are_counted_before_allocation(monkeypatch):
     assert table.log_weights.nbytes == table.plan.nbytes(1)
 
 
+def _fit_bytes(L, H, variant, ring, cut):
+    """The bytes the memory check counts for a run: its stacks, S and, when
+    cut, B, the plan's own index arrays and, when cut, the (L, L) majorant."""
+    plan = exactz._Plan(L, H, variant, ring=ring)
+    return plan.nbytes(1 + cut) + plan.index_nbytes() + cut * 8 * L * L
+
+
 def test_dp_refuses_stacks_beyond_physical_memory(monkeypatch):
     # the check reads os.sysconf through _physical_memory; set low, it
     # refuses before any stack is allocated, naming L, H, variant and bytes
     runs = _spy_transfer(monkeypatch)
-    table = exactz._Plan(40, 19, Variant.FREE).nbytes(1)
-    ring = exactz._Plan(40, 6, Variant.CONSTRAINED_END, ring=True).nbytes(2)
+    table = _fit_bytes(40, 19, Variant.FREE, False, False)
+    ring = _fit_bytes(40, 6, Variant.CONSTRAINED_END, True, True)
     monkeypatch.setattr(exactz, "_physical_memory", lambda: 1000)
     with pytest.raises(ValueError, match=f"L=40, H=19, Free: .* {table} bytes"):
         exactz.dp_Z(40, 2.0, 0.5, Variant.FREE)
@@ -614,12 +649,48 @@ def test_dp_refuses_stacks_beyond_physical_memory(monkeypatch):
     assert len(runs) == 2
 
 
+def test_dp_counts_index_and_majorant_before_building_it(monkeypatch):
+    # with memory between the stacks alone and the full count, a cut run on
+    # a table or a ring refuses before the majorant is built or any stack
+    # allocated, once for the stacks and index alone and once for all but
+    # the majorant; with the full count it runs.  The certified search checks
+    # its first trial before it builds the majorant
+    runs = _spy_transfer(monkeypatch)
+    built = []
+    majorant = exactz._log_majorant
+    monkeypatch.setattr(exactz, "_log_majorant",
+                        lambda *args: built.append(args) or majorant(*args))
+    for route, ring in ((exactz.dp_Z, False), (exactz.dp_log_Z, True)):
+        plan = exactz._Plan(60, 6, Variant.SINGLE_BEAD, ring=ring)
+        full = _fit_bytes(60, 6, Variant.SINGLE_BEAD, ring, True)
+        stacks = plan.nbytes(2)
+        assert stacks + plan.index_nbytes() < full
+        for memory in (stacks, stacks + plan.index_nbytes()):
+            monkeypatch.setattr(exactz, "_physical_memory", lambda: memory)
+            with pytest.raises(ValueError, match="L=60, H=6, SingleBead: its"
+                               f" stacks, index and majorant take {full} bytes"):
+                route(60, 2.0, 0.5, Variant.SINGLE_BEAD, height_cutoff=6)
+        assert not built and not runs
+        monkeypatch.setattr(exactz, "_physical_memory", lambda: full)
+        route(60, 2.0, 0.5, Variant.SINGLE_BEAD, height_cutoff=6)
+        assert len(built) == len(runs) == 1
+        built.clear()
+        runs.clear()
+    first = math.ceil(2 * math.sqrt(300))
+    trial = exactz._Plan(300, first, Variant.FREE, ring=True).nbytes(2)
+    monkeypatch.setattr(exactz, "_physical_memory", lambda: trial)
+    with pytest.raises(ValueError, match=f"L=300, H={first}, Free"):
+        exactz.certified_dp_log_Z(300, 2.0, 1.2, Variant.FREE)
+    assert not built and not runs
+
+
 def test_ring_at_l6400_stays_small():
     # the long-L property, from _Plan alone (no stack is allocated): the
-    # single-bead ring at L = 6400, H = 200 holds about H + 1 whole slices
+    # single-bead ring at L = 6400, H = 200 holds each diagonal of a slice
+    # only until its one reader, 22.0 MB (the ring of whole slices took 65.3)
     ring = exactz._Plan(6400, 200, Variant.SINGLE_BEAD, ring=True).nbytes(1)
     table = exactz._Plan(6400, 200, Variant.SINGLE_BEAD).nbytes(1)
-    assert ring <= 70e6
+    assert ring <= 23e6
     assert 25 * ring <= table
 
 
@@ -684,6 +755,14 @@ def test_count_arguments_refuse_what_is_not_a_whole_number(call, named):
     # truncated by int(), 5.5 would run at H = 5 and True at H = 1
     with pytest.raises(ValueError, match=f"^{named} must be a whole number"):
         call()
+
+
+@pytest.mark.parametrize("L", [10.5, -3, 0, True])
+def test_enumerate_configs_checks_length_at_the_call(L):
+    # refused when called, not on the first next: 10.5 raised TypeError from
+    # range there, and -3 and 0 yielded nothing
+    with pytest.raises(ValueError, match=f"^L = {L!r} must be a whole number >= 1"):
+        exactz.enumerate_configs(L)
 
 
 def test_count_arguments_take_whole_numbers_of_any_type():
