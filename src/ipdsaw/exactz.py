@@ -16,13 +16,14 @@ the transfer DP below exploit.  The module provides
 * ``dp_Z``             rescaled transfer DP over (consumed length, prev
                        height, cur height) on one backward step for all
                        variants, stepping only the height pairs that are
-                       reachable and can still finish and storing, per row,
-                       only the closed-form range of them that some step
-                       reads, in one table for every variant (a single
-                       bead goes up next where v < u, else down; its
-                       diagonal is stored, never read), every read
-                       through one precomputed gather plan; exact at
-                       the default cutoff (L - 2)/2, where the Free table
+                       reachable and can still finish and storing only
+                       the closed-form ranges of them that some step
+                       reads, each slice by its diagonals, in one table
+                       for every variant (a single bead goes up next where
+                       v < u, else down; its diagonal is stored, never
+                       read), every read and write through one plan of
+                       places; exact at the default cutoff (L - 2)/2,
+                       where the Free table
                        is closed by the exact wall-free completion,
                        otherwise with a rigorous truncation bound (kept
                        as a log) on the same step, from a wall-free
@@ -32,8 +33,9 @@ the transfer DP below exploit.  The module provides
                        is below 1e-13 of Z, the exact table failing that;
 * ``dp_log_Z`` / ``certified_dp_log_Z``   the same log Z, cutoff and bound,
                        bit for bit, as a ``LogZ`` without the table: the DP
-                       runs on a ring that keeps each diagonal of a slice
-                       only until the one step that reads it, at most about
+                       runs on a ring, the table's layout with each
+                       diagonal of a slice kept only until the one step
+                       that reads it, at most about
                        (H + 1)^3 / 3 entries, a third of H + 1 slices;
 * ``backward_sample``  exact samples, all draws advanced together, one
                        stretch per round, on that step and through that
@@ -260,18 +262,27 @@ def _exact_cutoff(L: int) -> int:
     return max((L - 2) // 2, 0)
 
 
+def _extents(L: int, H: int, variant: Variant) -> tuple:
+    """(rows, cols): b(m) and c(m) of ``_blocks`` at m = 0 ... L + 1."""
+    consumed = np.arange(L + 2)
+    rows = np.minimum(np.maximum(consumed, 1), H + 1)
+    if variant is Variant.FREE:
+        return rows, rows
+    return rows, np.minimum(rows, np.maximum(L - consumed, 1))
+
+
 def _blocks(L: int, H: int, variant: Variant) -> tuple:
     """(rows, cols, lo, hi): the block of every consumed length m and, in
-    it, the stored column range [lo, hi) of every row u.
+    it, the kept column range [lo, hi) of every row u.
 
     After m >= 1 units the last two prefix heights satisfy u + |v - u| <=
     m - 1, so u, v < b(m) = min(m, H + 1); before the first stretch the
     state is (0, 0), b(0) = 1.  The returning variants must also get back
     to 0 from v in the L - m units left, which takes at least v + 1 of them
     while any are left, so only v < c(m) = min(b(m), max(L - m, 1)) can
-    finish; Free keeps c = b.
+    finish; Free keeps c = b (``_extents``).
 
-    Of that b(m) x c(m) block only a band is stored.  A row u >= 1 needs two
+    Of that b(m) x c(m) block only a band is kept.  A row u >= 1 needs two
     or more stretches: reaching u costs u + 1 units and the next stretch
     |v - u| + 1, so u + |v - u| <= m - 2 and row u keeps v in
     [max(0, 2u - m + 2), c(m)); row 0 keeps all of [0, c(m)), as the first
@@ -280,12 +291,14 @@ def _blocks(L: int, H: int, variant: Variant) -> tuple:
     (u, v) tells the next direction: up if v < u (the last went down) and
     at the start (0, 0), down if v > u.  Its one table keeps both sides in
     the same band; the diagonal v = u, never reached after the start, is
-    stored but never read.
+    kept but never read.  ``_Plan`` stores these entries by diagonals, and
+    ``_Plan.store`` keeps them by this closed form; the arrays here state
+    it for the checks.
 
     Every read of the step and the sampler that can finish lands in these
     ranges, every other on the trailing zero (``_Plan.reads``).  Block r reads
     row v < c(r) of slice m = r + 1 + |w - v| at a w < c(m) that can still
-    finish, and a draw at a stored (r, u, v) reads the same, with v <= r - 1
+    finish, and a draw at a kept (r, u, v) reads the same, with v <= r - 1
     there; for v >= 1, w >= 2v - m + 2 holds at every w exactly when
     v <= r - 1, and c(r) <= r.  A single bead's up stretch to w > v reads
     the entry (v, w) with w > v, whose next stretch goes down, and a down
@@ -294,16 +307,34 @@ def _blocks(L: int, H: int, variant: Variant) -> tuple:
     are (L + 2, H + 1), lo <= hi, with an empty range at every row
     u >= b(m) and in the sentinel slice L + 1.
     """
+    rows, cols = _extents(L, H, variant)
     consumed = np.arange(L + 2)
-    rows = np.minimum(np.maximum(consumed, 1), H + 1)
-    cols = rows
-    if variant is not Variant.FREE:
-        cols = np.minimum(rows, np.maximum(L - consumed, 1))
     heights = np.arange(H + 1)
     lo = np.where(heights >= 1, np.maximum(2 * heights - consumed[:, None] + 2, 0), 0)
     hi = np.where(heights < rows[:, None], cols[:, None], 0)
     hi[L + 1] = 0
     return rows, cols, np.minimum(lo, hi).astype(np.int32), hi.astype(np.int32)
+
+
+def _diagonal_lengths(L: int, H: int, rows, cols) -> tuple:
+    """(up, down): the entries slice m keeps on its diagonal v = u + g
+    and on v = u - g, as (L + 1, H + 1) arrays [m, g], from the ranges of
+    ``_blocks`` at the extents ``rows`` and ``cols``.
+
+    Up, (u, u + g) is kept for u + g < c(m) if u = 0, and for u >= 1 also
+    u + g >= 2u - m + 2, so for u < min(c(m) - g, max(m + g - 1, 1)).
+    Down, g >= 1, (u, u - g) is kept for g <= u < b(m), u - g < c(m) and
+    u - g >= 2u - m + 2, so for u - g < min(b(m) - g, c(m), m - 2g - 1).
+    Either way the kept entries are a prefix of the diagonal, and the
+    lengths of slice m sum to its kept entries.  Slices 0 ... L only: the
+    sentinel slice L + 1 keeps none."""
+    g = np.arange(H + 1)
+    m = np.arange(L + 1)[:, None]
+    b, c = rows[:L + 1, None], cols[:L + 1, None]
+    up = np.maximum(np.minimum(c - g, np.maximum(m + g - 1, 1)), 0)
+    down = np.maximum(np.minimum(np.minimum(b - g, c), m - 2 * g - 1), 0)
+    down[:, 0] = 0
+    return up, down
 
 
 class _Plan:
@@ -315,77 +346,90 @@ class _Plan:
     read, for the DP and the sampler alike, and sends each read that cannot
     finish to the one trailing zero (-inf once the table is in logs) at
     ``end``, the last entry of the stack.  ``need[v, w]`` is the fewest
-    units the stretch v -> w and the way back to 0 take, for the returning
-    variants w + |w - v| + 2 (|w - v| + 1 to w = 0), so a read from
-    consumed length m with need > L - m cannot finish; a single bead's
-    stretch must change the height, so its diagonal is L + 1.  Free keeps
-    None, as its only reads that cannot finish are those past the end.
-    ``dirs[k]`` is the need of stretch direction k: stretch k takes
-    direction k mod len(dirs), single beads alternating up and down with
-    need L + 1 against the direction, which the sampler reads one stretch
-    at a time; the DP reads ``need`` and splits the terms by direction
-    itself.  A slice m holds ``size[m]`` entries, the ranges [lo, hi) of
-    ``_blocks``, on either placement.
+    units the stretch v -> w and what follows take: |w - v| + 1 for Free,
+    whose only reads that cannot finish are those past the end, and for
+    the returning variants w + 1 more to get back to 0 from w >= 1; a
+    single bead's stretch must change the height, so its diagonal is
+    L + 1.  A read from consumed length m with need > L - m cannot finish,
+    which covers every read past the end.  ``dirs[k]`` is the need of
+    stretch direction k: stretch k takes direction k mod len(dirs), single
+    beads alternating up and down with need L + 1 against the direction,
+    which the sampler reads one stretch at a time; the DP reads ``need``
+    and splits the terms by direction itself.
 
-    The table placement puts the ranges back to back, row after row and
-    slice after slice, slice 0 first, as the sampler reads them: slice m
-    from start[m], row u of it from rowbase[m, u] + lo[m, u], so that
-    (m', v, w) is at rowbase[m', v] + w, and ``pair[v, w] = |w - v| n + v``
-    indexes the flattened rowbase from row m + 1.
+    A slice m keeps ``size[m]`` entries, the ranges [lo, hi) of
+    ``_blocks``, and stores them by diagonals: chunk g of slice m holds its
+    kept entries (u, v) with |v - u| = g.  They are a prefix of each of
+    the two diagonals (``_diagonal_lengths``), so the up entry (u, u + g)
+    sits at u from the chunk's start and the down entry (u, u - g) at
+    u - g back from its last entry: ``inner[u, v]`` is u, or -(u - g).
+    The two placements differ only in where chunk (m, g) starts.  Each gap
+    g keeps a list of chunk places, in which chunk (m, g) is entry
+    (m - 1 - g) mod ``period[g]``, m - 1 - g being the block that reads
+    it; ``bases`` holds the lists two-sided, by d = v - u, from
+    ``col[H + d]``: the chunks' starts for d >= 0, their last entries for
+    d < 0.  The place of (u, v) in slice m is then
 
-    The ring placement (``ring``) is for log Z alone and stores a slice by
-    its diagonals: chunk g of slice m holds its entries (u, v) with
-    |v - u| = g.  Block m reads exactly chunk g of slice m + 1 + g, at every
-    gap g, so each chunk is read once, by one block, and dead after it.
-    Gap g gets g + 1 slots of ``length[g]`` entries from first[g], and
-    chunk g of slice m goes in slot m mod (g + 1): the slot of slice
-    m + 1 + g, which block m reads just before it writes its own chunk
-    there, while the other g slots hold the chunks of slices m + 1 ... m + g
-    that later blocks still read.  Stored entries of a diagonal are a
-    prefix of it (``_slot_lengths``), so in its slot the up entry (u, u + g)
-    sits at u from the front and the down entry (u, u - g) at u - g from
-    the back, ``inner[u, v]``, and the slot needs only the most entries any
-    slice keeps on that diagonal.  The position of (u, v) in the slots of
-    block m, first[g] + (m mod (g + 1)) length[g] + inner[u, v], serves its
-    reads and its store alike.  The ring takes about a third of (H + 1)
-    whole slices: at L = 300 and the exact cutoff 149, 9.2 MB for Free and
-    5.7 MB for the returning variants.
+        bases[col[H + d] + (m - 1 - |d|) mod period[H + d]] + inner[u, v],
+
+    and block m reads every chunk at entry m mod period.
+
+    The table keeps every chunk, back to back in (m, g) order, slice 0
+    first, each as long as the entries it keeps, and lists them with
+    period L + 1: a chunk with g >= m keeps nothing, so each entry lists
+    one chunk.  A reader m < L never wraps, so the sampler's reads, one m
+    and v per draw, are one gather from ``bases`` at m, plus ``inner``.
+    The ring (``ring``) is for log Z alone.  Block m reads exactly chunk g
+    of slice m + 1 + g, at every gap g, so each chunk is read once, by one
+    block, and dead after it.  So gap g has g + 1 slots, period g + 1,
+    each as long as the longest chunk of that gap, back to back gap after
+    gap: chunk g of slice m goes in slot (m - 1 - g) mod (g + 1) =
+    m mod (g + 1), the slot that block m reads just before it writes its
+    own chunk there, while the other g slots hold the chunks of slices
+    m + 1 ... m + g that later blocks still read.
+
+    The DP's reads of block m and the store of slice m each take one
+    (n, n) matrix of places (``_places``), the chunk places through a
+    two-sided Toeplitz view plus ``inner``; on the ring the two are the
+    same matrix.  The ring takes about a third of (H + 1) whole slices: at
+    L = 300 and the exact cutoff 149, 9.2 MB for Free and 5.7 MB for the
+    returning variants, where the table takes 31.5 and 17.9 MB.
     """
 
     def __init__(self, L: int, H: int, variant: Variant, ring: bool = False):
         self.L, self.H, self.variant, self.ring = L, H, variant, ring
-        self.rows, self.cols, self.lo, self.hi = _blocks(L, H, variant)
+        self.rows, self.cols = _extents(L, H, variant)
         n = H + 1
         heights = np.arange(n)
-        self.gaps = np.abs(heights - heights[:, None])
-        lengths = self.hi - self.lo
-        self.size = lengths.sum(axis=1, dtype=np.int64)
-        self.whole = ((self.lo == 0) & (heights < self.rows[:, None])).sum(axis=1).tolist()
-        if ring:
-            self.length = _slot_lengths(L, H, self.rows, self.cols)
-            self.slots = heights + 1
-            room = self.slots * self.length
-            self.first = np.cumsum(room) - room
-            self.end = int(room.sum())
-            self.inner = np.where(heights >= heights[:, None], heights[:, None],
-                                  self.length[self.gaps] - 1 - heights)
-            self._block, self._at = None, None  # the places of the last block
-        else:
-            within = np.cumsum(lengths, axis=1, dtype=np.int64) - lengths  # row starts
-            self.start = np.cumsum(self.size) - self.size
-            self.end = int(self.start[-1])
-            self.rowbase = (self.start[:, None] + within - self.lo).ravel()
-            self.pair = self.gaps * n + heights[:, None]
-        if variant is Variant.FREE:
-            self.need, self.dirs = None, (None,)
-            return
-        need = self.gaps + 1
-        need[:, 1:] += heights[1:] + 1
+        chunk = sum(_diagonal_lengths(L, H, self.rows, self.cols))  # [m, g]
+        self.size = chunk.sum(axis=1)
+        if ring:  # gap g: g + 1 slots of its longest chunk, gap after gap
+            period = heights + 1
+            lengths = np.repeat(chunk.max(axis=0), period)
+            starts = np.cumsum(lengths) - lengths
+        else:  # every chunk, back to back in (m, g) order
+            period = np.full(n, L + 1)
+            listed = ((np.arange(L + 1) + 1 + heights[:, None]) % (L + 1),
+                      heights[:, None])  # [g, r]: chunk (r + 1 + g, g)
+            starts = (np.cumsum(chunk).reshape(chunk.shape) - chunk)[listed].ravel()
+            lengths = chunk[listed].ravel()
+        self.end = int(lengths.sum())
+        first = np.cumsum(period) - period  # where the list of gap g begins
+        self.bases = np.concatenate((starts + lengths - 1, starts))
+        self.col = np.concatenate((first[:0:-1], len(starts) + first))
+        self.period = np.concatenate((period[:0:-1], period))
+        self.reach = np.abs(np.arange(-H, n))  # the gap of each d
+        self.inner = np.where(heights >= heights[:, None], heights[:, None], -heights)
+        self._key, self._at = None, None  # the places of the last call
+        gaps = np.abs(heights - heights[:, None])
+        need = gaps + 1
+        if variant is not Variant.FREE:
+            need[:, 1:] += heights[1:] + 1
         self.need, self.dirs = need, (need,)
         if variant is Variant.SINGLE_BEAD:
             up = heights > heights[:, None]
             self.dirs = (np.where(up, need, L + 1), np.where(up.T, need, L + 1))
-            self.need = np.where(self.gaps == 0, L + 1, need)
+            self.need = np.where(gaps == 0, L + 1, need)
 
     def nbytes(self, stacks: int) -> int:
         """Bytes of ``stacks`` float64 stacks on this placement, each with
@@ -398,74 +442,45 @@ class _Plan:
                   if isinstance(a, np.ndarray)}
         return sum(arrays.values())
 
-    def _places(self, m: int) -> np.ndarray:
-        """Ring place of every entry (u, v) in the slots of block m, one
-        (n, n) matrix per m for its reads and its store alike: the slot
-        starts by gap, seen through a Toeplitz view, plus ``inner``.  Not
-        to be written: it is kept for the next call at the same m."""
-        if self._block != m:
-            n = len(self.gaps)
-            starts = self.first + m % self.slots * self.length
-            self._block, self._at = m, _toeplitz(starts, n, n) + self.inner
+    def _places(self, entries, rows: int) -> np.ndarray:
+        """Place of every entry (v, w), v < ``rows``, whose chunk is entry
+        ``entries[H + w - v]`` of its gap's list, as one (rows, n) matrix:
+        the chunk places through a two-sided Toeplitz view, plus
+        ``inner``.  Not to be written: it is kept for the next call with
+        the same entries."""
+        key = (rows, entries.tobytes())
+        if key != self._key:
+            starts = self.bases[self.col + entries]
+            self._key = key
+            self._at = _toeplitz(starts, rows, self.H + 1) + self.inner[:rows]
         return self._at
 
     def reads(self, m, v, columns: int, need) -> np.ndarray:
         """Flat index of the reads G[m + 1 + |w - v|][v, w] at every
         w < ``columns``, for a scalar m and rows v (the DP) or, on the
-        table, one m and v per draw (the sampler).  A read past the end or
-        with ``need`` above the L - m units left is the trailing zero."""
-        if self.ring:
-            if need is None:  # past the end: |w - v| + 1 > L - m
-                cut = self.gaps[v, :columns] >= self.L - m
-            else:  # past the end too, as need >= |w - v| + 1
-                cut = need[v, :columns] > self.L - m
-            return np.where(cut, self.end, self._places(m)[v, :columns])
-        n = len(self.pair)
-        m = np.reshape(m, (-1, 1))
-        idx = self.rowbase.take(self.pair[v, :columns] + (m + 1) * n, mode="clip")
-        idx += np.arange(columns)
-        if need is None:  # past the end reads slice L + 1, or clips to it
-            np.minimum(idx, self.end, out=idx)
-        else:  # need > L - m past the end too: need >= |w - v| + 1
-            np.putmask(idx, need[v, :columns] > self.L - m, self.end)
-        return idx
+        table, whose lists never wrap, one m < L and v per draw (the
+        sampler).  A read with ``need`` above the L - m units left is the
+        trailing zero."""
+        if np.ndim(m):
+            m = m[:, None]
+            k = (self.H - v)[:, None] + np.arange(columns)  # H + w - v
+            at = self.bases[self.col[k] + m] + self.inner[v, :columns]
+        else:
+            at = self._places(m % self.period, self.rows[m])[v, :columns]
+        return np.where(need[v, :columns] > self.L - m, self.end, at)
 
     def store(self, stack, m: int, block: np.ndarray) -> None:
-        """Write the ranges of slice m from its whole (b, c) block: the
-        leading ``whole[m]`` rows (lo = 0) whole, of the rest the columns
-        w >= lo[m, u], picked by one compare."""
+        """Write the kept entries of slice m from its whole (b, c) block:
+        the leading rows, where lo = 0 (row 0 and u <= (m - 2)/2), whole,
+        of the rest the columns w >= 2u - m + 2 (``_blocks``)."""
         b, c = block.shape
-        whole = self.whole[m]
-        kept = np.arange(c) >= self.lo[m, whole:b, None] if whole < b else None
-        if self.ring:
-            at = self._places(m)[:b, :c]
-            stack[at[:whole]] = block[:whole]
-            if kept is not None:
-                stack[at[whole:][kept]] = block[whole:][kept]
-            return
-        out = stack[self.start[m]:self.start[m] + self.size[m]]
-        out[:whole * c] = block[:whole].ravel()
-        if kept is not None:
-            out[whole * c:] = block[whole:][kept]
-
-
-def _slot_lengths(L: int, H: int, rows, cols) -> np.ndarray:
-    """The most entries any slice keeps on its two diagonals |v - u| = g,
-    for each gap g, from the ranges of ``_blocks``.
-
-    Up, (u, u + g) is kept for u + g < c(m) if u = 0, and for u >= 1 also
-    u + g >= 2u - m + 2, so for u < min(c(m) - g, max(m + g - 1, 1)).
-    Down, g >= 1, (u, u - g) is kept for g <= u < b(m), u - g < c(m) and
-    u - g >= 2u - m + 2, so for u - g < min(b(m) - g, c(m), m - 2g - 1).
-    Either way the kept entries are a prefix of the diagonal.  Slices
-    0 ... L only: the sentinel slice L + 1 keeps none."""
-    g = np.arange(H + 1)
-    m = np.arange(L + 1)[:, None]
-    b, c = rows[:L + 1, None], cols[:L + 1, None]
-    up = np.maximum(np.minimum(c - g, np.maximum(m + g - 1, 1)), 0)
-    down = np.maximum(np.minimum(np.minimum(b - g, c), m - 2 * g - 1), 0)
-    down[:, 0] = 0
-    return (up + down).max(axis=0)
+        at = self._places((m - 1 - self.reach) % self.period, b)[:, :c]
+        whole = min(b, max(m // 2, 1))
+        stack[at[:whole]] = block[:whole]
+        if whole < b:
+            heights = self.reach[self.H:]  # reach[H + u] = u
+            kept = heights[:c] >= 2 * heights[whole:b, None] + 2 - m
+            stack[at[whole:][kept]] = block[whole:][kept]
 
 
 @dataclass
@@ -478,19 +493,20 @@ class DPTable:
     are (u, v).  It is stored for the rows u < b(m) = min(max(m, 1), H + 1)
     and, in row u, for the heights v in the range [lo, hi) of ``_blocks``
     only: those that some configuration reaches and some step reads.
-    ``log_weights`` holds these ranges back to back, row after row and
-    slice after slice, at the offsets of ``plan`` (the table's ``_Plan``),
-    in one flat array ending in one -inf, where the reads that cannot
-    finish land.  A single bead's entry is the completion whose next
-    stretch goes up where v < u and at the start (0, 0), down elsewhere;
-    its diagonal v = u is stored but never read.  ``normalization`` is
-    log Z.  ``log_truncation_bound`` is the log of a bound on the weight
-    lost to the cutoff, -inf if exact; ``truncation_bound`` is its value as
-    a double, raised to the smallest normal double when it is below that
-    and not exact.  The table keeps every slice, as the sampler reads all
-    of them (31.5 MB for Free at L = 300 and the exact cutoff 149); log Z
-    alone (``dp_log_Z``) runs on the ring of ``_Plan``, which keeps each
-    diagonal of a slice only until its one reader (9.2 MB there).  A Free
+    ``log_weights`` holds them slice after slice, slice 0 first, each slice
+    by its diagonals |v - u| = g in order of g, at the places of ``plan``
+    (the table's ``_Plan``), in one flat array ending in one -inf, where
+    the reads that cannot finish land.  A single bead's entry is the
+    completion whose next stretch goes up where v < u and at the start
+    (0, 0), down elsewhere; its diagonal v = u is stored but never read.
+    ``normalization`` is log Z.  ``log_truncation_bound`` is the log of a
+    bound on the weight lost to the cutoff, -inf if exact;
+    ``truncation_bound`` is its value as a double, raised to the smallest
+    normal double when it is below that and not exact.  The table keeps
+    every slice, as the sampler reads all of them (31.5 MB for Free at
+    L = 300 and the exact cutoff 149); log Z alone (``dp_log_Z``) runs on
+    the ring of ``_Plan``, the same layout with each diagonal of a slice
+    kept only until its one reader (9.2 MB there).  A Free
     table at or above the exact cutoff is closed above it:
     ``log_wall_free`` is the log of the wall-free completion W
     (``_log_completion``) that the DP and the sampler read there, and
@@ -835,20 +851,19 @@ def _dp(plan, beta, delta, log_g) -> tuple:
         return z, None
     with np.errstate(divide="ignore"):
         np.log(S, out=S)  # in place: the linear values are done
-    start, size = plan.start, plan.size
+    ends = np.cumsum(plan.size)  # slice m ends at ends[m], in (m, g) order
     for m in range(L + 1):  # slice by slice: no table-sized offsets array
-        S[start[m]:start[m] + size[m]] += off[m]
+        S[ends[m] - plan.size[m]:ends[m]] += off[m]
     return z, DPTable(variant, L, beta, delta, H, S, log_z, bound, log_bound,
                       log_w, closing, plan)
 
 
-def _toeplitz(vec: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """The (rows, cols) view T[v, w] = vec[|w - v|] of an n-vector, rows
-    and cols at most n, on a copy of vec."""
-    both = np.concatenate((vec[:0:-1], vec))  # both[n - 1 + j] = vec[|j|]
+def _toeplitz(both: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The (rows, cols) view T[v, w] = both[n - 1 + w - v] of a contiguous
+    (2n - 1)-vector, rows and cols at most n."""
     size = both.itemsize
     return np.ndarray((rows, cols), both.dtype, buffer=both,
-                      offset=(len(vec) - 1) * size, strides=(-size, size))
+                      offset=(len(both) // 2) * size, strides=(-size, size))
 
 
 def _transfer(L, beta, delta, plan, X, closing, bounding) -> tuple:
@@ -924,6 +939,7 @@ def _transfer(L, beta, delta, plan, X, closing, bounding) -> tuple:
         if bead:  # every stretch changes the height
             prior = np.concatenate(([-np.inf], prior[1:]))
         top_gap = prior.max()
+        prior = np.concatenate((prior[:0:-1], prior))  # by w - v
         ref = top_gap + top_col  # -inf: every source slice is empty
         if ref > -np.inf:
             C = Y.take(idx, mode="clip")  # 0 where a read cannot finish

@@ -326,18 +326,49 @@ def test_truncation_bound_matches_forward_oracle(variant):
             assert table.truncation_bound == pytest.approx(want, rel=1e-12)
 
 
-def _stored_rows(plan):
-    """(m, u, lo, hi, offset) of every nonempty stored row."""
-    lo, hi = plan.lo, plan.hi
-    base = plan.rowbase.reshape(lo.shape)
-    for m, u in zip(*np.nonzero(hi > lo)):
-        yield m, u, lo[m, u], hi[m, u], base[m, u] + lo[m, u]
+def _layout(L, H, variant):
+    """(places, end): the place on the table of every kept entry (m, u, v),
+    -1 elsewhere, as an (L + 1, H + 1, H + 1) array, counted afresh from
+    the ranges of ``_blocks``, and the number of kept entries.  Chunk g of
+    slice m holds its kept entries with |v - u| = g; the chunks lie back to
+    back in (m, g) order, slice 0 first, the up entries (u, u + g) at u from
+    the chunk's start and the down entries (u, u - g) at u - g from its end."""
+    n = H + 1
+    _, _, lo, hi = exactz._blocks(L, H, variant)
+    heights = np.arange(n)
+    kept = (heights >= lo[:L + 1, :, None]) & (heights < hi[:L + 1, :, None])
+    d = heights - heights[:, None]  # [u, v]: v - u
+    places = np.full(kept.shape, -1)
+    end = 0
+    for m in range(L + 1):
+        for g in range(n):
+            up, down = kept[m] & (d == g), kept[m] & (d == -g) & (g > 0)
+            size = int(up.sum() + down.sum())
+            u, v = np.nonzero(up)
+            places[m, u, v] = end + u
+            u, v = np.nonzero(down)
+            places[m, u, v] = end + size - 1 - v
+            end += size
+    return places, end
+
+
+def _store_places(plan, m):
+    """(b, c) places where ``_Plan.store`` writes the entries (u, v) of
+    slice m, -1 where it writes none."""
+    b, c = plan.rows[m], plan.cols[m]
+    stack = np.full(plan.end + 1, -1)
+    plan.store(stack, m, np.arange(b * c).reshape(b, c))
+    written = np.flatnonzero(stack >= 0)
+    places = np.full(b * c, -1)
+    places[stack[written]] = written
+    return places.reshape(b, c)
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
 def test_dp_blocks_match_dense_table(variant):
-    # every stored row range equals the dense slab there, the table stores
-    # those ranges only, back to back, then one trailing -inf, and every
+    # every kept entry equals the dense slab there, the table stores those
+    # entries only, each at its place of the diagonal layout (``_layout``,
+    # counted afresh from the ranges), then one trailing -inf, and every
     # column that cannot finish is exactly -inf in the dense slab
     # (a Free table at the exact cutoff (L - 2)/2 against the dense one at
     # L - 1: the closure above the cutoff leaves every stored entry exact);
@@ -358,13 +389,16 @@ def test_dp_blocks_match_dense_table(variant):
                 dense = np.where(heights < heights[:, None], up, down)
                 dense[0, 0, 0] = up[0, 0, 0]
             got_stack = table.log_weights
-            assert got_stack.nbytes == 8 * (int((plan.hi - plan.lo).sum()) + 1)
+            layout, end = _layout(L, table.height_cutoff, variant)
+            assert got_stack.nbytes == 8 * (end + 1)
             assert got_stack[-1] == -np.inf
-            end = 0
-            for m, u, lo, hi, at in _stored_rows(plan):
-                assert at == end  # rows back to back, in (m, u) order
-                end = at + hi - lo
-                got, want = got_stack[at:end], dense[m, u, lo:hi]
+            for m in range(L + 1):
+                at = _store_places(plan, m)
+                b, c = at.shape
+                np.testing.assert_array_equal(at, layout[m, :b, :c])
+                assert np.all(layout[m, b:] == -1) and np.all(layout[m, :, c:] == -1)
+                kept = at >= 0
+                got, want = got_stack[at[kept]], dense[m, :b, :c][kept]
                 np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
                 fin = np.isfinite(want)
                 assert np.all(np.abs(got[fin] - want[fin])
@@ -395,69 +429,88 @@ def test_enumerated_states_lie_in_stored_ranges(variant):
     for L in range(1, 13):
         exact_H = exactz._exact_cutoff(L)
         for H in sorted({max(exact_H, 1), 1, 2, 3}):
-            plan = exactz._Plan(L, H, variant)
+            rows, cols, lo, hi = exactz._blocks(L, H, variant)
             for l in exactz.enumerate_configs(L, variant):
                 for k, m, u, v in _states(l):
                     if variant is Variant.SINGLE_BEAD and m:
                         assert (v < u) == (k % 2 == 0), (l, m)
                     if u <= H and v <= H:
-                        assert u < plan.rows[m] and v < plan.cols[m]
-                        assert plan.lo[m, u] <= v < plan.hi[m, u], (l, m)
+                        assert u < rows[m] and v < cols[m]
+                        assert lo[m, u] <= v < hi[m, u], (l, m)
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
 def test_plan_reads_land_in_stored_ranges(variant):
     # ``_Plan.reads`` in the DP's call shape (scalar m, rows v < c(m), both
     # directions at once through ``need``) and the sampler's (one m and v
-    # per draw, at every stored state, one direction of ``dirs`` at a
+    # per draw, at every kept state, one direction of ``dirs`` at a
     # time): a read past the end or over its need is the trailing zero, and
-    # every other read is the entry (v, w) of its row's stored range, with
-    # the row offsets counted afresh from the ranges
+    # every other read is the entry (v, w) of its slice, kept there, at its
+    # place counted afresh from the ranges (``_layout``)
     for L, H in ((12, None), (31, None), (40, 6), (60, 20)):
         H = exactz._exact_cutoff(L) if H is None else H
         n = H + 1
         plan = exactz._Plan(L, H, variant)
         heights = np.arange(n)
         gaps = np.abs(heights - heights[:, None])
-        lengths = (plan.hi - plan.lo).ravel()
-        first = (np.cumsum(lengths) - lengths).reshape(plan.hi.shape)
-        if variant is not Variant.FREE:  # |w - v| + 1, and w + 1 back from w
-            need = gaps + 1 + np.where(heights > 0, heights + 1, 0)
-            dirs = (need,)
-            if variant is Variant.SINGLE_BEAD:  # no stretch keeps the height
-                up = heights > heights[:, None]
-                dirs = (np.where(up, need, L + 1), np.where(up.T, need, L + 1))
-                need = np.where(gaps > 0, need, L + 1)
-            np.testing.assert_array_equal(plan.need, need)
-            assert len(plan.dirs) == len(dirs)
-            for got, want in zip(plan.dirs, dirs):
-                np.testing.assert_array_equal(got, want)
-        else:  # only reads past the end cannot finish
-            assert plan.need is None and plan.dirs == (None,)
+        layout, end = _layout(L, H, variant)
+        assert plan.end == end
+        need = gaps + 1  # |w - v| + 1, and for the returning variants w + 1 back from w
+        if variant is not Variant.FREE:
+            need += np.where(heights > 0, heights + 1, 0)
+        dirs = (need,)
+        if variant is Variant.SINGLE_BEAD:  # no stretch keeps the height
+            up = heights > heights[:, None]
+            dirs = (np.where(up, need, L + 1), np.where(up.T, need, L + 1))
+            need = np.where(gaps > 0, need, L + 1)
+        np.testing.assert_array_equal(plan.need, need)
+        assert len(plan.dirs) == len(dirs)
+        for got, want in zip(plan.dirs, dirs):
+            np.testing.assert_array_equal(got, want)
 
         def check(need, m, v, columns, idx):
             assert idx.shape == (len(v), columns)
             w = heights[:columns]
             later = m[:, None] + 1 + gaps[v, :columns]
-            stop = later > L
-            if need is not None:
-                stop |= need[v, :columns] > L - m[:, None]
-            assert np.all(idx[stop] == plan.start[-1]), L
-            at = (np.minimum(later, L + 1), v[:, None])
-            lo, hi = plan.lo[at], plan.hi[at]
-            inside = (lo <= w) & (w < hi) & (idx == first[at] + w - lo)
-            assert np.all(inside | stop), L
+            stop = need[v, :columns] > L - m[:, None]
+            assert np.all(stop[later > L]), L  # need >= |w - v| + 1
+            assert np.all(idx[stop] == plan.end), L
+            at = layout[np.minimum(later, L), v[:, None], w]
+            assert np.all((at >= 0) & (idx == at) | stop), L
 
         for m in range(L):
             c = plan.cols[m]
             ne = n if variant is Variant.FREE else min(n, max(L - m - 1, 1))
             check(plan.need, np.full(c, m), np.arange(c), ne,
                   plan.reads(m, slice(c), ne, plan.need))
-        stored = ((heights >= plan.lo[:L, :, None])
-                  & (heights < plan.hi[:L, :, None]))  # [m, u, v]
-        m, _, v = np.nonzero(stored)
+        m, _, v = np.nonzero(layout[:L] >= 0)  # every kept state [m, u, v]
         for need in plan.dirs:
             check(need, m, v, n, plan.reads(m, v, n, need))
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
+def test_kept_entries_are_a_prefix_of_each_diagonal(variant):
+    # the premise of the diagonal layout, slice by slice: on each diagonal
+    # v = u + g and v = u - g of slice m, the closed-form lengths of
+    # ``_diagonal_lengths`` count its kept entries (the ranges of
+    # ``_blocks``), those entries are a prefix of it, and the lengths of a
+    # slice sum to its kept entries, ``size[m]`` of the plan
+    for L in range(1, 41):
+        for H in sorted({1, 2, 3, 7, max(exactz._exact_cutoff(L), 1), L + 1}):
+            rows, cols, lo, hi = exactz._blocks(L, H, variant)
+            heights = np.arange(H + 1)
+            kept = (heights >= lo[:L + 1, :, None]) & (heights < hi[:L + 1, :, None])
+            up, down = exactz._diagonal_lengths(L, H, rows, cols)
+            assert np.all(down[:, 0] == 0)  # the diagonal itself counts as up
+            for g in range(H + 1):
+                for side, want in ((g, up[:, g]), (-g, down[:, g]))[:1 + (g > 0)]:
+                    diagonal = np.diagonal(kept, side, axis1=1, axis2=2)
+                    prefix = np.cumprod(diagonal, axis=1).sum(axis=1)
+                    np.testing.assert_array_equal(diagonal.sum(axis=1), want)
+                    np.testing.assert_array_equal(prefix, want)
+            plan = exactz._Plan(L, H, variant)
+            np.testing.assert_array_equal((up + down).sum(axis=1), plan.size)
+            np.testing.assert_array_equal(plan.size, kept.sum(axis=(1, 2)))
 
 
 def test_stored_bytes_at_l300():
@@ -470,9 +523,10 @@ def test_stored_bytes_at_l300():
             (Variant.CONSTRAINED_END, 149): 17.9, (Variant.SINGLE_BEAD, 149): 17.9}
     assert exactz._exact_cutoff(300) == 149
     for (variant, H), mb in want.items():
+        _, _, lo, hi = exactz._blocks(300, H, variant)
         plan = exactz._Plan(300, H, variant)
-        assert plan.start[-1] == (plan.hi - plan.lo).sum()
-        assert round(8 * int(plan.start[-1]) / 1e6, 1) == mb
+        assert plan.end == (hi - lo).sum()
+        assert round(8 * plan.end / 1e6, 1) == mb
     # the ring of diagonals at the exact cutoff (about (H + 1)^3 / 3 entries
     # for Free, fewer for the returning variants' shorter down diagonals):
     # the ring of about H + 1 whole slices took 24.9 / 14.7 / 14.7 MB
@@ -481,10 +535,10 @@ def test_stored_bytes_at_l300():
         assert round(8 * ring.end / 1e6, 1) == mb
         assert round(ring.nbytes(1) / 1e6, 1) == mb
     # past m = 2H + 1 every row of a cut table is whole
-    plan = exactz._Plan(300, 46, Variant.FREE)
-    assert round(8 * int(plan.start[-1]) / 1e6, 2) == 4.61
-    assert np.all(plan.lo[2 * 46 + 2:] == 0)
-    assert np.all(plan.hi[2 * 46 + 2:-1] == 47)
+    _, _, lo, hi = exactz._blocks(300, 46, Variant.FREE)
+    assert round(8 * exactz._Plan(300, 46, Variant.FREE).end / 1e6, 2) == 4.61
+    assert np.all(lo[2 * 46 + 2:] == 0)
+    assert np.all(hi[2 * 46 + 2:-1] == 47)
 
 
 # ---------------------------------------------------------------------------
@@ -569,41 +623,45 @@ def test_ring_stale_slots_read_as_zero(monkeypatch):
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
 def test_ring_placement_keeps_every_slice_until_read(variant):
     # from _Plan alone, in the DP's order of reads and stores, on a stack of
-    # labels (m n + u) n + v of the entries (m, u, v): chunk g of slice m'
-    # (its entries with |v - u| = g) stays intact from its store until block
-    # m' - 1 - g reads it, as every read that can finish finds the label of
-    # its entry, and every other read lands on the trailing zero; a store
-    # writes each kept entry of its slice at a place of its own and only
-    # over chunks whose reader has run, so no two live chunks overlap
+    # labels (m n + u) n + v of the entries (m, u, v), on the ring and on
+    # the table: chunk g of slice m' (its entries with |v - u| = g) stays
+    # intact from its store until block m' - 1 - g reads it, as every read
+    # that can finish finds the label of its entry, and every other read
+    # lands on the trailing zero; a store writes each kept entry of its
+    # slice at a place of its own and only over chunks whose reader has
+    # run, so no two live chunks overlap, and on the table only where
+    # nothing was written before
     for L in range(1, 65):
         for H in sorted({1, 2, 3, 7, max(exactz._exact_cutoff(L), 1), L + 1}):
-            ring = exactz._Plan(L, H, variant, ring=True)
-            n = H + 1
-            heights = np.arange(n)
-            gaps = np.abs(heights - heights[:, None])
-            labels = heights[:, None] * n + heights  # of slice 0; slice m adds m n^2
-            stack = np.full(ring.end + 1, -1.0)
-            for m in range(L, -1, -1):
-                if m < L:
-                    c = ring.cols[m]
-                    ne = n if variant is Variant.FREE else min(n, max(L - m - 1, 1))
-                    idx = ring.reads(m, slice(c), ne, ring.need)
-                    later = m + 1 + gaps[:c, :ne]
-                    stop = later > L
-                    if ring.need is not None:
-                        stop |= ring.need[:c, :ne] > L - m
-                    np.testing.assert_array_equal(idx == ring.end, stop)
-                    want = later * n * n + labels[:c, :ne]
-                    assert np.all(stack[idx][~stop] == want[~stop]), (L, H, m)
-                b, c = ring.rows[m], ring.cols[m]
-                before = stack.copy()
-                ring.store(stack, m, (m * n * n + labels[:b, :c]).astype(float))
-                over = before[stack != before].astype(np.int64)
-                assert over.size == ring.size[m], (L, H, m)
-                over = over[over >= 0]
-                reader = over // (n * n) - 1 - np.abs(over // n % n - over % n)
-                assert np.all(reader >= m), (L, H, m)
-            assert stack[-1] == -1.0  # the trailing zero is never written
+            for plan in (exactz._Plan(L, H, variant, ring=True),
+                         exactz._Plan(L, H, variant)):
+                n = H + 1
+                heights = np.arange(n)
+                gaps = np.abs(heights - heights[:, None])
+                labels = heights[:, None] * n + heights  # slice 0; slice m adds m n^2
+                stack = np.full(plan.end + 1, -1.0)
+                for m in range(L, -1, -1):
+                    if m < L:
+                        c = plan.cols[m]
+                        ne = n if variant is Variant.FREE else min(n, max(L - m - 1, 1))
+                        idx = plan.reads(m, slice(c), ne, plan.need)
+                        later = m + 1 + gaps[:c, :ne]
+                        stop = plan.need[:c, :ne] > L - m
+                        assert np.all(stop[later > L])
+                        np.testing.assert_array_equal(idx == plan.end, stop)
+                        want = later * n * n + labels[:c, :ne]
+                        assert np.all(stack[idx][~stop] == want[~stop]), (L, H, m)
+                    b, c = plan.rows[m], plan.cols[m]
+                    before = stack.copy()
+                    plan.store(stack, m, (m * n * n + labels[:b, :c]).astype(float))
+                    over = before[stack != before].astype(np.int64)
+                    assert over.size == plan.size[m], (L, H, m)
+                    if not plan.ring:
+                        assert np.all(over == -1), (L, H, m)
+                    over = over[over >= 0]
+                    reader = over // (n * n) - 1 - np.abs(over // n % n - over % n)
+                    assert np.all(reader >= m), (L, H, m)
+                assert stack[-1] == -1.0  # the trailing zero is never written
 
 
 def test_stack_bytes_are_counted_before_allocation(monkeypatch):
@@ -688,10 +746,14 @@ def test_ring_at_l6400_stays_small():
     # the long-L property, from _Plan alone (no stack is allocated): the
     # single-bead ring at L = 6400, H = 200 holds each diagonal of a slice
     # only until its one reader, 22.0 MB (the ring of whole slices took 65.3)
-    ring = exactz._Plan(6400, 200, Variant.SINGLE_BEAD, ring=True).nbytes(1)
+    plan = exactz._Plan(6400, 200, Variant.SINGLE_BEAD, ring=True)
+    ring = plan.nbytes(1)
     table = exactz._Plan(6400, 200, Variant.SINGLE_BEAD).nbytes(1)
     assert ring <= 23e6
     assert 25 * ring <= table
+    # its index keeps no array per slice and height (the (L + 2, H + 1)
+    # column ranges took 12.1 MB): its (n, n) arrays take about 1.6 MB
+    assert plan.index_nbytes() <= 2e6
 
 
 # ---------------------------------------------------------------------------
