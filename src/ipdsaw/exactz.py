@@ -27,8 +27,8 @@ the transfer DP below exploit.  The module provides
                        is closed by the exact wall-free completion,
                        otherwise with a rigorous truncation bound (kept
                        as a log) on the same step, from a wall-free
-                       completion majorant; the whole table is kept for
-                       the sampler;
+                       completion majorant, whose stack runs on a ring;
+                       the whole table is kept for the sampler;
 * ``certified_dp_Z``   ``dp_Z`` at the smallest searched cutoff whose bound
                        is below 1e-13 of Z, the exact table failing that;
 * ``dp_log_Z`` / ``certified_dp_log_Z``   the same log Z, cutoff and bound,
@@ -96,7 +96,7 @@ __all__ = [
 ]
 
 _BRUTE_MAX_L = 24
-_ENUM_BLOCK = 1 << 16  # children a frontier sweep expands at a time
+_ENUM_BLOCK = 1 << 16  # most rows of a frontier, and children expanded at a time
 
 
 # ---------------------------------------------------------------------------
@@ -161,20 +161,15 @@ def _histogram(L: int, variant: Variant) -> dict:
     overlap, a sum of min(|l_i|, |l_{i+1}|), is at most sum |l_i| < L) and
     every intermediate at most 2L, far inside int16 at the enumerable
     L <= 24.  Index and count arrays stay int64, and so do the histogram
-    keys.  A level's rows are expanded in blocks of about ``_ENUM_BLOCK``
-    children, so the int64 temporaries stay bounded (one level of Free at
-    L = 18 has 406390 children), and its leaves are counted in one dense
-    array over the keys w (L + 1) + c, which enter the histogram level by
-    level in ascending order.
+    keys.  The sweep goes depth first: a frontier of more than
+    ``_ENUM_BLOCK`` rows is split in halves onto a stack, so no frontier
+    grows with the tree (one level of Free at L = 18 has 406390 children),
+    and a frontier of at most that many rows goes one level down, its rows
+    expanded in blocks of about ``_ENUM_BLOCK`` children, so the int64
+    temporaries stay bounded too.  Leaves are counted in one dense array
+    over the keys w (L + 1) + c for the whole sweep, and the histogram is
+    built from it once, keys ascending.
     """
-    hist: dict = {}
-
-    def harvest(counts):
-        keys = np.flatnonzero(counts)
-        for k, n in zip(keys.tolist(), counts[keys].tolist()):
-            wc = divmod(k, L + 1)
-            hist[wc] = hist.get(wc, 0) + n
-
     def expand(b, h, p, w, c, lo, hi):
         """All children with stretch value in [lo, hi] per row."""
         m = hi - lo + 1
@@ -193,10 +188,17 @@ def _histogram(L: int, variant: Variant) -> dict:
         nc = c[idx] + (nh == 0)
         return nb, nh, v, nw, nc
 
+    counts = np.zeros((L + 1) ** 2, dtype=np.int64)  # leaves by w (L + 1) + c
     z = np.zeros(1, dtype=np.int16)
-    frontier = (np.full(1, L, dtype=np.int16), z, z, z.copy(), z.copy())
-    while frontier[0].size:
+    stack = [(np.full(1, L, dtype=np.int16), z, z, z.copy(), z.copy())]
+    while stack:
+        frontier = stack.pop()
         b, h, p, w, c = frontier
+        if b.size > _ENUM_BLOCK:  # the first half is swept first
+            half = b.size // 2
+            stack += (tuple(x[half:] for x in frontier),
+                      tuple(x[:half] for x in frontier))
+            continue
         lo, hi = -np.minimum(h, b - 1), b - 1
         if variant is Variant.SINGLE_BEAD:
             # up next after a down stretch and at the start, leaving room
@@ -206,7 +208,6 @@ def _histogram(L: int, variant: Variant) -> dict:
             hi = np.where(up, np.minimum(hi, (b - 2 - h) // 2), -1)
         ends = np.cumsum(np.maximum(hi - lo + 1, 0))  # children up to each row
         cuts = np.searchsorted(ends, np.arange(_ENUM_BLOCK, ends[-1], _ENUM_BLOCK))
-        counts = np.zeros((L + 1) ** 2, dtype=np.int64)
         kids = []
         for a, e in itertools.pairwise([0, *cuts.tolist(), b.size]):
             nb, nh, nv, nw, nc = expand(*(x[a:e] for x in (b, h, p, w, c, lo, hi)))
@@ -222,10 +223,11 @@ def _histogram(L: int, variant: Variant) -> dict:
             counts += np.bincount(nw[leaf].astype(np.int64) * (L + 1) + nc[leaf],
                                   minlength=counts.size)
             kids.append((nb[go], nh[go], nv[go], nw[go], nc[go]))
-        harvest(counts)
-        frontier = tuple(np.concatenate(col) for col in zip(*kids))
-
-    return hist
+        children = tuple(np.concatenate(col) for col in zip(*kids))
+        if children[0].size:
+            stack.append(children)
+    keys = np.flatnonzero(counts)
+    return {divmod(k, L + 1): n for k, n in zip(keys.tolist(), counts[keys].tolist())}
 
 
 def brute_force_Z(L: int, beta: float, delta: float, variant=Variant.FREE) -> float:
@@ -379,7 +381,9 @@ class _Plan:
     period L + 1: a chunk with g >= m keeps nothing, so each entry lists
     one chunk.  A reader m < L never wraps, so the sampler's reads, one m
     and v per draw, are one gather from ``bases`` at m, plus ``inner``.
-    The ring (``ring``) is for log Z alone.  Block m reads exactly chunk g
+    The ring (``ring``) serves the stacks whose slices nobody reads after
+    the DP: S and B of log Z alone, and B beside a sampler's table, whose
+    one number read is its log scale at m = 0.  Block m reads exactly chunk g
     of slice m + 1 + g, at every gap g, so each chunk is read once, by one
     block, and dead after it.  So gap g has g + 1 slots, period g + 1,
     each as long as the longest chunk of that gap, back to back gap after
@@ -430,6 +434,7 @@ class _Plan:
             up = heights > heights[:, None]
             self.dirs = (np.where(up, need, L + 1), np.where(up.T, need, L + 1))
             self.need = np.where(gaps == 0, L + 1, need)
+        self.longest = int(self.need.max())  # no entry of ``dirs`` is larger
 
     def nbytes(self, stacks: int) -> int:
         """Bytes of ``stacks`` float64 stacks on this placement, each with
@@ -459,15 +464,20 @@ class _Plan:
         """Flat index of the reads G[m + 1 + |w - v|][v, w] at every
         w < ``columns``, for a scalar m and rows v (the DP) or, on the
         table, whose lists never wrap, one m < L and v per draw (the
-        sampler).  A read with ``need`` above the L - m units left is the
-        trailing zero."""
+        sampler).  A read with ``need`` (``need`` or one of ``dirs``)
+        above the L - m units left is the trailing zero; where L - m is at
+        least ``longest``, no read can be, and the places come back as
+        they are, not to be written."""
+        left = self.L - m
         if np.ndim(m):
-            m = m[:, None]
             k = (self.H - v)[:, None] + np.arange(columns)  # H + w - v
-            at = self.bases[self.col[k] + m] + self.inner[v, :columns]
+            at = self.bases[self.col[k] + m[:, None]] + self.inner[v, :columns]
+            left = left[:, None]
+            cut = left.min() < self.longest
         else:
             at = self._places(m % self.period, self.rows[m])[v, :columns]
-        return np.where(need[v, :columns] > self.L - m, self.end, at)
+            cut = left < self.longest
+        return np.where(need[v, :columns] > left, self.end, at) if cut else at
 
     def store(self, stack, m: int, block: np.ndarray) -> None:
         """Write the kept entries of slice m from its whole (b, c) block:
@@ -504,9 +514,10 @@ class DPTable:
     ``truncation_bound`` is its value as a double, raised to the smallest
     normal double when it is below that and not exact.  The table keeps
     every slice, as the sampler reads all of them (31.5 MB for Free at
-    L = 300 and the exact cutoff 149); log Z alone (``dp_log_Z``) runs on
-    the ring of ``_Plan``, the same layout with each diagonal of a slice
-    kept only until its one reader (9.2 MB there).  A Free
+    L = 300 and the exact cutoff 149); the bound stack of a cut table and
+    log Z alone (``dp_log_Z``) run on the ring of ``_Plan``, the same
+    layout with each diagonal of a slice kept only until its one reader
+    (9.2 MB there), and the table keeps neither.  A Free
     table at or above the exact cutoff is closed above it:
     ``log_wall_free`` is the log of the wall-free completion W
     (``_log_completion``) that the DP and the sampler read there, and
@@ -659,15 +670,21 @@ def dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE,
     majorant Ĝ of ``_log_majorant`` in place of W.  ``certified_dp_Z``
     picks the smallest cutoff whose bound is negligible against Z.
 
-    The table keeps every slice, for ``backward_sample``.  So does the bound
-    stack B of a cut table, of which only its log scale at m = 0 is read:
-    it shares the table's read index, and a ring of its own would need a
-    second ``_Plan.reads`` per step.  ``dp_log_Z`` is the same DP on the
-    ring placement of ``_Plan``, for log Z and the bound alone.  Before the
+    The table keeps every slice, for ``backward_sample``.  The bound stack
+    B of a cut table, of which only its log scale at m = 0 is read, runs
+    in the same sweep on a ring of its own (``_Plan(..., ring=True)``), a
+    third of H + 1 slices: at L = 1600, H = 100 (Free) 2.8 MB beside the
+    table's 124 MB, where a second table would double the stacks.  Its price is
+    a second ``_Plan.reads`` per step, for the ring's places, and the
+    ring's own index arrays (0.3 MB there); as ``_Plan.reads`` skips the
+    cut mask of a block none of whose reads can be cut, the certified table
+    at L = 300 with 1000 draws takes as long as with B on the table.
+    ``dp_log_Z`` is the same DP with S on that ring too, for log Z and the
+    bound alone, S and B sharing one plan and one read index.  Before the
     majorant is built or a stack allocated, a run whose stacks
-    (``_Plan.nbytes``), plan index arrays and, if cut, (L, L) majorant
-    exceed physical memory raises ValueError naming L, H, the variant and
-    the bytes (``_fitted_plan``).
+    (``_Plan.nbytes``, S's and B's), both plans' index arrays and, if cut,
+    (L, L) majorant exceed physical memory raises ValueError naming L, H,
+    the variant and the bytes (``_fitted_plan``).
 
     Guard: the step multiplies by x^{|w - u|} in double precision, so a
     factor below the smallest normal double (x^H < 2.2e-308, beta > 1417/H)
@@ -705,9 +722,9 @@ def _at_cutoff(L, beta, delta, variant, height_cutoff, keep) -> tuple:
     exact_H = _exact_cutoff(L)
     H = (exact_H if height_cutoff is None
          else _count(height_cutoff, "height_cutoff", 1))
-    plan = _fitted_plan(L, H, variant, keep, H < exact_H)
+    plans = _fitted_plan(L, H, variant, keep, H < exact_H)
     log_g = _log_majorant(L, beta, delta) if H < exact_H else None
-    return _dp(plan, beta, delta, log_g)
+    return _dp(*plans, beta, delta, log_g)
 
 
 def certified_dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE) -> tuple:
@@ -750,10 +767,10 @@ def _certified(L, beta, delta, variant, keep) -> tuple:
     log_g = None  # the majorant, built once the first trial's memory is checked
     tried = []  # (H, log(bound / reduced Z)) of each refused trial
     while 2 * H < exact_H:
-        plan = _fitted_plan(L, H, variant, keep, True)
+        plans = _fitted_plan(L, H, variant, keep, True)
         if log_g is None:
             log_g = _log_majorant(L, beta, delta)
-        z, table = _dp(plan, beta, delta, log_g)
+        z, table = _dp(*plans, beta, delta, log_g)
         gap = z.log_truncation_bound - (z.log_z - beta * L)
         if math.isfinite(z.log_z) and gap < target:
             return z, table
@@ -771,7 +788,7 @@ def _certified(L, beta, delta, variant, keep) -> tuple:
             predicted = math.ceil(math.sqrt(h1 * h1 + (target - g1) / slope)) + 1
         H = max(predicted, H + 1)
     del log_g  # the exact table needs no majorant
-    return _dp(_fitted_plan(L, exact_H, variant, keep, False), beta, delta, None)
+    return _dp(*_fitted_plan(L, exact_H, variant, keep, False), beta, delta, None)
 
 
 def _check_dp_args(L: int, beta: float, delta: float) -> int:
@@ -790,30 +807,38 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _fitted_plan(L, H, variant, keep, cut) -> _Plan:
-    """The ``_Plan`` of a run at cutoff H, the table's if ``keep``, else the
-    ring's, once the run is known to fit in physical memory: its stacks
-    (``_Plan.nbytes``, S and, if ``cut``, B), the plan's own index arrays
-    and, if ``cut``, the (L, L) majorant of ``_log_majorant``, which is
-    built only after this check.  A run that does not fit raises
+def _fitted_plan(L, H, variant, keep, cut) -> tuple:
+    """(plan, ring): the ``_Plan`` of S at cutoff H, the table's if
+    ``keep``, else the ring's, and if ``cut`` the ring the bound stack B
+    runs on (S's own on a ring, one of B's own beside the table), None
+    otherwise, once the run is known to fit in physical memory: its
+    stacks (``_Plan.nbytes``, S and, if ``cut``, B), both plans' own index
+    arrays and, if ``cut``, the (L, L) majorant of ``_log_majorant``,
+    which is built only after this check.  A run that does not fit raises
     ValueError naming L, H, the variant and the bytes."""
     plan = _Plan(L, H, variant, ring=not keep)
-    need = plan.nbytes(1 + cut) + plan.index_nbytes() + (8 * L * L if cut else 0)
+    ring = None if not cut else plan if plan.ring else _Plan(L, H, variant, ring=True)
+    need = plan.nbytes(1) + plan.index_nbytes()
+    if cut:
+        need += ring.nbytes(1) + 8 * L * L
+        if ring is not plan:
+            need += ring.index_nbytes()
     memory = _physical_memory()
     if memory is not None and need > memory:
         parts = "stacks, index and majorant" if cut else "stacks and index"
         raise ValueError(f"dp_Z at L={L}, H={H}, {variant.value}: its {parts}"
                          f" take {need} bytes, more than the {memory} bytes"
                          " of physical memory")
-    return plan
+    return plan, ring
 
 
-def _dp(plan, beta, delta, log_g) -> tuple:
+def _dp(plan, ring, beta, delta, log_g) -> tuple:
     """(LogZ, DPTable) of ``dp_Z`` on ``plan`` at its cutoff H if it is the
-    table's, else (LogZ, None) from the ring; the bound stack runs with the
-    majorant ``log_g`` of ``_log_majorant``, or not at all if it is None.
-    A Free table at or above the exact cutoff is closed by the wall-free
-    completion W, of which only the levels r <= L - H - 2 are read."""
+    table's, else (LogZ, None) from the ring; the bound stack runs on the
+    ring ``ring`` with the majorant ``log_g`` of ``_log_majorant``, or not
+    at all if it is None.  A Free table at or above the exact cutoff is
+    closed by the wall-free completion W, of which only the levels
+    r <= L - H - 2 are read."""
     L, H, variant, keep = plan.L, plan.H, plan.variant, not plan.ring
     law = StepLaw(beta)
     X = law.c_beta * _step_matrix(law, H)  # X[u, w] = x^{|w - u|}
@@ -825,10 +850,11 @@ def _dp(plan, beta, delta, log_g) -> tuple:
     if log_g is not None:
         bounding = _exceed_sources(log_g, beta, L, H, plan.cols)
     if X[0, H] < _TINY:  # the raised run first, on a ring: only off[0] is read
-        ring = _Plan(L, H, variant, ring=True) if keep else plan
-        raised = _transfer(L, beta, delta, ring, np.maximum(X, _TINY),
-                           closing, None)[2][0]
-    S, _, off, log_bound = _transfer(L, beta, delta, plan, X, closing, bounding)
+        guard = plan if plan.ring else ring or _Plan(L, H, variant, ring=True)
+        raised = _transfer(L, beta, delta, guard, np.maximum(X, _TINY),
+                           closing, None, None)[2][0]
+    S, _, off, log_bound = _transfer(L, beta, delta, plan, X, closing, bounding,
+                                     ring)
     # flat vectors fit any cutoff; beads (1, -1) and (2, -2) take 4 and 6
     empty = variant is Variant.SINGLE_BEAD and not (
         L >= 4 and L % 2 == 0 and (H >= 2 or L % 4 == 0))
@@ -866,11 +892,12 @@ def _toeplitz(both: np.ndarray, rows: int, cols: int) -> np.ndarray:
                       offset=(len(both) // 2) * size, strides=(-size, size))
 
 
-def _transfer(L, beta, delta, plan, X, closing, bounding) -> tuple:
+def _transfer(L, beta, delta, plan, X, closing, bounding, ring) -> tuple:
     """(S, B, off, log truncation bound) of the backward transfer of ``dp_Z``
     with the step matrix X; slice m of the stack S times e^{off[m]} is G[m]
     on the stored heights of ``plan``, while the placement keeps it (a ring
-    holds only the slices still read).  ``closing`` and ``bounding`` are
+    holds only the slices still read), and B lives on the ring ``ring``:
+    ``plan`` itself on a ring run, a ring of its own beside a table.  ``closing`` and ``bounding`` are
     first-exceedance sources of ``_exceed_sources``, or None: row m of
     ``closing`` (on W) times e^{-beta} x^{v - u} joins block m of S, which
     closes a Free table above its cutoff, and with ``bounding`` (on Ĝ) the
@@ -880,7 +907,9 @@ def _transfer(L, beta, delta, plan, X, closing, bounding) -> tuple:
     stretches only.  The returning variants step no height that cannot
     finish, so B has no source there: the true loss from such a state is 0.
 
-    Every read goes through ``_Plan.reads``, once per m for S and B.  The
+    Every read goes through ``_Plan.reads``, once per m for S and, when B
+    has a ring of its own, once more for B; S and B on one ring share one
+    read index.  The
     terms of block m are G[m + 1 + |w - v|][v, w] for its rows v < c(m)
     and every w < n, and for the returning variants only w <
     max(L - m - 1, 1), the columns from which some v can finish; a read
@@ -927,10 +956,11 @@ def _transfer(L, beta, delta, plan, X, closing, bounding) -> tuple:
         if head < ne:
             out += X[:b, b - 1, None] * C[:, b:].sum(axis=1)
 
-    def advance(Y, off_y, m, columns, idx, log_src):
-        """Block m of Y at max 1 and its log scale off_y[m]: the step from
-        the later blocks through ``idx`` of ``_Plan.reads``, plus the
-        rank-one source e^{log_src[0][u] + log_src[1][v]} if given.
+    def advance(Y, place, off_y, m, columns, idx, log_src):
+        """Block m of Y at max 1, stored on the plan ``place``, and its log
+        scale off_y[m]: the step from the later blocks through ``idx`` of
+        ``place.reads``, plus the rank-one source
+        e^{log_src[0][u] + log_src[1][v]} if given.
         ``columns`` is (log weight, its max, e^{weight - max}) of the site
         weight and decay of every column w the step reads."""
         log_col, top_col, col_scale = columns
@@ -992,7 +1022,7 @@ def _transfer(L, beta, delta, plan, X, closing, bounding) -> tuple:
             return
         out /= top
         off_y[m] = ref + math.log(top)
-        plan.store(Y, m, out)
+        place.store(Y, m, out)
 
     def source(sources, m):
         """(log by row, log by column) of the first-exceedance source of
@@ -1017,7 +1047,7 @@ def _transfer(L, beta, delta, plan, X, closing, bounding) -> tuple:
     plan.store(S, L, last)
     off = np.full(L + 1 + n, -np.inf)  # -inf past the end
     off[L] = 0.0
-    B = None if bounding is None else np.zeros_like(S)
+    B = None if bounding is None else np.zeros(ring.end + 1)
     off_b = np.full_like(off, -np.inf)  # B[L] = 0: no units left to lose
     for m in range(L - 1, -1, -1):
         # the returning variants read only the columns some v can finish from
@@ -1026,9 +1056,11 @@ def _transfer(L, beta, delta, plan, X, closing, bounding) -> tuple:
         top_col = log_col.max()
         columns = (log_col, top_col, np.exp(log_col - top_col))
         idx = plan.reads(m, slice(cols[m]), ne, plan.need)
-        advance(S, off, m, columns, idx, source(closing, m))
+        advance(S, plan, off, m, columns, idx, source(closing, m))
         if B is not None:
-            advance(B, off_b, m, columns, idx, source(bounding, m))
+            if ring is not plan:  # B on a ring of its own beside the table
+                idx = ring.reads(m, slice(cols[m]), ne, ring.need)
+            advance(B, ring, off_b, m, columns, idx, source(bounding, m))
     # block 0 of B is 1 x 1 at max 1, so its log scale is the log bound
     return S, B, off, float(off_b[0])
 

@@ -1,6 +1,7 @@
 """Exact partition functions, envelope building blocks, backward sampling."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -82,15 +83,28 @@ def test_feature_histogram_matches_recursive_enumeration(variant):
 
 
 def test_feature_histogram_does_not_depend_on_the_block_size(monkeypatch):
-    # each level is expanded in blocks of about _ENUM_BLOCK children: small
-    # blocks give the same counts with the keys in the same order, which is
-    # the order brute_force_Z sums its terms in
+    # frontiers of more than _ENUM_BLOCK rows are split in halves and each
+    # level is expanded in blocks of about _ENUM_BLOCK children: small blocks
+    # give the same counts, keys ascending either way.  brute_force_Z sums
+    # its terms in that order, though logsumexp_c's math.fsum is correctly
+    # rounded, so no order could move its bits
     enumerate_levels = exactz._histogram.__wrapped__  # past the cache
     want = {(v, L): list(enumerate_levels(L, v).items())
             for v in VARIANTS for L in range(1, 13)}
     monkeypatch.setattr(exactz, "_ENUM_BLOCK", 97)
     for (v, L), items in want.items():
         assert list(enumerate_levels(L, v).items()) == items, (v, L)
+
+
+@pytest.mark.parametrize("variant, want", [
+    (Variant.FREE, "0x1.8486bac5809b9p+4"),
+    (Variant.CONSTRAINED_END, "0x1.738e06f7e68e0p+4"),
+    (Variant.SINGLE_BEAD, "0x1.6b60ba3980d04p+4")], ids=[v.value for v in VARIANTS])
+def test_brute_force_z_at_l18_is_pinned(variant, want):
+    # the oracle of `exact --length 18 --beta 2 --delta 0.5 --brute`; the
+    # values come from a level-by-level sweep, which the depth-first one must
+    # match bit for bit
+    assert float(exactz.brute_force_Z(18, 2.0, 0.5, variant)).hex() == want
 
 
 # ---------------------------------------------------------------------------
@@ -572,13 +586,15 @@ def test_ring_log_z_matches_table_bit_for_bit(variant):
 
 
 def _spy_transfer(monkeypatch):
-    """Record (plan, bytes of the stacks, off) of every ``_transfer`` run."""
+    """Record (S, B, off) of every ``_transfer`` run, each stack as (the
+    plan it lives on, its bytes), B None when the run has no bound stack."""
     runs = []
     transfer = exactz._transfer
 
-    def spy(*args):
-        S, B, off, log_bound = transfer(*args)
-        runs.append((args[3], S.nbytes + (0 if B is None else B.nbytes), off))
+    def spy(L, beta, delta, plan, X, closing, bounding, ring):
+        S, B, off, log_bound = transfer(L, beta, delta, plan, X, closing,
+                                        bounding, ring)
+        runs.append(((plan, S.nbytes), None if B is None else (ring, B.nbytes), off))
         return S, B, off, log_bound
 
     monkeypatch.setattr(exactz, "_transfer", spy)
@@ -617,7 +633,7 @@ def test_ring_stale_slots_read_as_zero(monkeypatch):
         z = exactz.dp_log_Z(L, beta, delta, Variant.SINGLE_BEAD, height_cutoff=H)
         assert float(z.log_z).hex() == float(log_z).hex(), L
         assert (L > 12) == math.isfinite(log_z)
-        assert all(_stale_reads(plan, off) for plan, _, off in runs), L
+        assert all(_stale_reads(plan, off) for (plan, _), _, off in runs), L
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
@@ -665,27 +681,44 @@ def test_ring_placement_keeps_every_slice_until_read(variant):
 
 
 def test_stack_bytes_are_counted_before_allocation(monkeypatch):
-    # _Plan.nbytes equals what the DP allocates: S, plus B when cut, on a
-    # table or a ring, and the raised run's ring of the underflow guard
+    # _Plan.nbytes equals what the DP allocates, stack by stack: S on the
+    # table or a ring, B when cut on a ring, S's own on a ring run and one of
+    # its own beside a table, and the raised run's ring of the underflow
+    # guard, with no B
     runs = _spy_transfer(monkeypatch)
     for variant in VARIANTS:
-        for L, beta, H in ((18, 2.0, None), (40, 2.0, 6), (60, 76.0, None)):
+        for L, beta, H in ((18, 2.0, None), (40, 2.0, 6), (60, 76.0, None),
+                           (80, 50.0, 30)):
             for route in (exactz.dp_Z, exactz.dp_log_Z):
                 runs.clear()
                 route(L, beta, 0.5, variant, height_cutoff=H)
-                assert len(runs) == 1 + (beta > 50)  # the raised run first
-                *raised, (plan, nbytes, _) = runs
-                assert nbytes == plan.nbytes(1 if H is None else 2)
-                assert all(b == p.nbytes(1) for p, b, _ in raised)
+                assert len(runs) == 1 + (beta > 40)  # the raised run first
+                *raised, ((plan, nbytes), bound, _) = runs
+                assert plan.ring == (route is exactz.dp_log_Z)
+                assert nbytes == plan.nbytes(1)
+                if H is None:
+                    assert bound is None
+                else:
+                    ring, nbytes = bound
+                    assert ring.ring and nbytes == ring.nbytes(1)
+                    assert (ring is plan) == plan.ring
+                for (guard, nbytes), bound, _ in raised:
+                    assert guard.ring and nbytes == guard.nbytes(1) and bound is None
+                    if H is not None:  # a cut run's guard reuses B's ring
+                        assert guard is ring
     _, table = exactz.dp_Z(30, 2.0, 0.5, Variant.FREE)
     assert table.log_weights.nbytes == table.plan.nbytes(1)
 
 
 def _fit_bytes(L, H, variant, ring, cut):
-    """The bytes the memory check counts for a run: its stacks, S and, when
-    cut, B, the plan's own index arrays and, when cut, the (L, L) majorant."""
+    """The bytes the memory check counts for a run: S on its plan and,
+    when cut, B on a ring (S's own, or one of its own beside a table), the
+    index arrays of each distinct plan and, when cut, the (L, L) majorant."""
     plan = exactz._Plan(L, H, variant, ring=ring)
-    return plan.nbytes(1 + cut) + plan.index_nbytes() + cut * 8 * L * L
+    own = exactz._Plan(L, H, variant, ring=True)  # B's, when S is on a table
+    stacks = plan.nbytes(1) + cut * own.nbytes(1)
+    index = plan.index_nbytes() + (cut and not ring) * own.index_nbytes()
+    return stacks + index + cut * 8 * L * L
 
 
 def test_dp_refuses_stacks_beyond_physical_memory(monkeypatch):
@@ -718,12 +751,14 @@ def test_dp_counts_index_and_majorant_before_building_it(monkeypatch):
     majorant = exactz._log_majorant
     monkeypatch.setattr(exactz, "_log_majorant",
                         lambda *args: built.append(args) or majorant(*args))
-    for route, ring in ((exactz.dp_Z, False), (exactz.dp_log_Z, True)):
-        plan = exactz._Plan(60, 6, Variant.SINGLE_BEAD, ring=ring)
-        full = _fit_bytes(60, 6, Variant.SINGLE_BEAD, ring, True)
-        stacks = plan.nbytes(2)
-        assert stacks + plan.index_nbytes() < full
-        for memory in (stacks, stacks + plan.index_nbytes()):
+    for route, keep in ((exactz.dp_Z, True), (exactz.dp_log_Z, False)):
+        plan = exactz._Plan(60, 6, Variant.SINGLE_BEAD, ring=not keep)
+        ring = exactz._Plan(60, 6, Variant.SINGLE_BEAD, ring=True)  # B's
+        stacks = plan.nbytes(1) + ring.nbytes(1)
+        index = plan.index_nbytes() + keep * ring.index_nbytes()
+        full = _fit_bytes(60, 6, Variant.SINGLE_BEAD, not keep, True)
+        assert full == stacks + index + 8 * 60 * 60
+        for memory in (stacks, stacks + index):
             monkeypatch.setattr(exactz, "_physical_memory", lambda: memory)
             with pytest.raises(ValueError, match="L=60, H=6, SingleBead: its"
                                f" stacks, index and majorant take {full} bytes"):
@@ -754,6 +789,36 @@ def test_ring_at_l6400_stays_small():
     # its index keeps no array per slice and height (the (L + 2, H + 1)
     # column ranges took 12.1 MB): its (n, n) arrays take about 1.6 MB
     assert plan.index_nbytes() <= 2e6
+
+
+@pytest.mark.parametrize("L, H, variant", [(1600, 100, Variant.FREE),
+                                           (6400, 200, Variant.SINGLE_BEAD)])
+def test_sampled_cut_run_keeps_one_table_and_one_ring(monkeypatch, L, H, variant):
+    # from the plans alone (no stack is allocated): a cut run that keeps its
+    # table for the sampler holds S on the table and B on a ring of its own,
+    # about 1 % to 2 % of the table here, where a second table would double it
+    monkeypatch.setattr(exactz, "_physical_memory", lambda: None)
+    plan, ring = exactz._fitted_plan(L, H, variant, True, True)
+    assert not plan.ring and ring.ring
+    table = plan.nbytes(1)
+    assert table + ring.nbytes(1) <= 1.03 * table
+
+
+def test_certified_table_peak_is_one_table_one_ring_and_the_majorant():
+    # traced: the certified cut table at L = 300 holds S's table, B's ring
+    # and the (L, L) majorant at once, with less than 1 MiB besides; with B
+    # on a second table the peak is 10.0 MiB
+    exactz.certified_dp_Z(60, 2.0, 1.2, Variant.FREE)  # first calls done
+    tracemalloc.start()
+    try:
+        _, table = exactz.certified_dp_Z(300, 2.0, 1.2, Variant.FREE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    H = table.height_cutoff
+    assert H < exactz._exact_cutoff(300)  # cut, so B ran
+    ring = exactz._Plan(300, H, Variant.FREE, ring=True)
+    assert peak < table.plan.nbytes(1) + ring.nbytes(1) + 8 * 300 * 300 + 2 ** 20
 
 
 # ---------------------------------------------------------------------------
