@@ -10,9 +10,12 @@ weight factorizes over *pairs of heights two apart*:
 (with T_{-1} = T_0 = 0), which is what both the enumeration bookkeeping and
 the transfer DP below exploit.  The module provides
 
-* ``brute_force_Z``    exhaustive enumeration (the oracle, L <= 24);
-* ``enumerate_configs`` the same configurations one at a time (slow
-                       path; ``feature_histogram`` aggregates them fast);
+* ``brute_force_Z``    exact enumeration (the oracle, L <= 24) from
+                       ``feature_histogram``, which counts the completions
+                       of each partial state (units left, height, last
+                       stretch) once, in integers, by (overlap, contacts);
+* ``enumerate_configs`` every configuration one at a time (slow path,
+                       the per-configuration reference of the histogram);
 * ``dp_Z``             rescaled transfer DP over (consumed length, prev
                        height, cur height) on one backward step for all
                        variants, stepping only the height pairs that are
@@ -96,7 +99,6 @@ __all__ = [
 ]
 
 _BRUTE_MAX_L = 24
-_ENUM_BLOCK = 1 << 16  # most rows of a frontier, and children expanded at a time
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +144,11 @@ def feature_histogram(L: int, variant=Variant.FREE) -> dict:
     """{(total overlap, contacts): multiplicity} over the configuration set.
 
     The Boltzmann weight of a configuration depends only on these two
-    features, so one enumeration serves every (beta, delta).  Enumeration is
-    done as a vectorized frontier sweep: each row of the frontier is one
-    distinct partial configuration (no state merging), so this is still an
-    exhaustive walk of the tree, just batched.  The result is a copy of the
-    cached enumeration, so a caller may change it freely.
+    features, so one enumeration serves every (beta, delta).  The
+    enumeration counts the completions of each partial configuration's
+    state once, in exact integers (``_histogram``), keys ascending.  The
+    result is a copy of the cached enumeration, so a caller may change it
+    freely.
     """
     return dict(_histogram(_count(L, "L", 1), as_variant(variant)))
 
@@ -156,85 +158,53 @@ def _histogram(L: int, variant: Variant) -> dict:
     """The enumeration behind ``feature_histogram``, cached per (L, variant);
     never handed out, so no caller can change a cached entry.
 
-    The frontier (budget, height, last stretch, overlap, contacts) is int16,
-    a quarter of the memory of int64: each is at most L in size (the
-    overlap, a sum of min(|l_i|, |l_{i+1}|), is at most sum |l_i| < L) and
-    every intermediate at most 2L, far inside int16 at the enumerable
-    L <= 24.  Index and count arrays stay int64, and so do the histogram
-    keys.  The sweep goes depth first: a frontier of more than
-    ``_ENUM_BLOCK`` rows is split in halves onto a stack, so no frontier
-    grows with the tree (one level of Free at L = 18 has 406390 children),
-    and a frontier of at most that many rows goes one level down, its rows
-    expanded in blocks of about ``_ENUM_BLOCK`` children, so the int64
-    temporaries stay bounded too.  Leaves are counted in one dense array
-    over the keys w (L + 1) + c for the whole sweep, and the histogram is
-    built from it once, keys ascending.
+    The completions of a partial configuration depend only on its state:
+    the units left b, the height h and the last stretch p.  So each
+    reachable state gets one int64 (b + 1) x (b + 1) array of its
+    completions by (overlap, contacts), built once: b units hold at most b
+    stretches, whose overlap is at most b - 1.  A stretch v adds
+    wedge(p, v) = (|p| + |v| - |p + v|)/2 <= |v| to the overlap and a
+    contact where h + v = 0, so the child's array, b - |v| wide, goes in
+    shifted by both, inside the parent's.  A stretch that uses the last
+    unit ends a configuration: every one for Free, and one back at height
+    0 for the returning variants (a single bead's up stretch never ends at
+    0).  A returning walk at height h > b - 1 cannot get back with b units,
+    so it is not followed; a single bead goes up only as far as it can
+    come back.  The histogram lists the root's nonzero entries, keys
+    ascending.
     """
-    def expand(b, h, p, w, c, lo, hi):
-        """All children with stretch value in [lo, hi] per row."""
-        m = hi - lo + 1
-        keep = m > 0
-        b, h, p, w, c, lo, m = (a[keep] for a in (b, h, p, w, c, lo, m))
-        if b.size == 0:
-            return tuple(np.empty(0, dtype=np.int16) for _ in range(5))
-        tot = int(m.sum())
-        idx = np.repeat(np.arange(b.size), m)
-        starts = np.cumsum(m, dtype=np.int64) - m
-        v = (lo[idx] + (np.arange(tot) - starts[idx])).astype(np.int16)
-        pr = p[idx]
-        nb = b[idx] - 1 - np.abs(v)
-        nh = h[idx] + v
-        nw = w[idx] + (np.abs(pr) + np.abs(v) - np.abs(pr + v)) // 2
-        nc = c[idx] + (nh == 0)
-        return nb, nh, v, nw, nc
+    free = variant is Variant.FREE
 
-    counts = np.zeros((L + 1) ** 2, dtype=np.int64)  # leaves by w (L + 1) + c
-    z = np.zeros(1, dtype=np.int16)
-    stack = [(np.full(1, L, dtype=np.int16), z, z, z.copy(), z.copy())]
-    while stack:
-        frontier = stack.pop()
-        b, h, p, w, c = frontier
-        if b.size > _ENUM_BLOCK:  # the first half is swept first
-            half = b.size // 2
-            stack += (tuple(x[half:] for x in frontier),
-                      tuple(x[:half] for x in frontier))
-            continue
-        lo, hi = -np.minimum(h, b - 1), b - 1
-        if variant is Variant.SINGLE_BEAD:
-            # up next after a down stretch and at the start, leaving room
-            # for the matching descent; down otherwise
-            up = p <= 0
-            lo = np.where(up, 1, lo)
-            hi = np.where(up, np.minimum(hi, (b - 2 - h) // 2), -1)
-        ends = np.cumsum(np.maximum(hi - lo + 1, 0))  # children up to each row
-        cuts = np.searchsorted(ends, np.arange(_ENUM_BLOCK, ends[-1], _ENUM_BLOCK))
-        kids = []
-        for a, e in itertools.pairwise([0, *cuts.tolist(), b.size]):
-            nb, nh, nv, nw, nc = expand(*(x[a:e] for x in (b, h, p, w, c, lo, hi)))
-            if variant is Variant.FREE:
-                leaf = nb == 0
-                go = ~leaf
-            elif variant is Variant.CONSTRAINED_END:
-                leaf = (nb == 0) & (nh == 0)
-                go = (nb >= 1) & (nh <= nb - 1)  # must still be able to return
-            else:
-                leaf = (nb == 0) & (nh == 0) & (nv < 0)
-                go = (~leaf) & np.where(nv > 0, nh <= nb - 1, nb >= nh + 4)
-            counts += np.bincount(nw[leaf].astype(np.int64) * (L + 1) + nc[leaf],
-                                  minlength=counts.size)
-            kids.append((nb[go], nh[go], nv[go], nw[go], nc[go]))
-        children = tuple(np.concatenate(col) for col in zip(*kids))
-        if children[0].size:
-            stack.append(children)
+    @lru_cache(maxsize=None)
+    def completions(b, h, p):
+        out = np.zeros((b + 1, b + 1), dtype=np.int64)
+        lo, hi = -min(h, b - 1), b - 1
+        if variant is Variant.SINGLE_BEAD:  # up at the start and after a down
+            lo, hi = (1, min(hi, (b - 2 - h) // 2)) if p <= 0 else (lo, -1)
+        for v in range(lo, hi + 1):
+            nb, nh = b - 1 - abs(v), h + v
+            w, c = (abs(p) + abs(v) - abs(p + v)) // 2, int(nh == 0)
+            if nb == 0:
+                out[w, c] += free or nh == 0
+            elif free or nh < nb:
+                out[w:w + nb + 1, c:c + nb + 1] += completions(nb, nh, v)
+        return out
+
+    counts = completions(L, 0, 0).ravel()
     keys = np.flatnonzero(counts)
     return {divmod(k, L + 1): n for k, n in zip(keys.tolist(), counts[keys].tolist())}
 
 
 def brute_force_Z(L: int, beta: float, delta: float, variant=Variant.FREE) -> float:
-    """log Z by exhaustive enumeration; the oracle every DP is checked against."""
+    """log Z by exhaustive enumeration; the oracle every DP is checked against.
+
+    Any finite beta (beta = 0 counts configurations) and finite delta."""
     L = _count(L, "L", 1)
     if L > _BRUTE_MAX_L:
         raise ValueError(f"L={L} too large for enumeration (max {_BRUTE_MAX_L})")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta!r}")
+    _check_delta(delta)
     hist = _histogram(L, as_variant(variant))
     if not hist:
         return -math.inf
@@ -265,7 +235,16 @@ def _exact_cutoff(L: int) -> int:
 
 
 def _extents(L: int, H: int, variant: Variant) -> tuple:
-    """(rows, cols): b(m) and c(m) of ``_blocks`` at m = 0 ... L + 1."""
+    """(rows, cols): the block b(m) x c(m) of prefix heights (u, v) that
+    slice m can hold, at m = 0 ... L + 1.
+
+    After m >= 1 units the last two prefix heights satisfy u + |v - u| <=
+    m - 1, so u, v < b(m) = min(m, H + 1); before the first stretch the
+    state is (0, 0), b(0) = 1.  The returning variants must also get back
+    to 0 from v in the L - m units left, which takes at least v + 1 of them
+    while any are left, so only v < c(m) = min(b(m), max(L - m, 1)) can
+    finish; Free keeps c = b.
+    """
     consumed = np.arange(L + 2)
     rows = np.minimum(np.maximum(consumed, 1), H + 1)
     if variant is Variant.FREE:
@@ -273,63 +252,40 @@ def _extents(L: int, H: int, variant: Variant) -> tuple:
     return rows, np.minimum(rows, np.maximum(L - consumed, 1))
 
 
-def _blocks(L: int, H: int, variant: Variant) -> tuple:
-    """(rows, cols, lo, hi): the block of every consumed length m and, in
-    it, the kept column range [lo, hi) of every row u.
+def _diagonal_lengths(L: int, H: int, rows, cols) -> tuple:
+    """(up, down): the entries slice m keeps on its diagonal v = u + g
+    and on v = u - g, as (L + 1, H + 1) arrays [m, g], at the extents
+    ``rows`` and ``cols`` of ``_extents``.
 
-    After m >= 1 units the last two prefix heights satisfy u + |v - u| <=
-    m - 1, so u, v < b(m) = min(m, H + 1); before the first stretch the
-    state is (0, 0), b(0) = 1.  The returning variants must also get back
-    to 0 from v in the L - m units left, which takes at least v + 1 of them
-    while any are left, so only v < c(m) = min(b(m), max(L - m, 1)) can
-    finish; Free keeps c = b (``_extents``).
-
-    Of that b(m) x c(m) block only a band is kept.  A row u >= 1 needs two
+    Of the b(m) x c(m) block only a band is kept.  A row u >= 1 needs two
     or more stretches: reaching u costs u + 1 units and the next stretch
     |v - u| + 1, so u + |v - u| <= m - 2 and row u keeps v in
     [max(0, 2u - m + 2), c(m)); row 0 keeps all of [0, c(m)), as the first
-    stretch can end at m - 1, and rows u >= m - 1 are empty.  A single
-    bead's stretches alternate and never keep the height, so its state
-    (u, v) tells the next direction: up if v < u (the last went down) and
-    at the start (0, 0), down if v > u.  Its one table keeps both sides in
-    the same band; the diagonal v = u, never reached after the start, is
-    kept but never read.  ``_Plan`` stores these entries by diagonals, and
-    ``_Plan.store`` keeps them by this closed form; the arrays here state
-    it for the checks.
+    stretch can end at m - 1, and rows u >= m - 1 are empty.  Past
+    m = 2H + 1 every row is whole, so cut tables keep plain blocks there.
+    A single bead's stretches alternate and never keep the height, so its
+    state (u, v) tells the next direction: up if v < u (the last went
+    down) and at the start (0, 0), down if v > u.  Its one table keeps
+    both sides in the same band; the diagonal v = u, never reached after
+    the start, is kept but never read.
 
     Every read of the step and the sampler that can finish lands in these
-    ranges, every other on the trailing zero (``_Plan.reads``).  Block r reads
-    row v < c(r) of slice m = r + 1 + |w - v| at a w < c(m) that can still
-    finish, and a draw at a kept (r, u, v) reads the same, with v <= r - 1
-    there; for v >= 1, w >= 2v - m + 2 holds at every w exactly when
-    v <= r - 1, and c(r) <= r.  A single bead's up stretch to w > v reads
-    the entry (v, w) with w > v, whose next stretch goes down, and a down
-    stretch the entry with w < v, whose next goes up.  Past m = 2H + 1
-    every row is whole, so cut tables keep plain blocks there.  lo and hi
-    are (L + 2, H + 1), lo <= hi, with an empty range at every row
-    u >= b(m) and in the sentinel slice L + 1.
-    """
-    rows, cols = _extents(L, H, variant)
-    consumed = np.arange(L + 2)
-    heights = np.arange(H + 1)
-    lo = np.where(heights >= 1, np.maximum(2 * heights - consumed[:, None] + 2, 0), 0)
-    hi = np.where(heights < rows[:, None], cols[:, None], 0)
-    hi[L + 1] = 0
-    return rows, cols, np.minimum(lo, hi).astype(np.int32), hi.astype(np.int32)
+    ranges, every other on the trailing zero (``_Plan.reads``).  Block r
+    reads row v < c(r) of slice m = r + 1 + |w - v| at a w < c(m) that
+    can still finish, and a draw at a kept (r, u, v) reads the same, with
+    v <= r - 1 there; for v >= 1, w >= 2v - m + 2 holds at every w exactly
+    when v <= r - 1, and c(r) <= r.  A single bead's up stretch to w > v
+    reads the entry (v, w) with w > v, whose next stretch goes down, and a
+    down stretch the entry with w < v, whose next goes up.
 
-
-def _diagonal_lengths(L: int, H: int, rows, cols) -> tuple:
-    """(up, down): the entries slice m keeps on its diagonal v = u + g
-    and on v = u - g, as (L + 1, H + 1) arrays [m, g], from the ranges of
-    ``_blocks`` at the extents ``rows`` and ``cols``.
-
-    Up, (u, u + g) is kept for u + g < c(m) if u = 0, and for u >= 1 also
-    u + g >= 2u - m + 2, so for u < min(c(m) - g, max(m + g - 1, 1)).
-    Down, g >= 1, (u, u - g) is kept for g <= u < b(m), u - g < c(m) and
-    u - g >= 2u - m + 2, so for u - g < min(b(m) - g, c(m), m - 2g - 1).
-    Either way the kept entries are a prefix of the diagonal, and the
-    lengths of slice m sum to its kept entries.  Slices 0 ... L only: the
-    sentinel slice L + 1 keeps none."""
+    On the diagonals: up, (u, u + g) is kept for u + g < c(m) if u = 0,
+    and for u >= 1 also u + g >= 2u - m + 2, so for
+    u < min(c(m) - g, max(m + g - 1, 1)).  Down, g >= 1, (u, u - g) is
+    kept for g <= u < b(m), u - g < c(m) and u - g >= 2u - m + 2, so for
+    u - g < min(b(m) - g, c(m), m - 2g - 1).  Either way the kept entries
+    are a prefix of the diagonal, and the lengths of slice m sum to its
+    kept entries.  Slices 0 ... L only: the sentinel slice L + 1 keeps
+    none."""
     g = np.arange(H + 1)
     m = np.arange(L + 1)[:, None]
     b, c = rows[:L + 1, None], cols[:L + 1, None]
@@ -359,10 +315,10 @@ class _Plan:
     which the sampler reads one stretch at a time; the DP reads ``need``
     and splits the terms by direction itself.
 
-    A slice m keeps ``size[m]`` entries, the ranges [lo, hi) of
-    ``_blocks``, and stores them by diagonals: chunk g of slice m holds its
-    kept entries (u, v) with |v - u| = g.  They are a prefix of each of
-    the two diagonals (``_diagonal_lengths``), so the up entry (u, u + g)
+    A slice m keeps ``size[m]`` entries, the band of
+    ``_diagonal_lengths``, and stores them by diagonals: chunk g of slice m
+    holds its kept entries (u, v) with |v - u| = g.  They are a prefix of
+    each of the two diagonals, so the up entry (u, u + g)
     sits at u from the chunk's start and the down entry (u, u - g) at
     u - g back from its last entry: ``inner[u, v]`` is u, or -(u - g).
     The two placements differ only in where chunk (m, g) starts.  Each gap
@@ -419,7 +375,8 @@ class _Plan:
             lengths = chunk[listed].ravel()
         self.end = int(lengths.sum())
         first = np.cumsum(period) - period  # where the list of gap g begins
-        self.bases = np.concatenate((starts + lengths - 1, starts))
+        self.bases = np.concatenate((starts + lengths - 1, starts)).astype(
+            np.int32 if self.end < 2**31 else np.int64)  # half the bytes if it fits
         self.col = np.concatenate((first[:0:-1], len(starts) + first))
         self.period = np.concatenate((period[:0:-1], period))
         self.reach = np.abs(np.arange(-H, n))  # the gap of each d
@@ -481,8 +438,9 @@ class _Plan:
 
     def store(self, stack, m: int, block: np.ndarray) -> None:
         """Write the kept entries of slice m from its whole (b, c) block:
-        the leading rows, where lo = 0 (row 0 and u <= (m - 2)/2), whole,
-        of the rest the columns w >= 2u - m + 2 (``_blocks``)."""
+        the leading rows, whose band starts at column 0 (row 0 and
+        u <= (m - 2)/2), whole, of the rest the columns w >= 2u - m + 2
+        (``_diagonal_lengths``)."""
         b, c = block.shape
         at = self._places((m - 1 - self.reach) % self.period, b)[:, :c]
         whole = min(b, max(m // 2, 1))
@@ -501,7 +459,7 @@ class DPTable:
     e^{beta L} prefactor stripped) of all ways to finish a configuration
     given that m length units are consumed and the last two prefix heights
     are (u, v).  It is stored for the rows u < b(m) = min(max(m, 1), H + 1)
-    and, in row u, for the heights v in the range [lo, hi) of ``_blocks``
+    and, in row u, for the heights v in the band of ``_diagonal_lengths``
     only: those that some configuration reaches and some step reads.
     ``log_weights`` holds them slice after slice, slice 0 first, each slice
     by its diagonals |v - u| = g in order of g, at the places of ``plan``
@@ -653,7 +611,7 @@ def dp_Z(L: int, beta: float, delta: float, variant=Variant.FREE,
         G_k[m][u, v] = sum_w e^{-beta} x^{|w - u|} e^{delta 1{w = 0}}
                        1_k(v, w) G_{k'}[m + 1 + |w - v|][v, w]
 
-    over the stretch directions k of ``_Plan``, on the block of ``_blocks``
+    over the stretch directions k of ``_Plan``, on the block of ``_extents``
     only (``_transfer``): the heights u < b(m) reachable after m units,
     and of the v < b(m) those from which the returning variants can still
     get back to 0; of each block the table keeps only the row ranges that

@@ -9,7 +9,8 @@ backward truncation bound of ``dp_Z``, each level of the completion
 majorant summed term by term in long double instead of by two geometric
 sweeps, a log-space transfer recursion instead of its rescaled linear
 one, the dense table of every height pair instead of its reachable
-blocks, the dense strip step matrix instead of
+blocks, the kept column range of each row instead of the closed-form
+diagonal lengths of a slice, the dense strip step matrix instead of
 the two geometric sweeps of the strip walk, the wetting renewal one dot
 per length instead of its blocked Toeplitz solve, the sampler's weights
 built afresh for every draw instead of once per distinct state,
@@ -614,6 +615,23 @@ def dp_dense_table(L: int, beta: float, delta: float, variant,
     S += off[:, :, None, None]
     lw = (S[0], S[1]) if variant is Variant.SINGLE_BEAD else S[0]
     return log_z, lw, bound
+
+
+def blocks(L: int, H: int, variant) -> tuple:
+    """(rows, cols, lo, hi): the block of every consumed length m and, in
+    it, the kept column range [lo, hi) of every row u, row by row as
+    ``exactz._diagonal_lengths`` derives them: row u >= 1 keeps v in
+    [max(0, 2u - m + 2), c(m)), row 0 all of [0, c(m)), and rows
+    u >= b(m) and the sentinel slice L + 1 none.  lo and hi are
+    (L + 2, H + 1), lo <= hi; ``_Plan``'s diagonal lengths and places are
+    checked against them."""
+    rows, cols = exactz._extents(L, H, Variant(variant))
+    consumed = np.arange(L + 2)
+    heights = np.arange(H + 1)
+    lo = np.where(heights >= 1, np.maximum(2 * heights - consumed[:, None] + 2, 0), 0)
+    hi = np.where(heights < rows[:, None], cols[:, None], 0)
+    hi[L + 1] = 0
+    return rows, cols, np.minimum(lo, hi), hi
 
 
 def backward_sample_per_draw(table, count: int, rng) -> tuple:

@@ -137,10 +137,25 @@ def test_exact_with_brute_oracle_column(tmp_path):
         assert float(r["truncation_bound"]) == 0.0
 
 
-def test_exact_brute_gated_at_desk_scale(tmp_path):
-    rc = cli.main(["exact", "--length", "20", "--beta", "2", "--delta", "0.5",
+def test_exact_brute_gated_at_desk_scale(tmp_path, capsys):
+    # the enumeration's own limit, L <= 24, is the only one: it refuses
+    # L = 25 before any DP runs
+    rc = cli.main(["exact", "--length", "25", "--beta", "2", "--delta", "0.5",
                    "--brute", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
+    assert "L=25 too large for enumeration (max 24)" in capsys.readouterr().err
+
+
+def test_exact_brute_at_the_enumeration_limit(tmp_path):
+    out = tmp_path / "exact.csv"
+    rc = cli.main(["exact", "--length", "24", "--beta", "2", "--delta", "0.5",
+                   "--brute", "--out", str(out)])
+    assert rc == 0
+    _, _, rows = parse_csv(out.read_text())
+    assert len(rows) == 3
+    for r in rows:
+        assert float(r["log_z"]) == pytest.approx(float(r["log_z_brute"]),
+                                                  rel=1e-10)
 
 
 def test_exact_single_variant(tmp_path):

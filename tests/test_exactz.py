@@ -60,6 +60,16 @@ def test_brute_rejects_large_l():
         exactz.brute_force_Z(25, 1.0, 0.0, Variant.FREE)
 
 
+@pytest.mark.parametrize("beta, delta, named", [
+    (math.nan, 0.5, "beta"), (math.inf, 0.5, "beta"), (-math.inf, 0.5, "beta"),
+    (2.0, math.inf, "delta"), (2.0, math.nan, "delta"), (2.0, -math.inf, "delta")])
+def test_brute_names_a_non_finite_parameter(beta, delta, named):
+    # beta = 0 stays allowed: it counts configurations
+    bad = beta if named == "beta" else delta
+    with pytest.raises(ValueError, match=f"^{named} must be finite, got {bad}$"):
+        exactz.brute_force_Z(10, beta, delta, Variant.FREE)
+
+
 def test_feature_histogram_copy_protects_cache():
     want = exactz.brute_force_Z(10, 2.0, 0.5, Variant.FREE)
     hist = exactz.feature_histogram(10, Variant.FREE)
@@ -71,29 +81,45 @@ def test_feature_histogram_copy_protects_cache():
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
 def test_feature_histogram_matches_recursive_enumeration(variant):
-    # the frontier sweep against the recursive generator, each configuration
-    # scored by the Hamiltonian at (beta, delta) = (1, 0) and (0, 1)
+    # the per-state counts against the recursive generator, each
+    # configuration scored by the Hamiltonian at (beta, delta) = (1, 0) and
+    # (0, 1), keys ascending: brute_force_Z sums its terms in that order,
+    # though logsumexp_c's math.fsum is correctly rounded, so no order
+    # could move its bits
     for L in range(1, 15):
         want = {}
         for l in exactz.enumerate_configs(L, variant):
             cfg = StretchConfig(l, L, variant)
             key = (round(hamiltonian(cfg, 1.0, 0.0)), round(hamiltonian(cfg, 0.0, 1.0)))
             want[key] = want.get(key, 0) + 1
-        assert exactz.feature_histogram(L, variant) == want, L
+        got = exactz.feature_histogram(L, variant)
+        assert got == want, L
+        assert list(got) == sorted(got), L
 
 
-def test_feature_histogram_does_not_depend_on_the_block_size(monkeypatch):
-    # frontiers of more than _ENUM_BLOCK rows are split in halves and each
-    # level is expanded in blocks of about _ENUM_BLOCK children: small blocks
-    # give the same counts, keys ascending either way.  brute_force_Z sums
-    # its terms in that order, though logsumexp_c's math.fsum is correctly
-    # rounded, so no order could move its bits
-    enumerate_levels = exactz._histogram.__wrapped__  # past the cache
-    want = {(v, L): list(enumerate_levels(L, v).items())
-            for v in VARIANTS for L in range(1, 13)}
-    monkeypatch.setattr(exactz, "_ENUM_BLOCK", 97)
-    for (v, L), items in want.items():
-        assert list(enumerate_levels(L, v).items()) == items, (v, L)
+@pytest.mark.parametrize("variant, count", [
+    (Variant.FREE, oracles.count_free_configs),
+    (Variant.SINGLE_BEAD, oracles.count_single_bead_configs)],
+    ids=["Free", "SingleBead"])
+def test_feature_histogram_counts_every_configuration_to_l24(variant, count):
+    # past the reach of the per-configuration route, the multiplicities sum
+    # to the size of the configuration set, counted by the oracles' DP over
+    # (units used, height)
+    for L in range(15, 25):
+        assert sum(exactz.feature_histogram(L, variant).values()) == count(L), L
+
+
+def test_enumeration_at_its_limit_stays_small():
+    # one (b + 1) x (b + 1) array per reachable state with b units left:
+    # Free at L = 24 keeps 2.2 MiB of them at its peak, past the cache
+    # ((L + 1) x (L + 1) arrays for every state would take 14.3 MiB)
+    tracemalloc.start()
+    try:
+        exactz._histogram.__wrapped__(24, Variant.FREE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("variant, want", [
@@ -102,9 +128,19 @@ def test_feature_histogram_does_not_depend_on_the_block_size(monkeypatch):
     (Variant.SINGLE_BEAD, "0x1.6b60ba3980d04p+4")], ids=[v.value for v in VARIANTS])
 def test_brute_force_z_at_l18_is_pinned(variant, want):
     # the oracle of `exact --length 18 --beta 2 --delta 0.5 --brute`; the
-    # values come from a level-by-level sweep, which the depth-first one must
-    # match bit for bit
+    # values come from a level-by-level sweep of every configuration, which
+    # the per-state counts must match bit for bit
     assert float(exactz.brute_force_Z(18, 2.0, 0.5, variant)).hex() == want
+
+
+@pytest.mark.parametrize("variant, want", [
+    (Variant.FREE, "0x1.ee58ebada0d05p+4"),
+    (Variant.CONSTRAINED_END, "0x1.dbad721202b9ap+4"),
+    (Variant.SINGLE_BEAD, "0x1.d4613134ba120p+4")], ids=[v.value for v in VARIANTS])
+def test_brute_force_z_at_l22_is_pinned(variant, want):
+    # from a depth-first sweep of every configuration (3.4e7 leaves for
+    # Free), which the per-state counts must match bit for bit
+    assert float(exactz.brute_force_Z(22, 2.0, 0.5, variant)).hex() == want
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +379,13 @@ def test_truncation_bound_matches_forward_oracle(variant):
 def _layout(L, H, variant):
     """(places, end): the place on the table of every kept entry (m, u, v),
     -1 elsewhere, as an (L + 1, H + 1, H + 1) array, counted afresh from
-    the ranges of ``_blocks``, and the number of kept entries.  Chunk g of
-    slice m holds its kept entries with |v - u| = g; the chunks lie back to
-    back in (m, g) order, slice 0 first, the up entries (u, u + g) at u from
-    the chunk's start and the down entries (u, u - g) at u - g from its end."""
+    the ranges of ``oracles.blocks``, and the number of kept entries.
+    Chunk g of slice m holds its kept entries with |v - u| = g; the chunks
+    lie back to back in (m, g) order, slice 0 first, the up entries
+    (u, u + g) at u from the chunk's start and the down entries (u, u - g)
+    at u - g from its end."""
     n = H + 1
-    _, _, lo, hi = exactz._blocks(L, H, variant)
+    _, _, lo, hi = oracles.blocks(L, H, variant)
     heights = np.arange(n)
     kept = (heights >= lo[:L + 1, :, None]) & (heights < hi[:L + 1, :, None])
     d = heights - heights[:, None]  # [u, v]: v - u
@@ -443,7 +480,7 @@ def test_enumerated_states_lie_in_stored_ranges(variant):
     for L in range(1, 13):
         exact_H = exactz._exact_cutoff(L)
         for H in sorted({max(exact_H, 1), 1, 2, 3}):
-            rows, cols, lo, hi = exactz._blocks(L, H, variant)
+            rows, cols, lo, hi = oracles.blocks(L, H, variant)
             for l in exactz.enumerate_configs(L, variant):
                 for k, m, u, v in _states(l):
                     if variant is Variant.SINGLE_BEAD and m:
@@ -507,11 +544,11 @@ def test_kept_entries_are_a_prefix_of_each_diagonal(variant):
     # the premise of the diagonal layout, slice by slice: on each diagonal
     # v = u + g and v = u - g of slice m, the closed-form lengths of
     # ``_diagonal_lengths`` count its kept entries (the ranges of
-    # ``_blocks``), those entries are a prefix of it, and the lengths of a
-    # slice sum to its kept entries, ``size[m]`` of the plan
+    # ``oracles.blocks``), those entries are a prefix of it, and the lengths
+    # of a slice sum to its kept entries, ``size[m]`` of the plan
     for L in range(1, 41):
         for H in sorted({1, 2, 3, 7, max(exactz._exact_cutoff(L), 1), L + 1}):
-            rows, cols, lo, hi = exactz._blocks(L, H, variant)
+            rows, cols, lo, hi = oracles.blocks(L, H, variant)
             heights = np.arange(H + 1)
             kept = (heights >= lo[:L + 1, :, None]) & (heights < hi[:L + 1, :, None])
             up, down = exactz._diagonal_lengths(L, H, rows, cols)
@@ -537,7 +574,7 @@ def test_stored_bytes_at_l300():
             (Variant.CONSTRAINED_END, 149): 17.9, (Variant.SINGLE_BEAD, 149): 17.9}
     assert exactz._exact_cutoff(300) == 149
     for (variant, H), mb in want.items():
-        _, _, lo, hi = exactz._blocks(300, H, variant)
+        _, _, lo, hi = oracles.blocks(300, H, variant)
         plan = exactz._Plan(300, H, variant)
         assert plan.end == (hi - lo).sum()
         assert round(8 * plan.end / 1e6, 1) == mb
@@ -549,7 +586,7 @@ def test_stored_bytes_at_l300():
         assert round(8 * ring.end / 1e6, 1) == mb
         assert round(ring.nbytes(1) / 1e6, 1) == mb
     # past m = 2H + 1 every row of a cut table is whole
-    _, _, lo, hi = exactz._blocks(300, 46, Variant.FREE)
+    _, _, lo, hi = oracles.blocks(300, 46, Variant.FREE)
     assert round(8 * exactz._Plan(300, 46, Variant.FREE).end / 1e6, 2) == 4.61
     assert np.all(lo[2 * 46 + 2:] == 0)
     assert np.all(hi[2 * 46 + 2:-1] == 47)
@@ -789,6 +826,17 @@ def test_ring_at_l6400_stays_small():
     # its index keeps no array per slice and height (the (L + 2, H + 1)
     # column ranges took 12.1 MB): its (n, n) arrays take about 1.6 MB
     assert plan.index_nbytes() <= 2e6
+
+
+@pytest.mark.parametrize("L, H, variant, before", [
+    (1600, 100, Variant.FREE, 2780880), (6400, 200, Variant.SINGLE_BEAD, 22041712)])
+def test_table_plan_index_keeps_its_chunk_places_in_int32(L, H, variant, before):
+    # from _Plan alone (no DP run): the chunk places ``bases``, two per chunk
+    # (m, g), were int64 and took 2.59 of the 2.78 MB and 20.6 of the
+    # 22.0 MB (``before``); every place of these tables is below 2^31
+    plan = exactz._Plan(L, H, variant)
+    assert plan.end < 2**31 and plan.bases.dtype == np.int32
+    assert plan.index_nbytes() <= 0.55 * before
 
 
 @pytest.mark.parametrize("L, H, variant", [(1600, 100, Variant.FREE),
