@@ -433,7 +433,10 @@ def _run_tilt(config: ExperimentConfig) -> int:
 
 # -- argument parsing -------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of all seven subcommands, built on the first
+    call and shared by every later one (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="ipdsaw",
         description="Exact numerics for a collapsed partially directed "

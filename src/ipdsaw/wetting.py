@@ -25,14 +25,18 @@ area-tilted ``exactz.area_wetting_dp`` (e^{-gamma h / N} on top) only
 choose the weights.  It walks half the length and joins the two halves by
 time reversal, since the step matrix is symmetric.  Its step matrix
 x^{|i-j|} / c_beta is semiseparable (the coupling of two blocks of heights
-has rank one), so ``_step_apply`` applies it as a blocked product, three
-small matmuls with no sequential sweep; the dense product is the test
-oracle.
+has rank one), so each step is the site weight written into one block
+buffer and three small products on it (``_step_apply``), with no
+sequential sweep; the dense product is the test oracle.  The walk's vector
+is renormalized by a power of two only every K steps
+(``_renorm_period``), as often as the largest decay the site weights
+allow requires.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,15 +62,21 @@ def logsumexp_c(values) -> float:
     """log(sum exp(values)), the sum of the scaled terms correctly rounded
     (``math.fsum``).
 
-    Accepts any iterable; -inf entries are skipped.  Used wherever sums of
-    wildly different log-magnitudes are combined.
+    Accepts any iterable; -inf entries are skipped, a +inf entry makes the
+    sum +inf and a NaN entry is refused (ValueError).  Used wherever sums
+    of wildly different log-magnitudes are combined.
     """
     arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
                      dtype=float)
+    nan = np.flatnonzero(np.isnan(arr))
+    if nan.size:
+        raise ValueError(f"logsumexp_c: term {nan[0]} is nan")
     arr = arr[arr > -np.inf]
     if arr.size == 0:
         return -math.inf
     m = float(arr.max())
+    if m == math.inf:
+        return m
     return m + math.log(math.fsum(np.exp(arr - m)))
 
 
@@ -98,23 +108,26 @@ def _step_apply(law: StepLaw, n: int):
     """The step v -> M v, M[i, j] = x^{|i - j|} / c_beta on heights 0..n-1,
     as a blocked semiseparable product with no sequential sweep.
 
-    Returns (v, apply): v is a length-n view of a zero-padded (r, bs)
-    block buffer, bs = ``_step_block(n)``, and apply() returns M v for the
-    present contents of v as a new array.
+    Returns (V, apply).  V is the (r, bs) view of the V columns of a
+    zero-padded (r, bs + 2) block buffer [V | L | R], bs =
+    ``_step_block(n)``, and holds v in its first n entries in row order.
+    apply() returns M v for the present contents of V as a new (r, bs)
+    array, again in its first n entries in row order.
 
     M (the Kac-Murdock-Szego matrix) couples two blocks by a rank-one
     term: for i in block b and j in block b' < b (offsets within the
     block), x^{i - j} = x^{i+1} X^{b-b'-1} x^{bs-1-j} with X = x^bs, and
-    symmetrically above the diagonal.  So one matmul V @ [T | E] / c_beta
-    of the buffer gives the in-block products (T[i, j] = x^{|i - j|}) and
-    each block's forward and backward geometric sums F_b and G_b (the
-    columns of E are x^{bs-1-j} and x^j); one (2r x 2r) matmul carries them across
-    blocks, L_b = sum_{b' < b} X^{b-b'-1} F_b' and R_b = sum_{b' > b}
-    X^{b'-b-1} G_b'; and one (r x 2)(2 x bs) product spreads them back
-    with x^{i+1} and x^{bs-i}.  Every entry is formed as e^{-a k},
-    a = beta/2, with a split a_hi + a_lo that keeps a_hi k exact (x ** k
-    from the rounded x drifts to 3e-14 relative by k ~ 600).  Every term
-    is positive, so nothing cancels.
+    symmetrically above the diagonal.  So apply() is three products: the
+    block sums FG = V @ E / c_beta, each block's forward and backward
+    geometric sums F_b and G_b (the columns of E are x^{bs-1-j} and x^j);
+    the carry across blocks, L_b = sum_{b' < b} X^{b-b'-1} F_b' and R_b =
+    sum_{b' > b} X^{b'-b-1} G_b', one stacked (2, r, r) product written
+    straight into the L and R columns; and [V | L | R] @ [T / c_beta; S],
+    which adds the in-block products (T[i, j] = x^{|i - j|}) to the carry
+    spread back with S, whose rows are x^{i+1} and x^{bs-i}.  Every entry
+    is formed as e^{-a k}, a = beta/2, with a split a_hi + a_lo that keeps
+    a_hi k exact (x ** k from the rounded x drifts to 3e-14 relative by
+    k ~ 600).  Every term is positive, so nothing cancels.
     """
     bs = _step_block(n)
     r = -(-n // bs)
@@ -125,26 +138,47 @@ def _step_apply(law: StepLaw, n: int):
         return np.exp(-a_hi * k) * np.exp((a_hi - a) * k)
 
     t = np.arange(bs)
-    TE = np.empty((bs, bs + 2))
-    TE[:, :bs] = power(np.abs(np.subtract.outer(t, t)))
-    TE[:, bs] = power(bs - 1 - t)
-    TE[:, bs + 1] = power(t)
-    TE /= law.c_beta
+    E = power(np.stack((bs - 1 - t, t), axis=1)) / law.c_beta
+    TS = np.concatenate((power(np.abs(np.subtract.outer(t, t))) / law.c_beta,
+                         power(np.stack((t + 1, bs - t)))))
     gap = np.subtract.outer(np.arange(r), np.arange(r)) - 1  # b - b' - 1
     low = np.tril(power(bs * np.abs(gap)), -1)
-    K = np.zeros((r, 2, r, 2))  # acts on [F_0, G_0, F_1, G_1, ...]
-    K[:, 0, :, 0] = low
-    K[:, 1, :, 1] = low.T
-    K = K.reshape(2 * r, 2 * r)
-    S = np.stack((power(t + 1), power(bs - t)))
-    V = np.zeros((r, bs))
+    carry = np.stack((low, low.T))
+    buf = np.zeros((r, bs + 2))
+    V = buf[:, :bs]
+    LR = buf[:, bs:].T[:, :, None]  # (2, r, 1) view of the L and R columns
+    FG = np.empty((2, r, 1))
+    FG_cols = FG[:, :, 0].T  # (r, 2) view
 
     def apply():
-        Y = V @ TE
-        LR = K @ Y[:, bs:].ravel()
-        return (Y[:, :bs] + LR.reshape(r, 2) @ S).reshape(-1)[:n]
+        np.matmul(V, E, out=FG_cols)
+        np.matmul(carry, FG, out=LR)
+        return buf @ TS
 
-    return V.reshape(-1)[:n], apply
+    return V, apply
+
+
+# F: between two renormalizations of the bridge the max of its vector falls
+# by at most 2^-F, so it stays >= 2^-(F+1) and every entry down to 2^-821 of
+# it is a normal double (2^-(F+1) 2^-821 = 2^-1022)
+_DECAY_BITS = 200
+
+
+def _renorm_period(law: StepLaw, w: np.ndarray) -> int:
+    """K = max(1, floor(F ln 2 / -ln rho)), rho = min(w) / c_beta, F =
+    ``_DECAY_BITS``: the steps the bridge may take between two
+    renormalizations for the weights w <= 1 of the real heights.
+
+    The step's diagonal is 1/c_beta, so max(w M v) >= rho max v, and its
+    row sums are <= 1, so the max never grows: K steps take it down by at
+    most rho^K >= 2^-F.  K = 1 when a weight underflows to 0.
+    """
+    rho = float(w.min()) / law.c_beta
+    if rho == 0.0:
+        return 1
+    if rho == 1.0:  # c_beta rounds to 1 and no weight is below 1
+        return sys.maxsize
+    return max(1, math.floor(_DECAY_BITS * math.log(2.0) / -math.log(rho)))
 
 
 def _log_bridge(law: StepLaw, log_w: np.ndarray, N: int) -> float:
@@ -163,35 +197,49 @@ def _log_bridge(law: StepLaw, log_w: np.ndarray, N: int) -> float:
     vector v before the site weights, so log_w is added in log space and a
     very negative log weight never underflows.  Only j steps are walked,
     and the join is one sum in log space; at N = 1 (k = 0) it is
-    e^{log_w(0)} p_1(0).  Between steps v <- e^{log_w - max log_w} p is
-    renormalized by the power of two that brings its max into [1/2, 1),
-    so the rescale is exact and off_i is (sum of the exponents) log 2 +
-    (i - 1) max log_w, rounded a fixed number of times however many steps
-    are taken.  v lives in the block buffer of ``_step_apply``, so the
-    site weight and the rescale are written into it in place and each step
-    is the blocked semiseparable product; the dense product it replaces is
-    the test oracle ``oracles.strip_walk_dense``.
+    e^{log_w(0)} p_1(0).
+
+    Between steps v <- w p with w = e^{log_w - max log_w} <= 1.  Every K
+    steps (``_renorm_period``), and always before the two steps whose p the
+    join reads, v is renormalized by the power of two that brings its max
+    into [1/2, 1), so the rescale is exact and off_i is (sum of the
+    exponents) log 2 + (i - 1) max log_w, rounded a fixed number of times
+    however many steps are taken.  The max falls by at most a factor rho =
+    min(w) / c_beta a step and never grows, so between two rescales it
+    stays above 2^-(F+1) with F = ``_DECAY_BITS`` and every entry down to
+    2^-821 of it stays a normal double; the two read steps are rescaled,
+    so the join sees the vectors a rescale every step would give.
+    v lives in the V columns of the block buffer of ``_step_apply``, so
+    the site weight and the rescale are written into it in place and each
+    step is the blocked semiseparable product; the dense product it
+    replaces is the test oracle ``oracles.strip_walk_dense``.
     """
-    v, apply = _step_apply(law, len(log_w))
+    n = len(log_w)
+    V, apply = _step_apply(law, n)
     shift = float(np.max(log_w))
-    w = np.exp(log_w - shift)
-    v[0] = 1.0
+    w = np.zeros(V.size)
+    w[:n] = np.exp(log_w - shift)
+    K = _renorm_period(law, w[:n])
+    w = w.reshape(V.shape)
+    V[0, 0] = 1.0
     exps = 0  # the rescales so far divided by 2^exps in all
     j, k = -(-N // 2), N // 2
     for step in range(j):
         if step:
-            np.multiply(w, p, out=v)
-            e = math.frexp(v.max())[1]
-            np.ldexp(v, -e, out=v)
-            exps += e
-        p = apply()
-        log_off = exps * math.log(2.0) + step * shift
+            np.multiply(w, P, out=V)
+            if step % K == 0 or step + 1 == k or step + 1 == j:
+                e = math.frexp(V.max())[1]
+                np.ldexp(V, -e, out=V)
+                exps += e
+        P = apply()
         if step + 1 == k:
-            p_k, off_k = p, log_off
+            P_k, off_k = P, exps * math.log(2.0) + step * shift
+    log_off = exps * math.log(2.0) + (j - 1) * shift
+    p = P.reshape(-1)[:n]
     if k == 0:
         return float(log_w[0]) + log_off + math.log(p[0])
     with np.errstate(divide="ignore"):
-        terms = log_w + np.log(p) + np.log(p_k)
+        terms = log_w + np.log(p) + np.log(P_k.reshape(-1)[:n])
     top = float(terms.max())
     return (float(log_w[0]) + log_off + off_k + top
             + math.log(float(np.exp(terms - top).sum())))

@@ -128,7 +128,8 @@ def strip_walk_dense(beta: float, log_w: np.ndarray, steps: int):
     """The weighted strip walk of ``wetting._log_bridge``, run the whole
     length with the step applied as the dense (H+1) x (H+1) product M v,
     M[i, j] = P(X = i - j): yields (p, log_off) for k = 1..steps, with the
-    same renormalization."""
+    same renormalization, here at every step (the bridge skips it where
+    its decay bound allows, and never at the two steps it reads)."""
     h = np.arange(len(log_w))
     M = np.exp(-0.5 * beta * np.abs(h[:, None] - h[None, :])) / c_beta(beta)
     shift = float(np.max(log_w))

@@ -74,6 +74,26 @@ def test_cli_import_leaves_out_process_pool():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_cli_parser_is_built_at_the_first_call_and_reused():
+    # importing the CLI builds no parser; every call after the first,
+    # refused or not, parses with the one built by the first
+    code = ("import sys, ipdsaw.cli as cli; "
+            "built = cli.build_parser.cache_info().currsize; "
+            "first = cli.main(['tilt', '--beta', '2', '--q', '0.5']); "
+            "parser = cli.build_parser(); "
+            "nan = cli.main(['tilt', '--beta', '2', '--q', 'nan']); "
+            "again = cli.main(['wetting', '--beta', '2', '--delta', '1', "
+            "'--length', '10']); "
+            "sys.exit(not (built == 0 and first == again == 0 and nan == 2 "
+            "and cli.build_parser() is parser "
+            "and cli.build_parser.cache_info().misses == 1))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ipdsaw.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_phase_workers_other_than_1_exit_2_and_start_no_process():
     # every process start fails loudly in the child, so a refused value
     # that still forked a pool would not exit 2

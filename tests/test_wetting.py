@@ -1,6 +1,7 @@
 """Wetting-layer tests: kernel, partition function, free energy, curves."""
 
 import math
+import sys
 import warnings
 
 import mpmath
@@ -107,7 +108,7 @@ def test_step_apply_matches_dense_product(beta):
     # sizes, as far as the dense matrix stays small
     for n in sorted({1, 2, B - 1, B, B + 1, 3 * B + 7, 665, 680, 1999, 2401}):
         M = wetting._step_matrix(law, n - 1)
-        v_buf, apply = wetting._step_apply(law, n)
+        V, apply = wetting._step_apply(law, n)
         down = np.logspace(0.0, -300.0, n)
         # a spike at the end of the first block over a 1e-280 floor: from
         # the third block on, its carry through the second block dominates
@@ -115,8 +116,8 @@ def test_step_apply_matches_dense_product(beta):
         spike[min(wetting._step_block(n), n) - 1] = 1.0
         for v in (down, down[::-1].copy(), spike, spike[::-1].copy(),
                   np.random.default_rng(n).random(n)):
-            v_buf[:] = v
-            got, want = apply(), M @ v
+            V.flat[:n] = v
+            got, want = apply().reshape(-1)[:n], M @ v
             big = want > 1e-290
             assert np.all(np.abs(got[big] / want[big] - 1.0) < 1e-14), (n, v[:2])
             assert np.all(got[~big] < 1e-280)
@@ -165,6 +166,74 @@ def test_strip_walk_callers_match_dense_oracle(beta, N):
 @pytest.mark.parametrize("beta, N", _STRIP_CASES)
 def test_bridge_extreme_delta_matches_dense_oracle(beta, N, delta):
     _check_strip_callers(beta, N, delta, rel=1e-15, abs=1e-12)
+
+
+# (beta, N, delta) and the range of zwet_direct's renormalization period K
+# there: at delta = -800 the weight at height 0 underflows to 0 (K = 1);
+# delta = -30 at beta = 2 is a steep weight with a short period; at
+# delta = 0, beta = 30 only the two steps the join reads renormalize
+# (K >= ceil(N/2) for the area-tilted weights as well)
+@pytest.mark.parametrize("beta, N, delta, k_lo, k_hi", [
+    (2.0, 201, -800.0, 1, 1),
+    (2.0, 200, -30.0, 4, 4),
+    (30.0, 2000, 0.0, 1000, math.inf),
+], ids=["underflow", "steep", "reads-only"])
+def test_bridge_renormalization_cadence_matches_dense_oracle(
+        beta, N, delta, k_lo, k_hi):
+    log_w = np.zeros(math.ceil(12.0 * math.sqrt(N / beta)) + 65)
+    log_w[0] = delta
+    K = wetting._renorm_period(steps.StepLaw(beta), np.exp(log_w - log_w.max()))
+    assert k_lo <= K <= k_hi
+    _check_strip_callers(beta, N, delta, rel=1e-15, abs=1e-12)
+
+
+def test_bridge_keeps_its_decay_bound(monkeypatch):
+    # log w = -700 on every height but the top, which the walk cannot reach
+    # at beta = 30 (x^96 = e^-1440 underflows): the max falls by e^-700 a
+    # step, so K = 1, and two steps without a rescale underflow to 0
+    beta, N = 30.0, 200
+    law = steps.StepLaw(beta)
+    log_w = np.full(97, -700.0)
+    log_w[-1] = 0.0
+    assert wetting._renorm_period(law, np.exp(log_w)) == 1
+    want = _dense_log_bridge(beta, log_w, N)
+    tol = dict(rel=1e-15, abs=1e-12)
+    assert wetting._log_bridge(law, log_w, N) == pytest.approx(want, **tol)
+    monkeypatch.setattr(wetting, "_renorm_period", lambda law, w: 2)
+    with np.errstate(invalid="ignore"):
+        assert wetting._log_bridge(law, log_w, N) != pytest.approx(want, **tol)
+
+
+@pytest.mark.parametrize("beta, w_min", [
+    (2.0, 0.0), (2.0, 5e-324), (2.0, math.exp(-700.0)), (2.0, math.exp(-30.0)),
+    (2.0, 1.0), (0.1, 1.0), (30.0, 0.5), (30.0, 1.0), (80.0, 1.0),
+])
+def test_renorm_period_keeps_the_max_above_two_to_minus_f(beta, w_min):
+    law = steps.StepLaw(beta)
+    w = np.array([1.0, w_min, 1.0])
+    K = wetting._renorm_period(law, w)
+    rho = w_min / law.c_beta
+    bound = 2.0 ** -wetting._DECAY_BITS
+    if w_min == 0.0:
+        assert K == 1
+    elif rho == 1.0:  # c_beta rounds to 1 at beta = 80: nothing decays
+        assert K == sys.maxsize
+    else:
+        # the largest K >= 1 with rho^K >= 2^-F, or 1 where rho alone is below
+        assert K == 1 or rho ** K >= bound
+        assert rho ** (K + 1) < bound
+
+
+# values of the bridge pinned as hex when it rescaled every step and its step
+# was two products, a spread and an add: the same within 1e-14 relative
+@pytest.mark.parametrize("call, pinned", [
+    (lambda: wetting.zwet_direct(2.0, 1.0, 5000), "0x1.946bfa05003cap+10"),
+    (lambda: wetting.zwet_direct(1.0, 1.0, 20000), "0x1.093b0997834ccp+7"),
+    (lambda: exactz.area_wetting_dp(200, 0.5, 2.0, 1.0), "0x1.01b3350f37e30p+6"),
+    (lambda: exactz.area_wetting_dp(2000, 0.5, 4.0, 1.0), "0x1.714808701484cp+10"),
+], ids=["zwet-2-1-5000", "zwet-1-1-20000", "area-200", "area-2000"])
+def test_strip_bridge_values_are_pinned(call, pinned):
+    assert call() == pytest.approx(float.fromhex(pinned), rel=1e-14, abs=0.0)
 
 
 def test_zwet_localized_prefactor():
@@ -397,6 +466,17 @@ def test_logsumexp_c_matches_mpmath():
     assert wetting.logsumexp_c(np.full(4, -np.inf)) == -math.inf
     assert wetting.logsumexp_c([]) == -math.inf
     assert wetting.logsumexp_c(np.array([])) == -math.inf
+
+
+def test_logsumexp_c_refuses_nan_and_keeps_inf():
+    with pytest.raises(ValueError, match="term 1 is nan"):
+        wetting.logsumexp_c([0.0, math.nan])
+    with pytest.raises(ValueError, match="term 0 is nan"):
+        wetting.logsumexp_c(np.array([math.nan, -math.inf]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert wetting.logsumexp_c([math.inf, 0.0]) == math.inf
+        assert wetting.logsumexp_c(iter([-math.inf, math.inf])) == math.inf
 
 
 @pytest.mark.parametrize("call, named", [
