@@ -12,7 +12,12 @@ energy h_beta(delta) and prefactor C_wet, and the three critical curves
 delta_tilde < delta_c < delta_circ of the phase diagram.
 
 log Z_wet has two independent routes, each with no Python step per unit
-of length.  ``zwet_series`` solves the renewal equation in blocks: a
+of length.  ``zwet_series`` reads it off the generating function
+1 / (1 - e^delta F(s)): in the localized phase (delta > delta_tilde),
+Z_wet(n) = e^{h n} [C_wet + (1 - x^2 - e^{-delta})^{-1} sum_{t > n} K(t)
+e^{-h t}], with the kernel's tail summed to the T* past which it is below
+half an ulp of C_wet.  Where T* exceeds the length (near delta_tilde), and
+at delta <= delta_tilde, it solves the renewal equation in blocks: a
 Toeplitz inverse on one block, then one convolution per block into every
 later length (the one-dot-per-length recursion is the test oracle).
 ``zwet_direct`` sums the strip walks directly, through the pinned strip
@@ -302,26 +307,144 @@ def delta_tilde(beta: float) -> float:
     return -math.log1p(-law.x)
 
 
+def _log_growth(x: float, e: float) -> float:
+    """h at delta = delta_tilde + e, e > 0, x = e^{-beta/2}.
+
+    With y = e^{-delta}, e^h = (1 - y)(1 - x)^2 / (y (1 - x^2 - y)), and
+
+        e^h - 1 = (1 - x - y)^2 / (y (1 - x^2 - y))
+
+    (the numerator is a perfect square: h vanishes to second order at
+    delta_tilde).  Since 1 - x = e^{-delta_tilde}, y = (1 - x) e^{-e}, so
+    1 - x - y = y (e^e - 1) and 1 - x^2 - y = (1 - x)(x + m) with
+    m = 1 - e^{-e}: e^h - 1 = (e^e - 1) m / (x + m), a product and a
+    quotient of positive terms, each accurate at any e.  Its log1p is h;
+    from e = 709 on (e^e overflows past 709.78), h = e + log(m^2 / (x + m)
+    + e^{-e}), the same identity divided by e^e.
+    """
+    m = -math.expm1(-e)
+    if e < 709.0:
+        return math.log1p(math.expm1(e) * m / (x + m))
+    return e + math.log(m * m / (x + m) + math.exp(-e))
+
+
 def wetting_free_energy(beta: float, delta: float) -> float:
     """Localized free energy h_beta(delta); identically 0 for delta <= delta_tilde.
 
-    h = delta + log(1 - e^{-delta}) + 2 log(1 - x) - log(1 - e^{-delta} - x^2),
-    written without e^{delta} so that it stays finite at any finite delta.
+    h is the log of the root 1/s of 1 = e^delta F(s), F the return kernel's
+    generating function, which is
+
+        h = delta + log(1 - e^{-delta}) + 2 log(1 - x) - log(1 - e^{-delta} - x^2);
+
+    it is evaluated as ``_log_growth`` of delta - delta_tilde, which keeps
+    its digits as delta -> delta_tilde (where the form above cancels) and
+    stays finite at any finite delta.  Its relative error is within
+    8 eps (1 + delta / (delta - delta_tilde)), the second term the
+    conditioning of h at the second-order onset.  The closed form of
+    ``zwet_series`` multiplies h by the length n, so an error in h reaches
+    log Z_wet(n) n times over.
     """
     _check_delta(delta)
-    if delta <= delta_tilde(beta):
+    e = delta - delta_tilde(beta)
+    if e <= 0.0:
         return 0.0
+    return _log_growth(math.exp(-0.5 * beta), e)
+
+
+def _prefactor(beta: float, delta: float, h: float) -> float:
+    """C_wet at delta > delta_tilde, given h = h_beta(delta); see
+    ``cwet_constant``."""
     x = math.exp(-0.5 * beta)
-    one_m_y = -math.expm1(-delta)
-    return (delta + math.log(one_m_y) + 2.0 * math.log1p(-x)
-            - math.log(one_m_y - x * x))
+    m = -math.expm1(delta_tilde(beta) - delta)
+    q = -math.expm1(-h)
+    return (1.0 + x) / (x + m) * math.sqrt(q * (q + (1.0 - q) * 4.0 * x
+                                                / (1.0 + x) ** 2))
+
+
+# the closed form drops the kernel's tail past T* once that tail is below
+# 2^-54 C_wet, half an ulp of C_wet and so of every Z(n) e^{-h n}
+_TAIL_BITS = 54
+
+
+def _localized_terms(beta: float, delta: float, h: float) -> tuple:
+    """(C_wet, gap, T*) for the closed form of ``zwet_series``, h =
+    h_beta(delta) > 0: gap = 1 - x^2 - e^{-delta} = (1 - x)(x + m), m = 1 -
+    e^{-(delta - delta_tilde)}, and T* the least T >= 1 with
+
+        e^{-h(T+1)} / ((1 - e^{-h}) gap) <= 2^-54 C_wet.
+
+    K(t) <= 1, so sum_{t > T} K(t) e^{-h t} <= e^{-h(T+1)} / (1 - e^{-h}),
+    and the condition is h (T + 1) >= 54 log 2 - log(C_wet gap (1 - e^{-h})).
+    T* is capped at ``sys.maxsize`` where h is so small that it overflows.
+    """
+    C = _prefactor(beta, delta, h)
+    x = math.exp(-0.5 * beta)
+    gap = -math.expm1(-0.5 * beta) * (x - math.expm1(delta_tilde(beta) - delta))
+    v = (_TAIL_BITS * math.log(2.0) - math.log(C * gap * -math.expm1(-h))) / h
+    return C, gap, max(1, math.ceil(min(v, float(sys.maxsize))) - 1)
 
 
 _RENEWAL_BLOCK = 128  # lengths per block of the renewal solve
 
 
 def zwet_series(beta: float, delta: float, N: int) -> np.ndarray:
-    """log Z_wet(n) for n = 0..N via the renewal recursion.
+    """log Z_wet(n) for n = 0..N: in closed form in the localized phase
+    when the kernel's tail is short, by the renewal recursion otherwise.
+
+    Z(s) = sum_n Z(n) s^n = 1 / (1 - e^delta F(s)), and F^2 = (c + a s) F
+    - a s (``return_kernel``) gives, on multiplying by 1 - e^delta G with
+    G = c + a s - F the other root,
+
+        Z(s) = (1 - e^delta (c + a s) + e^delta F(s)) / D(s),
+        D(s) = 1 - e^delta c + e^delta a (e^delta - 1) s.
+
+    D is linear and, above delta_tilde, vanishes at s = e^{-h}.  The s^n
+    coefficients of D Z give, for n >= 2,
+
+        (1 - e^delta c) Z(n) + e^delta a (e^delta - 1) Z(n - 1) = e^delta K(n),
+
+    that is, with u(n) = Z(n) e^{-h n} and e^h = e^delta a (e^delta - 1) /
+    (e^delta c - 1), u(n) - u(n - 1) = -K(n) e^{-h n} / (c - e^{-delta}).
+    Summed from n + 1 to infinity, u tends to C_wet, so for n >= 1
+
+        Z(n) = e^{h n} [C_wet + (1 - x^2 - e^{-delta})^{-1} sum_{t > n} K(t) e^{-h t}],
+
+    every term positive.  The tail past T* (``_localized_terms``) is below
+    2^-54 C_wet <= Z(n) e^{-h n}: K(t) <= 1 bounds it by e^{-h(T+1)} /
+    (1 - e^{-h}), and T* is the least T >= 1 where that, over 1 - x^2 -
+    e^{-delta}, is at most 2^-54 C_wet.  So only K(1..T*) is read, with one
+    reversed cumulative sum and one log (T* = 122 at beta = 2, delta = 1,
+    and 214 at beta = 0.5, delta = 2).
+
+    The closed form is taken when h > 0 and T* <= N.  At delta <=
+    delta_tilde the root of D is removable and the same first-order
+    recursion has a spurious growing mode, and near delta_tilde T* (about
+    37 / h) exceeds N; there ``_renewal_series`` runs.
+    """
+    N = _count(N, "N")
+    h = wetting_free_energy(beta, delta)
+    if h > 0.0:
+        C, gap, T = _localized_terms(beta, delta, h)
+        if T <= N:
+            return _localized_series(beta, h, C, gap, T, N)
+    return _renewal_series(beta, delta, h, N)
+
+
+def _localized_series(beta: float, h: float, C: float, gap: float, T: int,
+                      N: int) -> np.ndarray:
+    """log Z_wet(n), n = 0..N, by the closed form of ``zwet_series`` with
+    the kernel's tail summed to T (any T >= 1) and dropped past it."""
+    w = return_kernel(beta, T).k[1:] * np.exp(-h * np.arange(1.0, T + 1))
+    u = np.full(N + 1, C)
+    n = min(T, N + 1)
+    u[1:n] += np.cumsum(w[::-1])[::-1][1:n] / gap  # sum_{t > n} of w(t)
+    log_z = h * np.arange(N + 1.0) + np.log(u)
+    log_z[0] = 0.0
+    return log_z
+
+
+def _renewal_series(beta: float, delta: float, h: float, N: int) -> np.ndarray:
+    """log Z_wet(n), n = 0..N, by the renewal recursion, h = h_beta(delta).
 
     The recursion is run on the exponentially rebased sequence
     Z(n) e^{-h n} (bounded in every phase, so plain double sums are safe)
@@ -338,8 +461,6 @@ def zwet_series(beta: float, delta: float, N: int) -> np.ndarray:
     sequential recursion it replaces, one dot per length, is the test
     oracle ``oracles.zwet_series_loop``.
     """
-    N = _count(N, "N")
-    h = wetting_free_energy(beta, delta)
     kernel = return_kernel(beta, max(N, 1))
     t = np.arange(1, N + 1)
     krb = np.concatenate(([0.0], kernel.k[1:N + 1] * np.exp(delta - h * t)))
@@ -443,14 +564,14 @@ def cwet_constant(beta: float, delta: float) -> float:
           = c sqrt(1 - s) sqrt(1 - s/s2) / (1 - y - x^2),
 
     using b - 2y = c sqrt(1 - s) sqrt(1 - s/s2) and the closed form of h for
-    e^{delta - h}; the second line has no cancellation near delta_tilde and
-    no overflow at large delta.
+    e^{delta - h}.  With q = 1 - s, m = 1 - e^{-(delta - delta_tilde)},
+    1 - y - x^2 = (1 - x)(x + m) and 1 - s/s2 = q + (1 - q) 4x / (1 + x)^2,
+
+        C = (1 + x) / (x + m) sqrt(q (q + (1 - q) 4x / (1 + x)^2)),
+
+    all terms positive: no cancellation near delta_tilde and no overflow at
+    large delta.  ``zwet_series`` reads the same private ``_prefactor``.
     """
     if delta <= delta_tilde(beta):
         raise ValueError("cwet_constant is defined only for delta > delta_tilde")
-    h = wetting_free_energy(beta, delta)
-    law = StepLaw(beta)
-    c, s2 = _kernel_constants(law)
-    s = math.exp(-h)
-    return (c * math.sqrt(-math.expm1(-h) * (1.0 - s / s2))
-            / (-math.expm1(-delta) - law.x * law.x))
+    return _prefactor(beta, delta, wetting_free_energy(beta, delta))

@@ -12,7 +12,9 @@ one, the dense table of every height pair instead of its reachable
 blocks, the kept column range of each row instead of the closed-form
 diagonal lengths of a slice, the dense strip step matrix instead of
 the two geometric sweeps of the strip walk, the wetting renewal one dot
-per length instead of its blocked Toeplitz solve, the sampler's weights
+per length instead of its blocked Toeplitz solve, the renewal (40 digits) and the
+defining forms of h and C_wet (60 digits) in mpmath instead of the closed
+form of Z_wet and the factored forms, the sampler's weights
 built afresh for every draw instead of once per distinct state,
 root-finding through the
 numerical tilt solve and bisection instead of the quadratics behind the
@@ -160,6 +162,46 @@ def zwet_series_loop(beta: float, delta: float, N: int) -> np.ndarray:
     for n in range(2, N + 1):
         y[n] += float(krb[:n - 1] @ y[n - 1:0:-1])
     return np.concatenate(([0.0], np.log(y[1:]) + delta + h * (t - 1.0)))
+
+
+def wetting_constants_mp(beta: float, delta: float, dps: int = 60) -> tuple:
+    """(h, C_wet) at delta > delta_tilde in mpmath at ``dps`` digits, from
+    the defining forms e^h = (1 - y)(1 - x)^2 / (y (1 - y - x^2)) and
+    C = (b - 2y) / (a (1 - y) e^{delta - h}), b = c + a e^{-h}, which cancel
+    near delta_tilde (the precision absorbs it), in place of the package's
+    factored forms."""
+    with mpmath.workdps(dps):
+        x = mpmath.exp(-mpmath.mpf(beta) / 2)
+        y = mpmath.exp(-mpmath.mpf(delta))
+        a, c = (1 - x) ** 2, 1 - x * x
+        h = mpmath.log((1 - y) * a / (y * (1 - y - x * x)))
+        C = (c + a * mpmath.exp(-h) - 2 * y) / (
+            a * (1 - y) * mpmath.exp(mpmath.mpf(delta) - h))
+        return float(h), float(C)
+
+
+def zwet_series_mp(beta: float, delta: float, N: int, dps: int = 40) -> np.ndarray:
+    """log Z_wet(n), n = 0..N, by the renewal Z(n) = sum_t e^delta K(t)
+    Z(n - t) in mpmath at ``dps`` digits, with K(t) the s^t coefficients of
+    F(s) = [c + a s - c sqrt(1 - s) sqrt(1 - s/s2)] / 2 formed in mpmath
+    as well, in place of the package's double kernel and its closed form
+    or blocked solve."""
+    with mpmath.workdps(dps):
+        x = mpmath.exp(-mpmath.mpf(beta) / 2)
+        a, c = (1 - x) ** 2, 1 - x * x
+        s2 = (c / a) ** 2
+        root = [mpmath.mpf(1)]  # coefficients of sqrt(1 - s)
+        for n in range(1, N + 1):
+            root.append(root[-1] * (2 * n - 3) / (2 * n))
+        root2 = [r / s2 ** n for n, r in enumerate(root)]
+        k = [-c / 2 * mpmath.fsum(root[i] * root2[t - i] for i in range(t + 1))
+             for t in range(N + 1)]
+        k[1] += a / 2
+        ek = [mpmath.exp(mpmath.mpf(delta)) * kt for kt in k]
+        z = [mpmath.mpf(1)]
+        for n in range(1, N + 1):
+            z.append(mpmath.fsum(ek[t] * z[n - t] for t in range(1, n + 1)))
+        return np.array([0.0] + [float(mpmath.log(v)) for v in z[1:]])
 
 
 # -- segment quadrature oracle ----------------------------------------------

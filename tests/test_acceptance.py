@@ -94,10 +94,11 @@ def test_c03_critical_curve_consistency():
 # -- 4: pinned-walk asymptotics ---------------------------------------------
 
 def test_c04_wetting_asymptotics():
-    series10 = wetting.zwet_series(2.0, 1.0, 2000)
+    # Z e^{-h N} = C_wet is an identity of zwet's closed form, so the
+    # localized Z comes from the strip bridge
     h = wetting.wetting_free_energy(2.0, 1.0)
     c = wetting.cwet_constant(2.0, 1.0)
-    localized = math.exp(series10[2000] - h * 2000) / c
+    localized = math.exp(wetting.zwet_direct(2.0, 1.0, 2000) - h * 2000) / c
 
     def scaled_ratio(delta, power):
         s = wetting.zwet_series(2.0, delta, 4000)

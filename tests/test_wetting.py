@@ -99,6 +99,115 @@ def test_zwet_series_blocked_solve_matches_sequential_loop(beta, N):
         assert got[1:] == pytest.approx(want[1:], rel=1e-13), delta
 
 
+def _closed_form_terms(beta, delta):
+    """(h, C_wet, 1 - x^2 - e^{-delta}, T*) as ``zwet_series`` forms them."""
+    h = wetting.wetting_free_energy(beta, delta)
+    return (h, *wetting._localized_terms(beta, delta, h))
+
+
+def _spy_renewal(monkeypatch):
+    """Record the lengths ``zwet_series`` hands to the blocked renewal."""
+    calls = []
+    renewal = wetting._renewal_series
+
+    def spy(beta, delta, h, N):
+        calls.append(N)
+        return renewal(beta, delta, h, N)
+
+    monkeypatch.setattr(wetting, "_renewal_series", spy)
+    return calls
+
+
+# N = T* - 1 still runs the renewal, N = T* and T* + 1 the closed form; at
+# delta = 710, T* = 1, so N = 0 returns log Z(0) = 0 from the renewal
+@pytest.mark.parametrize("beta", [0.1, 2.0, 30.0])
+def test_zwet_closed_form_matches_sequential_loop(beta, monkeypatch):
+    calls = _spy_renewal(monkeypatch)
+    for delta in (wetting.delta_tilde(beta) + 0.5, 710.0):
+        T = _closed_form_terms(beta, delta)[3]
+        for N in (T - 1, T, T + 1):
+            got = wetting.zwet_series(beta, delta, N)
+            want = oracles.zwet_series_loop(beta, delta, N)
+            assert got[0] == want[0] == 0.0
+            assert got[1:] == pytest.approx(want[1:], rel=1e-13), (delta, N)
+            assert calls == ([N] if N < T else []), (delta, N)
+            calls.clear()
+
+
+def test_zwet_keeps_the_renewal_below_and_near_delta_tilde(monkeypatch):
+    # at or below delta_tilde h = 0; just above it T* > N
+    calls = _spy_renewal(monkeypatch)
+    dt = wetting.delta_tilde(BETA)
+    for delta in (dt - 0.5, dt, dt + 1e-3, dt + 0.05):
+        wetting.zwet_series(BETA, delta, 5000)
+        assert calls.pop() == 5000, delta
+    assert _closed_form_terms(BETA, dt + 0.05)[3] == 7583
+
+
+# T* at the two wetting runs of the benchmark and at the grid's ends
+@pytest.mark.parametrize("beta, delta, T", [
+    (2.0, 1.0, 122), (0.5, 2.0, 214), (0.1, 3.5, 263), (30.0, 0.2, 204),
+    (2.0, 710.0, 1),
+])
+def test_kernel_tail_past_t_star_is_below_half_an_ulp(beta, delta, T):
+    h, C, _, T_star = _closed_form_terms(beta, delta)
+    assert T_star == T
+    gap = 1.0 - math.exp(-beta) - math.exp(-delta)
+    k = wetting.return_kernel(beta, 20 * T).k
+    t = np.arange(T + 1.0, 20 * T + 1)
+    dropped = math.fsum(k[T + 1:] * np.exp(-h * t)) / gap
+    assert dropped <= 2.0 ** -54 * C
+    # T* is the least T >= 1 whose bound holds
+    bound = lambda T: math.exp(-h * (T + 1)) / -math.expm1(-h) / gap
+    assert bound(T) <= 2.0 ** -54 * C
+    assert T == 1 or bound(T - 1) > 2.0 ** -54 * C
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.5, 2.0, 30.0])
+def test_zwet_closed_form_matches_mpmath_renewal(beta):
+    """The closed form, with the kernel's tail to its own T*, and the
+    blocked renewal against a 40-digit renewal on a 40-digit kernel, errors
+    in units of max(1, |log Z|).  Everywhere the closed form is within n + 1
+    times h's error bound (see the test below) plus 4 eps; where
+    ``zwet_series`` takes it (T* <= N), its worst error is no worse than the
+    blocked solve's.  Nearer delta_tilde the blocked solve does better,
+    since h enters it only as a rebasing."""
+    N, dt = 200, wetting.delta_tilde(beta)
+    eps = np.finfo(float).eps
+    n = np.arange(1.0, N + 1)
+    worst = {"closed": 0.0, "blocked": 0.0}
+    for delta in (dt + 0.05, dt + 0.2, dt + 0.5, dt + 1.0, dt + 3.0, 10.0,
+                  100.0, 710.0):
+        want = oracles.zwet_series_mp(beta, delta, N)[1:]
+        h, C, gap, T = _closed_form_terms(beta, delta)
+        scale = np.maximum(1.0, np.abs(want))
+        closed = np.abs(wetting._localized_series(beta, h, C, gap, T, N)[1:]
+                        - want)
+        blocked = np.abs(wetting._renewal_series(beta, delta, h, N)[1:] - want)
+        h_bound = 8.0 * eps * (1.0 + delta / (delta - dt))
+        assert np.all(closed <= (n + 1.0) * h * h_bound + 4.0 * eps * scale), delta
+        if T <= N:
+            worst["closed"] = max(worst["closed"], np.max(closed / scale))
+            worst["blocked"] = max(worst["blocked"], np.max(blocked / scale))
+    assert worst["closed"] <= worst["blocked"]
+
+
+# delta_tilde + {1, 3} 10^-k, k = 1..6, and delta = 710, where the old
+# form delta + log(1 - y) + 2 log(1 - x) - log(1 - y - x^2) missed the bound
+# by up to 2e5 times and the ratio e^h - 1 overflows
+@pytest.mark.parametrize("beta", [0.1, 0.5, 2.0, 30.0, 300.0])
+def test_free_energy_and_cwet_match_mpmath_near_delta_tilde(beta):
+    dt = wetting.delta_tilde(beta)
+    eps = np.finfo(float).eps
+    for delta in [dt + f * 10.0 ** -k for k in range(1, 7) for f in (1, 3)] + [710.0]:
+        h, C = oracles.wetting_constants_mp(beta, delta)
+        bound = 8.0 * eps * (1.0 + delta / (delta - dt))
+        assert wetting.wetting_free_energy(beta, delta) == pytest.approx(
+            h, rel=bound, abs=0.0), delta
+        assert wetting.cwet_constant(beta, delta) == pytest.approx(
+            C, rel=bound, abs=0.0), delta
+
+
 @pytest.mark.parametrize("beta", [0.1, 0.5, 2.0, 4.0, 30.0])
 def test_step_apply_matches_dense_product(beta):
     law = steps.StepLaw(beta)
@@ -237,9 +346,11 @@ def test_strip_bridge_values_are_pinned(call, pinned):
 
 
 def test_zwet_localized_prefactor():
+    # Z e^{-h N} = C_wet is an identity of zwet's closed form, so Z is read
+    # from the strip bridge, a route that knows neither h nor C_wet
     h = wetting.wetting_free_energy(BETA, 1.0)
     c = wetting.cwet_constant(BETA, 1.0)
-    z = wetting.zwet(BETA, 1.0, 2000)
+    z = wetting.zwet_direct(BETA, 1.0, 2000)
     assert math.exp(z - h * 2000) / c == pytest.approx(1.0, abs=0.05)
 
 
@@ -262,23 +373,19 @@ def test_free_energy_value():
     assert h == pytest.approx(0.3236, abs=5e-4)
 
 
-def test_free_energy_matches_kernel_root(kernel2):
-    """h solves sum_t K(t) e^{-zeta t} = e^{-delta} (independent bisection)."""
-    delta = 1.0
-    t = np.arange(1, kernel2.t_max + 1)
-
-    def cap(zeta):
-        return float(kernel2.k[1:] @ np.exp(-zeta * t))
-
-    lo, hi = 0.0, 5.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if cap(mid) > math.exp(-delta):
-            lo = mid
-        else:
-            hi = mid
-    assert wetting.wetting_free_energy(BETA, delta) == pytest.approx(
-        0.5 * (lo + hi), abs=1e-6)
+def test_free_energy_matches_kernel_root():
+    """h solves sum_t K(t) e^{-h t} = e^{-delta}: the sum to T* lies within
+    the tail bound below e^{-delta}, at 1e-13 relative."""
+    for beta, delta in [(2.0, 1.0), (0.5, 2.0), (0.1, 3.5), (30.0, 0.2),
+                        (2.0, 710.0)]:
+        h = wetting.wetting_free_energy(beta, delta)
+        T = _closed_form_terms(beta, delta)[3]
+        k = wetting.return_kernel(beta, T).k
+        S = math.fsum(k[1:] * np.exp(-h * np.arange(1.0, T + 1)))
+        tail = math.exp(-h * (T + 1)) / -math.expm1(-h)
+        y = math.exp(-delta)
+        assert (y - tail) * (1.0 - 1e-13) <= S <= y * (1.0 + 1e-13), beta
+        assert tail < 1e-15 * y, beta
 
 
 def test_delta_tilde_closed_form():
